@@ -72,17 +72,25 @@ def compatible_targets(
     """
     source_type = source.type_of(attr)
     scored: list[tuple[Attribute, int]] = []
-    for candidate in target.attributes():
-        if compatible(source_type, target.type_of(candidate)):
-            scored.append((candidate, name_similarity(attr.name, candidate.name, alpha)))
-    scored.sort(
-        key=lambda pair: (
-            -pair[1],
-            -name_similarity(attr.table, pair[0].table, alpha),
-            str(pair[0]),
-        )
-    )
+    for table in target.tables.values():
+        for column, dtype in table.columns.items():
+            if compatible(source_type, dtype):
+                scored.append(
+                    (Attribute(table.name, column), name_similarity(attr.name, column, alpha))
+                )
+    table_score = {
+        name: name_similarity(attr.table, name, alpha)
+        for name in {candidate.table for candidate, _weight in scored}
+    }
+    scored.sort(key=lambda pair: (-pair[1], -table_score[pair[0].table], str(pair[0])))
     return scored
+
+
+def all_compatible_targets(
+    source: Schema, target: Schema, alpha: int = DEFAULT_ALPHA
+) -> dict[Attribute, list[tuple[Attribute, int]]]:
+    """:func:`compatible_targets` of every source attribute, in declaration order."""
+    return {attr: compatible_targets(source, target, attr, alpha) for attr in source.attributes()}
 
 
 # --------------------------------------------------------------------------------------
@@ -166,17 +174,19 @@ class FactoredVcEnumerator:
         *,
         alpha: int = DEFAULT_ALPHA,
         max_fanout: Optional[int] = 2,
+        targets: Optional[dict[Attribute, list[tuple[Attribute, int]]]] = None,
     ):
         self.source = source_program.schema
         self.target = target_schema
         self.alpha = alpha
         self.queried = queried_attributes(source_program)
+        if targets is None:
+            targets = all_compatible_targets(self.source, self.target, alpha)
         self.rows: list[_RowCandidates] = []
-        for attr in self.source.attributes():
-            targets = compatible_targets(self.source, self.target, attr, alpha)
+        for attr, attr_targets in targets.items():
             required = attr in self.queried
             row = _RowCandidates(
-                attr, targets, required=required, alpha=alpha, max_fanout=max_fanout
+                attr, attr_targets, required=required, alpha=alpha, max_fanout=max_fanout
             )
             if required and not row.feasible:
                 raise VcEnumerationError(
@@ -238,6 +248,7 @@ class MaxSatVcEnumerator:
         target_schema: Schema,
         *,
         alpha: int = DEFAULT_ALPHA,
+        targets: Optional[dict[Attribute, list[tuple[Attribute, int]]]] = None,
     ):
         self.source = source_program.schema
         self.target = target_schema
@@ -245,14 +256,14 @@ class MaxSatVcEnumerator:
         self.queried = queried_attributes(source_program)
         self.solver = WPMaxSatSolver()
         self.variables: dict[tuple[Attribute, Attribute], int] = {}
-        self._build_encoding()
+        if targets is None:
+            targets = all_compatible_targets(self.source, self.target, alpha)
+        self._build_encoding(targets)
 
-    def _build_encoding(self) -> None:
-        source_attrs = self.source.attributes()
-        for attr in source_attrs:
-            targets = compatible_targets(self.source, self.target, attr, self.alpha)
+    def _build_encoding(self, targets: dict[Attribute, list[tuple[Attribute, int]]]) -> None:
+        for attr, attr_targets in targets.items():
             literals = []
-            for target_attr, weight in targets:
+            for target_attr, weight in attr_targets:
                 var = self.solver.new_variable()
                 self.variables[(attr, target_attr)] = var
                 literals.append(var)
@@ -315,19 +326,24 @@ class ValueCorrespondenceEnumerator:
     ):
         if engine not in ("auto", "factored", "maxsat"):
             raise ValueError(f"unknown engine {engine!r}")
+        # Computed once: the pair count picks the engine, which then encodes
+        # the same lists.
+        targets = all_compatible_targets(source_program.schema, target_schema, alpha)
         if engine == "auto":
-            pairs = 0
-            for attr in source_program.schema.attributes():
-                pairs += len(
-                    compatible_targets(source_program.schema, target_schema, attr, alpha)
-                )
+            pairs = sum(len(attr_targets) for attr_targets in targets.values())
             engine = "maxsat" if pairs <= maxsat_variable_limit else "factored"
         self.engine_name = engine
         if engine == "maxsat":
-            self._engine = MaxSatVcEnumerator(source_program, target_schema, alpha=alpha)
+            self._engine = MaxSatVcEnumerator(
+                source_program, target_schema, alpha=alpha, targets=targets
+            )
         else:
             self._engine = FactoredVcEnumerator(
-                source_program, target_schema, alpha=alpha, max_fanout=max_fanout
+                source_program,
+                target_schema,
+                alpha=alpha,
+                max_fanout=max_fanout,
+                targets=targets,
             )
         self._iterator = self._engine.candidates()
         self.produced = 0

@@ -16,21 +16,44 @@ DEFAULT_ALPHA = 8
 
 
 def levenshtein(left: str, right: str) -> int:
-    """The classic edit distance (insertions, deletions, substitutions)."""
+    """The classic edit distance (insertions, deletions, substitutions).
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2001 edit-distance form): a column
+    of the dynamic-programming matrix is held as two bit vectors of vertical
+    +1/-1 deltas over the longer string, so each character of the shorter
+    string costs a constant number of integer operations.  Python integers
+    have no width limit, so strings of any length fit one vector; the score
+    tracks the matrix's bottom row.
+    """
     if left == right:
         return 0
-    if not left:
-        return len(right)
-    if not right:
-        return len(left)
-    previous = list(range(len(right) + 1))
-    for i, lchar in enumerate(left, start=1):
-        current = [i]
-        for j, rchar in enumerate(right, start=1):
-            cost = 0 if lchar == rchar else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    pattern, text = (left, right) if len(left) >= len(right) else (right, left)
+    if not text:
+        return len(pattern)
+    masks: dict[str, int] = {}
+    bit = 1
+    for char in pattern:
+        masks[char] = masks.get(char, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    last = bit >> 1
+    plus, minus, score = full, 0, len(pattern)
+    for char in text:
+        match = masks.get(char, 0)
+        vertical = match | minus
+        horizontal = (((match & plus) + plus) ^ plus) | match
+        up = minus | (~(horizontal | plus) & full)
+        down = plus & horizontal
+        if up & last:
+            score += 1
+        elif down & last:
+            score -= 1
+        # Row 0 of the matrix is 0, 1, 2, ...: shift in a +1 delta.
+        up = (up << 1) | 1
+        down <<= 1
+        plus = (down | ~(vertical | up)) & full
+        minus = up & vertical
+    return score
 
 
 @lru_cache(maxsize=65536)

@@ -8,7 +8,6 @@ updates performed through a join chain can locate the originating source rows
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
@@ -43,7 +42,7 @@ class DatabaseInstance:
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
         self._data: dict[str, list[Row]] = {name: [] for name in schema.table_names}
-        self._rowid_counter = itertools.count(1)
+        self._next_rowid = 1
         # Per-table column metadata, computed once: ``insert`` used to rebuild
         # ``set(decl.columns)`` (and re-lookup the declaration) for every row,
         # which dominated the engine-internal insert path.
@@ -96,9 +95,7 @@ class DatabaseInstance:
             types = self._column_types[table]
             for col, value in full.items():
                 check_value(value, types[col])
-        row = Row(next(self._rowid_counter), full)
-        self._data[table].append(row)
-        return row
+        return self.insert_full_row(table, full)
 
     def insert_full_row(self, table: str, full: dict[str, Any]) -> Row:
         """Engine-internal fast path: *full* already maps every declared column.
@@ -107,7 +104,8 @@ class DatabaseInstance:
         execution engine) build *full* from :meth:`columns_of`, so both are
         redundant there.
         """
-        row = Row(next(self._rowid_counter), full)
+        row = Row(self._next_rowid, full)
+        self._next_rowid += 1
         self._data[table].append(row)
         return row
 
@@ -136,6 +134,18 @@ class DatabaseInstance:
     def clear(self) -> None:
         for rows in self._data.values():
             rows.clear()
+
+    def copy(self) -> "DatabaseInstance":
+        """An independent copy that continues the same rowid numbering."""
+        clone = DatabaseInstance.__new__(DatabaseInstance)
+        clone.schema = self.schema
+        clone._data = {table: [row.copy() for row in rows] for table, rows in self._data.items()}
+        clone._next_rowid = self._next_rowid
+        # Column metadata is never mutated after construction.
+        clone._columns = self._columns
+        clone._column_sets = self._column_sets
+        clone._column_types = self._column_types
+        return clone
 
     # ------------------------------------------------------------ inspection
     def snapshot(self) -> dict[str, list[tuple]]:

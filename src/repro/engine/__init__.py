@@ -16,11 +16,17 @@ from repro.engine.compiler import (
     ProgramCompiler,
     compile_program,
     make_batch_runner,
+    make_loader,
     make_runner,
     run_sequence_compiled,
 )
 from repro.engine.evaluator import Evaluator
-from repro.engine.interpreter import InvocationError, ProgramInterpreter, run_invocation_sequence
+from repro.engine.interpreter import (
+    InterpretedProgram,
+    InvocationError,
+    ProgramInterpreter,
+    run_invocation_sequence,
+)
 from repro.engine.joins import ExecutionError, JoinedRow, evaluate_join
 from repro.engine.predicates import compare, evaluate_predicate, resolve_operand
 from repro.engine.uid import UidGenerator, UniqueValue
@@ -32,6 +38,7 @@ __all__ = [
     "EXECUTION_BACKENDS",
     "Evaluator",
     "ExecutionError",
+    "InterpretedProgram",
     "InvocationError",
     "JoinedRow",
     "ProgramCompiler",
@@ -42,6 +49,7 @@ __all__ = [
     "compile_program",
     "evaluate_join",
     "make_batch_runner",
+    "make_loader",
     "make_runner",
     "evaluate_predicate",
     "resolve_operand",

@@ -122,6 +122,19 @@ class ColumnarState:
         clone.chain_cache = dict(self.chain_cache)
         return clone
 
+    def key(self) -> tuple:
+        """Every table's cells in storage order, plus the UID counter.
+
+        Column-major (one tuple per column, after the row count) is the
+        same information as :meth:`CompiledState.key
+        <repro.engine.compiled.CompiledState.key>`'s row-major form; rowids
+        are left out for the same reason.
+        """
+        return (
+            tuple([(len(t.rowids),) + tuple(map(tuple, t.cols)) for t in self.tables]),
+            self.uids.count,
+        )
+
     def writable(self, table_index: int) -> ColumnTable:
         table = self.tables[table_index]
         if table.shared:

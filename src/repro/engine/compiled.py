@@ -62,6 +62,26 @@ class CompiledState:
         self.uids.reset()
         self.next_rowid = 1
 
+    def fork(self) -> "CompiledState":
+        """An independent copy: updates mutate rows in place, so rows are copied."""
+        clone = CompiledState.__new__(CompiledState)
+        clone.tables = [[CRow(r.rowid, r.vals[:]) for r in rows] for rows in self.tables]
+        clone.uids = self.uids.fork()
+        clone.next_rowid = self.next_rowid
+        return clone
+
+    def key(self) -> tuple:
+        """Every table's row values in storage order, plus the UID counter.
+
+        Rowids are left out: the engine compares them only for identity
+        within one state, so states that differ only in rowid numbering
+        behave identically on every invocation.
+        """
+        return (
+            tuple([tuple([tuple(r.vals) for r in rows]) for rows in self.tables]),
+            self.uids.count,
+        )
+
 
 class CompiledFunction:
     """One compiled function: parameter metadata plus the executable closure.

@@ -48,6 +48,7 @@ from typing import Any, Callable, Optional
 from repro.datamodel.instance import InstanceError
 from repro.datamodel.schema import Attribute, Schema, SchemaError
 from repro.engine.compiled import CompiledFunction, CompiledProgram, CompiledState, CRow
+from repro.engine.interpreter import InterpretedProgram
 from repro.engine.joins import ExecutionError
 from repro.engine.predicates import compare
 from repro.lang.ast import (
@@ -793,43 +794,46 @@ class ProgramCompiler:
         return compiled
 
 
-def make_runner(execution_backend: str, compiler: Optional[ProgramCompiler] = None):
-    """Validate a backend name and build its sequence runner.
+def make_loader(execution_backend: str, compiler: Optional[ProgramCompiler] = None):
+    """Validate a backend name and build ``load(program)``.
 
-    Returns ``run(program, sequence)``, which executes an invocation
-    sequence from the empty database under the chosen backend (closing over
-    the shared *compiler*, or a private one, when compiled).  This is the
-    single dispatch point the tester and verifier share, so backend
+    ``load`` returns the program's executable form under the chosen backend
+    — a :class:`CompiledProgram`, a
+    :class:`~repro.engine.columnar.storage.ColumnarProgram` or an
+    :class:`~repro.engine.interpreter.InterpretedProgram` — all with
+    ``new_state()``, ``call(state, name, args)`` and ``run_sequence``, and
+    all with states that support ``fork()`` and ``key()``.  The compiled
+    backends close over the shared *compiler*, or a private one.  This is
+    the single dispatch point the tester and verifier share, so backend
     semantics cannot drift between them.
     """
     if execution_backend not in EXECUTION_BACKENDS:
         raise ValueError(
             f"unknown execution backend {execution_backend!r}; known: {EXECUTION_BACKENDS}"
         )
+    if execution_backend == "interpreter":
+        return InterpretedProgram
+    owned = compiler if compiler is not None else ProgramCompiler()
     if execution_backend == "compiled":
-        owned = compiler if compiler is not None else ProgramCompiler()
+        return owned.compile_program
+    return owned.compile_columnar
 
-        def run(program: Program, sequence, _compiler=owned):
-            return _compiler.compile_program(program).run_sequence(sequence)
 
-        return run
-    if execution_backend == "columnar":
-        owned = compiler if compiler is not None else ProgramCompiler()
+def make_runner(execution_backend: str, compiler: Optional[ProgramCompiler] = None):
+    """``run(program, sequence)``: one invocation sequence from the empty database."""
+    load = make_loader(execution_backend, compiler)
 
-        def run_columnar(program: Program, sequence, _compiler=owned):
-            return _compiler.compile_columnar(program).run_sequence(sequence)
+    def run(program: Program, sequence, _load=load):
+        return _load(program).run_sequence(sequence)
 
-        return run_columnar
-    from repro.engine.interpreter import run_invocation_sequence
-
-    return lambda program, sequence: run_invocation_sequence(program, sequence)
+    return run
 
 
 def make_batch_runner(execution_backend: str, compiler: Optional[ProgramCompiler] = None):
     """Build the batch-execution facade for a backend, or ``None``.
 
     Only the columnar backend has batch kernels; the scalar backends return
-    ``None`` and callers (pool screening, the tester/verifier loops) fall
+    ``None`` and callers (pool screening, the tester's enumeration) fall
     back to per-sequence execution.  Pass the same *compiler* given to
     :func:`make_runner` so both paths share compiled artefacts and stats.
     """

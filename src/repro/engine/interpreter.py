@@ -57,6 +57,50 @@ class ProgramInterpreter:
         self.instance.clear()
         self.evaluator.uids.reset()
 
+    def fork(self) -> "ProgramInterpreter":
+        """An independent copy of the database and the UID counter."""
+        clone = ProgramInterpreter.__new__(ProgramInterpreter)
+        clone.program = self.program
+        clone.instance = self.instance.copy()
+        clone.evaluator = Evaluator(clone.instance, self.evaluator.uids.fork())
+        return clone
+
+    def key(self) -> tuple:
+        """Every table's row values in storage order, plus the UID counter.
+
+        Same contract as :meth:`CompiledState.key
+        <repro.engine.compiled.CompiledState.key>`: rowids are left out.
+        Row value dicts are built in declared column order and updated in
+        place, so their value order is the column order.
+        """
+        return (
+            tuple([tuple([tuple(r.values.values()) for r in rows]) for _t, rows in self.instance]),
+            self.evaluator.uids.count,
+        )
+
+
+class InterpretedProgram:
+    """A program behind the compiled backends' ``new_state``/``call`` surface.
+
+    States are :class:`ProgramInterpreter` instances, so callers that step
+    through invocations one at a time (and fork states between steps) treat
+    all three backends alike.
+    """
+
+    __slots__ = ("program",)
+
+    def __init__(self, program: Program):
+        self.program = program
+
+    def new_state(self) -> ProgramInterpreter:
+        return ProgramInterpreter(self.program)
+
+    def call(self, state: ProgramInterpreter, name: str, args: Sequence[Any] = ()) -> list[tuple] | None:
+        return state.call(name, args)
+
+    def run_sequence(self, sequence: Iterable[tuple[str, Sequence[Any]]]) -> list[list[tuple]]:
+        return run_invocation_sequence(self.program, sequence)
+
 
 def run_invocation_sequence(
     program: Program, sequence: Iterable[tuple[str, Sequence[Any]]]

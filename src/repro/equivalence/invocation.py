@@ -4,6 +4,9 @@ An invocation sequence (Section 3.2) is a list of update-function calls
 followed by a single query-function call.  The bounded tester enumerates
 sequences in increasing length over small per-type constant seed sets; the
 first failing sequence found is therefore a *minimum failing input* (MFI).
+The enumeration is also available as blocks — one update prefix plus one
+query with all of its argument tuples — which the verifier walks to run
+each prefix once (:meth:`SequenceGenerator.blocks`).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.datamodel.types import DataType, default_seed_values
 from repro.lang.ast import Function, Program, QueryFunction, UpdateFunction
@@ -201,6 +204,19 @@ def tables_touched(func: Function) -> frozenset[str]:
     return frozenset(tables)
 
 
+class SequenceBlock(NamedTuple):
+    """One update prefix plus one query with all of its argument tuples."""
+
+    prefix: InvocationSequence
+    query: str
+    arguments: tuple[tuple, ...]
+
+    def sequences(self) -> Iterator[InvocationSequence]:
+        prefix, query = self.prefix, self.query
+        for args in self.arguments:
+            yield prefix + ((query, args),)
+
+
 @dataclass
 class SequenceGenerator:
     """Enumerates invocation sequences in increasing length.
@@ -230,28 +246,24 @@ class SequenceGenerator:
         query_names = [f.name for f in reference.query_functions()]
         return update_names, query_names
 
-    def sequences(self) -> Iterator[InvocationSequence]:
-        """Yield sequences in increasing length (then deterministic order)."""
+    def blocks(self) -> Iterator[SequenceBlock]:
+        """Yield the enumeration as blocks, in :meth:`sequences` order.
+
+        Query arguments vary fastest, so every argument tuple of one query
+        after one update prefix is contiguous in the enumeration: one block.
+        """
         reference = self.programs[0]
         touch = self._touch_map()
         update_names, query_names = self._function_lists()
         key_attrs = filtered_attributes(reference)
 
-        query_args = {
-            name: argument_combinations(
-                reference.function(name),
-                self.seeds,
-                predicate_parameters(reference.function(name), key_attrs),
-            )
-            for name in query_names
-        }
-        update_args = {
-            name: argument_combinations(
-                reference.function(name),
-                self.seeds,
-                predicate_parameters(reference.function(name), key_attrs),
-            )
-            for name in update_names
+        def arguments(name: str) -> list[tuple]:
+            func = reference.function(name)
+            return argument_combinations(func, self.seeds, predicate_parameters(func, key_attrs))
+
+        query_args = {name: tuple(arguments(name)) for name in query_names}
+        update_calls = {
+            name: [(name, args) for args in arguments(name)] for name in update_names
         }
 
         for num_updates in range(0, self.max_updates + 1):
@@ -264,15 +276,16 @@ class SequenceGenerator:
                         for name in update_names
                         if touch.get(name, frozenset()) & query_tables
                     ]
+                arguments_of_query = query_args[query_name]
                 for update_combo in itertools.product(relevant_updates, repeat=num_updates):
-                    arg_pools = [update_args[name] for name in update_combo]
-                    arg_pools.append(query_args[query_name])
-                    for args_combo in itertools.product(*arg_pools):
-                        calls = tuple(
-                            (name, args)
-                            for name, args in zip(update_combo + (query_name,), args_combo)
-                        )
-                        yield calls
+                    pools = [update_calls[name] for name in update_combo]
+                    for prefix in itertools.product(*pools):
+                        yield SequenceBlock(prefix, query_name, arguments_of_query)
+
+    def sequences(self) -> Iterator[InvocationSequence]:
+        """Yield sequences in increasing length (then deterministic order)."""
+        for block in self.blocks():
+            yield from block.sequences()
 
     def random_sequences(
         self, count: int, max_length: int, rng: random.Random | None = None

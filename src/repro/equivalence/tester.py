@@ -82,9 +82,9 @@ def cached_source_outputs(cache, key, runner, program, sequence, stats=None):
 
     Cache entries are ``(canonical, raw)`` pairs: the scalar path compares
     canonicalized outputs, while the batched path
-    (:func:`batched_first_divergence`) short-circuits on raw equality —
-    storing both under one key costs one tuple and saves the batch path a
-    second lookup per sequence.
+    (:func:`batched_first_divergence`) and the verifier's exhaustive walk
+    short-circuit on raw equality — storing both under one key costs one
+    tuple and saves them a second lookup per sequence.
     """
     if cache is not None and key is not None:
         cached = cache.get(key, sequence)
@@ -113,20 +113,18 @@ def _gather_source_outcomes(batch_runner, cache, key, source, sequences, interru
     back to the cache; errors never are.
     """
     count = len(sequences)
-    caching = cache is not None and key is not None
     expected: list = [None] * count
     raw_expected: list = [None] * count
     source_errors: Optional[dict] = None
     cache_hit = [False] * count
     misses: list[int] = []
     for i, sequence in enumerate(sequences):
-        if caching:
-            cached = cache.get(key, sequence)
-            if cached is not None:
-                expected[i] = cached[0]
-                raw_expected[i] = cached[1]
-                cache_hit[i] = True
-                continue
+        cached = cache.get(key, sequence)
+        if cached is not None:
+            expected[i] = cached[0]
+            raw_expected[i] = cached[1]
+            cache_hit[i] = True
+            continue
         misses.append(i)
     if misses:
         outcomes = batch_runner.run_sequences(
@@ -135,8 +133,7 @@ def _gather_source_outcomes(batch_runner, cache, key, source, sequences, interru
         for i, (tag, payload) in zip(misses, outcomes):
             if tag == "ok":
                 canonical = canonicalize_outputs(payload)
-                if caching:
-                    cache.put(key, sequences[i], (canonical, payload))
+                cache.put(key, sequences[i], (canonical, payload))
                 expected[i] = canonical
                 raw_expected[i] = payload
             else:
@@ -159,25 +156,23 @@ def batched_first_divergence(
 ) -> Optional[int]:
     """Index of the first sequence where *candidate* differs from *source*.
 
-    The batched core shared by :class:`BoundedTester` and
-    :class:`~repro.equivalence.verifier.BoundedVerifier`: both programs run
-    through the columnar batch kernels (source only on cache misses), then
-    the outcomes are walked **in sequence order**, reproducing the scalar
-    loop's exact trajectory — the first problem sequence either raises what
-    the scalar path would raise (source errors, non-``ExecutionError``
-    candidate errors) or is returned as the first divergence
-    (``ExecutionError`` or an output mismatch).  Sequences past that point
-    were executed by the batch but are ignored, so the verdict and the
-    raised error are identical to running the scalar loop.
+    The batched core of :class:`BoundedTester`: both programs run through
+    the columnar batch kernels (source only on cache misses), then the
+    outcomes are walked **in sequence order**, reproducing the scalar loop's
+    exact trajectory — the first problem sequence either raises what the
+    scalar path would raise (source errors, non-``ExecutionError`` candidate
+    errors) or is returned as the first divergence (``ExecutionError`` or an
+    output mismatch).  Sequences past that point were executed by the batch
+    but are ignored, so the verdict and the raised error are identical to
+    running the scalar loop.
 
     *visit(visited, source_cache_hits)* is called exactly once per batch,
     just before it returns or raises: *visited* counts the sequences the
     scalar loop would have reached (everything up to and including the
     divergent or raising one), *source_cache_hits* how many of those were
     served from the source-output cache — the callers hang their statistics
-    on it.  *cache*/*key* may be ``None`` (the verifier screens sources it
-    does not cache); successful source outcomes are canonicalized and
-    cached, errors never are.
+    on it.  Successful source outcomes are canonicalized and cached under
+    ``(key, sequence)``, errors never are.
 
     *gather_memo*, when provided, is a caller-owned LRU (a plain list) of
     gathered source-side outcomes keyed by ``(key, sequences)`` content.
@@ -195,10 +190,6 @@ def batched_first_divergence(
     that decides the verdict.
     """
     count = len(sequences)
-    # The memo is keyed by (source fingerprint, chunk content); with no
-    # fingerprint two different sources would collide, so it is disabled.
-    if key is None:
-        gather_memo = None
     gathered = None
     if gather_memo is not None:
         for slot, entry in enumerate(gather_memo):
@@ -213,8 +204,7 @@ def batched_first_divergence(
         )
         if gather_memo is not None:
             expected, raw_expected, source_errors, _hits = gathered
-            caching = cache is not None and key is not None
-            replay_hits = [caching] * count
+            replay_hits = [True] * count
             if source_errors is not None:
                 for i in source_errors:
                     replay_hits[i] = False  # errors are never cached

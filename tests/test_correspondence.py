@@ -21,6 +21,24 @@ from repro.lang.builder import ProgramBuilder, eq, insert, select
 
 
 # ----------------------------------------------------------------------------- similarity
+def _levenshtein_dp(left: str, right: str) -> int:
+    """The row-by-row dynamic program: the reference the fast version is pinned to."""
+    if left == right:
+        return 0
+    if not left:
+        return len(right)
+    if not right:
+        return len(left)
+    previous = list(range(len(right) + 1))
+    for i, lchar in enumerate(left, start=1):
+        current = [i]
+        for j, rchar in enumerate(right, start=1):
+            cost = 0 if lchar == rchar else 1
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        previous = current
+    return previous[-1]
+
+
 class TestSimilarity:
     def test_levenshtein_basics(self):
         assert levenshtein("", "") == 0
@@ -36,6 +54,31 @@ class TestSimilarity:
     @given(st.text(max_size=8), st.text(max_size=8), st.text(max_size=8))
     def test_levenshtein_triangle_inequality(self, a, b, c):
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(alphabet="abcXé日_ ", max_size=90) | st.text(max_size=12),
+        st.text(alphabet="abcXé日_ ", max_size=90) | st.text(max_size=12),
+    )
+    def test_levenshtein_matches_dynamic_programming(self, left, right):
+        # Small alphabets make long strings share characters, so the
+        # bit-parallel deltas are exercised beyond one 64-bit word.
+        assert levenshtein(left, right) == _levenshtein_dp(left, right)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ("", ""),
+            ("", "日本語"),
+            ("ünïcødé", "unicode"),
+            ("a" * 70, "a" * 69 + "b"),
+            ("customer_billing_address_" * 3, "customer_shipping_address_" * 3),
+            ("x" * 65, ""),
+        ],
+    )
+    def test_levenshtein_edge_cases_match_dynamic_programming(self, left, right):
+        assert levenshtein(left, right) == _levenshtein_dp(left, right)
+        assert levenshtein(right, left) == _levenshtein_dp(left, right)
 
     def test_identical_names_score_alpha(self):
         assert name_similarity("InstId", "instid") == DEFAULT_ALPHA

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import time
+import traceback
 from dataclasses import replace
 
 import pytest
@@ -227,20 +228,48 @@ class TestDeadline:
         assert elapsed < 5.0, f"deadline overshot: {elapsed:.1f}s for a 1s budget"
         assert result.attempts[-1].failure_reason == "time limit reached"
 
-    def test_deadline_stops_deep_verification_pass(self):
-        # coachup's verification pass dominates its run (~0.1s synthesis vs
-        # ~1s verification at these bounds); a budget landing inside that
-        # pass must interrupt it — the verifier polls the deadline per
-        # sequence — instead of letting the run overshoot by the whole pass.
+    def test_deadline_stops_deep_verification_pass(self, monkeypatch):
+        # coachup's verification pass dominates its run.  A deadline landing
+        # inside that pass must interrupt it — the verifier polls the
+        # session's deadline check once per block of its exhaustive phase —
+        # instead of letting the run overshoot by the whole pass.  The
+        # deadline "passes" at the verifier's fifth poll, so the outcome does
+        # not depend on how fast the pass runs.
+        from repro.equivalence import TestingInterrupted
+        from repro.equivalence.verifier import BoundedVerifier
+
+        trip_at = 5
+        polls: list[None] = []
+        stopped_in: list[str] = []
+        original = BoundedVerifier.verify
+
+        def verify(self, source, candidate):
+            deadline_check = self.interrupt
+            assert deadline_check is not None, "the session installs a deadline check"
+
+            def check() -> bool:
+                polls.append(None)
+                return len(polls) >= trip_at or deadline_check()
+
+            self.interrupt = check
+            try:
+                return original(self, source, candidate)
+            except TestingInterrupted as stop:
+                stopped_in.append(traceback.extract_tb(stop.__traceback__)[-1].name)
+                raise
+            finally:
+                self.interrupt = deadline_check
+
+        monkeypatch.setattr(BoundedVerifier, "verify", verify)
         bench = get_benchmark("coachup")
         config = _config(
-            verifier_max_updates=3, verifier_random_sequences=300, time_limit=0.4
+            verifier_max_updates=3, verifier_random_sequences=300, time_limit=3600.0
         )
-        started = time.perf_counter()
         result = SynthesisSession(bench.source_program, bench.target_schema, config).run()
-        elapsed = time.perf_counter() - started
         assert result.timed_out and not result.succeeded
-        assert elapsed < 0.9, f"verification overran the 0.4s budget: {elapsed:.2f}s"
+        assert result.attempts[-1].failure_reason == "time limit reached"
+        assert len(polls) == trip_at
+        assert stopped_in == ["_exhaustive"]
 
     def test_verifier_interrupt_hook(self, course_program):
         from repro.equivalence import BoundedVerifier, TestingInterrupted
