@@ -1,19 +1,12 @@
-"""Execution-engine benchmark: interpreter vs compiled vs columnar.
+"""Execution-engine benchmark: interpreter vs compiled.
 
-Three measurements per selected Table 1 workload:
+Two measurements per selected Table 1 workload:
 
 * **candidate-execution throughput** — the source program executed on a
   fixed batch of bounded-tester invocation sequences under each backend
   (this is the inner loop the search-and-check algorithm pays thousands of
   times per benchmark; closure translation plus hash joins is the whole
-  win, and the columnar backend must hold that win sequence-at-a-time
-  before its batch kernels add anything);
-* **screening-loop throughput** — the candidate-screening hot path
-  (``CounterexamplePool.screen`` vs ``screen_batch``): one candidate
-  screened against a pool of counterexample sequences, scalar compiled
-  execution vs the columnar trie batch kernel.  This is the vectorization
-  headline: the batch kernel shares invocation-prefix execution and
-  amortizes dispatch across the pool;
+  win);
 * **end-to-end synthesis** — one full synthesis run per backend on a small
   multi-sketch workload, demonstrating that the gains survive the complete
   pipeline (pool screening, source caching, verification) without changing
@@ -28,12 +21,9 @@ can archive the perf trajectory across PRs.
 Run with ``pytest benchmarks/bench_engine.py``; a plain-text report
 (`render_engine_report`) is printed at the end of the session.  Set
 ``REPRO_BENCH_SMOKE=1`` for the CI smoke job (one workload, tiny batch, no
-end-to-end run).  Acceptance, checked by ``test_engine_aggregate``:
-
-* the compiled backend sustains ≥ 3x the interpreter's sequence throughput
-  on at least two workloads (≥ 2x on one workload in smoke mode);
-* batched screening sustains ≥ 3x the compiled scalar screening throughput
-  on at least two workloads (≥ 2x on one workload in smoke mode).
+end-to-end run).  Acceptance, checked by ``test_engine_aggregate``: the
+compiled backend sustains ≥ 3x the interpreter's sequence throughput on at
+least two workloads (≥ 2x on one workload in smoke mode).
 """
 
 from __future__ import annotations
@@ -50,10 +40,7 @@ from repro.core import Synthesizer, SynthesisConfig
 from repro.engine.compiler import ProgramCompiler
 from repro.engine.interpreter import run_invocation_sequence
 from repro.equivalence.invocation import SequenceGenerator
-from repro.equivalence.tester import BoundedTester
 from repro.eval.reporting import engine_summary_row, render_engine_report
-from repro.lang.ast import UpdateFunction
-from repro.testing_cache import CounterexamplePool
 from repro.workloads import get_benchmark
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0", "false")
@@ -74,29 +61,11 @@ REPEATS = 3
 #: measured headroom is ~6x, so 2x still catches any real regression.
 MIN_SPEEDUP = 2.0 if SMOKE else 3.0
 
-#: Workloads and pool size for the screening-loop A/B: a textbook Oracle
-#: schema, two multi-sketch Ambler suites and two real-world CRUD suites.
-#: (Oracle-1 is deliberately absent: its bounded space yields a ~30-sequence
-#: pool, so per-screen fixed costs dominate and the trie kernel has almost
-#: no prefix sharing to amortize — it bounds the win at ~2x structurally.)
-SCREENING_WORKLOADS = ["coachup"] if SMOKE else [
-    "Oracle-2",
-    "Ambler-5",
-    "Ambler-8",
-    "coachup",
-    "rails-ecomm",
-]
-POOL_SEQUENCES = 64 if SMOKE else 160
-#: Acceptance threshold for batched-vs-scalar screening (the full run holds
-#: the 3x criterion; smoke keeps the 2x tripwire).
-MIN_SCREEN_SPEEDUP = 2.0 if SMOKE else 3.0
-
 #: Rows accumulated across the parametrized runs, printed at session end.
 _REPORT_ROWS: list[list] = []
 
 #: name -> measured speedup, consumed by the aggregate acceptance checks.
 _SPEEDUPS: dict[str, float] = {}
-_SCREEN_SPEEDUPS: dict[str, float] = {}
 
 #: The machine-readable counterpart of the printed report.
 _REPORT = BenchReport(suite="engine", mode="smoke" if SMOKE else "full")
@@ -118,26 +87,6 @@ def _best_rate(run, repeats: int, count: int) -> float:
     return count / _best_seconds(run, repeats)
 
 
-def _best_paired_rates(run_a, run_b, repeats: int, count: int) -> tuple[float, float]:
-    """Best-of rates for two bodies measured in alternation.
-
-    An A/B speedup computed from two back-to-back measurement phases folds
-    machine-load drift entirely into one side; alternating the repeats makes
-    a slow patch hit both sides roughly equally, so the *ratio* is stable
-    even when the absolute rates wobble.
-    """
-    gc.collect()
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run_a()
-        best_a = min(best_a, time.perf_counter() - started)
-        started = time.perf_counter()
-        run_b()
-        best_b = min(best_b, time.perf_counter() - started)
-    return count / best_a, count / best_b
-
-
 # ------------------------------------------------------------- throughput
 @pytest.mark.parametrize("name", THROUGHPUT_WORKLOADS)
 def test_engine_throughput(name):
@@ -156,45 +105,30 @@ def test_engine_throughput(name):
     compile_started = time.perf_counter()
     compiled = compiler.compile_program(program)
     compile_ms = (time.perf_counter() - compile_started) * 1e3
-    columnar_started = time.perf_counter()
-    columnar = compiler.compile_columnar(program)
-    columnar_compile_ms = (time.perf_counter() - columnar_started) * 1e3
 
     def run_compiled():
         for sequence in sequences:
             compiled.run_sequence(sequence)
 
-    def run_columnar():
-        for sequence in sequences:
-            columnar.run_sequence(sequence)
-
     cold = {
         "interpreter": measure(run_interpreter),
         "compiled": measure(run_compiled),
-        "columnar": measure(run_columnar),
     }
 
     # Warm mode: steady-state throughput, best of REPEATS.
     interp_rate = _best_rate(run_interpreter, REPEATS, len(sequences))
     compiled_rate = _best_rate(run_compiled, REPEATS, len(sequences))
-    columnar_rate = _best_rate(run_columnar, REPEATS, len(sequences))
 
     _SPEEDUPS[name] = compiled_rate / interp_rate
     _REPORT_ROWS.append(
-        engine_summary_row(
-            name, len(sequences), interp_rate, compiled_rate, compile_ms,
-            columnar_per_sec=columnar_rate,
-        )
+        engine_summary_row(name, len(sequences), interp_rate, compiled_rate, compile_ms)
     )
     _REPORT.record("throughput", name, {
         "sequences": len(sequences),
         "interpreter_seq_per_s": round(interp_rate, 1),
         "compiled_seq_per_s": round(compiled_rate, 1),
-        "columnar_seq_per_s": round(columnar_rate, 1),
         "compiled_speedup": round(compiled_rate / interp_rate, 3),
-        "columnar_speedup": round(columnar_rate / interp_rate, 3),
         "compile_ms": round(compile_ms, 3),
-        "columnar_compile_ms": round(columnar_compile_ms, 3),
         "cold": {backend: run.to_dict() for backend, run in cold.items()},
     })
 
@@ -203,89 +137,6 @@ def test_engine_throughput(name):
     for sequence in sample:
         expected = run_invocation_sequence(program, sequence)
         assert expected == compiled.run_sequence(sequence)
-        assert expected == columnar.run_sequence(sequence)
-
-
-# -------------------------------------------------------- screening loop
-def _mutated(program):
-    """A candidate with one update gutted — it must fail pool screening."""
-    functions = []
-    broken = False
-    for func in program:
-        if not broken and isinstance(func, UpdateFunction) and func.statements:
-            functions.append(UpdateFunction(func.name, func.params, ()))
-            broken = True
-        else:
-            functions.append(func)
-    assert broken, "workload has no update function to mutate"
-    return program.with_functions(functions, name=f"{program.name}-mutant")
-
-
-@pytest.mark.parametrize("name", SCREENING_WORKLOADS)
-def test_screening_throughput(name):
-    """Batched screening (columnar trie kernel) vs scalar compiled screening.
-
-    The candidate is an exact clone of the source, so screening always
-    scans the whole pool — the hot path's worst case and the measurement's
-    steady state.  A mutated candidate then pins verdict parity: both paths
-    must report the same counterexample.
-    """
-    program = get_benchmark(name).source_program
-    sequences = list(
-        itertools.islice(
-            SequenceGenerator(programs=[program]).sequences(), POOL_SEQUENCES
-        )
-    )
-    assert len(sequences) >= 16, f"workload {name} pool too small to measure"
-    candidate = program.with_functions(list(program), name=f"{program.name}-clone")
-
-    def build(backend):
-        pool = CounterexamplePool(max_size=len(sequences) + 8)
-        for sequence in sequences:
-            pool.add(sequence)
-        tester = BoundedTester(program, pool=pool, execution_backend=backend)
-        return pool, tester
-
-    scalar_pool, scalar_tester = build("compiled")
-    batch_pool, batch_tester = build("columnar")
-
-    def scalar_screen():
-        return scalar_pool.screen(candidate, scalar_tester.differs_on)
-
-    def batch_screen():
-        return batch_pool.screen_batch(candidate, batch_tester.differs_on_batch)
-
-    # Cold pass per path: compilation plus source-cache population on the
-    # clock; doubles as the warm-up for the steady-state measurement.
-    cold_scalar = measure(scalar_screen)
-    cold_batch = measure(batch_screen)
-    assert cold_scalar.value is None and cold_batch.value is None
-
-    scalar_rate, batch_rate = _best_paired_rates(
-        scalar_screen, batch_screen, REPEATS, len(sequences)
-    )
-    speedup = batch_rate / scalar_rate
-    _SCREEN_SPEEDUPS[name] = speedup
-    _REPORT.record("screening", name, {
-        "pool_sequences": len(sequences),
-        "scalar_seq_per_s": round(scalar_rate, 1),
-        "batched_seq_per_s": round(batch_rate, 1),
-        "speedup": round(speedup, 3),
-        "batch_high_water": batch_pool.stats.max_batch_size,
-        "cold": {
-            "scalar": cold_scalar.to_dict(),
-            "batched": cold_batch.to_dict(),
-        },
-    })
-    print(f"  {name}: scalar {scalar_rate:,.0f} seq/s, "
-          f"batched {batch_rate:,.0f} seq/s ({speedup:.2f}x, "
-          f"batch high-water {batch_pool.stats.max_batch_size})")
-
-    # Verdict parity on a genuinely failing candidate.
-    mutant = _mutated(program)
-    assert scalar_pool.screen(mutant, scalar_tester.differs_on) == \
-        batch_pool.screen_batch(mutant, batch_tester.differs_on_batch)
-    assert scalar_pool.stats.hits == batch_pool.stats.hits
 
 
 # ------------------------------------------------------------- end-to-end
@@ -294,7 +145,7 @@ def test_engine_end_to_end():
     """One synthesis run per backend: same trajectory, measured resources."""
     bench = get_benchmark("Ambler-5")
     runs = {}
-    for backend in ("interpreter", "compiled", "columnar"):
+    for backend in ("interpreter", "compiled"):
         config = SynthesisConfig()
         config.execution_backend = backend
         config.verifier_random_sequences = 10
@@ -319,22 +170,16 @@ def test_engine_end_to_end():
             succeeded=result.succeeded,
             iterations=result.iterations,
             pool_hits=result.cache.pool_hits,
-            sequences_screened_batched=result.cache.sequences_screened_batched,
-            screening_batch_high_water=result.cache.screening_batch_high_water,
         )
         _REPORT.record("end_to_end", f"Ambler-5/{backend}", payload)
 
     reference = runs["interpreter"].value
-    for backend in ("compiled", "columnar"):
-        result = runs[backend].value
-        # The search trajectory is identical (same verdict per candidate),
-        # so the iteration counts must match exactly; wall-clock is
-        # reported, not asserted (CI machines are noisy).
-        assert result.succeeded == reference.succeeded
-        assert result.iterations == reference.iterations
-    # The columnar run must actually exercise its batch kernels.
-    assert runs["columnar"].value.cache.sequences_screened_batched > 0
-    assert runs["compiled"].value.cache.sequences_screened_batched == 0
+    result = runs["compiled"].value
+    # The search trajectory is identical (same verdict per candidate), so
+    # the iteration counts must match exactly; wall-clock is reported, not
+    # asserted (CI machines are noisy).
+    assert result.succeeded == reference.succeeded
+    assert result.iterations == reference.iterations
 
 
 # -------------------------------------------------------------- aggregate
@@ -347,14 +192,6 @@ def test_engine_aggregate():
     assert len(fast_enough) >= needed, (
         f"expected >={MIN_SPEEDUP}x compiled speedup on at least {needed} "
         f"workloads; measured {_SPEEDUPS}"
-    )
-    screen_fast = [
-        name for name, speedup in _SCREEN_SPEEDUPS.items()
-        if speedup >= MIN_SCREEN_SPEEDUP
-    ]
-    assert len(screen_fast) >= needed, (
-        f"expected >={MIN_SCREEN_SPEEDUP}x batched-screening speedup on at "
-        f"least {needed} workloads; measured {_SCREEN_SPEEDUPS}"
     )
     path = _REPORT.write()
     print(f"  benchmark JSON written to {path}")

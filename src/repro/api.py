@@ -101,6 +101,17 @@ workload registry — settling drifted jobs as the new loud
 ``JobStatus.INCOMPATIBLE`` terminal status instead of unpickling blind.
 ``MigrationJob`` gains ``tenant`` and ``workload`` fields (spec format
 v3; v1/v2 stores still resume).
+
+Breaking in 3.0.0 — "one fast engine, one reference": the columnar
+execution backend is retired, leaving ``"compiled"`` (the default) and
+``"interpreter"`` (the semantics reference).
+
+* ``SynthesisConfig(execution_backend="columnar")`` now raises
+  ``ValueError`` when the run starts, and the HTTP front answers ``400``
+  at submission.
+* ``SynthesisResult.to_dict()`` (its ``cache`` sub-dict) loses
+  ``sequences_screened_batched`` and ``screening_batch_high_water``.
+* Stored 2.x job specs that name columnar settle ``FAILED`` on resume.
 """
 
 from __future__ import annotations
@@ -148,7 +159,7 @@ from repro.service import (
 )
 
 #: Semantic version of this surface (not of the package implementation).
-API_VERSION = "2.3.0"
+API_VERSION = "3.0.0"
 
 __all__ = [
     "API_VERSION",

@@ -52,14 +52,10 @@ class SynthesisConfig:
     #: How candidate/source programs are executed during testing and
     #: verification: "compiled" translates each program once into Python
     #: closures (hash joins, slotted rows, compile-time column offsets —
-    #: see repro.engine.compiler); "columnar" stores tables as parallel
-    #: column lists with cached key indexes and batches the screening loop
-    #: through trie kernels that share execution across sequences and
-    #: candidates (see repro.engine.columnar); "interpreter" keeps the
-    #: tree-walk reference semantics.  All three are output- and
-    #: error-equivalent (pinned by tests/test_compiled.py and
-    #: tests/test_columnar.py); the interpreter remains the semantics
-    #: reference.
+    #: see repro.engine.compiler); "interpreter" keeps the tree-walk
+    #: reference semantics.  Both are output- and error-equivalent and
+    #: follow the same synthesis trajectory (pinned by
+    #: tests/test_compiled.py); any other name raises ValueError.
     execution_backend: str = "compiled"
 
     # ---- bounded testing / verification (Section 5)

@@ -163,7 +163,7 @@ def _worker_cache(max_entries: int) -> SourceOutputCache:
 
 def _worker_program_compiler(config: SynthesisConfig):
     global _worker_compiler
-    if config.execution_backend not in ("compiled", "columnar"):
+    if config.execution_backend != "compiled":
         return None
     if _worker_compiler is None:
         from repro.engine.compiler import ProgramCompiler

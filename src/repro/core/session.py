@@ -332,7 +332,7 @@ class SessionCore:
         # One compiler per run unless a shared one is injected: tester and
         # verifier share the compiled-function cache, so a candidate verified
         # right after testing compiles once.
-        if compiler is None and config.execution_backend in ("compiled", "columnar"):
+        if compiler is None and config.execution_backend == "compiled":
             compiler = ProgramCompiler()
         self.compiler = compiler
         # Shared compilers accumulate counters across runs; snapshot the

@@ -18,10 +18,11 @@ property-based test subject of its own with three feeders:
   composition against the composed oracle.
 
 ``python -m repro.corpus`` exposes ``ingest`` / ``generate`` / ``fuzz``;
-the ``fuzz`` command replays seeded workloads through all three execution
-backends and fails loudly on any verdict / canonicalization /
-error-semantics divergence.  Everything is keyed by the generator seed:
-record the seed, regenerate the workload, replay the pipeline.
+the ``fuzz`` command replays seeded workloads through both execution
+backends (interpreter and compiled) and fails loudly on any verdict /
+canonicalization / error-semantics divergence.  Everything is keyed by
+the generator seed: record the seed, regenerate the workload, replay the
+pipeline.
 """
 
 from repro.corpus.chains import (

@@ -5,7 +5,7 @@
 * ``python -m repro.corpus generate --seed 7 --count 3`` — print generated
   workloads: schema shape, refactoring steps, oracle sizes.
 * ``python -m repro.corpus fuzz --seed 7 --count 25`` — replay seeded
-  workloads through all three execution backends; exits non-zero and names
+  workloads through both execution backends; exits non-zero and names
   the seed + sequence on any divergence.  ``--seed-list`` writes a JSON
   replay artifact (the CI ``corpus-smoke`` job archives it).
 """

@@ -1,9 +1,9 @@
 """Backend-agreement fuzzing over generated workloads.
 
 :func:`fuzz_workload` replays a generated workload's bounded + randomized
-invocation sequences through all three execution backends (interpreter,
-compiled, columnar) on *both* the source program and its composed oracle,
-and flags:
+invocation sequences through both execution backends (the interpreter
+reference and the compiled engine) on *both* the source program and its
+composed oracle, and flags:
 
 * **canonical-output divergence** — two backends return different
   canonicalized outputs for the same (program, sequence);
@@ -31,8 +31,8 @@ from repro.equivalence.invocation import SequenceGenerator, format_sequence
 from repro.equivalence.result_compare import canonicalize_outputs
 from repro.corpus.generator import CorpusConfig, GeneratedWorkload, generate_workload
 
-#: The three execution backends every workload must agree across.
-ALL_BACKENDS = ("interpreter", "compiled", "columnar")
+#: The execution backends every workload must agree across.
+ALL_BACKENDS = ("interpreter", "compiled")
 
 
 @dataclass

@@ -311,6 +311,10 @@ class MaxSatVcEnumerator:
 # --------------------------------------------------------------------------------------
 #  Public facade
 # --------------------------------------------------------------------------------------
+#: Valid values of ``SynthesisConfig.vc_engine``.
+VC_ENGINES = ("auto", "factored", "maxsat")
+
+
 class ValueCorrespondenceEnumerator:
     """The ``NextValueCorr`` oracle of Algorithm 1."""
 
@@ -324,7 +328,7 @@ class ValueCorrespondenceEnumerator:
         max_fanout: Optional[int] = 2,
         maxsat_variable_limit: int = 12,
     ):
-        if engine not in ("auto", "factored", "maxsat"):
+        if engine not in VC_ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
         # Computed once: the pair count picks the engine, which then encodes
         # the same lists.

@@ -1,13 +1,13 @@
 """Relational execution engine for database programs.
 
-Three backends share one semantics: the tree-walk interpreter (the
-reference, :mod:`repro.engine.interpreter`); the compiled backend
+Two backends share one semantics: the tree-walk interpreter (the
+reference, :mod:`repro.engine.interpreter`) and the compiled backend
 (:mod:`repro.engine.compiler`), which translates a program once into Python
-closures with hash joins, slotted rows and compile-time column offsets; and
-the columnar backend (:mod:`repro.engine.columnar`), which stores tables as
-parallel column lists with cached key indexes and adds batch kernels for
-the candidate-screening loop.  ``tests/test_compiled.py`` and
-``tests/test_columnar.py`` pin their output and error equivalence.
+closures with hash joins, slotted rows and compile-time column offsets and
+is the one the synthesizer runs by default.  ``tests/test_compiled.py`` pins
+their output and error equivalence and the synthesis trajectory; the
+sqlite3 oracle (:mod:`repro.equivalence.sql_oracle`) is the independent
+check on the reference's semantics.
 """
 
 from repro.engine.compiled import CompiledProgram, CompiledState, CRow
@@ -15,7 +15,6 @@ from repro.engine.compiler import (
     EXECUTION_BACKENDS,
     ProgramCompiler,
     compile_program,
-    make_batch_runner,
     make_loader,
     make_runner,
     run_sequence_compiled,
@@ -48,7 +47,6 @@ __all__ = [
     "compare",
     "compile_program",
     "evaluate_join",
-    "make_batch_runner",
     "make_loader",
     "make_runner",
     "evaluate_predicate",

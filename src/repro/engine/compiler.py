@@ -75,7 +75,7 @@ from repro.lang.ast import (
 )
 
 #: Valid values of ``SynthesisConfig.execution_backend``.
-EXECUTION_BACKENDS = ("interpreter", "compiled", "columnar")
+EXECUTION_BACKENDS = ("interpreter", "compiled")
 
 
 def _raise_execution(message: str):
@@ -677,12 +677,6 @@ class ProgramCompiler:
         self._programs: dict[Program, CompiledProgram] = {}
         self._schema_sigs: dict[Schema, tuple] = {}  # identity-keyed memo
         self._schema_compilers: dict[tuple, _FunctionCompiler] = {}
-        # Columnar artefacts live in parallel caches (same keying, same
-        # caps, same stats counters) so one compiler instance can serve the
-        # scalar and batched paths of a columnar-backend run.
-        self._columnar_functions: dict[tuple, object] = {}
-        self._columnar_programs: dict[Program, object] = {}
-        self._columnar_compilers: dict[tuple, object] = {}
 
     @staticmethod
     def _schema_signature(schema: Schema) -> tuple:
@@ -741,69 +735,16 @@ class ProgramCompiler:
         self._programs[program] = compiled
         return compiled
 
-    def _columnar_compiler_for(self, schema: Schema):
-        from repro.engine.columnar.compiler import ColumnarFunctionCompiler
-
-        sig = self._schema_sigs.get(schema)
-        if sig is None:
-            if len(self._schema_sigs) >= self.max_entries:
-                self._schema_sigs.clear()
-            sig = self._schema_signature(schema)
-            self._schema_sigs[schema] = sig
-        fc = self._columnar_compilers.get(sig)
-        if fc is None:
-            if len(self._columnar_compilers) >= self.max_entries:
-                self._columnar_compilers.clear()
-            fc = ColumnarFunctionCompiler(schema)
-            self._columnar_compilers[sig] = fc
-        return fc
-
-    def compile_columnar(self, program: Program):
-        """Columnar counterpart of :meth:`compile_program` (same caching)."""
-        from repro.engine.columnar.storage import ColumnarProgram
-
-        compiled = self._columnar_programs.get(program)
-        if compiled is not None:
-            self.stats.program_hits += 1
-            self.stats.function_hits += len(compiled.functions)
-            return compiled
-        fc = self._columnar_compiler_for(program.schema)
-        sig = self._schema_sigs[program.schema]
-        functions: dict[str, object] = {}
-        for func in program:
-            key: Optional[tuple]
-            try:
-                cf = self._columnar_functions.get((sig, func))
-                key = (sig, func)
-            except TypeError:  # unhashable constant somewhere in the AST
-                cf, key = None, None
-            if cf is None:
-                self.stats.function_misses += 1
-                cf = fc.compile_function(func)
-                if key is not None:
-                    if len(self._columnar_functions) >= self.max_entries:
-                        self._columnar_functions.clear()
-                    self._columnar_functions[key] = cf
-            else:
-                self.stats.function_hits += 1
-            functions[func.name] = cf
-        compiled = ColumnarProgram(program.name, fc.table_widths, functions)
-        if len(self._columnar_programs) >= self.max_entries:
-            self._columnar_programs.clear()
-        self._columnar_programs[program] = compiled
-        return compiled
-
 
 def make_loader(execution_backend: str, compiler: Optional[ProgramCompiler] = None):
     """Validate a backend name and build ``load(program)``.
 
     ``load`` returns the program's executable form under the chosen backend
-    — a :class:`CompiledProgram`, a
-    :class:`~repro.engine.columnar.storage.ColumnarProgram` or an
-    :class:`~repro.engine.interpreter.InterpretedProgram` — all with
+    — a :class:`CompiledProgram` or an
+    :class:`~repro.engine.interpreter.InterpretedProgram` — both with
     ``new_state()``, ``call(state, name, args)`` and ``run_sequence``, and
-    all with states that support ``fork()`` and ``key()``.  The compiled
-    backends close over the shared *compiler*, or a private one.  This is
+    both with states that support ``fork()`` and ``key()``.  The compiled
+    backend closes over the shared *compiler*, or a private one.  This is
     the single dispatch point the tester and verifier share, so backend
     semantics cannot drift between them.
     """
@@ -813,10 +754,7 @@ def make_loader(execution_backend: str, compiler: Optional[ProgramCompiler] = No
         )
     if execution_backend == "interpreter":
         return InterpretedProgram
-    owned = compiler if compiler is not None else ProgramCompiler()
-    if execution_backend == "compiled":
-        return owned.compile_program
-    return owned.compile_columnar
+    return (compiler if compiler is not None else ProgramCompiler()).compile_program
 
 
 def make_runner(execution_backend: str, compiler: Optional[ProgramCompiler] = None):
@@ -827,25 +765,6 @@ def make_runner(execution_backend: str, compiler: Optional[ProgramCompiler] = No
         return _load(program).run_sequence(sequence)
 
     return run
-
-
-def make_batch_runner(execution_backend: str, compiler: Optional[ProgramCompiler] = None):
-    """Build the batch-execution facade for a backend, or ``None``.
-
-    Only the columnar backend has batch kernels; the scalar backends return
-    ``None`` and callers (pool screening, the tester's enumeration) fall
-    back to per-sequence execution.  Pass the same *compiler* given to
-    :func:`make_runner` so both paths share compiled artefacts and stats.
-    """
-    if execution_backend not in EXECUTION_BACKENDS:
-        raise ValueError(
-            f"unknown execution backend {execution_backend!r}; known: {EXECUTION_BACKENDS}"
-        )
-    if execution_backend != "columnar":
-        return None
-    from repro.engine.columnar.batch import ColumnarBatchRunner
-
-    return ColumnarBatchRunner(compiler if compiler is not None else ProgramCompiler())
 
 
 def compile_program(program: Program) -> CompiledProgram:

@@ -80,11 +80,11 @@ class ProgramInterpreter:
 
 
 class InterpretedProgram:
-    """A program behind the compiled backends' ``new_state``/``call`` surface.
+    """A program behind the compiled backend's ``new_state``/``call`` surface.
 
     States are :class:`ProgramInterpreter` instances, so callers that step
     through invocations one at a time (and fork states between steps) treat
-    all three backends alike.
+    both backends alike.
     """
 
     __slots__ = ("program",)

@@ -43,10 +43,11 @@ class UidGenerator:
     def fork(self) -> "UidGenerator":
         """An independent generator continuing from the same counter.
 
-        Used by the columnar batch kernels: when one execution prefix is
-        shared by several invocation sequences, the state is forked at the
-        branch point and each branch must allocate exactly the UIDs a scalar
-        run of its sequence would have allocated from that point on.
+        Used by ``CompiledState.fork`` and ``ProgramInterpreter.fork``: the
+        verifier's block walk forks a prefix state once per extending
+        update, and each fork must allocate exactly the UIDs a run of its
+        whole sequence from the empty database would allocate from that
+        point on.
         """
         clone = UidGenerator()
         clone._next = self._next

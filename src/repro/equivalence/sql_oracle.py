@@ -1,7 +1,7 @@
 """Cross-engine differential oracle: replay programs through stdlib sqlite3.
 
-The project's three execution backends (interpreter, compiled, columnar)
-share one heritage, so a semantics bug in the reference interpreter would be
+The project's two execution backends (interpreter, compiled) share one
+heritage, so a semantics bug in the reference interpreter would be
 invisible to the backend-vs-backend differential tests.  This module replays
 invocation sequences through an *independent* engine — Python's bundled
 ``sqlite3`` — and compares canonicalized query outputs.  It began life inside
@@ -34,8 +34,7 @@ Translation notes (how Figure 5 semantics map onto SQL):
 
 Sequences on which the interpreter itself raises are skipped by
 :func:`oracle_agrees` (the oracle checks value semantics, not error
-reporting — tests/test_compiled.py and tests/test_columnar.py pin error
-classes).
+reporting — tests/test_compiled.py pins error classes).
 """
 
 from __future__ import annotations

@@ -23,13 +23,9 @@ Two layers of reuse keep repeated testing cheap:
 Executions run on the **compiled backend** by default (programs are
 translated once into closures with hash joins and slotted rows — see
 :mod:`repro.engine.compiler`); ``execution_backend="interpreter"`` restores
-the tree-walk reference implementation, and ``"columnar"`` switches to the
-column-store backend (:mod:`repro.engine.columnar`), which additionally
-routes pool screening and the full enumeration through batch kernels
-(:meth:`BoundedTester.differs_on_batch`) that execute many sequences per
-call while reproducing the scalar loop's verdicts, errors and statistics
-exactly.  All backends are output- and error-equivalent, so pool screening,
-source caching and MFI minimality are unaffected by the choice.
+the tree-walk reference implementation.  Both backends are output- and
+error-equivalent, so pool screening, source caching and MFI minimality are
+unaffected by the choice.
 
 Error semantics (shared with :class:`~repro.equivalence.verifier.BoundedVerifier`):
 a candidate that raises :class:`ExecutionError` on a sequence *fails* that
@@ -38,13 +34,12 @@ sequence; an error raised by the source program propagates to the caller.
 
 from __future__ import annotations
 
-import itertools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.engine.compiler import ProgramCompiler, make_batch_runner, make_runner
+from repro.engine.compiler import ProgramCompiler, make_runner
 from repro.engine.joins import ExecutionError
 from repro.equivalence.invocation import (
     InvocationSequence,
@@ -80,11 +75,10 @@ def cached_source_outputs(cache, key, runner, program, sequence, stats=None):
     is incremented on a hit.  Source errors propagate: a source program that
     cannot execute is a caller bug, never cached.
 
-    Cache entries are ``(canonical, raw)`` pairs: the scalar path compares
-    canonicalized outputs, while the batched path
-    (:func:`batched_first_divergence`) and the verifier's exhaustive walk
-    short-circuit on raw equality — storing both under one key costs one
-    tuple and saves them a second lookup per sequence.
+    Cache entries are ``(canonical, raw)`` pairs: the tester compares
+    canonicalized outputs, while the verifier's exhaustive walk
+    short-circuits on raw equality — storing both under one key costs one
+    tuple and saves the walk a second lookup per sequence.
     """
     if cache is not None and key is not None:
         cached = cache.get(key, sequence)
@@ -97,150 +91,6 @@ def cached_source_outputs(cache, key, runner, program, sequence, stats=None):
         cache.put(key, sequence, (outputs, raw))
         return outputs
     return canonicalize_outputs(runner(program, sequence))
-
-
-#: Distinct source-side gathers kept per :func:`batched_first_divergence`
-#: memo (one per live chunk shape, mirroring the batch runner's trie memo).
-GATHER_MEMO_SLOTS = 8
-
-
-def _gather_source_outcomes(batch_runner, cache, key, source, sequences, interrupt):
-    """Source-side half of :func:`batched_first_divergence`.
-
-    Probes the source-output cache per sequence, batch-runs the misses, and
-    returns ``(expected, raw_expected, source_errors, cache_hit)`` aligned
-    with *sequences*.  Successful outcomes are canonicalized and written
-    back to the cache; errors never are.
-    """
-    count = len(sequences)
-    expected: list = [None] * count
-    raw_expected: list = [None] * count
-    source_errors: Optional[dict] = None
-    cache_hit = [False] * count
-    misses: list[int] = []
-    for i, sequence in enumerate(sequences):
-        cached = cache.get(key, sequence)
-        if cached is not None:
-            expected[i] = cached[0]
-            raw_expected[i] = cached[1]
-            cache_hit[i] = True
-            continue
-        misses.append(i)
-    if misses:
-        outcomes = batch_runner.run_sequences(
-            source, [sequences[i] for i in misses], interrupt
-        )
-        for i, (tag, payload) in zip(misses, outcomes):
-            if tag == "ok":
-                canonical = canonicalize_outputs(payload)
-                cache.put(key, sequences[i], (canonical, payload))
-                expected[i] = canonical
-                raw_expected[i] = payload
-            else:
-                if source_errors is None:
-                    source_errors = {}
-                source_errors[i] = payload
-    return expected, raw_expected, source_errors, cache_hit
-
-
-def batched_first_divergence(
-    batch_runner,
-    cache,
-    key,
-    source: Program,
-    candidate: Program,
-    sequences: list[InvocationSequence],
-    interrupt: Optional[Callable[[], None]] = None,
-    visit: Optional[Callable[[int, int], None]] = None,
-    gather_memo: Optional[list] = None,
-) -> Optional[int]:
-    """Index of the first sequence where *candidate* differs from *source*.
-
-    The batched core of :class:`BoundedTester`: both programs run through
-    the columnar batch kernels (source only on cache misses), then the
-    outcomes are walked **in sequence order**, reproducing the scalar loop's
-    exact trajectory — the first problem sequence either raises what the
-    scalar path would raise (source errors, non-``ExecutionError`` candidate
-    errors) or is returned as the first divergence (``ExecutionError`` or an
-    output mismatch).  Sequences past that point were executed by the batch
-    but are ignored, so the verdict and the raised error are identical to
-    running the scalar loop.
-
-    *visit(visited, source_cache_hits)* is called exactly once per batch,
-    just before it returns or raises: *visited* counts the sequences the
-    scalar loop would have reached (everything up to and including the
-    divergent or raising one), *source_cache_hits* how many of those were
-    served from the source-output cache — the callers hang their statistics
-    on it.  Successful source outcomes are canonicalized and cached under
-    ``(key, sequence)``, errors never are.
-
-    *gather_memo*, when provided, is a caller-owned LRU (a plain list) of
-    gathered source-side outcomes keyed by ``(key, sequences)`` content.
-    Screening replays identical chunks against many candidates with the
-    source fixed, and programs are deterministic, so replaying the gathered
-    arrays is exact; it skips the per-sequence cache probes entirely on the
-    steady state.  A replayed chunk reports every non-erroring sequence as a
-    cache hit (its first gather wrote them all to the cache).
-
-    Cache entries are the ``(canonical, raw)`` pairs written by
-    :func:`cached_source_outputs`.  Raw equality implies canonical equality,
-    so a candidate whose raw outputs match the source's — the common case
-    for a surviving candidate — is accepted without paying canonicalization
-    at all; only raw mismatches fall through to the canonical comparison
-    that decides the verdict.
-    """
-    count = len(sequences)
-    gathered = None
-    if gather_memo is not None:
-        for slot, entry in enumerate(gather_memo):
-            if entry[0] == key and entry[1] == sequences:
-                if slot:  # keep the hottest chunks at the front
-                    gather_memo.insert(0, gather_memo.pop(slot))
-                gathered = entry[2]
-                break
-    if gathered is None:
-        gathered = _gather_source_outcomes(
-            batch_runner, cache, key, source, sequences, interrupt
-        )
-        if gather_memo is not None:
-            expected, raw_expected, source_errors, _hits = gathered
-            replay_hits = [True] * count
-            if source_errors is not None:
-                for i in source_errors:
-                    replay_hits[i] = False  # errors are never cached
-            gather_memo.insert(
-                0,
-                (
-                    key,
-                    list(sequences),
-                    (expected, raw_expected, source_errors, replay_hits),
-                ),
-            )
-            del gather_memo[GATHER_MEMO_SLOTS:]
-    expected, raw_expected, source_errors, cache_hit = gathered
-    actual = batch_runner.run_sequences(candidate, sequences, interrupt)
-    visited = count
-    try:
-        for i in range(count):
-            if source_errors is not None and i in source_errors:
-                # Source errors propagate, exactly like the scalar path.
-                visited = i + 1
-                raise source_errors[i]
-            cand_tag, cand_payload = actual[i]
-            if cand_tag == "err":
-                visited = i + 1
-                if isinstance(cand_payload, ExecutionError):
-                    return i  # ill-formed candidate fails the sequence
-                raise cand_payload
-            if cand_payload == raw_expected[i]:
-                continue  # raw-identical outputs are canonically identical
-            if canonicalize_outputs(cand_payload) != expected[i]:
-                visited = i + 1
-                return i
-        return None
-    finally:
-        if visit is not None:
-            visit(visited, sum(cache_hit[:visited]))
 
 
 def make_interrupt_check(deadline, cancel) -> Optional[Callable[[], bool]]:
@@ -323,21 +173,13 @@ class BoundedTester:
         self.pool_screening_budget = pool_screening_budget
         # The compiler caches compiled functions across candidates (they share
         # immutable per-function ASTs), so one compiler serves the whole run;
-        # parallel workers pass in a process-global one.  The columnar
-        # backend also gets a batch runner, which must share that compiler so
-        # scalar and batched executions reuse the same compiled artefacts.
-        if execution_backend == "columnar" and compiler is None:
-            compiler = ProgramCompiler()
+        # parallel workers pass in a process-global one.
         self._run = make_runner(execution_backend, compiler)
-        self._batch = make_batch_runner(execution_backend, compiler)
         # A private bounded cache when none is shared with us: behaviour is
         # identical, memory just stays bounded.  (``is None``, not ``or`` — an
         # empty shared cache is falsy but must still be adopted.)
         self._source_cache = source_cache if source_cache is not None else SourceOutputCache()
         self._source_key = format_program(source)
-        # Gathered source-side batch outcomes per screening chunk — see
-        # ``batched_first_divergence``'s *gather_memo*.
-        self._gather_memo: list = []
         #: Optional cooperative-interruption hook: when set, it is polled once
         #: per executed sequence and a ``True`` return aborts the enumeration
         #: with :class:`TestingInterrupted`.  The completer installs (and
@@ -367,41 +209,6 @@ class BoundedTester:
         actual = self._candidate_outputs(candidate, sequence)
         return actual is None or actual != expected
 
-    def _interrupt_hook(self) -> None:
-        """Raising form of the interrupt poll, passed into batch kernels."""
-        if self.interrupt is not None and self.interrupt():
-            raise TestingInterrupted()
-
-    def differs_on_batch(
-        self, candidate: Program, sequences: list[InvocationSequence]
-    ) -> Optional[int]:
-        """Batched ``differs_on``: index of the first divergent sequence.
-
-        Verdict-, error- and statistics-identical to calling
-        :meth:`differs_on` on each sequence in order and stopping at the
-        first ``True`` — see :func:`batched_first_divergence`.  Requires the
-        columnar backend.
-        """
-        if self._batch is None:
-            raise RuntimeError("batched testing requires execution_backend='columnar'")
-
-        def visit(visited: int, source_cache_hits: int) -> None:
-            self.stats.sequences_executed += visited
-            self.stats.source_cache_hits += source_cache_hits
-
-        return batched_first_divergence(
-            self._batch,
-            self._source_cache,
-            self._source_key,
-            self.source,
-            candidate,
-            list(sequences),
-            # No hook installed → no per-node polling inside the kernels.
-            interrupt=self._interrupt_hook if self.interrupt is not None else None,
-            visit=visit,
-            gather_memo=self._gather_memo,
-        )
-
     # --------------------------------------------------------------- MFI search
     def find_failing_input(self, candidate: Program) -> Optional[InvocationSequence]:
         """Return a failing input, or ``None`` if none exists up to the bound.
@@ -412,12 +219,7 @@ class BoundedTester:
         """
         self.stats.candidates_tested += 1
         if self.pool is not None and len(self.pool) > 0:
-            if self._batch is not None:
-                hit = self.pool.screen_batch(
-                    candidate, self.differs_on_batch, self.pool_screening_budget
-                )
-            else:
-                hit = self.pool.screen(candidate, self.differs_on, self.pool_screening_budget)
+            hit = self.pool.screen(candidate, self.differs_on, self.pool_screening_budget)
             if hit is not None:
                 return hit
         self.stats.full_enumerations += 1
@@ -427,8 +229,6 @@ class BoundedTester:
             max_updates=self.max_updates,
             relevance_filter=self.relevance_filter,
         )
-        if self._batch is not None:
-            return self._find_failing_enumerated_batched(candidate, generator)
         checked = 0
         for sequence in generator.sequences():
             checked += 1
@@ -439,42 +239,6 @@ class BoundedTester:
                 if self.pool is not None:
                     self.pool.add(sequence)
                 return sequence
-        self.stats.full_enumeration_sequences += checked
-        return None
-
-    def _find_failing_enumerated_batched(
-        self, candidate: Program, generator: SequenceGenerator
-    ) -> Optional[InvocationSequence]:
-        """The full-enumeration loop in chunks through the batch kernels.
-
-        Chunks grow geometrically: enumerated sequences share long prefixes
-        (the generator emits them in product order), so large chunks let the
-        trie kernel amortize nearly all update execution, while a small
-        first chunk keeps quickly-killed candidates cheap.  ``checked``
-        bookkeeping reproduces the scalar loop exactly, including the
-        bound-tripping sequence that the scalar loop counts but never
-        executes.
-        """
-        iterator = generator.sequences()
-        checked = 0
-        chunk_size = 16
-        while checked < self.max_sequences:
-            take = min(chunk_size, self.max_sequences - checked)
-            chunk = list(itertools.islice(iterator, take))
-            if not chunk:
-                self.stats.full_enumeration_sequences += checked
-                return None
-            checked += len(chunk)
-            index = self.differs_on_batch(candidate, chunk)
-            if index is not None:
-                checked -= len(chunk) - (index + 1)
-                self.stats.full_enumeration_sequences += checked
-                if self.pool is not None:
-                    self.pool.add(chunk[index])
-                return chunk[index]
-            chunk_size = min(chunk_size * 4, 256)
-        if next(iterator, None) is not None:
-            checked += 1  # the scalar loop counts the sequence that trips the bound
         self.stats.full_enumeration_sequences += checked
         return None
 

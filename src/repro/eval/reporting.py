@@ -68,8 +68,6 @@ CACHE_HEADERS = [
     "SeqSaved(est)",
     "Screen(s)",
     "SrcCacheHits",
-    "BatchSeqs",
-    "BatchHW",
 ]
 
 
@@ -92,10 +90,6 @@ def cache_summary_row(name: str, strategy: str, with_pool, without_pool) -> list
         # generic one-decimal float cell could resolve.
         f"{with_pool.screening_time:.3f}",
         with_pool.source_cache_hits,
-        # Batched-screening counters: zero under the scalar backends, so the
-        # same table shows whether a run actually used the columnar kernels.
-        with_pool.sequences_screened_batched,
-        with_pool.screening_batch_high_water,
     ]
 
 
@@ -112,8 +106,6 @@ ENGINE_HEADERS = [
     "Interp(seq/s)",
     "Compiled(seq/s)",
     "Speedup",
-    "Columnar(seq/s)",
-    "ColSpeedup",
     "Compile(ms)",
 ]
 
@@ -124,24 +116,14 @@ def engine_summary_row(
     interp_per_sec: float,
     compiled_per_sec: float,
     compile_ms: float,
-    columnar_per_sec: float | None = None,
 ) -> list:
-    """One row of the execution-backend A/B report (see bench_engine.py).
-
-    *columnar_per_sec* is the columnar backend's scalar (non-batched)
-    throughput on the same sequences; ``None`` renders as ``-`` so runs
-    that only compare interpreter vs compiled keep their shape.
-    """
+    """One row of the execution-backend A/B report (see bench_engine.py)."""
     return [
         name,
         sequences,
         f"{interp_per_sec:,.0f}",
         f"{compiled_per_sec:,.0f}",
         f"{compiled_per_sec / max(interp_per_sec, 1e-9):.2f}x",
-        "-" if columnar_per_sec is None else f"{columnar_per_sec:,.0f}",
-        "-"
-        if columnar_per_sec is None
-        else f"{columnar_per_sec / max(interp_per_sec, 1e-9):.2f}x",
         f"{compile_ms:.2f}",
     ]
 
@@ -149,7 +131,7 @@ def engine_summary_row(
 def render_engine_report(rows: Iterable[Sequence[Any]]) -> str:
     """Render the per-backend throughput table."""
     return render_table(
-        ENGINE_HEADERS, rows, title="Execution engine: interpreter vs compiled vs columnar"
+        ENGINE_HEADERS, rows, title="Execution engine: interpreter vs compiled"
     )
 
 

@@ -10,7 +10,8 @@ Endpoints (all JSON unless noted):
   quota gate, and assigns stride fair-share priorities.  ``202`` with the
   accepted names; ``429`` + ``Retry-After`` on quota refusal; ``409`` on a
   name collision.  ``config`` may set any scalar
-  :class:`~repro.api.SynthesisConfig` field (type-checked whitelist).
+  :class:`~repro.api.SynthesisConfig` field (type-checked whitelist;
+  engine and strategy names must be known ones, else ``400``).
 * ``GET  /jobs?status=…`` — this tenant's jobs (indexed store query +
   live-handle overlay; an open registry sees everything).
 * ``GET  /jobs/{name}`` — one job's response payload.
@@ -93,7 +94,21 @@ def _api_key(scope: dict) -> str:
 
 # -------------------------------------------------------------- job helpers
 def _apply_config(config: Any, overrides: dict) -> None:
-    """Apply type-checked scalar overrides to one SynthesisConfig."""
+    """Apply type-checked scalar overrides to one SynthesisConfig.
+
+    Fields that name an engine or strategy are checked against the known
+    names here, so a typo is a ``400`` at submission rather than a job that
+    is stored and then settles ``FAILED``.
+    """
+    from repro.core.session import COMPLETER_CLASSES
+    from repro.correspondence.enumerator import VC_ENGINES
+    from repro.engine.compiler import EXECUTION_BACKENDS
+
+    choices = {
+        "execution_backend": EXECUTION_BACKENDS,
+        "completion_strategy": COMPLETER_CLASSES,
+        "vc_engine": VC_ENGINES,
+    }
     for key, value in overrides.items():
         if not hasattr(config, key):
             raise ValueError(f"unknown config field {key!r}")
@@ -110,6 +125,10 @@ def _apply_config(config: Any, overrides: dict) -> None:
             raise ValueError(f"config field {key!r} is not a scalar")
         if not ok:
             raise ValueError(f"config field {key!r} expects {type(current).__name__}")
+        if key in choices and value not in choices[key]:
+            raise ValueError(
+                f"unknown {key} {value!r}; known: {', '.join(choices[key])}"
+            )
         setattr(config, key, float(value) if isinstance(current, float) else value)
 
 

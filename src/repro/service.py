@@ -786,9 +786,7 @@ class MigrationService:
             config,
             pool=_shared_pool_for(self._pools, format_program(job.source_program), config),
             source_cache=self._source_cache,
-            compiler=self._compiler
-            if config.execution_backend in ("compiled", "columnar")
-            else None,
+            compiler=self._compiler if config.execution_backend == "compiled" else None,
         )
         session = SynthesisSession(
             job.source_program,

@@ -23,10 +23,8 @@ Screening order is computed once and cached: the sort key only changes when
 a sequence is added, evicted, or scores a hit, so the O(n log n) sort runs
 per pool *mutation*, not per screened candidate
 (``stats.snapshot_sorts`` counts actual sorts; pinned by a regression test).
-Under the columnar backend, :meth:`CounterexamplePool.screen_batch` screens
-a candidate against chunks of pooled sequences through the batch kernels
-while preserving the scalar path's first-hit answer and per-sequence
-bookkeeping.
+Screening runs one pooled sequence at a time through the tester's
+``differs_on`` oracle and stops at the first hit.
 """
 
 from __future__ import annotations
@@ -46,12 +44,6 @@ class PoolStatistics:
     hits: int = 0
     candidates_screened: int = 0
     sequences_screened: int = 0
-    #: Subset of ``sequences_screened`` executed through a batch kernel.
-    sequences_screened_batched: int = 0
-    #: Batch-kernel calls made by :meth:`screen_batch`.
-    screening_batches: int = 0
-    #: Largest single batch handed to the kernel (high-water mark).
-    max_batch_size: int = 0
     #: Times the screening order was actually sorted (≤ pool mutations).
     snapshot_sorts: int = 0
     screening_time: float = 0.0
@@ -65,19 +57,6 @@ class _Entry:
 
 class CounterexamplePool:
     """Size-bounded pool of known failing invocation sequences."""
-
-    #: First chunk size used by :meth:`screen_batch`; chunks grow by
-    #: :attr:`BATCH_GROWTH` up to :attr:`MAX_BATCH`.  Small-first keeps a
-    #: first-sequence hit (the common case — pools are sorted by kill rate)
-    #: from paying for a large batch, while candidates that survive early
-    #: sequences quickly amortize dispatch over big batches.  The trie
-    #: kernel makes marginal sequences nearly free (shared prefixes execute
-    #: once), so chunks start moderately sized and grow steeply: fewer
-    #: chunks means fewer kernel dispatches and more prefix sharing per
-    #: dispatch, which dominates screening cost for surviving candidates.
-    FIRST_BATCH = 16
-    BATCH_GROWTH = 16
-    MAX_BATCH = 512
 
     def __init__(self, max_size: int = 256):
         if max_size <= 0:
@@ -164,51 +143,9 @@ class CounterexamplePool:
         finally:
             self.stats.screening_time += time.perf_counter() - started
 
-    def screen_batch(
-        self,
-        candidate,
-        differs_on_batch: Callable[[object, list[InvocationSequence]], Optional[int]],
-        budget: Optional[int] = None,
-    ) -> Optional[InvocationSequence]:
-        """Batched :meth:`screen`: same answer, chunked execution.
-
-        ``differs_on_batch(candidate, sequences)`` must return the index of
-        the **first** sequence (in the given order) on which the candidate
-        fails, or ``None`` — the tester's batched oracle guarantees
-        first-divergence order, so the sequence returned here is exactly the
-        one :meth:`screen` would have returned.  ``stats.sequences_screened``
-        counts sequences up to and including the hit (scalar-identical),
-        while ``stats.sequences_screened_batched`` counts sequences actually
-        handed to the kernel.
-        """
-        self.stats.candidates_screened += 1
-        started = time.perf_counter()
-        try:
-            order = self.snapshot()
-            if budget is not None:
-                order = order[:budget]
-            chunk_size = self.FIRST_BATCH
-            start = 0
-            while start < len(order):
-                chunk = order[start : start + chunk_size]
-                self.stats.screening_batches += 1
-                self.stats.sequences_screened_batched += len(chunk)
-                if len(chunk) > self.stats.max_batch_size:
-                    self.stats.max_batch_size = len(chunk)
-                self.stats.sequences_screened += len(chunk)
-                index = differs_on_batch(candidate, chunk)
-                if index is not None:
-                    # The scalar path would have stopped at the hit; don't
-                    # count the rest of the chunk as screened.
-                    self.stats.sequences_screened -= len(chunk) - (index + 1)
-                    sequence = chunk[index]
-                    self._record_hit(sequence)
-                    return sequence
-                start += len(chunk)
-                chunk_size = min(chunk_size * self.BATCH_GROWTH, self.MAX_BATCH)
-            return None
-        finally:
-            self.stats.screening_time += time.perf_counter() - started
+    #: Kept as an alias: ``perfbench/spans.py`` wraps ``screen_batch`` by
+    #: looking it up in the class ``__dict__``.
+    screen_batch = screen
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -27,11 +27,6 @@ class TestingCacheStats:
     candidates_fully_tested: int = 0
     #: Pool sequences executed while screening.
     screening_sequences: int = 0
-    #: Subset of screening sequences executed through the columnar batch
-    #: kernels (zero under the scalar backends).
-    sequences_screened_batched: int = 0
-    #: Largest single batch handed to a screening kernel (high-water mark).
-    screening_batch_high_water: int = 0
     #: Wall-clock time spent screening, in seconds.
     screening_time: float = 0.0
     #: Estimated sequences *not* executed thanks to pool hits (pool hits times
@@ -63,10 +58,6 @@ class TestingCacheStats:
         self.candidates_screened += other.candidates_screened
         self.candidates_fully_tested += other.candidates_fully_tested
         self.screening_sequences += other.screening_sequences
-        self.sequences_screened_batched += other.sequences_screened_batched
-        self.screening_batch_high_water = max(
-            self.screening_batch_high_water, other.screening_batch_high_water
-        )
         self.screening_time += other.screening_time
         self.sequences_saved_estimate += other.sequences_saved_estimate
         self.source_cache_hits += other.source_cache_hits
@@ -108,8 +99,6 @@ def collect_cache_stats(
         stats.pool_added = pool.stats.added
         stats.candidates_screened = pool.stats.candidates_screened
         stats.screening_sequences = pool.stats.sequences_screened
-        stats.sequences_screened_batched = pool.stats.sequences_screened_batched
-        stats.screening_batch_high_water = pool.stats.max_batch_size
         stats.screening_time = pool.stats.screening_time
         if tester_stats.full_enumerations:
             average = (

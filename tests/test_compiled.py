@@ -14,29 +14,39 @@ interpreter — a divergence would make the tester's verdicts depend on the
   the lazy per-row errors that must *not* fire on empty tables;
 * the slotted data layer (`Row`, `JoinedRow`, `CRow`) rejects dynamic
   attributes, and the cached-column insert fast path keeps the public
-  ``DatabaseInstance.insert`` behaviour.
+  ``DatabaseInstance.insert`` behaviour;
+* end-to-end synthesis under the compiled backend follows the
+  interpreter's exact trajectory (all 20 workloads under
+  ``REPRO_FULL_EQUIV=1``, a multi-iteration slice every run).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import Synthesizer
+from repro.core.config import SynthesisConfig
 from repro.datamodel import DataType as T, DatabaseInstance, make_schema
 from repro.datamodel.instance import InstanceError, Row
 from repro.engine import (
+    EXECUTION_BACKENDS,
     CRow,
     JoinedRow,
     ProgramCompiler,
     compile_program,
+    make_loader,
     run_invocation_sequence,
 )
 from repro.engine.joins import ExecutionError
 from repro.engine.interpreter import InvocationError
 from repro.equivalence.invocation import SequenceGenerator
 from repro.equivalence.tester import BoundedTester
+from repro.lang.ast import UpdateFunction
 from repro.lang.builder import (
     ProgramBuilder,
     delete,
@@ -47,7 +57,10 @@ from repro.lang.builder import (
     select,
     update,
 )
+from repro.testing_cache import CounterexamplePool
 from repro.workloads.registry import load_all
+
+FULL_EQUIV = os.environ.get("REPRO_FULL_EQUIV") == "1"
 
 
 def both_outcomes(program, sequence):
@@ -275,6 +288,42 @@ class TestCompiledEngine:
         assert len(rows) == 1
         assert rows[0][0].vals[1] == "row-a" and rows[0][1].vals[1] == "row-b"
 
+    def test_empty_table_joins_yield_no_rows(self, two_table_schema):
+        """Hash joins over an empty probe or build side return no rows."""
+        pb = ProgramBuilder("p", two_table_schema)
+        pb.update("a", [("i", "int")], insert("A", {"A.id": "$i"}))
+        pb.update("b", [("i", "int")], insert("B", {"B.id": "$i"}))
+        pb.query("q", [], select(["A.id", "B.y"], join(["A", "B"], on=[("A.id", "B.id")]), None))
+        program = pb.build(validate=False)
+        assert_equivalent(program, [("q", ())])  # both sides empty
+        assert_equivalent(program, [("a", (1,)), ("q", ())])  # build side empty
+        assert_equivalent(program, [("b", (1,)), ("q", ())])  # probe side empty
+        compiled = compile_program(program)
+        assert compiled.run_sequence([("a", (1,)), ("q", ())]) == [[]]
+        assert compiled.run_sequence([("b", (1,)), ("q", ())]) == [[]]
+
+    def test_fork_isolation(self):
+        """Forked states never observe each other's writes or UIDs."""
+        from repro.engine.compiled import CompiledState
+
+        state = CompiledState(2)
+        state.append_row(0, [1, "a"])
+        state.append_row(0, [2, "b"])
+        clone = state.fork()
+        clone.tables[0][0].vals[1] = "mutated"  # updates write rows in place
+        clone.append_row(0, [3, "c"])
+        assert [r.vals[1] for r in state.tables[0]] == ["a", "b"]
+        assert [r.vals[1] for r in clone.tables[0]] == ["mutated", "b", "c"]
+        del state.tables[0][0]
+        assert len(state.tables[0]) == 1 and len(clone.tables[0]) == 3
+        # Rowids and UIDs continue from the fork point, independently.
+        assert clone.tables[0][2].rowid == 3
+        state.append_row(1, [9, "x"])
+        assert state.tables[1][0].rowid == 3
+        assert state.uids.fresh() == clone.uids.fresh()
+        state.uids.fresh()
+        assert state.uids.count == clone.uids.count + 1
+
     def test_compiler_caches_shared_function_asts(self, people_program):
         compiler = ProgramCompiler()
         first = compiler.compile_program(people_program)
@@ -284,34 +333,67 @@ class TestCompiledEngine:
             assert first.functions[name] is second.functions[name]
 
     def test_tester_backends_agree_on_verdicts(self, people_program):
-        from repro.lang.ast import UpdateFunction
-
-        broken = people_program.with_functions(
-            [f for f in people_program if f.name != "deletePerson"]
-            + [
-                # deletePerson that deletes everything: observably different.
-                UpdateFunction(
-                    "deletePerson",
-                    people_program.function("deletePerson").params,
-                    (delete(["Person"], "Person", None),),
-                )
-            ],
-            name="broken",
-        )
+        broken = _broken_delete(people_program)
         verdicts = {}
-        for backend in ("interpreter", "compiled"):
+        stats = {}
+        for backend in EXECUTION_BACKENDS:
             tester = BoundedTester(people_program, execution_backend=backend)
             verdicts[backend] = (
                 tester.find_failing_input(broken),
                 tester.check_equivalent(people_program.with_functions(list(people_program))),
             )
+            stats[backend] = (
+                tester.stats.sequences_executed,
+                tester.stats.full_enumerations,
+                tester.stats.full_enumeration_sequences,
+            )
         assert verdicts["interpreter"] == verdicts["compiled"]
+        assert stats["interpreter"] == stats["compiled"]
         failing, self_equivalent = verdicts["compiled"]
         assert failing is not None and self_equivalent
 
+    def test_pool_screening_backends_agree(self, people_program):
+        """Same pool hit and the same bookkeeping under both backends."""
+        broken = _broken_delete(people_program)
+        results = {}
+        for backend in EXECUTION_BACKENDS:
+            pool = CounterexamplePool()
+            tester = BoundedTester(people_program, execution_backend=backend, pool=pool)
+            first = tester.find_failing_input(broken)  # full enumeration, seeds the pool
+            second = tester.find_failing_input(broken)  # pool screening hit
+            results[backend] = (
+                first,
+                second,
+                pool.stats.hits,
+                pool.stats.candidates_screened,
+                pool.stats.sequences_screened,
+                tester.stats.sequences_executed,
+            )
+        assert results["interpreter"] == results["compiled"]
+        assert results["compiled"][2] == 1
+
     def test_unknown_backend_rejected(self, people_program):
+        assert EXECUTION_BACKENDS == ("interpreter", "compiled")
         with pytest.raises(ValueError):
             BoundedTester(people_program, execution_backend="jit")
+        # The retired columnar backend is an unknown name like any other.
+        with pytest.raises(ValueError, match="unknown execution backend 'columnar'"):
+            make_loader("columnar")
+
+
+def _broken_delete(program):
+    """*program* with a deletePerson that deletes everyone (observably wrong)."""
+    return program.with_functions(
+        [f for f in program if f.name != "deletePerson"]
+        + [
+            UpdateFunction(
+                "deletePerson",
+                program.function("deletePerson").params,
+                (delete(["Person"], "Person", None),),
+            )
+        ],
+        name="broken",
+    )
 
 
 # ------------------------------------------------------------- data layer
@@ -351,3 +433,35 @@ class TestSlottedDataLayer:
         assert instance.columns_of("Person") == ("PersonId", "Name", "Age")
         with pytest.raises(InstanceError):
             instance.columns_of("Nope")
+
+
+# ------------------------------------------------------ end-to-end trajectory
+TRAJECTORY_WORKLOADS = WORKLOADS if FULL_EQUIV else ["2030Club", "Ambler-5"]
+
+
+@pytest.mark.parametrize("name", TRAJECTORY_WORKLOADS)
+def test_synthesis_trajectory_matches_interpreter(name):
+    """Compiled synthesis follows the interpreter's exact trajectory.
+
+    Iterations, verdicts and pool bookkeeping must match run for run: the
+    engine may only change *how* sequences execute, never which candidate
+    survives or which counterexample is found.
+    """
+    workload = load_all().get(name)
+    outcomes = {}
+    for backend in EXECUTION_BACKENDS:
+        config = dataclasses.replace(SynthesisConfig(), execution_backend=backend)
+        result = Synthesizer(config).synthesize(workload.source_program, workload.target_schema)
+        cache = result.cache
+        outcomes[backend] = (
+            result.succeeded,
+            result.iterations,
+            result.attempts,
+            cache.pool_hits,
+            cache.pool_added,
+            cache.candidates_screened,
+            cache.candidates_fully_tested,
+            cache.screening_sequences,
+        )
+    assert outcomes["compiled"] == outcomes["interpreter"]
+    assert outcomes["compiled"][0]

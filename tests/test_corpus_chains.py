@@ -95,7 +95,7 @@ class TestCorpusCli:
         payload = json.loads(seed_list.read_text())
         assert payload["ok"] is True
         assert len(payload["workload_seeds"]) == 3
-        assert payload["backends"] == ["interpreter", "compiled", "columnar"]
+        assert payload["backends"] == ["interpreter", "compiled"]
 
     def test_fuzz_respects_backend_selection(self, capsys):
         code = main(

@@ -52,6 +52,7 @@ from repro.server import (
     event_payload,
     format_frame,
 )
+from repro.server.routes import _build_jobs
 from repro.server.sse import jsonable
 from repro.workloads import benchmark_names, get_benchmark
 
@@ -433,6 +434,31 @@ class TestServerHTTP:
             base, "/jobs", key="k-alpha", payload={"config": {"verifier_random_sequences": "many"}}
         )
         assert status == 400 and "expects int" in body["error"]
+
+    @pytest.mark.parametrize(
+        "field, value, known",
+        [
+            ("execution_backend", "columnar", "interpreter, compiled"),
+            ("completion_strategy", "sat", "mfi, enumerative, bmc"),
+            ("vc_engine", "greedy", "auto, factored, maxsat"),
+        ],
+    )
+    def test_unknown_engine_names_rejected_before_storing(self, server, field, value, known):
+        thread, base = server
+        for defer in (False, True):
+            status, body, _ = _http(
+                base,
+                "/jobs",
+                key="k-alpha",
+                payload={"benchmark": "Oracle-1", "defer": defer, "config": {field: value}},
+            )
+            assert status == 400
+            assert f"unknown {field} {value!r}; known: {known}" == body["error"]
+        assert thread.front.store.query_jobs() == []
+        # Every known name is accepted.
+        for name in known.split(", "):
+            (job,) = _build_jobs(thread.front, {"benchmark": "Oracle-1", "config": {field: name}})
+            assert getattr(job.config, field) == name
 
     def test_duplicate_submission_conflicts(self, server):
         _, base = server

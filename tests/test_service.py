@@ -565,6 +565,21 @@ class TestResumeRePinning:
         assert by_name["Ambler-4"].status is JobStatus.DONE
         assert by_name["Ambler-4"].result.succeeded
 
+    def test_retired_execution_backend_settles_failed(self, tmp_path):
+        # A 2.x spec may name the retired "columnar" backend: it passes the
+        # pins (the config is not part of them), runs, and settles FAILED
+        # with the backend error instead of running on another engine.
+        path = str(tmp_path / "jobs.jsonl")
+        MigrationService(job_store=path).submit_deferred(
+            _job("Oracle-1", _config(execution_backend="columnar"), workload="Oracle-1")
+        )
+        resumed = MigrationService.resume(path)
+        resumed.run()
+        (handle,) = resumed.handles
+        assert handle.status is JobStatus.FAILED
+        assert "unknown execution backend 'columnar'" in handle.error
+        assert JobStore.load(path)["Oracle-1"].status == "failed"
+
 
 class TestCompiledClosureSharing:
     def test_same_schema_jobs_share_compiled_closures(self):

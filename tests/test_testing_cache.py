@@ -122,48 +122,6 @@ class TestCounterexamplePool:
         pool.screen("candidate", lambda c, s: False)
         assert pool.stats.snapshot_sorts == 3  # ...but invalidated it for the next
 
-    def test_screen_batch_matches_scalar_screen(self):
-        """Batched screening returns the scalar path's first hit and stats."""
-        sequences = [(("f", (i,)),) for i in range(20)]
-        target = sequences[11]
-
-        def differs(_candidate, sequence):
-            return sequence == target
-
-        def differs_batch(_candidate, chunk):
-            for index, sequence in enumerate(chunk):
-                if sequence == target:
-                    return index
-            return None
-
-        scalar_pool, batch_pool = CounterexamplePool(), CounterexamplePool()
-        for pool in (scalar_pool, batch_pool):
-            for sequence in sequences:
-                pool.add(sequence)
-        assert scalar_pool.screen("c", differs) == target
-        assert batch_pool.screen_batch("c", differs_batch) == target
-        assert batch_pool.stats.hits == scalar_pool.stats.hits == 1
-        assert (
-            batch_pool.stats.sequences_screened == scalar_pool.stats.sequences_screened
-        )
-        assert batch_pool.stats.sequences_screened_batched >= 12
-        assert batch_pool.stats.screening_batches >= 1
-        # Budget cuts both paths at the same point (the earlier hit moved the
-        # target ahead in both orders, so both find it again within budget).
-        assert scalar_pool.screen("c", differs, budget=5) == batch_pool.screen_batch(
-            "c", differs_batch, budget=5
-        )
-        assert (
-            batch_pool.stats.sequences_screened == scalar_pool.stats.sequences_screened
-        )
-        never = lambda _c, _s: False  # noqa: E731
-        never_batch = lambda _c, _chunk: None  # noqa: E731
-        assert scalar_pool.screen("c", never, budget=5) is None
-        assert batch_pool.screen_batch("c", never_batch, budget=5) is None
-        assert (
-            batch_pool.stats.sequences_screened == scalar_pool.stats.sequences_screened
-        )
-
 
 # ------------------------------------------------------------------ tester integration
 class TestTesterPoolIntegration:

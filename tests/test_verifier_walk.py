@@ -28,7 +28,7 @@ from repro.service import MigrationJob, MigrationService
 from repro.testing_cache import SourceOutputCache
 from repro.workloads import get_benchmark
 
-BACKENDS = ("interpreter", "compiled", "columnar")
+BACKENDS = ("interpreter", "compiled")
 CORPUS = CorpusConfig().scaled(tables=2, columns=3, steps=2, functions=6)
 
 
@@ -306,10 +306,10 @@ class TestStateKey:
 
 
 # ------------------------------------------------------------ shared caches
-def test_compiled_and_columnar_jobs_share_one_service_cache():
+def test_compiled_and_interpreter_jobs_share_one_service_cache():
     bench = get_benchmark("Oracle-1")
     jobs = []
-    for backend in ("compiled", "columnar", "compiled"):
+    for backend in ("compiled", "interpreter", "compiled"):
         config = SynthesisConfig(execution_backend=backend, verifier_random_sequences=10)
         jobs.append(
             MigrationJob(f"oracle-{backend}-{len(jobs)}", bench.source_program,
@@ -327,4 +327,4 @@ def test_compiled_and_columnar_jobs_share_one_service_cache():
         key[0] for key in service._source_cache._entries if isinstance(key[0], tuple)
     }
     source_key = format_program(bench.source_program)
-    assert state_owners == {(source_key, "compiled"), (source_key, "columnar")}
+    assert state_owners == {(source_key, "compiled"), (source_key, "interpreter")}
