@@ -27,15 +27,9 @@ refactor this quantity did not exist (pooled jobs delivered no live events
 at all); the gate asserts events arrive while the batch is still running,
 i.e. streaming is live rather than post-hoc.
 
-API v2 additions measured here too:
-
-* **parallel-session first-event latency** — the same liveness gate for
-  ``SynthesisSession(config, parallel_workers=N)``: worker attempts stream
-  their merged, deterministically ordered events while the run is still
-  going (1.x parallel runs streamed nothing);
-* **resumable batches** — a deliberately interrupted 5-job batch restarted
-  through ``MigrationService.resume()`` must run only its unfinished jobs
-  and land on results pinned to an uninterrupted run's.
+API v2 added **resumable batches**: a deliberately interrupted 5-job batch
+restarted through ``MigrationService.resume()`` must run only its
+unfinished jobs and land on results pinned to an uninterrupted run's.
 
 Distributed execution (API v2.1) is measured by a **fleet scaling A/B**: the
 same distinct-source batch through ``MigrationService(workers=fleet)`` over
@@ -59,7 +53,7 @@ import time
 from pathlib import Path
 
 from repro import SynthesisConfig, migrate
-from repro.api import MigrationJob, MigrationService, RemoteFleet, SynthesisSession
+from repro.api import MigrationJob, MigrationService, RemoteFleet
 from repro.eval.reporting import render_table
 from repro.workloads import get_benchmark, rename_variants
 
@@ -175,56 +169,6 @@ def test_streaming_first_event_latency():
     assert latency < 0.9 * total, (
         f"first event arrived at {latency:.2f}s of a {total:.2f}s batch — "
         "streaming is not live"
-    )
-
-
-def test_parallel_session_first_event_latency():
-    """First-event latency of the parallel *session* path (API v2).
-
-    A ``SynthesisSession`` over a parallel configuration merges worker event
-    streams live: the head attempt's events flow the moment the worker emits
-    them.  The gate mirrors the pooled-service one — the first typed event
-    must arrive while the run is still going, not after it.
-    """
-    bench = get_benchmark("Ambler-5")
-    config = SynthesisConfig()
-    config.verifier_random_sequences = 25
-    config.parallel_workers = 2
-    first_event: list[float] = []
-    events_total = [0]
-
-    def on_event(_event) -> None:
-        events_total[0] += 1
-        if not first_event:
-            first_event.append(time.perf_counter())
-
-    started = time.perf_counter()
-    session = SynthesisSession(
-        bench.source_program, bench.target_schema, config, on_event=on_event
-    )
-    result = session.run()
-    total = time.perf_counter() - started
-
-    assert result.succeeded
-    assert first_event, "parallel session streamed no live events"
-    latency = first_event[0] - started
-    print()
-    print(
-        render_table(
-            ["Mode", "Attempts", "Events", "FirstEvent(ms)", "Run(s)"],
-            [[
-                "session parallel_workers=2",
-                result.value_correspondences_tried,
-                events_total[0],
-                f"{latency * 1000:.0f}",
-                f"{total:.2f}",
-            ]],
-            title="Parallel session streaming: first-event latency",
-        )
-    )
-    assert latency < 0.9 * total, (
-        f"first event arrived at {latency:.2f}s of a {total:.2f}s run — "
-        "the parallel session is not streaming live"
     )
 
 

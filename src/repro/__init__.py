@@ -22,14 +22,13 @@ Quickstart::
     if result.succeeded:
         print(format_program(result.program))
 
-Streaming progress and batches (every entry point is a session over an
-execution profile — sequential and wave-parallel runs stream the same
-typed, deterministically ordered events)::
+Streaming progress and batches (every entry point drains a session; a
+service batch runs one session per job and parallelizes across jobs)::
 
     from repro.api import SynthesisSession, MigrationService, MigrationJob
 
     for event in SynthesisSession(source_program, target_schema):
-        print(event)                       # parallel_workers > 1 streams too
+        print(event)
 
     service = MigrationService(max_workers=4, job_store="batch.jsonl")
     results = service.migrate_batch(jobs)

@@ -10,28 +10,26 @@ may be refactored freely between releases; import from this module instead.
 Three levels of entry:
 
 * :func:`migrate` — the one-call blocking convenience: a thin drain of a
-  session in **every** configuration (sequential or parallel), returning
-  byte-identical results to the streaming path.
+  session, returning byte-identical results to the streaming path.
 * :class:`SynthesisSession` — one run as a re-entrant stream of typed
-  progress events with cooperative cancellation and a run-wide deadline,
-  over **every execution mode**: with ``config.parallel_workers > 1`` the
-  session drives the wave-parallel front-end through the unified execution
-  layer (:mod:`repro.exec`) and merges the workers' per-attempt event
-  streams into one deterministically ordered stream — same event taxonomy,
-  same pinned trajectories as the sequential driver.
+  progress events with cooperative cancellation and a run-wide deadline.
+  It tries value correspondences one at a time, most likely first, and
+  stops at the first that completes (the paper's Algorithm 1).
 * :class:`MigrationService` / :class:`MigrationJob` — batches of jobs
-  scheduled through the unified execution layer with cross-job artifact
-  sharing, priorities, deadlines, live cross-process event streaming and
-  mid-job cancellation — plus a persistent :class:`JobStore` (JSONL
-  lifecycle log) enabling :meth:`MigrationService.resume`: an interrupted
-  batch restarts running only its unfinished jobs.
+  scheduled through the unified execution layer (:mod:`repro.exec`) with
+  cross-job artifact sharing, priorities, deadlines, job-level parallelism
+  (local worker processes or a remote fleet), live cross-process event
+  streaming and mid-job cancellation — plus a persistent
+  :class:`JobStore` (JSONL lifecycle log) enabling
+  :meth:`MigrationService.resume`: an interrupted batch restarts running
+  only its unfinished jobs.
 
 Version 2.0.0 — "streaming everywhere".  Breaking (the major bump):
 
-* ``SynthesisSession`` no longer ignores ``config.parallel_workers`` — a
-  session over a parallel configuration now runs the wave front-end and
-  streams merged events (1.x sessions silently ran such configs
-  sequentially);
+* ``SynthesisSession`` no longer ignores the config's parallel worker
+  count — a session over a parallel configuration now runs the wave
+  front-end and streams merged events (1.x sessions silently ran such
+  configs sequentially; the wave front-end itself is gone since 4.0.0);
 * the separate parallel entry point is gone: ``migrate()`` /
   ``Synthesizer.synthesize`` drain a session in all configurations, and
   ``repro.core.synthesize_parallel`` no longer exists;
@@ -49,16 +47,15 @@ exhaust); ``--scheduler-workers`` eval-harness table runs over the shared
 Additive in 2.1.0 — "distributed execution": the socket transport and
 remote-worker fleets.  ``MigrationService(workers=["host:port", ...])``
 drives jobs on ``python -m repro.worker`` processes (other machines
-included) with unchanged streaming/cancellation/retry semantics;
-``SynthesisConfig.execution_fleet`` points parallel wave exploration at the
-same fleets; :class:`RemoteFleet` is the reusable fleet handle (dial-out or
-listening topology).  The job store doubles as the fleet's lease journal
+included) with unchanged streaming/cancellation/retry semantics; a
+config-level fleet address list pointed wave-parallel exploration at the
+same fleets (removed in 4.0.0); :class:`RemoteFleet` is the reusable
+fleet handle (dial-out or listening topology).  The job store doubles as the fleet's lease journal
 (``leased`` / ``lease_heartbeat`` / ``released`` records), job specs are
 format-versioned (incompatible stores fail loudly on resume), and
 ``JobStore.compact()`` folds settled history into snapshot lines.
-``SynthesisResult.to_dict`` gains a ``scheduler`` field exposing
-execution-layer counters (crash retries, workers lost, event
-high-water/drops) for parallel runs.
+``SynthesisResult.to_dict`` gained a ``scheduler`` field exposing
+execution-layer counters for wave-parallel runs (removed in 4.0.0).
 
 Additive in 2.2.0 — "chaos-hardened execution": unified resilience
 policies and deterministic fault injection.  :class:`RetryPolicy` /
@@ -67,16 +64,15 @@ policies and deterministic fault injection.  :class:`RetryPolicy` /
 jittered exponential backoff on crash retries, optional per-run retry
 budgets, and poison-task quarantine (``JobStatus.QUARANTINED`` /
 ``TaskState.QUARANTINED``) for tasks that repeatedly kill their workers.
-The graceful-degradation ladder (fleet -> local pool -> in-process
-sequential) finishes batches against dead fleets with identical results;
-each rung emits an :class:`ExecutionDegraded` session event and journals a
+The graceful-degradation ladder (fleet -> local pool -> in-process)
+finishes batches against dead fleets with identical results; each rung
+emits an :class:`ExecutionDegraded` session event and journals a
 ``degraded`` record to the job store.  :class:`FaultPlan` /
 :class:`FaultSpec` (``repro.exec.faults``) inject seeded, reproducible
 faults — connection drops, frame truncation/corruption, heartbeat stalls,
 slow tasks — at the wire/worker seams (``REPRO_FAULT_PLAN`` env for worker
-processes).  ``SynthesisResult.to_dict`` gains a ``resilience`` sub-dict
-(``retries`` / ``quarantined_tasks`` / ``degradations`` and, under an
-active plan, ``faults_injected``).
+processes).  ``SynthesisResult.to_dict`` gained a ``resilience`` sub-dict
+for wave-parallel runs (removed in 4.0.0).
 
 Additive in 2.3.0 — "the service front": the async multi-tenant HTTP
 server and the indexed store backend.  :mod:`repro.server` serves a
@@ -112,6 +108,25 @@ execution backend is retired, leaving ``"compiled"`` (the default) and
 * ``SynthesisResult.to_dict()`` (its ``cache`` sub-dict) loses
   ``sequences_screened_batched`` and ``screening_batch_high_water``.
 * Stored 2.x job specs that name columnar settle ``FAILED`` on resume.
+
+Breaking in 4.0.0 — "one synthesis loop": wave-parallel
+value-correspondence exploration is retired.  A session tries one value
+correspondence at a time, as Algorithm 1 does; parallelism lives across
+jobs, in :class:`MigrationService`.
+
+* ``SynthesisConfig(parallel_workers=…)``, ``parallel_wave_size=…`` and
+  ``execution_fleet=…`` now raise ``TypeError``.  Use
+  ``MigrationService(max_workers=N)`` or ``MigrationService(workers=[...])``
+  instead.
+* ``SynthesisResult`` loses ``parallel_workers_used``, ``scheduler``,
+  ``degradations`` and ``faults_injected``; ``to_dict()`` loses
+  ``parallel_workers_used``, ``scheduler`` and ``resilience``.
+* ``repro.exec`` loses ``OrderedEventMerger``,
+  ``WorkScheduler.submit(on_retry=)`` and
+  ``WorkScheduler.drain(wait_deadline=)``.
+* ``POST /jobs`` answers ``400`` to ``config.parallel_workers``.
+* Stored 3.x job specs still resume: their pickled configs carry the three
+  retired fields as inert attributes that nothing reads.
 """
 
 from __future__ import annotations
@@ -159,7 +174,7 @@ from repro.service import (
 )
 
 #: Semantic version of this surface (not of the package implementation).
-API_VERSION = "3.0.0"
+API_VERSION = "4.0.0"
 
 __all__ = [
     "API_VERSION",

@@ -1,5 +1,5 @@
 """The Migrator synthesizer: configuration, results, Algorithm 1, and the
-streaming session core shared by the sequential and parallel drivers."""
+streaming session that runs it."""
 
 from repro.core.config import SynthesisConfig
 from repro.core.result import AttemptRecord, SynthesisResult

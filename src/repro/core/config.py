@@ -88,26 +88,11 @@ class SynthesisConfig:
     #: Entry cap of the shared source-output LRU cache.
     source_cache_max_entries: int = 100_000
 
-    # ---- parallel exploration
-    #: Worker processes exploring value correspondences concurrently
-    #: (0 or 1 = sequential).  Counterexamples found by one worker are merged
-    #: into the shared pool between waves.
-    parallel_workers: int = 0
-    #: Value correspondences dispatched per parallel wave (defaults to the
-    #: worker count when ``None``).
-    parallel_wave_size: Optional[int] = None
-    #: Remote worker addresses (``"host:port"`` of listening ``repro.worker``
-    #: processes).  When set, parallel exploration dispatches waves to the
-    #: fleet over the socket transport instead of a local process pool;
-    #: ``parallel_workers`` then only caps concurrent leases (0 = fleet
-    #: capacity).  Counterexample pools sync by value between waves.
-    execution_fleet: Optional[tuple[str, ...]] = None
-
     # ---- resilience (repro.exec.policy)
-    #: Retry/timeout policies and the graceful-degradation ladder shared by
-    #: every execution backend: jittered-backoff crash retries, poison-task
-    #: quarantine, and fleet -> pool -> sequential degradation (each rung
-    #: emitted as an ``ExecutionDegraded`` session event).
+    #: Retry/timeout policies and the graceful-degradation ladder of the
+    #: migration service (read from its ``default_config``): jittered-backoff
+    #: crash retries, poison-task quarantine, and fleet -> pool -> inline
+    #: degradation (each rung emitted as an ``ExecutionDegraded`` event).
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 
     @staticmethod

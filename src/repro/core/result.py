@@ -26,8 +26,8 @@ class AttemptRecord:
     construction silently shifted meanings; every producer now names what it
     sets.  ``events`` carries the compact per-attempt event summary produced
     by the session core (see :class:`repro.core.session.EventSummarizer`), so
-    an attempt's trajectory survives pickling across parallel workers and
-    service processes without shipping the full event objects.
+    an attempt's trajectory survives pickling across service worker
+    processes without shipping the full event objects.
     """
 
     vc_weight: int
@@ -71,19 +71,6 @@ class SynthesisResult:
     cancelled: bool = False
     #: Incremental-testing counters (counterexample pool + source cache).
     cache: TestingCacheStats = field(default_factory=TestingCacheStats)
-    #: Worker processes used by the parallel front-end (0 = sequential run).
-    parallel_workers_used: int = 0
-    #: Execution-layer counters of the run's scheduler (the
-    #: :class:`~repro.exec.SchedulerStats` as a plain dict: task outcomes,
-    #: crash retries, pool rebuilds, workers lost, event high-water/drops).
-    #: ``None`` for sequential runs, which never construct a scheduler.
-    scheduler: Optional[dict] = None
-    #: Degradation-ladder steps this run took (fleet -> pool -> sequential);
-    #: 0 when execution ran on the backend that was asked for.
-    degradations: int = 0
-    #: Faults fired by an active :class:`repro.exec.faults.FaultPlan` in this
-    #: process during the run; ``None`` when no plan was active.
-    faults_injected: Optional[int] = None
 
     @property
     def succeeded(self) -> bool:
@@ -141,7 +128,6 @@ class SynthesisResult:
             "synthesis_time": self.synthesis_time,
             "verification_time": self.verification_time,
             "total_time": self.total_time,
-            "parallel_workers_used": self.parallel_workers_used,
             "program": (
                 format_program(self.program)
                 if include_program and self.program is not None
@@ -152,21 +138,7 @@ class SynthesisResult:
             ),
             "attempts": [attempt.to_dict() for attempt in self.attempts],
             "cache": dataclasses.asdict(self.cache),
-            "scheduler": self.scheduler,
-            "resilience": self._resilience_dict(),
         }
-
-    def _resilience_dict(self) -> dict:
-        """Resilience counters for bench JSON output, one compact sub-dict."""
-        scheduler = self.scheduler or {}
-        out = {
-            "retries": scheduler.get("task_retries", 0),
-            "quarantined_tasks": scheduler.get("tasks_quarantined", 0),
-            "degradations": self.degradations,
-        }
-        if self.faults_injected is not None:
-            out["faults_injected"] = self.faults_injected
-        return out
 
     def to_json(self, *, include_program: bool = True, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(include_program=include_program), indent=indent)

@@ -5,26 +5,20 @@ S')`` loop.  It is split into two layers:
 
 * :class:`SessionCore` builds the per-run pipeline (tester, verifier,
   completer, sketch generator, shared incremental-testing state) and runs
-  *one* value-correspondence attempt at a time.  Both the sequential driver
-  below and the parallel front-end's worker processes
-  (:mod:`repro.core.parallel`) execute attempts through this same core, so
-  the two paths cannot diverge in behaviour — they differ only in who feeds
-  correspondences to the core.
+  *one* value-correspondence attempt at a time.  The migration service
+  injects a core built over its shared artifacts, so a service job runs the
+  very same attempts as a direct call.
 
-* :class:`SynthesisSession` is the driver over **every execution mode**: a
-  re-entrant generator over typed progress events (:class:`VcSelected`,
-  :class:`SketchGenerated`, :class:`SketchRejected`,
-  :class:`CandidateRejected`, :class:`Solved`, :class:`BudgetTimeout`,
-  :class:`BudgetExhausted`, :class:`Cancelled`) with cooperative
-  cancellation and one wall-clock deadline threaded all the way into sketch
-  completion and bounded testing — a single long sketch can no longer
-  overrun ``config.time_limit``.  With ``config.parallel_workers > 1`` the
-  session drives the wave-parallel front-end
-  (:func:`repro.core.parallel.drive_parallel_session`) through the unified
-  execution layer instead of the inline loop below: workers publish their
-  per-attempt events through scheduler channels and the session merges them
-  into one deterministically ordered stream — same event taxonomy, same
-  pinned trajectories, streaming in every mode.
+* :class:`SynthesisSession` runs the loop: a re-entrant generator over
+  typed progress events (:class:`VcSelected`, :class:`SketchGenerated`,
+  :class:`SketchRejected`, :class:`CandidateRejected`, :class:`Solved`,
+  :class:`BudgetTimeout`, :class:`BudgetExhausted`, :class:`Cancelled`)
+  that tries value correspondences one at a time, most likely first, and
+  stops at the first one that completes.  Cooperative cancellation and one
+  wall-clock deadline are threaded all the way into sketch completion and
+  bounded testing — a single long sketch cannot overrun
+  ``config.time_limit``.  Parallelism lives one level up, across jobs
+  (:class:`~repro.service.MigrationService`).
 
 Event delivery has two granularities:
 
@@ -172,10 +166,11 @@ class Cancelled(SessionEvent):
 class ExecutionDegraded(SessionEvent):
     """Execution stepped down the degradation ladder and kept going.
 
-    Emitted once per rung — ``fleet -> pool``, ``pool -> sequential``,
+    Emitted by :class:`~repro.service.MigrationService` to every unsettled
+    job once per rung — ``fleet -> pool``, ``pool -> inline``,
     ``fleet -> inline`` — when the requested backend is unavailable.  Not
-    terminal: the session continues on the weaker backend and still ends
-    with its normal terminal event, with identical results.
+    terminal: the job continues on the weaker backend and its session still
+    ends with its normal terminal event, with identical results.
     """
 
     kind: ClassVar[str] = "execution_degraded"
@@ -233,9 +228,9 @@ def build_tester(
     """The run's bounded tester, wired to the shared incremental-testing state.
 
     *compiler* optionally shares a :class:`~repro.engine.compiler.ProgramCompiler`
-    (and thus its compiled-function cache) across testers — parallel workers
-    and the migration service pass a process-global one so candidates sharing
-    function ASTs across tasks compile once per process.
+    (and thus its compiled-function cache) across testers — the migration
+    service passes a process-global one so candidates sharing function ASTs
+    across jobs compile once per process.
     """
     return BoundedTester(
         source_program,
@@ -304,10 +299,10 @@ class SessionCore:
     one candidate correspondence and reports the outcome as an
     :class:`AttemptOutcome` plus a stream of typed events.
 
-    The shared state is injectable so different drivers can scope it
-    differently: the sequential session builds fresh per-run state, parallel
-    workers pass process-global caches, and the migration service passes
-    cross-job artifacts (a shared compiler, per-source counterexample pools).
+    The shared state is injectable so callers can scope it differently: the
+    session builds fresh per-run state, and the migration service passes
+    cross-job artifacts (a shared compiler, per-source counterexample pools,
+    a process-wide source-output cache).
     """
 
     def __init__(
@@ -468,23 +463,8 @@ class SynthesisSession:
     the next completion-loop iteration or tested sequence and the stream
     ends with a :class:`Cancelled` event.
 
-    The session honours **every execution mode**.  Sequential
-    configurations run the inline loop below.  With
-    ``config.parallel_workers > 1`` the session delegates to the
-    wave-parallel driver (:mod:`repro.core.parallel`), which executes
-    attempts on worker processes through the unified execution layer and
-    merges their per-attempt event streams into this session's stream in
-    deterministic enumeration order: the lowest-unfinished-index attempt
-    streams live, later attempts buffer until every earlier one has ended,
-    so event order is a function of the trajectory, not of worker timing.
-    Two parallel-mode deltas to the sequential contract: ``on_event`` fires
-    from the event-router thread (not the consuming thread), and in a
-    winning wave the attempts *after* the winner that were already in
-    flight still contribute their (recorded) events after the winner's
-    :class:`Solved` — with ``parallel_wave_size=1`` neither delta is
-    observable and the stream is byte-equal to the sequential one.
-    ``migrate()`` / ``Synthesizer.synthesize`` drain a session in *all*
-    configurations; there is no separate parallel entry point anymore.
+    ``migrate()`` / ``Synthesizer.synthesize`` drain a session, and the
+    migration service runs one per job (with an injected *core*).
     """
 
     def __init__(
@@ -510,10 +490,6 @@ class SynthesisSession:
         # polling inside completion/testing go through the same object either
         # way.
         self._cancel = cancel_signal if cancel_signal is not None else threading.Event()
-        #: Callbacks cancel() invokes besides setting the flag — the parallel
-        #: driver registers one per wave so a cancel reaches the cross-process
-        #: cancel signal of every in-flight worker task.
-        self._cancel_hooks: list[Callable[[], None]] = []
         self._result = SynthesisResult(source_program=source_program, program=None)
         self._stream: Optional[Iterator[SessionEvent]] = None
         self._finished = False
@@ -526,8 +502,6 @@ class SynthesisSession:
     def cancel(self) -> None:
         """Request cooperative cancellation; safe from any thread."""
         self._cancel.set()
-        for hook in list(self._cancel_hooks):
-            hook()
 
     @property
     def cancelled(self) -> bool:
@@ -563,48 +537,8 @@ class SynthesisSession:
             pass
         return self._result
 
-    @property
-    def _observed(self) -> bool:
-        """Does anything consume events (a started stream or a callback)?
-
-        When false, drivers skip event construction and transport entirely —
-        a blocking ``run()`` pays no per-candidate streaming overhead.
-        """
-        return self._on_event is not None or not self._quiet
-
     # ---------------------------------------------------------------- driver
     def _drive(self) -> Iterator[SessionEvent]:
-        # One session, every execution mode: parallel configurations (local
-        # pool or remote fleet) drive the wave front-end through the
-        # execution layer; everything else (including service jobs that
-        # inject a prebuilt core) runs the inline sequential loop.
-        if (
-            self.config.parallel_workers > 1 or self.config.execution_fleet
-        ) and self._core is None:
-            return self._drive_parallel()
-        return self._drive_sequential()
-
-    def _drive_parallel(self) -> Iterator[SessionEvent]:
-        from repro.core.parallel import drive_parallel_session
-
-        buffer: list[SessionEvent] = []
-
-        def emit(event: SessionEvent) -> None:
-            if not self._quiet:
-                buffer.append(event)
-            if self._on_event is not None:
-                self._on_event(event)
-
-        # The wave driver owns all result bookkeeping (including times and
-        # merged cache stats); the session only manages event buffering and
-        # the finished flag.  It yields whenever a wave has settled, i.e.
-        # whenever the buffer is safe to flush (nothing concurrently emits).
-        for _ in drive_parallel_session(self, emit):
-            yield from self._flush(buffer)
-        self._finished = True
-        yield from self._flush(buffer)
-
-    def _drive_sequential(self) -> Iterator[SessionEvent]:
         config = self.config
         result = self._result
         started = time.perf_counter()

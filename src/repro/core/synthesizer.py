@@ -9,11 +9,9 @@ progress events; ``synthesize`` simply drains such a session, so the
 blocking call and the event-streaming API return byte-identical results —
 same trajectory, same :class:`~repro.core.result.AttemptRecord` list.
 
-That holds in **every** configuration: with ``config.parallel_workers > 1``
-the session itself drives the wave-parallel front-end
-(:mod:`repro.core.parallel`) through the unified execution layer, so there
-is no separate parallel entry point — ``migrate()`` is a thin drain of a
-session whether the run is sequential, parallel, streamed, or blocking.
+There is one search loop: value correspondences are tried one at a time, most
+likely first, until one completes.  Batches of runs go through
+:class:`~repro.service.MigrationService`, which parallelizes across jobs.
 
 The pipeline builders (``build_tester`` / ``build_verifier`` /
 ``build_completer``) are re-exported from the session module for backwards

@@ -664,8 +664,8 @@ class ProgramCompiler:
     structural value, schemas by a structural signature (name, tables,
     columns, types) because compiled closures embed only table indices and
     column offsets, which that signature determines.  Structural keying also
-    lets parallel workers reuse compilations across tasks, where every
-    pickled task carries fresh but identical schema objects.  Cache keys
+    lets service workers reuse compilations across jobs, where every
+    pickled job carries fresh but identical schema objects.  Cache keys
     hold strong references; all caches are wholesale-cleared at a size cap,
     which bounds memory without bookkeeping on the hot path.
     """

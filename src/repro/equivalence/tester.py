@@ -10,8 +10,8 @@ Two layers of reuse keep repeated testing cheap:
 
 * The source program's outputs are memoized in a size-bounded LRU
   :class:`~repro.testing_cache.SourceOutputCache` that can be shared across
-  testers within one process (the synthesizer shares one per run; parallel
-  workers each build their own), which is the dominant cost saving when the
+  testers within one process (the synthesizer shares one per run; service
+  workers share one per process), which is the dominant cost saving when the
   sketch-completion loop tests hundreds of candidates against the same
   source program.
 * When a :class:`~repro.testing_cache.CounterexamplePool` is attached, every
@@ -173,7 +173,7 @@ class BoundedTester:
         self.pool_screening_budget = pool_screening_budget
         # The compiler caches compiled functions across candidates (they share
         # immutable per-function ASTs), so one compiler serves the whole run;
-        # parallel workers pass in a process-global one.
+        # service workers pass in a process-global one.
         self._run = make_runner(execution_backend, compiler)
         # A private bounded cache when none is shared with us: behaviour is
         # identical, memory just stays bounded.  (``is None``, not ``or`` — an

@@ -193,20 +193,8 @@ SCHEDULER_HEADERS = [
 ]
 
 
-def _stat(stats, name: str, default=0):
-    """Counter lookup over both stats shapes.
-
-    Accepts a live :class:`~repro.exec.SchedulerStats` *and* the plain-dict
-    form ``SynthesisResult.to_dict`` ships (``result["scheduler"]``), so the
-    same report renders from a running scheduler or a serialized result.
-    """
-    if isinstance(stats, dict):
-        return stats.get(name, default)
-    return getattr(stats, name, default)
-
-
 def scheduler_summary_row(stats) -> list:
-    """One row summarizing a :class:`~repro.exec.SchedulerStats` (or its dict).
+    """One row summarizing a :class:`~repro.exec.SchedulerStats`.
 
     Covers the task-lifecycle counters, the crash-recovery counters (retries,
     poison-task quarantines, degradation-ladder steps, pool rebuilds, remote
@@ -215,18 +203,18 @@ def scheduler_summary_row(stats) -> list:
     shed by producers) folded in when channels close.
     """
     return [
-        _stat(stats, "tasks_submitted"),
-        _stat(stats, "tasks_done"),
-        _stat(stats, "tasks_failed"),
-        _stat(stats, "tasks_cancelled"),
-        _stat(stats, "tasks_expired"),
-        _stat(stats, "task_retries"),
-        _stat(stats, "tasks_quarantined"),
-        _stat(stats, "degradations"),
-        _stat(stats, "pool_rebuilds"),
-        _stat(stats, "workers_lost"),
-        _stat(stats, "events_high_water"),
-        _stat(stats, "events_dropped"),
+        stats.tasks_submitted,
+        stats.tasks_done,
+        stats.tasks_failed,
+        stats.tasks_cancelled,
+        stats.tasks_expired,
+        stats.task_retries,
+        stats.tasks_quarantined,
+        stats.degradations,
+        stats.pool_rebuilds,
+        stats.workers_lost,
+        stats.events_high_water,
+        stats.events_dropped,
     ]
 
 

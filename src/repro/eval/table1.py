@@ -7,12 +7,12 @@ explored, synthesis time (excluding verification) and total time.
 
 With ``scheduler_workers > 1`` (CLI flag ``--scheduler-workers``) the
 per-workload runs are submitted as tasks to the same shared
-:class:`~repro.exec.WorkScheduler` that drives parallel sessions and the
-migration service — benchmarks and service traffic share one executor
-abstraction, and the whole table finishes in roughly the wall-clock of its
-slowest workload.  Rows come back in the same deterministic presentation
-order regardless of completion timing; per-run numbers are identical to the
-sequential harness's because each workload still runs an unmodified
+:class:`~repro.exec.WorkScheduler` that drives the migration service —
+benchmarks and service traffic share one executor abstraction, and the
+whole table finishes in roughly the wall-clock of its slowest workload.
+Rows come back in the same deterministic presentation order regardless of
+completion timing; per-run numbers are identical to the sequential
+harness's because each workload still runs an unmodified
 single-process synthesis inside its worker.
 """
 
@@ -131,16 +131,8 @@ def _run_benchmark_task(payload, _ctx) -> Table1Row:
     The benchmark is reloaded by name from the registry in the worker (the
     registry is deterministic), so the task payload stays a small
     ``(name, config)`` pickle instead of shipping program/schema objects.
-    Per-run ``parallel_workers`` is forced to 0: the harness parallelizes
-    *across* workloads, and nesting a process pool inside a scheduler
-    worker is unsupported (and would oversubscribe the host) — the same
-    rule the migration service applies to its jobs.
     """
     name, config = payload
-    if config is not None and config.parallel_workers > 1:
-        from dataclasses import replace
-
-        config = replace(config, parallel_workers=0)
     return run_benchmark(load_all().get(name), config)
 
 
@@ -199,8 +191,7 @@ def _run_table1_scheduled(
 
     with WorkScheduler(max_workers=workers) as scheduler:
         handles = [
-            # priority=index keeps dispatch in presentation order, exactly
-            # like parallel-session waves keep enumeration order.  The
+            # priority=index keeps dispatch in presentation order.  The
             # on_start line is the live progress signal (per-row numbers
             # print in presentation order once the drain completes).
             scheduler.submit(

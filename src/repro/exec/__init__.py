@@ -1,18 +1,15 @@
 """The unified execution layer: event channels + the work scheduler.
 
-``repro.exec`` is the one place dispatch lives.  The parallel
-value-correspondence front-end (:mod:`repro.core.parallel`), the streaming
-:class:`~repro.core.session.SynthesisSession` in parallel mode, the
-multi-job :class:`~repro.service.MigrationService`, and the evaluation
-harness's ``--scheduler-workers`` table runs all schedule their work
-through :class:`WorkScheduler`, and all stream typed session events through
-the channel transports (:class:`DirectChannel` in-process,
-:class:`QueueChannel` across worker-process boundaries,
-:class:`SocketChannel` across machines) — see the module docstrings of
-:mod:`repro.exec.scheduler`, :mod:`repro.exec.channel`,
-:mod:`repro.exec.wire` and :mod:`repro.exec.remote` for the scheduling
-model, backpressure policy, crash-retry / lease semantics and the delivery
-guarantees.
+``repro.exec`` is the one place dispatch lives.  The multi-job
+:class:`~repro.service.MigrationService` and the evaluation harness's
+``--scheduler-workers`` table runs schedule their work through
+:class:`WorkScheduler`, and stream typed session events through the channel
+transports (:class:`DirectChannel` in-process, :class:`QueueChannel` across
+worker-process boundaries, :class:`SocketChannel` across machines) — see
+the module docstrings of :mod:`repro.exec.scheduler`,
+:mod:`repro.exec.channel`, :mod:`repro.exec.wire` and
+:mod:`repro.exec.remote` for the scheduling model, backpressure policy,
+crash-retry / lease semantics and the delivery guarantees.
 """
 
 from repro.exec.channel import (
@@ -20,7 +17,6 @@ from repro.exec.channel import (
     ChannelStats,
     DirectChannel,
     FlagSignal,
-    OrderedEventMerger,
     QueueChannel,
     TaskPort,
     WorkContext,
@@ -63,7 +59,6 @@ __all__ = [
     "WorkContext",
     "FlagSignal",
     "ChannelStats",
-    "OrderedEventMerger",
     "DEFAULT_MAX_PENDING_EVENTS",
     "build_work_context",
     "install_worker_transport",

@@ -34,16 +34,12 @@ slow ``on_event`` consumer can no longer buffer events unboundedly in the
 parent.  Producers follow a block-with-timeout policy — ``emit`` blocks up
 to ``put_timeout`` seconds for a free queue slot and then *drops* the event
 (the drop is counted).  Delivery is therefore exactly-once while the
-consumer keeps up and at-most-once under sustained backpressure.  Two
-kinds of payload are exempt from the standard drop policy (they block with
-a generously extended timeout — 4x ``put_timeout``, at least 10 s — because
-downstream bookkeeping depends on them): the transport's end-of-stream
-marker, and any event whose *class* sets ``channel_critical = True``, which
-the parallel driver's per-attempt end markers use so the ordered merge does
-not stall behind an early-shed marker.  If even the extended wait expires
+consumer keeps up and at-most-once under sustained backpressure.  The
+transport's end-of-stream marker is exempt from the drop policy (it blocks
+with a generously extended timeout — 4x ``put_timeout``, at least 10 s —
+because task settling waits for it).  If even the extended wait expires
 (consumer wedged for tens of seconds) the marker is abandoned and recovery
-falls to the parent's own timeouts: task settling has a bounded drain wait,
-and the wave-end flush delivers what the merge still buffers.
+falls to the parent's bounded drain wait.
 :attr:`QueueChannel.stats` reports the observed ``high_water_mark`` of
 pending events and the number of ``dropped_events`` (maintained lock-free
 in shared memory by the producers, so both are best-effort
@@ -63,10 +59,9 @@ from __future__ import annotations
 
 import ctypes
 import threading
-from collections import deque
 from dataclasses import dataclass
 from queue import Full
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.exec import faults
 
@@ -456,18 +451,11 @@ def worker_context(task_id: int, slot: int, streaming: bool) -> WorkContext:
         def emit(event: Any, _queue=queue, _task_id=task_id) -> None:
             # Block-with-timeout producer policy: wait for a free slot in the
             # bounded queue, then shed the event rather than wedge the worker
-            # behind a consumer that stopped reading.  Events whose class
-            # opts in with ``channel_critical = True`` get the same extended
-            # patience as the end-of-stream marker and are never counted as
-            # droppable load.
-            critical = getattr(type(event), "channel_critical", False)
+            # behind a consumer that stopped reading.
             try:
-                _queue.put(
-                    (_task_id, event),
-                    timeout=max(10.0, 4 * timeout) if critical else timeout,
-                )
+                _queue.put((_task_id, event), timeout=timeout)
             except Full:
-                if not critical and counters is not None:
+                if counters is not None:
                     counters[_STAT_DROPPED] += 1
                 return
             _note_pending_high_water(_queue, counters)
@@ -489,82 +477,3 @@ def close_worker_stream(task_id: int) -> None:
             queue.put((task_id, _EOS), timeout=max(10.0, 4 * _worker_put_timeout))
         except Full:  # pragma: no cover - consumer wedged for tens of seconds
             pass
-
-
-# -------------------------------------------------------------- ordered merge
-class OrderedEventMerger:
-    """Merge per-key event streams into one deterministically ordered stream.
-
-    The caller declares the key order up front (:meth:`expect`, called in the
-    order keys must appear downstream).  Events delivered for the *head* key
-    pass straight through to the downstream callback — that is what keeps the
-    merged stream live; events for later keys buffer until every earlier key
-    has ended.  :meth:`end` marks one key's stream complete and promotes the
-    next key, flushing whatever it buffered meanwhile.  Producers whose end
-    marker never arrives (expired or crashed tasks) are handled by
-    :meth:`flush_pending`, which force-delivers everything still buffered in
-    declared order.
-
-    Thread-safe; the downstream callback runs under the merger lock, so
-    delivery order is total even when transports route events from multiple
-    threads.
-    """
-
-    def __init__(self, downstream: Callable[[Any], None]):
-        self._downstream = downstream
-        self._order: deque = deque()
-        self._buffers: dict[Hashable, list] = {}
-        self._ended: set = set()
-        self._lock = threading.Lock()
-
-    def expect(self, key: Hashable) -> None:
-        """Declare the next key of the merged order."""
-        with self._lock:
-            self._order.append(key)
-            self._buffers.setdefault(key, [])
-
-    def deliver(self, key: Hashable, event: Any) -> None:
-        """Route one event: straight through for the head key, else buffered."""
-        with self._lock:
-            if self._order and self._order[0] == key:
-                self._downstream(event)
-            elif key in self._buffers:
-                self._buffers[key].append(event)
-            # Unknown key: the producer was restarted or released — drop.
-
-    def end(self, key: Hashable) -> None:
-        """Mark *key*'s stream complete; promote and flush successors."""
-        with self._lock:
-            if key not in self._buffers:
-                return
-            self._ended.add(key)
-            while self._order and self._order[0] in self._ended:
-                head = self._order.popleft()
-                self._ended.discard(head)
-                self._buffers.pop(head, None)
-                if self._order:
-                    new_head = self._order[0]
-                    for event in self._buffers.get(new_head, ()):
-                        self._downstream(event)
-                    self._buffers[new_head] = []
-
-    def restart(self, key: Hashable) -> None:
-        """Discard *key*'s buffered events (its producer is being retried).
-
-        Only buffered events can be unwound; a head key's events already
-        passed downstream, so a retried head producer re-delivers its prefix
-        (at-least-once under crashes, exactly-once otherwise).
-        """
-        with self._lock:
-            if key in self._buffers:
-                self._buffers[key] = []
-            self._ended.discard(key)
-
-    def flush_pending(self) -> None:
-        """Force-deliver everything still buffered, in declared key order."""
-        with self._lock:
-            while self._order:
-                head = self._order.popleft()
-                self._ended.discard(head)
-                for event in self._buffers.pop(head, ()):
-                    self._downstream(event)

@@ -88,7 +88,7 @@ class ResilienceConfig:
 
     retry: RetryPolicy = dataclasses.field(default_factory=RetryPolicy)
     timeout: TimeoutPolicy = dataclasses.field(default_factory=TimeoutPolicy)
-    #: Walk the fleet -> pool -> sequential ladder instead of failing fast.
+    #: Walk the fleet -> pool -> inline ladder instead of failing fast.
     degrade_ladder: bool = True
     #: Pool width used when degrading from a lost fleet.
     degrade_workers: int = 2

@@ -22,8 +22,7 @@ Topologies (the protocol is direction-agnostic — the worker always sends
 
 * **dial** — the fleet connects out to workers started with
   ``python -m repro.worker --listen HOST:PORT`` (addresses via
-  ``RemoteFleet(workers=[...])``, ``MigrationService(workers=[...])`` or
-  ``SynthesisConfig.execution_fleet``);
+  ``RemoteFleet(workers=[...])`` or ``MigrationService(workers=[...])``);
 * **listen** — the fleet binds ``RemoteFleet(listen="HOST:PORT")`` and
   workers register with ``python -m repro.worker --connect HOST:PORT``.
 

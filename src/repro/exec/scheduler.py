@@ -1,9 +1,8 @@
 """The unified priority/deadline work scheduler.
 
-One :class:`WorkScheduler` replaces the two dispatch loops the code base
-used to carry — the wave loop of the parallel value-correspondence
-front-end (:mod:`repro.core.parallel`) and the ad-hoc batch dispatch of
-:class:`~repro.service.MigrationService`.  Both are now *clients* of this
+One :class:`WorkScheduler` serves every dispatch in the code base — the
+job batches of :class:`~repro.service.MigrationService` and the eval
+harness's ``--scheduler-workers`` Table 1 runs.  Both are *clients* of this
 module: they submit :class:`TaskHandle`\\ s and map settled states back to
 their own result shapes, while ordering, dispatch, deadline enforcement,
 cancellation plumbing and executor lifecycle live here once.
@@ -13,9 +12,7 @@ Scheduling model:
 * **Priority** — pending tasks are held in a heap ordered by
   ``(priority, deadline, submission order)``: lower priority values dispatch
   first, earlier deadlines break priority ties, submission order breaks the
-  rest.  With equal priorities the scheduler is strictly FIFO, which is what
-  keeps the parallel front-end's wave determinism intact (wave tasks are
-  submitted in enumeration order with ``priority=index``).
+  rest.  With equal priorities the scheduler is strictly FIFO.
 * **Deadline** — an absolute ``time.time()`` instant (wall clock, comparable
   across processes).  A task whose deadline has passed when it reaches the
   front of the queue is marked :attr:`TaskState.EXPIRED` without being
@@ -169,7 +166,6 @@ class TaskHandle:
         deadline: Optional[float] = None,
         on_event: Optional[Callable[[Any], None]] = None,
         on_start: Optional[Callable[[], None]] = None,
-        on_retry: Optional[Callable[["TaskHandle"], None]] = None,
     ):
         self._scheduler = scheduler
         self.task_id = task_id
@@ -180,7 +176,6 @@ class TaskHandle:
         self.deadline = deadline
         self.on_event = on_event
         self.on_start = on_start
-        self.on_retry = on_retry
         #: Pool-break incidents this task was in flight for (crash retries).
         self.retries = 0
         #: Remote workers this task was leased to that were then lost
@@ -271,9 +266,8 @@ class WorkScheduler:
             scheduler.drain()
         # every handle is now settled: DONE / FAILED / CANCELLED / EXPIRED
 
-    ``drain`` may be called repeatedly (the parallel front-end drains once
-    per wave over one long-lived scheduler, keeping the worker pool warm
-    across waves).
+    ``drain`` may be called repeatedly; the worker pool stays warm across
+    drains until the scheduler closes.
     """
 
     def __init__(
@@ -304,9 +298,8 @@ class WorkScheduler:
         self.max_retries = self.retry.max_retries
         self.max_pending_events = max_pending_events
         #: Walk the fleet -> pool degradation ladder on ExecutorUnavailable
-        #: instead of raising (opt-in: clients that degrade themselves —
-        #: parallel's sequential fallback, the service's inline fallback —
-        #: keep the raise).
+        #: instead of raising (opt-in: the service enables it and still owns
+        #: the final inline rung).
         self.degrade = degrade
         self.degrade_workers = max(1, degrade_workers)
         self.on_degrade = on_degrade
@@ -375,18 +368,14 @@ class WorkScheduler:
         deadline: Optional[float] = None,
         on_event: Optional[Callable[[Any], None]] = None,
         on_start: Optional[Callable[[], None]] = None,
-        on_retry: Optional[Callable[[TaskHandle], None]] = None,
         name: str = "",
     ) -> TaskHandle:
         """Queue ``fn(payload, ctx)`` for execution; returns its handle.
 
         *deadline* is an absolute ``time.time()`` instant.  *on_event*
         subscribes to the task's live event stream; *on_start* fires on the
-        draining thread when the task is dispatched; *on_retry* fires on the
-        draining thread when a pool-break incident requeues the task (so
-        stream consumers can unwind the crashed attempt's buffered events).
-        In pooled mode *fn* and *payload* must be picklable (*fn* by
-        module-level reference).
+        draining thread when the task is dispatched.  In pooled mode *fn* and
+        *payload* must be picklable (*fn* by module-level reference).
         """
         with self._lock:
             if self._closed:
@@ -401,20 +390,14 @@ class WorkScheduler:
                 deadline=deadline,
                 on_event=on_event,
                 on_start=on_start,
-                on_retry=on_retry,
             )
             heapq.heappush(self._heap, (handle._sort_key(), handle))
             self.stats.tasks_submitted += 1
         return handle
 
     # -------------------------------------------------------------- draining
-    def drain(self, *, wait_deadline: Optional[float] = None) -> None:
+    def drain(self) -> None:
         """Run every queued task to a settled state.
-
-        *wait_deadline* (absolute ``time.time()``) bounds the drain itself:
-        when it passes, still-running tasks get their cancel signal raised
-        and are marked EXPIRED once abandoned, and still-pending tasks are
-        marked EXPIRED without dispatch.
 
         A pool that *breaks* mid-drain (worker crash) is handled internally:
         the pool is rebuilt and the affected tasks are retried up to
@@ -429,16 +412,16 @@ class WorkScheduler:
         all: the scheduler steps down the degradation ladder (fleet ->
         local pool), notifies ``on_degrade`` and finishes the drain on the
         next rung.  Only when the bottom rung is also unavailable does
-        :class:`ExecutorUnavailable` escape (clients own the final
-        sequential/inline step — running their work functions in-process
-        is a client decision, not a scheduler one).
+        :class:`ExecutorUnavailable` escape (clients own the final inline
+        step — running their work functions in-process is a client
+        decision, not a scheduler one).
         """
         while True:
             try:
                 if self.pooled:
-                    self._drain_pooled(wait_deadline)
+                    self._drain_pooled()
                 else:
-                    self._drain_inline(wait_deadline)
+                    self._drain_inline()
                 return
             except ExecutorUnavailable as error:
                 if not self._degrade_step(error):
@@ -448,11 +431,10 @@ class WorkScheduler:
         """Take one step down the ladder; True when the drain should retry.
 
         The scheduler's ladder has exactly one step — fleet -> local
-        process pool.  The pool -> inline/sequential rung belongs to the
-        clients: the service must not run worker-process entrypoints in
-        its own process (they mutate process globals), and the parallel
-        front-end's sequential fallback re-plans the whole wave rather
-        than replaying pooled tasks one by one.
+        process pool.  The pool -> inline rung belongs to the clients: the
+        service must not run worker-process entrypoints in its own process
+        (they mutate process globals), so it reruns the unsettled jobs
+        through its own in-process path instead.
         """
         if not self.degrade or self._fleet is None:
             return False
@@ -479,9 +461,7 @@ class WorkScheduler:
         return True
 
     # ---------------------------------------------------------------- inline
-    def _pop_dispatchable(
-        self, wait_deadline: Optional[float], *, respect_backoff: bool = True
-    ) -> Optional[TaskHandle]:
+    def _pop_dispatchable(self, *, respect_backoff: bool = True) -> Optional[TaskHandle]:
         """Pop the next PENDING task, settling cancelled/expired ones en route.
 
         Tasks still inside their retry-backoff window are skipped over (and
@@ -505,10 +485,6 @@ class WorkScheduler:
                     self.stats.tasks_cancelled += 1
                     continue
                 if task.deadline is not None and now >= task.deadline:
-                    task.state = TaskState.EXPIRED
-                    self.stats.tasks_expired += 1
-                    continue
-                if wait_deadline is not None and now >= wait_deadline:
                     task.state = TaskState.EXPIRED
                     self.stats.tasks_expired += 1
                     continue
@@ -552,10 +528,10 @@ class WorkScheduler:
                 self._heap = [(task._sort_key(), task) for _key, task in self._heap]
                 heapq.heapify(self._heap)
 
-    def _drain_inline(self, wait_deadline: Optional[float]) -> None:
+    def _drain_inline(self) -> None:
         channel = self._ensure_channel()
         while True:
-            task = self._pop_dispatchable(wait_deadline, respect_backoff=False)
+            task = self._pop_dispatchable(respect_backoff=False)
             if task is None:
                 return
             port = channel.bind(task.task_id, task.on_event)
@@ -611,13 +587,13 @@ class WorkScheduler:
                 raise ExecutorUnavailable(str(error)) from error
         return self._executor
 
-    def _drain_pooled(self, wait_deadline: Optional[float]) -> None:
+    def _drain_pooled(self) -> None:
         inflight: dict[Any, TaskHandle] = {}
         while True:
             channel = self._ensure_channel()
             try:
                 executor = self._ensure_executor()
-                self._drain_pooled_loop(channel, executor, inflight, wait_deadline)
+                self._drain_pooled_loop(channel, executor, inflight)
                 return
             except BrokenProcessPool as error:
                 # A worker process died and took the pool with it.  Rebuild
@@ -634,11 +610,6 @@ class WorkScheduler:
                         self._settle(task, TaskState.FAILED, exception=error)
                     else:
                         self._charge_retry(task)
-                        if task.on_retry is not None:
-                            try:
-                                task.on_retry(task)
-                            except Exception:  # noqa: BLE001 - observer isolation
-                                pass
             except ExecutorUnavailable:
                 # The pool cannot be (re)started at all: hand every unsettled
                 # task back as PENDING so the client can fall back inline.
@@ -679,11 +650,6 @@ class WorkScheduler:
             self._settle(task, TaskState.QUARANTINED, exception=error)
             return
         self._charge_retry(task)
-        if task.on_retry is not None:
-            try:
-                task.on_retry(task)
-            except Exception:  # noqa: BLE001 - observer isolation
-                pass
 
     def _rebuild_after_break(self) -> None:
         self.stats.pool_rebuilds += 1
@@ -712,13 +678,11 @@ class WorkScheduler:
             )
             self.stats.events_dropped += stats.dropped_events
 
-    def _drain_pooled_loop(
-        self, channel, executor, inflight: dict, wait_deadline: Optional[float]
-    ) -> None:
+    def _drain_pooled_loop(self, channel, executor, inflight: dict) -> None:
         while True:
             # Fill free slots in (priority, deadline, submission) order.
             while len(inflight) < self._slots():
-                task = self._pop_dispatchable(wait_deadline)
+                task = self._pop_dispatchable()
                 if task is None:
                     break
                 port = channel.bind(task.task_id, task.on_event)
@@ -783,7 +747,7 @@ class WorkScheduler:
                 continue  # heap still holds tasks (all popped ones settled)
 
             now = time.time()
-            timeout = self._wait_timeout(inflight.values(), wait_deadline, now)
+            timeout = self._wait_timeout(inflight.values(), now)
             done, _pending = futures_wait(
                 set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
             )
@@ -804,28 +768,18 @@ class WorkScheduler:
                     # handler charges and requeues it with the others.
                     inflight[future] = task
                     raise
-            self._enforce_deadlines(inflight, wait_deadline)
+            self._enforce_deadlines(inflight)
 
-    @staticmethod
-    def _cutoff(task: TaskHandle, wait_deadline: Optional[float]) -> Optional[float]:
-        """The instant a running task overruns: its deadline or the drain's."""
-        cutoff = task.deadline
-        if wait_deadline is not None:
-            cutoff = wait_deadline if cutoff is None else min(cutoff, wait_deadline)
-        return cutoff
-
-    def _wait_timeout(
-        self, tasks, wait_deadline: Optional[float], now: float
-    ) -> Optional[float]:
+    def _wait_timeout(self, tasks, now: float) -> Optional[float]:
         """How long to block in ``wait()``: until the next deadline of interest.
 
-        For a task not yet nudged that is cutoff + nudge delay (so the
+        For a task not yet nudged that is deadline + nudge delay (so the
         cooperative nudge fires on time); for an already-nudged task it is
         the further grace before abandoning it.
         """
         horizon: Optional[float] = None
         for task in tasks:
-            cutoff = self._cutoff(task, wait_deadline)
+            cutoff = task.deadline
             if cutoff is None:
                 continue
             cutoff += self.timeout.nudge_delay
@@ -836,13 +790,11 @@ class WorkScheduler:
             return None
         return max(0.05, horizon - now)
 
-    def _enforce_deadlines(
-        self, inflight: dict, wait_deadline: Optional[float]
-    ) -> None:
+    def _enforce_deadlines(self, inflight: dict) -> None:
         """Nudge and, past the grace, abandon running tasks that overran."""
         now = time.time()
         for future, task in list(inflight.items()):
-            cutoff = self._cutoff(task, wait_deadline)
+            cutoff = task.deadline
             if cutoff is None or now < cutoff + self.timeout.nudge_delay:
                 continue
             if not task._nudged:

@@ -49,9 +49,8 @@ transports:
   value (snapshots out, discoveries back) since there is no shared memory,
   and the job store doubles as the fleet's lease journal.
 
-Inside the service, per-job ``parallel_workers`` is forced to 0: the service
-parallelizes *across* jobs, and nesting process pools inside worker
-processes is not supported.
+The service parallelizes *across* jobs; each job is one sequential
+:class:`~repro.core.session.SynthesisSession`.
 
 Persistence: construct the service with ``job_store=<path>`` and every job's
 lifecycle (submission with a rebuildable spec, dispatch, terminal snapshot)
@@ -73,7 +72,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.core.config import SynthesisConfig
-from repro.core.parallel import _worker_cache, _worker_program_compiler
 from repro.core.result import SynthesisResult
 from repro.core.session import (
     ExecutionDegraded,
@@ -271,6 +269,36 @@ class _JobOutcome:
 #: source program).
 _process_pools: dict[str, CounterexamplePool] = {}
 
+#: Per-worker-process source-output cache, shared across the jobs a worker
+#: runs (keys include the program fingerprint, so cross-job reuse is sound).
+_worker_source_cache: Optional[SourceOutputCache] = None
+
+#: Per-worker-process program compiler (compiled execution backend): its
+#: compiled-closure cache is keyed by (schema signature, function value), so
+#: reuse works even though each pickled job carries fresh program objects.
+_worker_compiler: Optional[ProgramCompiler] = None
+
+
+def _worker_cache(max_entries: int) -> SourceOutputCache:
+    global _worker_source_cache
+    if _worker_source_cache is None:
+        _worker_source_cache = SourceOutputCache(max_entries)
+    elif max_entries > _worker_source_cache.max_entries:
+        # Capacity only grows (put() reads max_entries live), mirroring the
+        # in-process service: replacing the cache on a smaller request would
+        # throw away the cross-job reuse this process global exists for.
+        _worker_source_cache.max_entries = max_entries
+    return _worker_source_cache
+
+
+def _worker_program_compiler(config: SynthesisConfig) -> Optional[ProgramCompiler]:
+    global _worker_compiler
+    if config.execution_backend != "compiled":
+        return None
+    if _worker_compiler is None:
+        _worker_compiler = ProgramCompiler()
+    return _worker_compiler
+
 
 def _shared_pool_for(
     pools: dict[str, CounterexamplePool], source_key: str, config: SynthesisConfig
@@ -281,7 +309,7 @@ def _shared_pool_for(
     globals (same lookup rules, different dict).  The pool's *entries*
     persist across jobs — that is the sharing — but its reporting counters
     are reset per job, so each ``SynthesisResult.cache`` reflects that job's
-    own screening (mirroring the snapshot-stats reset parallel workers do).
+    own screening.
     """
     if not config.counterexample_pool:
         return None
@@ -381,7 +409,7 @@ class MigrationService:
     processes.  Delivery is exactly-once in crash-free runs; if a worker
     process crashes mid-job and the scheduler retries it, the retried job
     re-streams from the start, so consumers see that job's prefix again
-    (at-least-once under crashes — same contract as the parallel session).
+    (at-least-once under crashes).
 
     *job_store* (a path or a :class:`~repro.jobstore.JobStore`) enables the
     persistent batch log — see the module docstring and
@@ -439,7 +467,7 @@ class MigrationService:
             self._fleet.lease_log = self._store
         self._handles: list[JobHandle] = []
         # In-process shared artifacts (the worker-process equivalents live in
-        # module globals of this module / repro.core.parallel).
+        # this module's globals).
         self._compiler = ProgramCompiler()
         self._pools: dict[str, CounterexamplePool] = {}
         self._source_cache = SourceOutputCache(self.default_config.source_cache_max_entries)
@@ -686,12 +714,7 @@ class MigrationService:
 
     # --------------------------------------------------------------- plumbing
     def _job_config(self, job: MigrationJob) -> SynthesisConfig:
-        config = job.config or self.default_config
-        if config.parallel_workers > 1:
-            # The service parallelizes across jobs; nested per-job process
-            # pools are not supported (and would oversubscribe the host).
-            config = replace(config, parallel_workers=0)
-        return config
+        return job.config or self.default_config
 
     def _subscriber(self, job_name: str):
         """The tagged per-job event subscriber, or ``None`` when unobserved."""

@@ -90,7 +90,7 @@ class CounterexamplePool:
         return True
 
     def merge(self, sequences: Iterable[InvocationSequence]) -> int:
-        """Add many counterexamples (e.g. from a parallel worker); count new ones."""
+        """Add many counterexamples (e.g. from a service worker); count new ones."""
         return sum(1 for sequence in sequences if self.add(sequence))
 
     def snapshot(self) -> list[InvocationSequence]:

@@ -9,9 +9,9 @@ This module replaces it with an LRU cache that
 
 * is keyed by ``(program fingerprint, sequence)`` so one instance can be
   shared by every tester living in the same process (the synthesizer's main
-  tester, the BMC baseline's tester; each parallel worker *process* keeps
-  one instance shared across its tasks, so budget ``workers × max_entries``
-  when sizing a parallel sweep), and
+  tester, the BMC baseline's tester; each service worker *process* keeps
+  one instance shared across its jobs, so budget ``workers × max_entries``
+  when sizing a pooled batch), and
 * evicts least-recently-used entries once ``max_entries`` is reached, so
   memory stays bounded on exhaustive Table 2/3 sweeps.
 """

@@ -51,22 +51,6 @@ class TestingCacheStats:
             return 0.0
         return self.pool_hits / self.candidates_screened
 
-    def merge(self, other: "TestingCacheStats") -> None:
-        """Accumulate counters from a worker run (parallel front-end merge)."""
-        self.pool_hits += other.pool_hits
-        self.pool_added += other.pool_added
-        self.candidates_screened += other.candidates_screened
-        self.candidates_fully_tested += other.candidates_fully_tested
-        self.screening_sequences += other.screening_sequences
-        self.screening_time += other.screening_time
-        self.sequences_saved_estimate += other.sequences_saved_estimate
-        self.source_cache_hits += other.source_cache_hits
-        self.source_cache_entries = max(self.source_cache_entries, other.source_cache_entries)
-        self.source_cache_evictions += other.source_cache_evictions
-        self.compiled_function_hits += other.compiled_function_hits
-        self.compiled_function_misses += other.compiled_function_misses
-        self.pool_size = max(self.pool_size, other.pool_size)
-
 
 def collect_cache_stats(
     tester_stats, pool, source_cache, verifier_stats=None, compiler_delta=None

@@ -3,14 +3,13 @@
 One worker process serves one coordinator connection at a time.  It
 registers over the :mod:`repro.exec.wire` handshake, heartbeats on the
 interval the coordinator announced, and executes leased tasks through the
-same entrypoints the in-process pool uses — a leased parallel-wave attempt
-runs ``core.parallel._explore_correspondence`` against the shared
-``SessionCore``, a leased service job runs ``service._run_job_in_worker``;
-the worker itself is transport only.  Typed session events stream back as
-``event`` frames, followed by a ``task_end`` end-of-stream marker and a
-``result`` frame, in that order on one TCP connection — which is what lets
-the coordinator's :class:`~repro.exec.remote.SocketChannel` guarantee a
-task's stream is fully drained before its future settles.
+same entrypoints the local process pool uses — a leased service job runs
+``service._run_job_in_worker``; the worker itself is transport only.
+Typed session events stream back as ``event`` frames, followed by a
+``task_end`` end-of-stream marker and a ``result`` frame, in that order on
+one TCP connection — which is what lets the coordinator's
+:class:`~repro.exec.remote.SocketChannel` guarantee a task's stream is
+fully drained before its future settles.
 
 Two modes, same protocol (the worker always sends ``hello`` first):
 
@@ -18,7 +17,7 @@ Two modes, same protocol (the worker always sends ``hello`` first):
   ``RemoteFleet(listen=...)``), retrying briefly; exit when the
   coordinator closes the connection.
 * ``--listen [HOST:]PORT`` — bind and wait to be dialed (the
-  ``SynthesisConfig.execution_fleet`` / ``RemoteFleet(workers=[...])``
+  ``MigrationService(workers=[...])`` / ``RemoteFleet(workers=[...])``
   topology).  Port 0 picks a free port; the bound address is printed as
   ``listening on HOST:PORT`` for harnesses to parse.  Serves coordinator
   connections sequentially until killed.
@@ -26,7 +25,7 @@ Two modes, same protocol (the worker always sends ``hello`` first):
 Cache state (compiled-closure caches, counterexample pools) lives in this
 process's module globals exactly as it does in a pool worker; pool deltas
 arrive inside task payloads and fresh counterexamples travel back in
-results, so remote workers share discoveries at wave granularity without
+results, so remote workers share discoveries at job granularity without
 shared memory.
 """
 

@@ -2,12 +2,11 @@
 
 Covers the channel transports (direct vs multiprocessing-queue), queue
 backpressure (bounded pending events, producer block-with-timeout, load
-counters), the ordered per-key stream merge, the priority/deadline
-scheduler in both execution modes, cross-process cancellation, crash
-recovery (worker-killing tasks retried up to max_retries, FAILED after),
-cross-transport stream equivalence at the scheduler level, the
-FuturesTimeout compat shim, and the parallel front-end's sequential
-fallback when worker processes are unavailable.
+counters), the priority/deadline scheduler in both execution modes,
+cross-process cancellation, crash recovery (worker-killing tasks retried
+up to max_retries, FAILED after), cross-transport stream equivalence at
+the scheduler level, the FuturesTimeout compat shim, and the
+ExecutorUnavailable hand-back when worker processes cannot start.
 """
 
 from __future__ import annotations
@@ -16,20 +15,15 @@ import multiprocessing
 import os
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 
-from repro import SynthesisConfig, migrate
 from repro.exec import (
     TIMEOUT_ERRORS,
     ExecutorUnavailable,
-    FuturesTimeoutError,
-    OrderedEventMerger,
     TaskState,
     WorkScheduler,
 )
-from repro.workloads import get_benchmark
 
 
 # ------------------------------------------------------------ worker bodies
@@ -176,52 +170,6 @@ class TestBackpressure:
             port.release(recycle=False)
             qc.close()
             ch.install_worker_transport(None, None)
-
-
-class TestOrderedEventMerger:
-    def test_head_streams_live_and_successors_buffer(self):
-        out: list = []
-        merger = OrderedEventMerger(out.append)
-        for key in (1, 2, 3):
-            merger.expect(key)
-        merger.deliver(2, "b1")
-        merger.deliver(1, "a1")  # head: passes through immediately
-        assert out == ["a1"]
-        merger.deliver(3, "c1")
-        merger.deliver(2, "b2")
-        merger.end(2)  # out of order: nothing moves until 1 ends
-        merger.deliver(1, "a2")
-        assert out == ["a1", "a2"]
-        merger.end(1)  # promotes 2 (already ended) then 3
-        assert out == ["a1", "a2", "b1", "b2", "c1"]
-        merger.deliver(3, "c2")  # 3 is now the live head
-        assert out[-1] == "c2"
-
-    def test_restart_discards_buffered_prefix(self):
-        out: list = []
-        merger = OrderedEventMerger(out.append)
-        merger.expect(1)
-        merger.expect(2)
-        merger.deliver(2, "stale")
-        merger.restart(2)  # crashed producer: unwind its buffered events
-        merger.deliver(2, "fresh")
-        merger.end(1)
-        assert out == ["fresh"]
-
-    def test_flush_pending_delivers_in_declared_order(self):
-        out: list = []
-        merger = OrderedEventMerger(out.append)
-        merger.expect(1)
-        merger.expect(2)
-        merger.deliver(2, "b")
-        merger.deliver(1, "a")  # live
-        # Neither producer sent its end marker (expired tasks); the caller
-        # force-flushes after the drain.
-        merger.flush_pending()
-        assert out == ["a", "b"]
-        # Late traffic for flushed keys is dropped, not misordered.
-        merger.deliver(2, "late")
-        assert out == ["a", "b"]
 
 
 # --------------------------------------------------------- inline scheduler
@@ -456,18 +404,6 @@ class TestCrashRetry:
         assert stats.task_retries == 1
         assert stats.pool_rebuilds == 2
 
-    def test_on_retry_hook_fires_per_incident(self, tmp_path):
-        marker = str(tmp_path / "crash-once")
-        retried: list = []
-        with WorkScheduler(max_workers=2) as scheduler:
-            handle = scheduler.submit(
-                _crash_once, marker, on_retry=lambda task: retried.append(task.name),
-                name="watched",
-            )
-            scheduler.drain()
-        assert handle.state is TaskState.DONE
-        assert retried == ["watched"]
-
 
 # ----------------------------------------------------- executor degradation
 class TestExecutorUnavailable:
@@ -484,48 +420,6 @@ class TestExecutorUnavailable:
                 scheduler.drain()
             assert handle.state is TaskState.PENDING  # ready for a fallback path
 
-    def test_parallel_synthesis_degrades_to_sequential(self, monkeypatch):
-        import repro.exec.scheduler as scheduler_module
-
-        def broken(*_args, **_kwargs):
-            raise OSError("no worker processes on this platform")
-
-        monkeypatch.setattr(scheduler_module, "_make_executor", broken)
-        bench = get_benchmark("Oracle-1")
-        config = SynthesisConfig()
-        config.verifier_random_sequences = 10
-        parallel = migrate(
-            bench.source_program,
-            bench.target_schema,
-            replace(config, parallel_workers=2, parallel_wave_size=1),
-        )
-        sequential = migrate(bench.source_program, bench.target_schema, config)
-        assert parallel.succeeded
-        # The degraded run is the sequential run: same trajectory, and it
-        # reports itself as sequential.
-        assert parallel.parallel_workers_used == 0
-        assert parallel.attempts == sequential.attempts
-
-
-class TestWorkerCache:
-    def test_worker_source_cache_capacity_only_grows(self):
-        import repro.core.parallel as parallel_module
-        from repro.core.parallel import _worker_cache
-
-        saved = parallel_module._worker_source_cache
-        parallel_module._worker_source_cache = None
-        try:
-            first = _worker_cache(100)
-            assert first.max_entries == 100
-            # A smaller request keeps the shared cache (and its entries)...
-            assert _worker_cache(50) is first
-            assert first.max_entries == 100
-            # ... and a larger one grows it in place.
-            assert _worker_cache(200) is first
-            assert first.max_entries == 200
-        finally:
-            parallel_module._worker_source_cache = saved
-
 
 # ------------------------------------------------------------------- compat
 class TestTimeoutCompat:
@@ -536,8 +430,3 @@ class TestTimeoutCompat:
             raise concurrent.futures.TimeoutError()
         with pytest.raises(TIMEOUT_ERRORS):
             raise TimeoutError()
-
-    def test_parallel_module_reexports_shim(self):
-        from repro.core.parallel import FuturesTimeout
-
-        assert FuturesTimeout is FuturesTimeoutError

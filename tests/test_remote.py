@@ -8,9 +8,10 @@ Layers under test, bottom up:
   ordered event streaming, failure propagation, cross-socket cancel, lease
   expiry → re-lease with exactly-once settlement (in-thread workers for the
   protocol tests, real killed subprocesses for the crash tests);
-* cross-transport equivalence — the socket transport must produce the same
-  events and results as the direct and queue transports on the pinned
-  registry slice (all 20 benchmarks under ``REPRO_FULL_EQUIV=1``);
+* cross-transport equivalence — a service batch over the socket transport
+  must produce the same events and results as the in-process and queue
+  transports on the pinned registry slice (all 20 benchmarks under
+  ``REPRO_FULL_EQUIV=1``);
 * the CI distributed smoke (``REPRO_DIST_SMOKE=1``): a 5-job service batch
   over a 2-worker fleet, one worker killed -9 mid-batch, trajectories
   pinned against the sequential service.
@@ -34,7 +35,6 @@ from hypothesis import strategies as st
 
 from remote_tasks import echo_task, failing_task, sleepy_task, stream_task
 from repro.api import MigrationJob, MigrationService, RemoteFleet, SynthesisConfig
-from repro.core.session import SynthesisSession
 from repro.core.synthesizer import migrate
 from repro.exec import ExecutorUnavailable, TaskState, WorkScheduler
 from repro.exec import wire
@@ -543,37 +543,50 @@ class TestLeaseRecovery:
 QUICK_SLICE = ["Oracle-1", "Ambler-3", "Ambler-5"]
 
 
-def _pin_config(**overrides) -> SynthesisConfig:
+def _pin_config() -> SynthesisConfig:
     """The determinism-pinned profile shared by the equivalence tests.
 
-    ``parallel_wave_size=1`` + pooling off makes parallel trajectories a
-    pure function of the enumeration order (see tests/test_session.py);
-    the same pin makes the socket transport byte-comparable.
+    Pooling off makes every job's trajectory a pure function of its own
+    enumeration order (no counterexamples shared between jobs), so runs
+    over different transports are byte-comparable.
     """
-    return SynthesisConfig(counterexample_pool=False, **overrides)
+    return SynthesisConfig(counterexample_pool=False)
 
 
-def _run_with_fleet(benchmark, addresses) -> tuple:
-    events: list = []
-    session = SynthesisSession(
-        benchmark.source_program,
-        benchmark.target_schema,
-        _pin_config(execution_fleet=tuple(addresses), parallel_wave_size=1),
-        on_event=events.append,
-    )
-    result = session.run()
-    return result, events
+def _run_batch(names, **service_options) -> dict:
+    """One service batch of registry *names*; (result, event types) per job."""
+    events: dict[str, list] = {name: [] for name in names}
+    with MigrationService(
+        default_config=_pin_config(),
+        on_event=lambda job, event: events[job].append(type(event).__name__),
+        **service_options,
+    ) as service:
+        handles = service.submit_batch(
+            [
+                MigrationJob(
+                    name=name,
+                    source_program=get_benchmark(name).source_program,
+                    target_schema=get_benchmark(name).target_schema,
+                )
+                for name in names
+            ]
+        )
+        service.run()
+    for handle in handles:
+        assert handle.status.value == "done", handle.job.name
+    return {handle.job.name: (handle.result, events[handle.job.name]) for handle in handles}
 
 
-def _assert_equivalent(name, sequential, seq_events, remote, remote_events):
-    assert (sequential.program is None) == (remote.program is None), name
-    if sequential.program is not None:
-        assert format_program(sequential.program) == format_program(remote.program), name
-    assert sequential.attempts == remote.attempts, name
-    assert sequential.iterations == remote.iterations, name
-    assert [type(e).__name__ for e in seq_events] == [
-        type(e).__name__ for e in remote_events
-    ], name
+def _assert_equivalent(reference: dict, remote: dict) -> None:
+    assert list(reference) == list(remote)
+    for name, (expected, expected_events) in reference.items():
+        result, result_events = remote[name]
+        assert (expected.program is None) == (result.program is None), name
+        if expected.program is not None:
+            assert format_program(expected.program) == format_program(result.program), name
+        assert expected.attempts == result.attempts, name
+        assert expected.iterations == result.iterations, name
+        assert expected_events == result_events, name
 
 
 @pytest.fixture(scope="module")
@@ -587,52 +600,37 @@ def listen_workers():
         _reap(first, second)
 
 
-class TestSocketTransportEquivalence:
-    def test_socket_stream_matches_sequential_on_slice(self, listen_workers):
-        for name in QUICK_SLICE:
-            benchmark = get_benchmark(name)
-            seq_events: list = []
-            sequential = SynthesisSession(
-                benchmark.source_program,
-                benchmark.target_schema,
-                _pin_config(),
-                on_event=seq_events.append,
-            ).run()
-            remote, remote_events = _run_with_fleet(benchmark, listen_workers)
-            _assert_equivalent(name, sequential, seq_events, remote, remote_events)
-            assert remote.parallel_workers_used == 2, name
-            assert remote.scheduler is not None, name
-            assert remote.scheduler["workers_lost"] == 0, name
+@pytest.fixture(scope="module")
+def socket_slice(listen_workers) -> tuple:
+    """The registry slice as one batch over the socket transport."""
+    fleet = RemoteFleet(workers=tuple(listen_workers))
+    try:
+        return _run_batch(QUICK_SLICE, workers=fleet), fleet
+    finally:
+        fleet.close()
 
-    def test_socket_matches_queue_transport(self, listen_workers):
-        name = QUICK_SLICE[1]
-        benchmark = get_benchmark(name)
-        queue_events: list = []
-        pooled = SynthesisSession(
-            benchmark.source_program,
-            benchmark.target_schema,
-            _pin_config(parallel_workers=2, parallel_wave_size=1),
-            on_event=queue_events.append,
-        ).run()
-        remote, remote_events = _run_with_fleet(benchmark, listen_workers)
-        _assert_equivalent(name, pooled, queue_events, remote, remote_events)
+
+class TestSocketTransportEquivalence:
+    """A service batch over the socket transport matches the other two."""
+
+    def test_socket_stream_matches_sequential_on_slice(self, socket_slice):
+        batch, fleet = socket_slice
+        _assert_equivalent(_run_batch(QUICK_SLICE, max_workers=0), batch)
+        assert fleet.workers_lost == 0
+
+    def test_socket_matches_queue_transport(self, socket_slice):
+        batch, _fleet = socket_slice
+        _assert_equivalent(_run_batch(QUICK_SLICE, max_workers=2), batch)
 
     @pytest.mark.skipif(
         os.environ.get("REPRO_FULL_EQUIV", "") in ("", "0", "false"),
         reason="full 20-benchmark sweep only in scheduled CI (REPRO_FULL_EQUIV=1)",
     )
     def test_socket_stream_matches_sequential_all_benchmarks(self, listen_workers):
-        for name in benchmark_names():
-            benchmark = get_benchmark(name)
-            seq_events: list = []
-            sequential = SynthesisSession(
-                benchmark.source_program,
-                benchmark.target_schema,
-                _pin_config(),
-                on_event=seq_events.append,
-            ).run()
-            remote, remote_events = _run_with_fleet(benchmark, listen_workers)
-            _assert_equivalent(name, sequential, seq_events, remote, remote_events)
+        names = list(benchmark_names())
+        _assert_equivalent(
+            _run_batch(names, max_workers=0), _run_batch(names, workers=listen_workers)
+        )
 
 
 # ------------------------------------------------------- distributed smoke
@@ -663,10 +661,6 @@ class TestDistributedSmoke:
         result = dict(response["result"])
         for field in ("synthesis_time", "verification_time", "total_time"):
             result.pop(field, None)
-        # Execution-shape fields legitimately differ across transports.
-        result.pop("parallel_workers_used", None)
-        result.pop("scheduler", None)
-        result.pop("resilience", None)
         cache = dict(result.get("cache") or {})
         cache.pop("screening_time", None)
         # Cache *occupancy* is execution-shape too: a worker's shared source

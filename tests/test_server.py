@@ -430,6 +430,11 @@ class TestServerHTTP:
             base, "/jobs", key="k-alpha", payload={"config": {"no_such_field": 1}}
         )
         assert status == 400 and "no_such_field" in body["error"]
+        # Retired in API 4.0.0: parallelism is per batch, not per job.
+        status, body, _ = _http(
+            base, "/jobs", key="k-alpha", payload={"config": {"parallel_workers": 2}}
+        )
+        assert status == 400 and "unknown config field 'parallel_workers'" in body["error"]
         status, body, _ = _http(
             base, "/jobs", key="k-alpha", payload={"config": {"verifier_random_sequences": "many"}}
         )

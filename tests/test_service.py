@@ -47,6 +47,27 @@ def _long_config() -> SynthesisConfig:
     )
 
 
+def _crash_job_once(task, ctx):
+    """Fork-safe crash injection for the kill-a-worker retry test.
+
+    Hard-kills the worker the first time it runs the job named in
+    ``REPRO_TEST_CRASH_JOB`` (the marker file keeps it once-only across the
+    rebuilt pool), then delegates to the real worker entry point.
+    Module-level so the fork pool pickles it by reference.
+    """
+    import repro.service as service_module
+
+    marker = os.environ.get("REPRO_TEST_CRASH_MARKER", "")
+    if (
+        marker
+        and task.name == os.environ.get("REPRO_TEST_CRASH_JOB")
+        and not os.path.exists(marker)
+    ):
+        open(marker, "w").close()
+        os._exit(1)
+    return service_module._real_run_job_for_test(task, ctx)
+
+
 def _trajectory(result) -> tuple:
     """Everything except wall-clock and run-environment-dependent counters."""
     return (
@@ -134,14 +155,6 @@ class TestInProcessService:
         service = MigrationService(on_event=lambda name, event: seen.add(name))
         service.migrate_batch([_job("Oracle-1"), _job("Ambler-4")])
         assert seen == {"Oracle-1", "Ambler-4"}
-
-    def test_per_job_parallelism_is_flattened(self):
-        # The service parallelizes across jobs; a job asking for its own
-        # worker pool runs sequentially instead of nesting process pools.
-        job = _job("Oracle-1", _config(parallel_workers=4))
-        (result,) = MigrationService().migrate_batch([job])
-        assert result.succeeded
-        assert result.parallel_workers_used == 0
 
 
 class TestSharedArtifacts:
@@ -254,6 +267,56 @@ class TestPooledService:
         assert handle.status is JobStatus.CANCELLED
         assert handle.result is not None and handle.result.cancelled
         assert handle.result.iterations < 5000, "cancellation did not stop the worker"
+
+    def test_killed_worker_is_retried_with_same_trajectory(self, monkeypatch, tmp_path):
+        # Kill the worker running Oracle-1 once mid-batch: the scheduler's
+        # crash recovery requeues the in-flight jobs onto a rebuilt pool, and
+        # the job settles DONE with the exact in-process trajectory.
+        import repro.service as service_module
+
+        marker = tmp_path / "worker-crashed"
+        monkeypatch.setenv("REPRO_TEST_CRASH_MARKER", str(marker))
+        monkeypatch.setenv("REPRO_TEST_CRASH_JOB", "Oracle-1")
+        monkeypatch.setattr(
+            service_module,
+            "_real_run_job_for_test",
+            service_module._run_job_in_worker,
+            raising=False,
+        )
+        monkeypatch.setattr(service_module, "_run_job_in_worker", _crash_job_once)
+        config = _config(counterexample_pool=False)
+        names = ["Oracle-1", "Ambler-4"]
+        service = MigrationService(max_workers=2)
+        handles = service.submit_batch([_job(name, config) for name in names])
+        service.run()
+        assert marker.exists(), "the crash injection never fired"
+        in_process = migrate_batch([_job(name, config) for name in names])
+        for handle, reference in zip(handles, in_process):
+            assert handle.status is JobStatus.DONE, handle.job.name
+            assert handle.result.attempts == reference.attempts, handle.job.name
+            assert format_program(handle.result.program) == format_program(
+                reference.program
+            ), handle.job.name
+
+
+class TestWorkerCache:
+    def test_worker_source_cache_capacity_only_grows(self):
+        import repro.service as service_module
+        from repro.service import _worker_cache
+
+        saved = service_module._worker_source_cache
+        service_module._worker_source_cache = None
+        try:
+            first = _worker_cache(100)
+            assert first.max_entries == 100
+            # A smaller request keeps the shared cache (and its entries)...
+            assert _worker_cache(50) is first
+            assert first.max_entries == 100
+            # ... and a larger one grows it in place.
+            assert _worker_cache(200) is first
+            assert first.max_entries == 200
+        finally:
+            service_module._worker_source_cache = saved
 
 
 class TestCrossTransportEquivalence:
@@ -564,6 +627,23 @@ class TestResumeRePinning:
         assert by_name["Oracle-1"].status is JobStatus.INCOMPATIBLE
         assert by_name["Ambler-4"].status is JobStatus.DONE
         assert by_name["Ambler-4"].result.succeeded
+
+    def test_retired_parallel_fields_in_stored_config_are_inert(self, tmp_path):
+        # A 3.x spec pickled SynthesisConfig with the three wave-parallel
+        # fields; unpickling restores them as plain attributes that nothing
+        # reads, so the job resumes and runs sequentially inside the service.
+        config = _config()
+        config.parallel_workers = 2
+        config.parallel_wave_size = 1
+        config.execution_fleet = ("127.0.0.1:9",)
+        path = self._crashed_store(tmp_path, _job("Oracle-1", config, workload="Oracle-1"))
+        resumed = MigrationService.resume(path)
+        (handle,) = resumed.handles
+        assert handle.status is JobStatus.PENDING
+        assert handle.job.config.parallel_workers == 2  # the pickle kept it
+        resumed.run()
+        assert handle.status is JobStatus.DONE
+        assert handle.result.succeeded
 
     def test_retired_execution_backend_settles_failed(self, tmp_path):
         # A 2.x spec may name the retired "columnar" backend: it passes the

@@ -2,8 +2,7 @@
 
 Covers the event taxonomy, event-stream/final-result consistency,
 cancellation mid-completion, the run-wide deadline threaded into sketch
-completion, re-entrant consumption, sequential-vs-parallel trajectory
-equivalence through the shared session core, and result serialization.
+completion, re-entrant consumption, and result serialization.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import json
 import os
 import time
 import traceback
-from dataclasses import replace
 
 import pytest
 
@@ -27,7 +25,6 @@ from repro.api import (
     SketchGenerated,
     Solved,
     SynthesisSession,
-    Synthesizer,
     VcSelected,
 )
 from repro.workloads import benchmark_names, get_benchmark
@@ -278,218 +275,6 @@ class TestDeadline:
         verifier.interrupt = lambda: True
         with pytest.raises(TestingInterrupted):
             verifier.verify(course_program, course_program)
-
-
-def _crash_explore_once(task, ctx):
-    """Fork-safe crash injection for the kill-a-worker retry test.
-
-    Hard-kills the worker the first time it runs vc-1 (marker file keeps it
-    once-only across the rebuilt pool), then delegates to the real worker
-    entry point.  Module-level so the fork pool pickles it by reference.
-    """
-    import repro.core.parallel as parallel_module
-
-    marker = os.environ.get("REPRO_TEST_CRASH_MARKER", "")
-    if marker and task.index == 1 and not os.path.exists(marker):
-        open(marker, "w").close()
-        os._exit(1)
-    return parallel_module._real_explore_for_test(task, ctx)
-
-
-class TestParallelStreamingSession:
-    """API v2: one session over every execution mode, streaming everywhere."""
-
-    #: Small-but-representative slice for every tier-1 run; the full registry
-    #: sweep rides behind REPRO_FULL_EQUIV=1.
-    QUICK = ["Oracle-1", "Ambler-3", "Ambler-5"]
-
-    @staticmethod
-    def _seq_config(**overrides) -> SynthesisConfig:
-        # Pooling off: the counterexample pool is a *shared accelerator*
-        # whose per-attempt observations depend on scheduling, so the
-        # pinned cross-mode stream equality holds for pool-free runs (the
-        # same configuration the 1.x trajectory-equivalence tests pinned).
-        return _config(counterexample_pool=False, **overrides)
-
-    @classmethod
-    def _par_config(cls, **overrides) -> SynthesisConfig:
-        return replace(
-            cls._seq_config(**overrides), parallel_workers=2, parallel_wave_size=1
-        )
-
-    def _streams(self, name: str):
-        bench = get_benchmark(name)
-        sequential = SynthesisSession(
-            bench.source_program, bench.target_schema, self._seq_config()
-        )
-        seq_events = list(sequential.events())
-        parallel = SynthesisSession(
-            bench.source_program, bench.target_schema, self._par_config()
-        )
-        par_events = list(parallel.events())
-        return (seq_events, sequential.result), (par_events, parallel.result)
-
-    def _assert_equivalent(self, name: str) -> None:
-        (seq_events, seq), (par_events, par) = self._streams(name)
-        # Same ordered typed event stream (workers publish through channel
-        # transports; the merge is deterministic)...
-        assert seq_events == par_events, name
-        # ... and the same pinned trajectory on the results.
-        assert seq.attempts == par.attempts, name
-        assert seq.value_correspondences_tried == par.value_correspondences_tried, name
-        assert (seq.program is None) == (par.program is None), name
-        if seq.program is not None:
-            assert format_program(seq.program) == format_program(par.program), name
-        assert par.parallel_workers_used == 2, name
-
-    def test_merged_stream_matches_sequential_on_slice(self):
-        for name in self.QUICK:
-            self._assert_equivalent(name)
-
-    @pytest.mark.skipif(
-        os.environ.get("REPRO_FULL_EQUIV", "") in ("", "0", "false"),
-        reason="full 20-workload sweep; set REPRO_FULL_EQUIV=1",
-    )
-    def test_merged_stream_matches_sequential_on_all_workloads(self):
-        for name in benchmark_names():
-            self._assert_equivalent(name)
-
-    def test_exhausted_run_stream_matches_sequential(self, people_program):
-        from repro.datamodel import DataType as T, make_schema
-
-        target = make_schema("bad", {"Person": {"PersonId": T.INT, "Age": T.INT}})
-        seq_session = SynthesisSession(people_program, target, self._seq_config())
-        seq_events = list(seq_session.events())
-        par_session = SynthesisSession(people_program, target, self._par_config())
-        par_events = list(par_session.events())
-        assert seq_events == par_events
-        assert isinstance(par_events[-1], BudgetExhausted)
-        assert not par_session.result.succeeded
-
-    def test_on_event_fires_live_in_parallel_mode(self):
-        bench = get_benchmark("Ambler-5")
-        streamed: list = []
-        session = SynthesisSession(
-            bench.source_program,
-            bench.target_schema,
-            self._par_config(),
-            on_event=streamed.append,
-        )
-        pulled = list(session.events())
-        assert streamed == pulled
-        assert isinstance(pulled[0], VcSelected) and pulled[0].index == 1
-        assert isinstance(pulled[-1], Solved)
-
-    def test_migrate_is_a_session_drain_in_parallel_mode(self):
-        # migrate() has no parallel special-case left: it drains the same
-        # session the streaming path runs.
-        bench = get_benchmark("Ambler-5")
-        blocking = migrate(bench.source_program, bench.target_schema, self._par_config())
-        session = SynthesisSession(
-            bench.source_program, bench.target_schema, self._par_config()
-        )
-        streamed = session.run()
-        assert blocking.attempts == streamed.attempts
-        assert format_program(blocking.program) == format_program(streamed.program)
-        assert blocking.parallel_workers_used == streamed.parallel_workers_used == 2
-
-    def test_parallel_cancel_mid_completion(self):
-        bench = get_benchmark("Ambler-3")
-        box: dict = {}
-
-        def on_event(event):
-            if isinstance(event, CandidateRejected):
-                box["session"].cancel()
-
-        box["session"] = SynthesisSession(
-            bench.source_program, bench.target_schema, self._par_config(), on_event=on_event
-        )
-        result = box["session"].run()
-        assert result.cancelled and not result.succeeded
-        assert result.attempts, "the interrupted attempt must still be recorded"
-        assert result.attempts[-1].failure_reason == "cancelled"
-        assert result.status == "CANCELLED"
-
-    def test_parallel_cancel_before_start(self):
-        bench = get_benchmark("Oracle-1")
-        session = SynthesisSession(
-            bench.source_program, bench.target_schema, self._par_config()
-        )
-        session.cancel()
-        events = list(session.events())
-        assert session.result.cancelled and not session.result.succeeded
-        assert isinstance(events[-1], Cancelled)
-        assert session.result.attempts == []
-
-    def test_parallel_zero_time_limit_flags_timeout(self):
-        bench = get_benchmark("Oracle-1")
-        session = SynthesisSession(
-            bench.source_program,
-            bench.target_schema,
-            self._par_config(time_limit=0.0),
-        )
-        events = list(session.events())
-        assert session.result.timed_out and not session.result.succeeded
-        assert isinstance(events[-1], BudgetTimeout)
-
-    def test_killed_worker_is_retried_with_same_trajectory(self, monkeypatch, tmp_path):
-        # Kill the vc-1 worker once mid-wave: the scheduler's crash recovery
-        # requeues just that task onto a rebuilt pool, and the run finishes
-        # with the exact sequential trajectory (no wholesale fallback).
-        import repro.core.parallel as parallel_module
-
-        marker = tmp_path / "worker-crashed"
-        monkeypatch.setenv("REPRO_TEST_CRASH_MARKER", str(marker))
-        monkeypatch.setattr(
-            parallel_module,
-            "_real_explore_for_test",
-            parallel_module._explore_correspondence,
-            raising=False,
-        )
-        monkeypatch.setattr(
-            parallel_module, "_explore_correspondence", _crash_explore_once
-        )
-        bench = get_benchmark("Oracle-1")
-        result = SynthesisSession(
-            bench.source_program, bench.target_schema, self._par_config()
-        ).run()
-        assert marker.exists(), "the crash injection never fired"
-        assert result.succeeded
-        assert result.parallel_workers_used == 2
-        sequential = migrate(bench.source_program, bench.target_schema, self._seq_config())
-        assert result.attempts == sequential.attempts
-        assert format_program(result.program) == format_program(sequential.program)
-
-
-class TestParallelTrajectoryEquivalence:
-    def test_wave_size_one_matches_sequential(self):
-        # With one-VC waves and the pool disabled, the parallel driver feeds
-        # the shared session core exactly the sequential schedule, so the
-        # whole trajectory — every AttemptRecord including its event summary,
-        # and the winning program — must match the sequential run.
-        bench = get_benchmark("Ambler-5")
-        config = _config(counterexample_pool=False)
-        sequential = Synthesizer(config).synthesize(bench.source_program, bench.target_schema)
-        parallel = Synthesizer(
-            replace(config, parallel_workers=2, parallel_wave_size=1)
-        ).synthesize(bench.source_program, bench.target_schema)
-        assert sequential.attempts == parallel.attempts
-        assert format_program(sequential.program) == format_program(parallel.program)
-        assert sequential.iterations == parallel.iterations
-        assert parallel.parallel_workers_used == 2
-
-    def test_single_vc_workload_matches_with_pool(self):
-        # A first-correspondence success exercises the pool-carrying path:
-        # the worker starts from an empty snapshot exactly like the
-        # sequential core, so trajectories coincide even with pooling on.
-        bench = get_benchmark("Oracle-2")
-        config = _config()
-        sequential = Synthesizer(config).synthesize(bench.source_program, bench.target_schema)
-        parallel = Synthesizer(
-            replace(config, parallel_workers=2, parallel_wave_size=1)
-        ).synthesize(bench.source_program, bench.target_schema)
-        assert sequential.attempts == parallel.attempts
-        assert format_program(sequential.program) == format_program(parallel.program)
 
 
 class TestSerialization:

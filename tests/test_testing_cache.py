@@ -1,4 +1,4 @@
-"""Tests for the incremental-testing subsystem (pool, source cache, parallel)."""
+"""Tests for the incremental-testing subsystem (pool, source cache, wiring)."""
 
 import pytest
 
@@ -186,21 +186,3 @@ class TestSynthesizerCacheWiring:
         assert result.succeeded
         assert result.cache.candidates_screened == 0
         assert result.cache.pool_hits == 0
-
-
-# ------------------------------------------------------------------------- parallel
-class TestParallelFrontend:
-    def test_parallel_matches_sequential_outcome(self, people_program, people_schema):
-        sequential = Synthesizer(_identity_config()).synthesize(people_program, people_schema)
-        parallel = Synthesizer(_identity_config(parallel_workers=2)).synthesize(
-            people_program, people_schema
-        )
-        assert parallel.parallel_workers_used == 2
-        assert parallel.succeeded == sequential.succeeded
-        assert parallel.value_correspondences_tried >= 1
-        assert parallel.attempts, "attempts must be merged back from workers"
-
-    def test_parallel_respects_vc_budget(self, people_program, people_schema):
-        config = _identity_config(parallel_workers=2, max_value_correspondences=3)
-        result = Synthesizer(config).synthesize(people_program, people_schema)
-        assert result.value_correspondences_tried <= 3
