@@ -204,13 +204,17 @@ def instantiate(sketch: ProgramSketch, assignment: Assignment, name: str | None 
 class MemoizedInstantiator:
     """Instantiates candidate programs while sharing per-function ASTs.
 
-    The BMC baseline instantiates one candidate per joint hole assignment of
-    a sequence's functions; those assignments form a product space, so each
-    individual function's hole values repeat constantly.  A function's
-    instantiation depends only on its own holes, and function ASTs are
-    immutable — safe to share between candidate programs — so memoizing per
-    (function, restricted assignment) turns most of the per-candidate
-    instantiation cost into one dict lookup per function.
+    A function's instantiation depends only on its own holes, and function
+    ASTs are immutable — safe to share between candidate programs — so
+    memoizing per (function, restricted assignment) turns most of the
+    per-candidate instantiation cost into one dict lookup per function.
+    Both completion loops use it: the MFI loop's blocking clauses usually
+    name the holes of one or two functions, so consecutive candidates
+    differ in few functions, and the BMC baseline's joint assignments form
+    a product space in which each function's hole values repeat
+    constantly.  Shared function objects also let
+    :class:`~repro.engine.compiler.ProgramCompiler` resolve a function it
+    has already compiled by identity.
     """
 
     def __init__(self, sketch: ProgramSketch, name: str | None = None):
@@ -225,10 +229,12 @@ class MemoizedInstantiator:
     def instantiate(self, assignment: Assignment) -> Program:
         functions: list[Function] = []
         for position, function_sketch in enumerate(self.sketch.functions):
-            key = (
-                position,
-                tuple(assignment.get(index, 0) for index in self._hole_indices[position]),
-            )
+            indices = self._hole_indices[position]
+            try:
+                key = (position, tuple([assignment[index] for index in indices]))
+            except KeyError:
+                missing = next(index for index in indices if index not in assignment)
+                raise InstantiationError(f"assignment is missing hole ??{missing}") from None
             func = self._memo.get(key)
             if func is None:
                 if isinstance(function_sketch, QueryFunctionSketch):

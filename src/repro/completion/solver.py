@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.completion.encoder import SketchEncoder, SketchEncoding
-from repro.completion.instantiate import instantiate
+from repro.completion.instantiate import MemoizedInstantiator
 from repro.equivalence.invocation import InvocationSequence, format_sequence
 from repro.equivalence.tester import (
     BoundedTester,
@@ -116,8 +116,10 @@ class SketchCompleter:
         encoding = encoder.encode()
         solver = SatSolver()
         solver.add_cnf(encoding.cnf)
+        instantiator = MemoizedInstantiator(sketch)
 
-        all_hole_indices = [hole.index for hole in sketch.holes()]
+        hole_sizes = {hole.index: hole.size for hole in sketch.holes()}
+        all_hole_indices = list(hole_sizes)
         holes_by_function = {
             name: [hole.index for hole in holes]
             for name, holes in sketch.holes_by_function().items()
@@ -142,7 +144,7 @@ class SketchCompleter:
                 stats.iterations += 1
                 assert result.model is not None
                 assignment = encoding.model_to_assignment(result.model)
-                candidate = instantiate(sketch, assignment)
+                candidate = instantiator.instantiate(assignment)
 
                 test_started = time.perf_counter()
                 try:
@@ -181,7 +183,7 @@ class SketchCompleter:
                 clause = encoding.blocking_clause(assignment, blocked_holes)
                 solver.add_clause(clause)
                 stats.blocked_clauses += 1
-                stats.eliminated_estimate += self._eliminated(sketch, blocked_holes)
+                stats.eliminated_estimate += self._eliminated(hole_sizes, blocked_holes)
 
     # ---------------------------------------------------------------- helpers
     def _holes_to_block(
@@ -201,11 +203,11 @@ class SketchCompleter:
         return blocked or list(all_holes)
 
     @staticmethod
-    def _eliminated(sketch: ProgramSketch, blocked_holes: list[int]) -> int:
+    def _eliminated(hole_sizes: dict[int, int], blocked_holes: list[int]) -> int:
         """How many completions one blocking clause rules out (for reporting)."""
         blocked_set = set(blocked_holes)
         eliminated = 1
-        for hole in sketch.holes():
-            if hole.index not in blocked_set:
-                eliminated *= hole.size
+        for index, size in hole_sizes.items():
+            if index not in blocked_set:
+                eliminated *= size
         return eliminated

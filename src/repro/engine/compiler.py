@@ -658,22 +658,33 @@ class CompilerStats:
 class ProgramCompiler:
     """Compiles programs with per-function and per-program caching.
 
-    The sketch-completion loop instantiates thousands of candidates that
-    share immutable per-function ASTs (``MemoizedInstantiator``), so compiled
-    functions are cached by ``(schema signature, function)`` — functions by
-    structural value, schemas by a structural signature (name, tables,
-    columns, types) because compiled closures embed only table indices and
-    column offsets, which that signature determines.  Structural keying also
-    lets service workers reuse compilations across jobs, where every
-    pickled job carries fresh but identical schema objects.  Cache keys
-    hold strong references; all caches are wholesale-cleared at a size cap,
-    which bounds memory without bookkeeping on the hot path.
+    Compiled functions are cached by ``(schema signature, function)`` —
+    functions by structural value, schemas by a structural signature (name,
+    tables, columns, types) because compiled closures embed only table
+    indices and column offsets, which that signature determines.
+    Structural keying lets structurally equal functions share one closure:
+    across the sketches of one run, and across jobs in service workers,
+    where every pickled job carries fresh but identical schema objects.
+
+    Hashing a function structurally walks its whole AST, so a function
+    object this compiler has already resolved is found again by identity
+    first.  The sketch-completion loop instantiates candidates through
+    :class:`~repro.completion.instantiate.MemoizedInstantiator`, whose
+    candidates share the function objects of the holes they agree on, so
+    most functions of a candidate resolve that way.  The identity map is
+    cleared whenever the structural cache is, so both paths count the same
+    hits and misses.  Cache keys hold strong references; all caches are
+    wholesale-cleared at a size cap, which bounds memory without
+    bookkeeping on the hot path.
     """
 
     def __init__(self, max_entries: int = 4096):
         self.max_entries = max_entries
         self.stats = CompilerStats()
         self._functions: dict[tuple, CompiledFunction] = {}
+        #: id(function) -> (function, schema signature, compiled function)
+        #: for every function object resolved through ``_functions``.
+        self._by_identity: dict[int, tuple] = {}
         self._programs: dict[Program, CompiledProgram] = {}
         self._schema_sigs: dict[Schema, tuple] = {}  # identity-keyed memo
         self._schema_compilers: dict[tuple, _FunctionCompiler] = {}
@@ -712,7 +723,13 @@ class ProgramCompiler:
         fc = self._compiler_for(program.schema)
         sig = self._schema_sigs[program.schema]
         functions: dict[str, CompiledFunction] = {}
+        by_identity = self._by_identity
         for func in program:
+            known = by_identity.get(id(func))
+            if known is not None and known[0] is func and known[1] is sig:
+                self.stats.function_hits += 1
+                functions[func.name] = known[2]
+                continue
             key: Optional[tuple]
             try:
                 cf = self._functions.get((sig, func))
@@ -725,9 +742,14 @@ class ProgramCompiler:
                 if key is not None:
                     if len(self._functions) >= self.max_entries:
                         self._functions.clear()
+                        by_identity.clear()
                     self._functions[key] = cf
             else:
                 self.stats.function_hits += 1
+            if key is not None:
+                if len(by_identity) >= self.max_entries:
+                    by_identity.clear()
+                by_identity[id(func)] = (func, sig, cf)
             functions[func.name] = cf
         compiled = CompiledProgram(program.name, fc.num_tables, functions)
         if len(self._programs) >= self.max_entries:

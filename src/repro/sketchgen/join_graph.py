@@ -44,11 +44,16 @@ class JoinGraph:
         self.schema = schema
         self._edges: list[JoinEdge] = []
         self._adjacency: dict[str, list[JoinEdge]] = {name: [] for name in schema.table_names}
+        #: ``steiner_chains`` results by (sorted terminals, limits).  Sketch
+        #: generation asks for the same terminal sets under every value
+        #: correspondence of a run; ``add_edge`` invalidates them.
+        self.steiner_memo: dict[tuple, list[JoinChain]] = {}
         for left, right in schema.joinable_pairs():
             self.add_edge(left, right)
 
     # ------------------------------------------------------------------ build
     def add_edge(self, left: Attribute, right: Attribute) -> JoinEdge:
+        self.steiner_memo.clear()
         edge = JoinEdge(left.table, right.table, (left, right))
         self._edges.append(edge)
         self._adjacency[left.table].append(edge)

@@ -96,12 +96,23 @@ def steiner_chains(
 
     A candidate is a spanning tree of a connected induced subgraph whose node
     set contains the terminals and at most ``limits.max_extra_tables``
-    additional tables.
+    additional tables.  Results are memoized on the graph, which lives as
+    long as its sketch generator (one synthesis run).
     """
     limits = limits or SteinerLimits()
     terminal_list = sorted(set(terminals))
     if not terminal_list:
         return []
+    key = (tuple(terminal_list), limits)
+    chains = graph.steiner_memo.get(key)
+    if chains is None:
+        chains = graph.steiner_memo[key] = _enumerate_chains(graph, terminal_list, limits)
+    return list(chains)
+
+
+def _enumerate_chains(
+    graph: JoinGraph, terminal_list: list[str], limits: SteinerLimits
+) -> list[JoinChain]:
     for table in terminal_list:
         if table not in graph.schema:
             raise KeyError(f"unknown table {table!r} in target schema")

@@ -332,6 +332,35 @@ class TestCompiledEngine:
         for name in people_program.function_names:
             assert first.functions[name] is second.functions[name]
 
+    def test_compiler_resolves_known_function_objects_by_identity(
+        self, people_program, monkeypatch
+    ):
+        """A function object compiled once is found again without re-hashing it.
+
+        Distinct but structurally equal functions still hit through the
+        structural cache, and both paths count hits the same way.
+        """
+        from repro.lang.ast import QueryFunction
+
+        compiler = ProgramCompiler()
+        first = compiler.compile_program(people_program)
+        functions = list(people_program)
+        hashed = []
+        for cls in (QueryFunction, UpdateFunction):
+            original = cls.__hash__
+            monkeypatch.setattr(
+                cls, "__hash__", lambda self, _h=original: hashed.append(self) or _h(self)
+            )
+        again = compiler.compile_program(people_program.with_functions(functions, name="again"))
+        assert hashed == []
+        copies = [dataclasses.replace(func) for func in functions]
+        copied = compiler.compile_program(people_program.with_functions(copies, name="copy"))
+        assert len(hashed) == len(functions)
+        for name in people_program.function_names:
+            assert first.functions[name] is again.functions[name] is copied.functions[name]
+        assert compiler.stats.function_misses == len(functions)
+        assert compiler.stats.function_hits == 2 * len(functions)
+
     def test_tester_backends_agree_on_verdicts(self, people_program):
         broken = _broken_delete(people_program)
         verdicts = {}

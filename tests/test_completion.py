@@ -9,7 +9,7 @@ from repro.completion import (
     SketchEncoder,
     instantiate,
 )
-from repro.completion.instantiate import InstantiationError
+from repro.completion.instantiate import InstantiationError, MemoizedInstantiator
 from repro.correspondence import ValueCorrespondenceEnumerator
 from repro.equivalence import BoundedTester, BoundedVerifier
 from repro.lang import Program, QueryFunction, UpdateFunction
@@ -110,9 +110,42 @@ class TestInstantiate:
             )
 
     def test_missing_hole_raises(self, running_example):
+        """Both instantiation paths reject a partial assignment.
+
+        The memoized path is checked after a memo hit for every function:
+        a memo key must never fill a missing hole in.
+        """
         _, _, sketch = running_example
-        with pytest.raises(InstantiationError):
-            instantiate(sketch, {})
+        full = {hole.index: 0 for hole in sketch.holes()}
+        paths = [
+            lambda assignment: instantiate(sketch, assignment),
+            MemoizedInstantiator(sketch).instantiate,
+        ]
+        for build in paths:
+            build(full)
+            build(full)
+            with pytest.raises(InstantiationError):
+                build({})
+            for index in full:
+                partial = {i: position for i, position in full.items() if i != index}
+                with pytest.raises(InstantiationError, match=rf"\?\?{index}\b"):
+                    build(partial)
+
+    def test_memoized_programs_match_and_share_functions(self, running_example):
+        _, _, sketch = running_example
+        holes = sketch.holes()
+        base = {hole.index: 0 for hole in holes}
+        variable_hole = next(hole for hole in holes if hole.size > 1)
+        variant = {**base, variable_hole.index: 1}
+        memo = MemoizedInstantiator(sketch)
+        from repro.lang.pretty import format_program
+
+        first, second = memo.instantiate(base), memo.instantiate(variant)
+        assert format_program(first) == format_program(instantiate(sketch, base))
+        assert format_program(second) == format_program(instantiate(sketch, variant))
+        for name in first.function_names:
+            shared = first.function(name) is second.function(name)
+            assert shared == (name != variable_hole.function)
 
     def test_different_assignments_yield_different_programs(self, running_example):
         _, _, sketch = running_example

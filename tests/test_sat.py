@@ -1,6 +1,9 @@
 """Tests for the SAT substrate: CNF, cardinality encodings, the CDCL solver, DIMACS."""
 
+import dataclasses
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +165,11 @@ class TestSatSolver:
         result = solver.solve(assumptions=[-1, -2])
         assert result.status is Status.UNSAT
 
+    def test_luby_sequence(self):
+        from repro.sat.solver import _luby
+
+        assert [_luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
     def test_statistics_counters_move(self):
         cnf = CNF()
         for i in range(1, 6):
@@ -192,6 +200,114 @@ class TestSatSolver:
         assert result.is_sat == brute_force_satisfiable(cnf)
         if result.is_sat:
             assert cnf.evaluate(result.model)
+
+
+# --------------------------------------------------------------------------- search pin
+def _random_cnf(seed: int, num_vars: int, num_clauses: int, widths=(3,)) -> CNF:
+    rng = random.Random(seed)
+    cnf = CNF(num_vars)
+    for _ in range(num_clauses):
+        variables = rng.sample(range(1, num_vars + 1), rng.choice(widths))
+        cnf.add_clause([v if rng.random() < 0.5 else -v for v in variables])
+    return cnf
+
+
+def _holes_cnf(sizes) -> CNF:
+    """Exactly-one groups, the shape of a sketch encoding without consistency."""
+    cnf = CNF()
+    for size in sizes:
+        exactly_one(cnf, [cnf.new_variable() for _ in range(size)])
+    return cnf
+
+
+def _sketch_cnf() -> CNF:
+    """The SAT encoding of gallery's first sketch (172 variables)."""
+    from repro.completion import SketchEncoder
+    from repro.correspondence import ValueCorrespondenceEnumerator
+    from repro.sketchgen import SketchGenerator
+    from repro.workloads import get_benchmark
+
+    benchmark = get_benchmark("gallery")
+    source, target = benchmark.source_program, benchmark.target_schema
+    vc = ValueCorrespondenceEnumerator(source, target).next_value_corr().correspondence
+    return SketchEncoder(SketchGenerator(source, target).generate(vc)).encode().cnf
+
+
+def search_trace(cnf: CNF, max_models: int, *, assumptions=(), block="model", var_inc=None):
+    """(sha256 of the model sequence, final statistics) of repeated ``solve()``.
+
+    After each model a blocking clause is added: the negated full model, or
+    with ``block="unit"`` the unit clause negating its lowest true variable
+    (the shape of an MFI blocking clause over a single hole).  *var_inc*
+    starts the activity increment near the rescale threshold.
+    """
+    solver = SatSolver(cnf)
+    if var_inc is not None:
+        solver._var_inc = var_inc
+    variables = range(1, cnf.num_variables + 1)
+    models = []
+    while len(models) < max_models:
+        result = solver.solve(assumptions)
+        if result.status is not Status.SAT:
+            models.append(result.status.value)
+            break
+        model = tuple(v for v in variables if result.model[v])
+        models.append(model)
+        if block == "unit":
+            solver.add_clause([-model[0]])
+        else:
+            solver.add_clause([-v if result.model[v] else v for v in variables])
+    digest = hashlib.sha256(repr(models).encode()).hexdigest()[:16]
+    return digest, dataclasses.astuple(solver.stats)
+
+
+#: name -> (CNF factory, keyword arguments of ``search_trace``).
+SEARCH_CASES = {
+    "3sat-40x180": (lambda: _random_cnf(4, 40, 180), {"max_models": 60}),
+    "3sat-50x210": (lambda: _random_cnf(0, 50, 210), {"max_models": 20}),
+    "3sat-60x258": (lambda: _random_cnf(1, 60, 258), {"max_models": 10}),
+    "3sat-70x300": (lambda: _random_cnf(3, 70, 300), {"max_models": 5}),
+    "mixed-width": (lambda: _random_cnf(12, 40, 90, (1, 2, 3, 3, 3, 4)), {"max_models": 30}),
+    "assumptions": (lambda: _random_cnf(9, 50, 190), {"max_models": 20, "assumptions": (1, -2)}),
+    "rescale": (lambda: _random_cnf(8, 50, 215), {"max_models": 20, "var_inc": 1e99}),
+    "unit-blocking": (lambda: _holes_cnf([3, 5, 2, 7, 4, 12]), {"max_models": 40, "block": "unit"}),
+    "restarts-100x420": (lambda: _random_cnf(21, 100, 420), {"max_models": 3}),
+    "restarts-120x500": (lambda: _random_cnf(20, 120, 500), {"max_models": 3}),
+    "restarts-unsat": (lambda: _random_cnf(2, 60, 276), {"max_models": 5}),
+    "sketch-gallery": (_sketch_cnf, {"max_models": 60}),
+}
+
+#: name -> (model-sequence digest, (decisions, propagations, conflicts,
+#: learned_clauses, restarts)), recorded from the dict-based solver this
+#: array-backed one replaced.  Cases with restarts were recorded once that
+#: solver's Luby sequence was fixed (it looped forever computing the second
+#: restart interval, so those cases never finished).
+SEARCH_PINS = {
+    "3sat-40x180": ("8dc91f2da456ad85", (109, 1372, 55, 54, 0)),
+    "3sat-50x210": ("e04324c9c48e9e1e", (81, 1258, 54, 53, 0)),
+    "3sat-60x258": ("826404b8262419a3", (198, 2155, 78, 78, 0)),
+    "3sat-70x300": ("23df96b593f6f9d7", (183, 3695, 123, 123, 0)),
+    "assumptions": ("20970f91a6485f8a", (199, 1026, 9, 9, 0)),
+    "mixed-width": ("eb22b6bf76deb8c2", (407, 1240, 14, 14, 0)),
+    "rescale": ("b015a346034cbff1", (257, 1646, 35, 35, 0)),
+    "restarts-100x420": ("521c4fc87a4c4817", (744, 20151, 603, 603, 6)),
+    "restarts-120x500": ("ba75305431951219", (968, 27646, 728, 728, 8)),
+    "restarts-unsat": ("8799f9049decff4c", (192, 3629, 164, 163, 2)),
+    "sketch-gallery": ("58f08e9c4b4494d2", (1087, 10579, 59, 59, 0)),
+    "unit-blocking": ("baa4a0a9e274597a", (17, 153, 0, 0, 0)),
+}
+
+
+class TestSearchPin:
+    """The solver makes the same decisions: same models, same search effort."""
+
+    def test_pins_cover_every_case(self):
+        assert sorted(SEARCH_PINS) == sorted(SEARCH_CASES)
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+    def test_search_matches_recorded(self, name):
+        factory, kwargs = SEARCH_CASES[name]
+        assert search_trace(factory(), **kwargs) == SEARCH_PINS[name]
 
 
 # -------------------------------------------------------------------------- cardinality

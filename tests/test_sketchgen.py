@@ -97,6 +97,21 @@ class TestSteinerChains:
                 assert left.table in tables and right.table in tables
             assert len(chain.conditions) == len(chain.tables) - 1
 
+    def test_chains_memoized_per_graph(self, course_target_schema):
+        """Repeated requests reuse one enumeration per (terminals, limits)."""
+        graph = JoinGraph(course_target_schema)
+        chains = steiner_chains(graph, ["Picture", "Instructor"])
+        again = steiner_chains(graph, {"Instructor", "Picture"})
+        assert again == chains and again is not chains  # callers get their own list
+        assert all(a is b for a, b in zip(chains, again))
+        narrow = steiner_chains(graph, ["Picture", "Instructor"], SteinerLimits(max_extra_tables=0))
+        assert len(narrow) < len(chains)
+        assert len(graph.steiner_memo) == 2
+        fresh = steiner_chains(JoinGraph(course_target_schema), ["Picture", "Instructor"])
+        assert fresh == chains and fresh[0] is not chains[0]
+        graph.add_edge(Attribute("Picture", "PicId"), Attribute("Class", "ClassId"))
+        assert graph.steiner_memo == {}
+
 
 # ----------------------------------------------------------------------- join correspondence
 class TestJoinCorrespondence:
