@@ -1,29 +1,30 @@
-"""Service-front benchmark: store-backend A/B under the HTTP server.
+"""Service-front benchmark: the job store under the HTTP server.
 
-The API v2.3 server (:mod:`repro.server`) keeps every admission durable —
-a ``POST /jobs`` is a store append before it is anything else — so the job
-store backend is on the submit path, and on the query path of every
-``GET /jobs``.  This benchmark A/Bs the two backends behind the same
+The server (:mod:`repro.server`) keeps every admission durable — a
+``POST /jobs`` is a store append before it is anything else — so the SQLite
+job store is on the submit path, and on the query path of every
+``GET /jobs``.  This benchmark measures it behind a
 :class:`~repro.server.ServiceFront`:
 
 * **concurrent-submit throughput** — N deferred jobs pushed over HTTP from
   4 client threads (deferred admission isolates the store append + quota +
-  stride work from synthesis itself): accepted submissions per second,
-  JSONL vs SQLite;
+  stride work from synthesis itself): accepted submissions per second;
 * **query latency** — ``store.query_jobs(tenant=..., status=...)`` against
   the N-job store (exactly the call behind ``GET /jobs?status=…``), in two
-  shapes: a *broad* query every row matches (both backends materialize all
-  N standings — reported for context, no winner expected) and a
-  *selective* query matching nothing (the JSONL backend still replays the
-  whole log, the SQLite backend answers from its tenant/status indexes —
-  that gap is the point of the indexed backend);
-* **time-to-first-SSE-event** — one real (cheap) synthesis job per
-  backend, submit → first typed event frame on ``GET /jobs/{n}/events``,
-  proving the persist-then-fanout bridge stays live on both stores.
+  shapes: a *broad* query every row matches (all N standings materialize —
+  reported for context) and a *selective* query matching nothing, which
+  the tenant/status indexes answer without touching a row.  The selective
+  query is gated against a full ``load_jobs()`` replay filtered in Python —
+  the work an unindexed store does for every query, and what the retired
+  JSONL store did;
+* **time-to-first-SSE-event** — one real (cheap) synthesis job, submit →
+  first typed event frame on ``GET /jobs/{n}/events``, proving the
+  persist-then-fanout bridge stays live.
 
 Run with ``PYTHONPATH=src python -m pytest -q -s benchmarks/bench_server.py``;
 ``REPRO_BENCH_SMOKE=1`` (the CI job) shrinks the flood and asserts only the
-directional gates (SQLite queries beat JSONL once the log is long).
+directional gate (the indexed query beats the full replay once the store
+is long).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.server import ServerThread, ServiceFront, Tenant, TenantQuota, Tenant
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0", "false")
 
-#: Deferred jobs in the submit flood (per backend).
+#: Deferred jobs in the submit flood.
 FLOOD = 48 if SMOKE else 200
 #: Client threads driving the flood.
 CLIENTS = 4
@@ -70,10 +71,6 @@ def _post(base: str, path: str, payload: dict) -> dict:
     )
     with urllib.request.urlopen(request, timeout=60) as response:
         return json.loads(response.read())
-
-
-def _store_url(tmp_path, backend: str) -> str:
-    return f"{backend}:{tmp_path / f'bench.{backend}'}"
 
 
 def _submit_flood(base: str) -> float:
@@ -107,42 +104,59 @@ def _submit_flood(base: str) -> float:
     return time.perf_counter() - started
 
 
-def _measure_backend(tmp_path, backend: str) -> dict:
-    front = ServiceFront(_store_url(tmp_path, backend), tenants=_registry(), fsync=False)
+def _replay_query(store, *, tenant: str, status: str) -> list:
+    """``query_jobs`` without an index: replay every standing, then filter."""
+    return [
+        job
+        for job in store.load_jobs().values()
+        if job.tenant == tenant and job.status == status
+    ]
+
+
+def _per_query_ms(query) -> tuple[float, list]:
+    started = time.perf_counter()
+    for _ in range(QUERIES):
+        rows = query()
+    return (time.perf_counter() - started) / QUERIES * 1000.0, rows
+
+
+def _measure_store(tmp_path) -> dict:
+    front = ServiceFront(f"sqlite:{tmp_path / 'bench.sqlite'}", tenants=_registry(), fsync=False)
     with ServerThread(front) as server:
         base = "http://%s:%d" % server.address
         submit_wall = _submit_flood(base)
-        standings = front.store.load_jobs()
+        store = front.store
+        standings = store.load_jobs()
         assert sum(1 for job in standings.values() if job.deferred) == FLOOD
 
         # The call behind GET /jobs?status=… on the now-long store.  Broad:
-        # every row matches, both backends materialize all FLOOD standings.
-        started = time.perf_counter()
-        for _ in range(QUERIES):
-            rows = front.store.query_jobs(tenant="bench", status="pending")
-        broad_wall = time.perf_counter() - started
+        # every row matches, all FLOOD standings materialize.
+        broad_ms, rows = _per_query_ms(
+            lambda: store.query_jobs(tenant="bench", status="pending")
+        )
         assert len(rows) == FLOOD
-        # Selective: nothing settled yet, so zero rows match — the indexed
-        # backend answers from its btrees, JSONL replays the whole log.
-        started = time.perf_counter()
-        for _ in range(QUERIES):
-            rows = front.store.query_jobs(tenant="bench", status="done")
-        selective_wall = time.perf_counter() - started
+        # Selective: nothing settled yet, so zero rows match — the indexes
+        # answer without a row, the replay reads and decodes all FLOOD.
+        selective_ms, rows = _per_query_ms(
+            lambda: store.query_jobs(tenant="bench", status="done")
+        )
+        assert rows == []
+        replay_ms, rows = _per_query_ms(
+            lambda: _replay_query(store, tenant="bench", status="done")
+        )
         assert rows == []
     return {
-        "backend": backend,
         "submit_wall": submit_wall,
         "submit_rate": FLOOD / max(submit_wall, 1e-9),
-        "broad_ms": broad_wall / QUERIES * 1000.0,
-        "selective_ms": selective_wall / QUERIES * 1000.0,
+        "broad_ms": broad_ms,
+        "selective_ms": selective_ms,
+        "replay_ms": replay_ms,
     }
 
 
-def _first_event_latency(tmp_path, backend: str) -> float:
+def _first_event_latency(tmp_path) -> float:
     """Submit one real job; wall time from POST to its first SSE id frame."""
-    front = ServiceFront(
-        str(tmp_path / f"sse.{backend}"), tenants=_registry(), fsync=False
-    )
+    front = ServiceFront(str(tmp_path / "sse.sqlite"), tenants=_registry(), fsync=False)
     with ServerThread(front) as server:
         base = "http://%s:%d" % server.address
         started = time.perf_counter()
@@ -158,55 +172,49 @@ def _first_event_latency(tmp_path, backend: str) -> float:
     raise AssertionError("SSE stream closed without an event frame")
 
 
-def test_store_backend_ab(tmp_path):
-    """Submit-flood throughput and indexed-query latency, JSONL vs SQLite."""
-    results = [_measure_backend(tmp_path, backend) for backend in ("jsonl", "sqlite")]
-    by_backend = {entry["backend"]: entry for entry in results}
+def test_store_indexed_query_ab(tmp_path):
+    """Submit-flood throughput and query latency: indexed vs full replay."""
+    entry = _measure_store(tmp_path)
 
     print()
     print(
         render_table(
-            ["Backend", "Submits", "Wall(s)", "Submits/s", "broad(ms)", "selective(ms)"],
+            ["Submits", "Wall(s)", "Submits/s", "broad(ms)", "selective(ms)", "replay(ms)"],
             [
                 [
-                    entry["backend"],
                     FLOOD,
                     f"{entry['submit_wall']:.2f}",
                     f"{entry['submit_rate']:.0f}",
                     f"{entry['broad_ms']:.2f}",
                     f"{entry['selective_ms']:.3f}",
+                    f"{entry['replay_ms']:.3f}",
                 ]
-                for entry in results
             ],
-            title=f"Service front store A/B ({FLOOD} deferred jobs, {CLIENTS} clients)",
+            title=f"Service front job store ({FLOOD} deferred jobs, {CLIENTS} clients)",
         )
     )
-    # The indexed backend must win the selective query race: a JSONL query
-    # replays all FLOOD submission records whatever it returns, SQLite reads
-    # its tenant/status index and touches no rows.  (Submit throughput and
-    # broad queries are allowed to tie — there the row materialization and
-    # the HTTP layer dominate, not the lookup.)
-    assert by_backend["sqlite"]["selective_ms"] < by_backend["jsonl"]["selective_ms"], (
-        "indexed query_jobs slower than the JSONL full replay: "
-        f"{by_backend['sqlite']['selective_ms']:.3f}ms vs "
-        f"{by_backend['jsonl']['selective_ms']:.3f}ms"
+    # The indexed query must win the selective race: a replay reads and
+    # decodes all FLOOD standings whatever it returns, the indexed query
+    # reads its tenant/status index and touches no rows.  (Submit
+    # throughput and broad queries have no gate — there row
+    # materialization and the HTTP layer dominate, not the lookup.)
+    assert entry["selective_ms"] < entry["replay_ms"], (
+        "indexed query_jobs slower than a full load_jobs replay: "
+        f"{entry['selective_ms']:.3f}ms vs {entry['replay_ms']:.3f}ms"
     )
 
 
 def test_sse_first_event_latency(tmp_path):
-    """Submit → first SSE frame with one real job, per backend."""
-    rows = []
-    for backend in ("jsonl", "sqlite"):
-        latency = _first_event_latency(tmp_path, backend)
-        rows.append([backend, f"{latency * 1000:.0f}"])
-        # Liveness gate: the bridge must deliver while the job runs — a
-        # post-hoc replay would sit behind the whole synthesis (~seconds).
-        assert latency < 30.0
+    """Submit → first SSE frame with one real job."""
+    latency = _first_event_latency(tmp_path)
+    # Liveness gate: the bridge must deliver while the job runs — a
+    # post-hoc replay would sit behind the whole synthesis (~seconds).
+    assert latency < 30.0
     print()
     print(
         render_table(
-            ["Backend", "FirstSSE(ms)"],
-            rows,
+            ["FirstSSE(ms)"],
+            [[f"{latency * 1000:.0f}"]],
             title="Time to first SSE event (submit -> first id frame)",
         )
     )

@@ -283,7 +283,7 @@ def test_resume_interrupted_five_job_batch(tmp_path):
             jobs.append(MigrationJob(name, bench.source_program, bench.target_schema, config))
         return jobs
 
-    store = str(tmp_path / "batch.jsonl")
+    store = str(tmp_path / "batch.sqlite")
     # Generation 1 settles two jobs; generation 2 enqueues three more and is
     # "killed" before draining them (exactly what a crashed server leaves).
     first = MigrationService(job_store=store)

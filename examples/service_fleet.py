@@ -18,14 +18,20 @@ Run with::
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 from repro import SynthesisConfig
-from repro.api import MigrationJob, MigrationService, RemoteFleet, Solved, VcSelected
+from repro.api import (
+    MigrationJob,
+    MigrationService,
+    RemoteFleet,
+    Solved,
+    SQLiteJobStore,
+    VcSelected,
+)
 from repro.eval.reporting import render_service_report
 from repro.workloads import get_benchmark, rename_variants
 
@@ -77,7 +83,7 @@ def main() -> None:
         for target in candidate_targets(benchmark)
     ]
 
-    store = str(Path(tempfile.mkdtemp(prefix="repro-fleet-")) / "batch.jsonl")
+    store = str(Path(tempfile.mkdtemp(prefix="repro-fleet-")) / "batch.sqlite")
     fleet = RemoteFleet(listen="127.0.0.1:0", min_workers=2)
     workers = spawn_workers(fleet, 2)
     print(f"Coordinator listening on {fleet.bound_address}; 2 workers dialing in.")
@@ -95,13 +101,14 @@ def main() -> None:
         print(render_service_report(responses, title="Migration service batch (remote fleet)"))
 
         print()
-        print("Lease journal (which worker ran which job):")
-        with open(store, "r", encoding="utf-8") as journal:
-            for line in journal:
-                record = json.loads(line)
-                if record.get("type") in ("leased", "released"):
-                    detail = record.get("outcome", f"expires {record.get('expiry', 0):.0f}")
-                    print(f"  {record['type']:<9} {record['job']:<24} {record['worker']} ({detail})")
+        print("Lease journal (the latest lease of each job: which worker ran it):")
+        journal = SQLiteJobStore(store)
+        for name, stored in journal.load_jobs().items():
+            lease = stored.lease
+            if lease is not None:
+                detail = lease.get("outcome", f"expires {lease.get('expiry', 0):.0f}")
+                print(f"  {lease['type']:<9} {name:<24} {lease['worker']} ({detail})")
+        journal.close()
     finally:
         fleet.close()
         for worker in workers:

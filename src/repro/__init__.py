@@ -30,15 +30,14 @@ service batch runs one session per job and parallelizes across jobs)::
     for event in SynthesisSession(source_program, target_schema):
         print(event)
 
-    service = MigrationService(max_workers=4, job_store="batch.jsonl")
+    service = MigrationService(max_workers=4, job_store="batch.sqlite")
     results = service.migrate_batch(jobs)
-    # after an interruption: MigrationService.resume("batch.jsonl").run()
+    # after an interruption: MigrationService.resume("batch.sqlite").run()
 """
 
 from repro.api import (
     API_VERSION,
     AttemptRecord,
-    JobStore,
     MigrationJob,
     MigrationService,
     RemoteFleet,
@@ -60,7 +59,6 @@ __all__ = [
     "Attribute",
     "AttemptRecord",
     "DataType",
-    "JobStore",
     "MigrationJob",
     "MigrationService",
     "Program",

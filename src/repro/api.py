@@ -20,7 +20,7 @@ Three levels of entry:
   cross-job artifact sharing, priorities, deadlines, job-level parallelism
   (local worker processes or a remote fleet), live cross-process event
   streaming and mid-job cancellation — plus a persistent
-  :class:`JobStore` (JSONL lifecycle log) enabling
+  :class:`SQLiteJobStore` (``job_store=PATH``) enabling
   :meth:`MigrationService.resume`: an interrupted batch restarts running
   only its unfinished jobs.
 
@@ -36,7 +36,8 @@ Version 2.0.0 — "streaming everywhere".  Breaking (the major bump):
 * in parallel mode ``on_event`` fires from the event-router thread rather
   than the consuming thread (sequential behaviour is unchanged).
 
-Additive in 2.0.0: ``JobStore`` + ``MigrationService(job_store=...)`` +
+Additive in 2.0.0: a JSONL job store (retired in 5.0.0) +
+``MigrationService(job_store=...)`` +
 ``MigrationService.resume(path)`` + ``JobHandle.restored``; queue-transport
 backpressure (``max_pending_events``, channel high-water/drop counters);
 scheduler crash recovery (bounded per-task retries instead of wholesale
@@ -53,7 +54,7 @@ same fleets (removed in 4.0.0); :class:`RemoteFleet` is the reusable
 fleet handle (dial-out or listening topology).  The job store doubles as the fleet's lease journal
 (``leased`` / ``lease_heartbeat`` / ``released`` records), job specs are
 format-versioned (incompatible stores fail loudly on resume), and
-``JobStore.compact()`` folds settled history into snapshot lines.
+``compact()`` folds settled history into snapshot lines.
 ``SynthesisResult.to_dict`` gained a ``scheduler`` field exposing
 execution-layer counters for wave-parallel runs (removed in 4.0.0).
 
@@ -85,11 +86,10 @@ priorities over the existing scheduler plus the new anti-starvation
 ``WorkScheduler``), and ``GET /jobs/{id}/events`` SSE streaming of the
 typed session events with monotonic ids and gap-free ``Last-Event-ID``
 resume, bridged through bounded shed-and-count asyncio queues.  The job
-store splits into selectable backends behind one interface
-(:func:`open_job_store`): the JSONL log and the new indexed
-:class:`SQLiteJobStore` (jobs/events/leases tables, WAL,
-tenant/status/fingerprint indexes — ``sqlite:PATH`` or ``*.sqlite`` /
-``*.db``), with :func:`migrate_jsonl_to_sqlite` and ``compact()`` parity.
+store gained the indexed :class:`SQLiteJobStore` (jobs/events/leases
+tables, WAL, tenant/status/fingerprint indexes) behind
+:func:`open_job_store`, next to the JSONL log, with
+:func:`migrate_jsonl_to_sqlite`; 5.0.0 made it the only store.
 ``MigrationService.resume`` now **re-pins** stored specs: format-version
 gate, then pin verification against the submission fingerprint — and, for
 registry-built jobs (``MigrationJob.workload``), against the *current*
@@ -127,6 +127,23 @@ jobs, in :class:`MigrationService`.
 * ``POST /jobs`` answers ``400`` to ``config.parallel_workers``.
 * Stored 3.x job specs still resume: their pickled configs carry the three
   retired fields as inert attributes that nothing reads.
+
+Breaking in 5.0.0 — "one job store, one VC engine":
+
+* ``JobStore`` (the JSONL log) and the ``jsonl:`` scheme are gone.  Any
+  path given as ``job_store=``, to ``MigrationService.resume`` or to
+  ``python -m repro.server --store`` opens :class:`SQLiteJobStore`.  A
+  ``jsonl:`` URL, a ``*.jsonl`` path or an existing file that is not a
+  SQLite database raises ``JobStoreFormatError``; convert an old log once
+  with :func:`migrate_jsonl_to_sqlite`.
+* The store keeps each job's latest lifecycle record and latest lease,
+  not the line-by-line transition and lease-grant history.
+* ``SynthesisConfig.vc_engine`` is gone: value correspondences always come
+  from the factored best-first enumeration, which yields the MaxSAT
+  encoding's optimum order (the MaxSAT engine stays as its test
+  reference).  ``SynthesisConfig(vc_engine=…)`` raises ``TypeError`` and
+  ``POST /jobs`` answers ``400`` to ``config.vc_engine``.  Stored 4.x
+  configs that carry it are ignored: the attribute is inert.
 """
 
 from __future__ import annotations
@@ -152,7 +169,6 @@ from repro.exec.faults import FaultPlan, FaultSpec
 from repro.exec.policy import ResilienceConfig, RetryPolicy, TimeoutPolicy
 from repro.exec.remote import RemoteFleet
 from repro.jobstore import (
-    JobStore,
     SQLiteJobStore,
     migrate_jsonl_to_sqlite,
     open_job_store,
@@ -174,7 +190,7 @@ from repro.service import (
 )
 
 #: Semantic version of this surface (not of the package implementation).
-API_VERSION = "4.0.0"
+API_VERSION = "5.0.0"
 
 __all__ = [
     "API_VERSION",
@@ -203,7 +219,6 @@ __all__ = [
     "MigrationJob",
     "JobHandle",
     "JobStatus",
-    "JobStore",
     "SQLiteJobStore",
     "open_job_store",
     "migrate_jsonl_to_sqlite",

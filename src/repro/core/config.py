@@ -24,9 +24,6 @@ class SynthesisConfig:
     # ---- value correspondence enumeration (Section 4.2)
     #: α constant of the similarity metric and one-to-one soft clause weight.
     alpha: int = DEFAULT_ALPHA
-    #: "auto" picks the full MaxSAT encoding for small schemas and the
-    #: factored best-first enumeration for large ones.
-    vc_engine: str = "auto"
     #: Maximum number of target attributes one source attribute may map to.
     max_mapping_fanout: int = 2
     #: Give up after considering this many value correspondences.

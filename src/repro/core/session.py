@@ -566,7 +566,6 @@ class SynthesisSession:
                 self.source_program,
                 self.target_schema,
                 alpha=config.alpha,
-                engine=config.vc_engine,
                 max_fanout=config.max_mapping_fanout,
             )
         except VcEnumerationError:

@@ -10,19 +10,21 @@ weighted MaxSAT problem:
   one-to-one preference ``x_ij -> ¬x_ik`` with weight ``α``,
 * blocking clauses for previously rejected correspondences.
 
-This module provides two interchangeable engines:
-
-``MaxSatVcEnumerator``
-    Builds the full encoding and solves it with :mod:`repro.maxsat`.  Faithful
-    to the paper but only practical for small schemas (it is used by the test
-    suite to cross-validate the second engine).
+This module provides one engine and its reference:
 
 ``FactoredVcEnumerator``
     Exploits the fact that the objective and all hard constraints decompose
     per source attribute (only blocking clauses couple attributes), so the
     MaxSAT optimum can be enumerated exactly with a best-first search over the
-    product of per-attribute candidate streams.  This is the default engine
-    and scales to the real-world benchmark schemas.
+    product of per-attribute candidate streams.  It scales to the real-world
+    benchmark schemas, and :class:`ValueCorrespondenceEnumerator` always runs
+    it.
+
+``MaxSatVcEnumerator``
+    Builds the full encoding and solves it with :mod:`repro.maxsat`.  Faithful
+    to the paper but only practical for small schemas; the test suite keeps
+    it as the reference the factored engine is checked against, as the
+    interpreter is for the compiled execution engine.
 
 Both engines yield :class:`ValueCorrespondence` objects in non-increasing
 order of objective value and never repeat a correspondence, which subsumes
@@ -32,8 +34,7 @@ the paper's blocking-clause mechanism.
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from repro.correspondence.similarity import DEFAULT_ALPHA, name_similarity
@@ -174,14 +175,12 @@ class FactoredVcEnumerator:
         *,
         alpha: int = DEFAULT_ALPHA,
         max_fanout: Optional[int] = 2,
-        targets: Optional[dict[Attribute, list[tuple[Attribute, int]]]] = None,
     ):
         self.source = source_program.schema
         self.target = target_schema
         self.alpha = alpha
         self.queried = queried_attributes(source_program)
-        if targets is None:
-            targets = all_compatible_targets(self.source, self.target, alpha)
+        targets = all_compatible_targets(self.source, self.target, alpha)
         self.rows: list[_RowCandidates] = []
         for attr, attr_targets in targets.items():
             required = attr in self.queried
@@ -237,7 +236,7 @@ class FactoredVcEnumerator:
 
 
 # --------------------------------------------------------------------------------------
-#  Full MaxSAT engine (faithful encoding, for small schemas and cross-validation)
+#  Full MaxSAT engine (faithful encoding, the test reference for small schemas)
 # --------------------------------------------------------------------------------------
 class MaxSatVcEnumerator:
     """Value-correspondence enumeration via the full partial weighted MaxSAT encoding."""
@@ -248,7 +247,6 @@ class MaxSatVcEnumerator:
         target_schema: Schema,
         *,
         alpha: int = DEFAULT_ALPHA,
-        targets: Optional[dict[Attribute, list[tuple[Attribute, int]]]] = None,
     ):
         self.source = source_program.schema
         self.target = target_schema
@@ -256,9 +254,7 @@ class MaxSatVcEnumerator:
         self.queried = queried_attributes(source_program)
         self.solver = WPMaxSatSolver()
         self.variables: dict[tuple[Attribute, Attribute], int] = {}
-        if targets is None:
-            targets = all_compatible_targets(self.source, self.target, alpha)
-        self._build_encoding(targets)
+        self._build_encoding(all_compatible_targets(self.source, self.target, alpha))
 
     def _build_encoding(self, targets: dict[Attribute, list[tuple[Attribute, int]]]) -> None:
         for attr, attr_targets in targets.items():
@@ -311,12 +307,8 @@ class MaxSatVcEnumerator:
 # --------------------------------------------------------------------------------------
 #  Public facade
 # --------------------------------------------------------------------------------------
-#: Valid values of ``SynthesisConfig.vc_engine``.
-VC_ENGINES = ("auto", "factored", "maxsat")
-
-
 class ValueCorrespondenceEnumerator:
-    """The ``NextValueCorr`` oracle of Algorithm 1."""
+    """The ``NextValueCorr`` oracle of Algorithm 1 (the factored engine)."""
 
     def __init__(
         self,
@@ -324,32 +316,11 @@ class ValueCorrespondenceEnumerator:
         target_schema: Schema,
         *,
         alpha: int = DEFAULT_ALPHA,
-        engine: str = "auto",
         max_fanout: Optional[int] = 2,
-        maxsat_variable_limit: int = 12,
     ):
-        if engine not in VC_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}")
-        # Computed once: the pair count picks the engine, which then encodes
-        # the same lists.
-        targets = all_compatible_targets(source_program.schema, target_schema, alpha)
-        if engine == "auto":
-            pairs = sum(len(attr_targets) for attr_targets in targets.values())
-            engine = "maxsat" if pairs <= maxsat_variable_limit else "factored"
-        self.engine_name = engine
-        if engine == "maxsat":
-            self._engine = MaxSatVcEnumerator(
-                source_program, target_schema, alpha=alpha, targets=targets
-            )
-        else:
-            self._engine = FactoredVcEnumerator(
-                source_program,
-                target_schema,
-                alpha=alpha,
-                max_fanout=max_fanout,
-                targets=targets,
-            )
-        self._iterator = self._engine.candidates()
+        self._iterator = FactoredVcEnumerator(
+            source_program, target_schema, alpha=alpha, max_fanout=max_fanout
+        ).candidates()
         self.produced = 0
 
     def next_value_corr(self) -> Optional[VcCandidate]:

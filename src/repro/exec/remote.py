@@ -29,13 +29,14 @@ Topologies (the protocol is direction-agnostic — the worker always sends
 Leases and failure semantics: every dispatched task is a **lease** — an
 assignment of one task to one worker with an expiry, renewed by the
 worker's heartbeats and optionally journalled to a
-:class:`~repro.jobstore.JobStore` (``leased`` / ``lease_heartbeat`` /
-``released`` records with worker id and expiry).  A worker whose
+:class:`~repro.jobstore.SQLiteJobStore` (``leased`` / ``lease_heartbeat`` /
+``released`` records with worker id and expiry; the store keeps the latest
+per job).  A worker whose
 connection drops, or that stays silent past ``lease_ttl``, is declared
 lost: its in-flight futures fail with :class:`WorkerLost`, which the
 scheduler treats like a pool-break crash for just those tasks — charge a
 retry and **re-lease** them to a surviving worker (recorded as a fresh
-``leased`` line).  Because a lost worker's socket is closed before its
+``leased`` record).  Because a lost worker's socket is closed before its
 futures fail, a straggler result from a worker that was merely slow can
 never settle the task a second time: execution is at-least-once under
 crashes, settlement exactly-once — the same contract the queue transport's
@@ -216,8 +217,9 @@ class RemoteFleet:
 
     The fleet is reusable across sequential scheduler drains (the service
     keeps one fleet across ``run()`` calls) but must not be shared by two
-    schedulers concurrently.  ``lease_log`` journals lease lines to a
-    :class:`~repro.jobstore.JobStore`; the service wires its own store in
+    schedulers concurrently.  ``lease_log`` journals lease records to a
+    :class:`~repro.jobstore.SQLiteJobStore` (or anything with the store's
+    ``record_leased`` family); the service wires its own store in
     automatically.
     """
 

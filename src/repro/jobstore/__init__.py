@@ -1,15 +1,12 @@
-"""Job-store backends: append-only JSONL log and indexed SQLite database.
+"""The job store: persistence behind resumable batches, over SQLite.
 
-Public surface (stable across the backend split — ``from repro.jobstore
-import JobStore, decode_job`` keeps meaning what it meant when the package
-was a single module):
+Public surface:
 
-* :class:`JobStore` — the JSONL backend (the original format, still the
-  default);
-* :class:`SQLiteJobStore` — the indexed backend (jobs/events/leases
-  tables, WAL mode, tenant/status/fingerprint indexes);
-* :func:`open_job_store` — backend selection by URL scheme or extension;
-* :func:`migrate_jsonl_to_sqlite` — one-way migration of an existing log;
+* :class:`SQLiteJobStore` — the store (jobs/events/leases tables, WAL
+  mode, tenant/status/fingerprint indexes);
+* :func:`open_job_store` — opens a store from a path or ``sqlite:`` URL;
+* :func:`migrate_jsonl_to_sqlite` — one-shot import of a job log written by
+  the JSONL store that API 5.0.0 retired;
 * the shared vocabulary from :mod:`repro.jobstore.base`
   (``encode_job``/``decode_job``, :class:`StoredJob`, the record-type
   constants, :exc:`JobStoreFormatError`).
@@ -17,6 +14,7 @@ was a single module):
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Any, Union
 
@@ -34,38 +32,32 @@ from repro.jobstore.base import (
     job_pin,
     source_fingerprint,
 )
-from repro.jobstore.jsonl import JobStore
-from repro.jobstore.sqlite import SQLiteJobStore
-
-#: File extensions that select the SQLite backend without a scheme prefix.
-_SQLITE_EXTENSIONS = (".sqlite", ".sqlite3", ".db")
+from repro.jobstore.sqlite import SQLiteJobStore, _not_a_store
 
 
 def open_job_store(
     target: Union[str, os.PathLike, Any], *, fsync: bool = True
 ) -> Any:
-    """Open a job store, selecting the backend from *target*.
+    """Open the job store at *target*.
 
     * an object that already quacks like a store (has ``append`` and
       ``load_jobs``) passes through unchanged;
-    * ``sqlite:PATH`` / ``sqlite://PATH``, or a path ending in ``.sqlite``
-      / ``.sqlite3`` / ``.db``, opens :class:`SQLiteJobStore`;
-    * ``jsonl:PATH`` / ``jsonl://PATH``, or any other path, opens the
-      JSONL :class:`JobStore`.
+    * ``sqlite:PATH`` / ``sqlite://PATH`` and every other path open
+      :class:`SQLiteJobStore`;
+    * a ``jsonl:`` URL or a ``*.jsonl`` path names a log of the retired
+      JSONL store and raises :exc:`JobStoreFormatError` — import it once
+      with :func:`migrate_jsonl_to_sqlite`.  So does an existing file that
+      is not a SQLite database.
     """
     if hasattr(target, "append") and hasattr(target, "load_jobs"):
         return target
     path = os.fspath(target)
     lowered = path.lower()
-    for scheme, cls in (("sqlite:", SQLiteJobStore), ("jsonl:", JobStore)):
-        if lowered.startswith(scheme):
-            rest = path[len(scheme) :]
-            if rest.startswith("//"):
-                rest = rest[2:]
-            return cls(rest, fsync=fsync)
-    if lowered.endswith(_SQLITE_EXTENSIONS):
-        return SQLiteJobStore(path, fsync=fsync)
-    return JobStore(path, fsync=fsync)
+    if lowered.startswith("sqlite:"):
+        path = path[len("sqlite:") :].removeprefix("//")
+    elif lowered.startswith("jsonl:") or lowered.endswith(".jsonl"):
+        raise _not_a_store(path)
+    return SQLiteJobStore(path, fsync=fsync)
 
 
 def migrate_jsonl_to_sqlite(
@@ -74,16 +66,23 @@ def migrate_jsonl_to_sqlite(
     *,
     fsync: bool = True,
 ) -> SQLiteJobStore:
-    """Replay an existing JSONL log into a (new or existing) SQLite store.
+    """Import a job log of the retired JSONL store into a SQLite store.
 
-    Records are appended in file order, so the SQLite store's fold-at-write
-    replay reaches exactly the standings ``JobStore.load`` would have
-    reached — the migration is a change of representation, not of state.
-    The JSONL source is left untouched; delete it once satisfied.
+    Records are appended in file order, so the store's fold-at-write
+    reaches the standings the JSONL replay reached: each job's latest
+    lifecycle record with its sticky spec, tenant and fingerprint, its
+    latest lease, and its event log.  A line that does not parse — the
+    torn tail of a writer that died mid-append — is skipped.  The log is
+    left untouched; delete it once satisfied.
     """
-    store = SQLiteJobStore(sqlite_path, fsync=fsync)
-    for record in JobStore._records(jsonl_path):
-        store.append(record)
+    with open(jsonl_path, "r", encoding="utf-8") as log:
+        store = SQLiteJobStore(sqlite_path, fsync=fsync)
+        for line in log:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            store.append(record)
     return store
 
 
@@ -94,7 +93,6 @@ __all__ = [
     "SUPPORTED_SPEC_VERSIONS",
     "TERMINAL_STATUSES",
     "JobRecordWriter",
-    "JobStore",
     "JobStoreFormatError",
     "SQLiteJobStore",
     "StoredJob",

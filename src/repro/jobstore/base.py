@@ -1,21 +1,18 @@
-"""Shared vocabulary of the job-store backends.
+"""Shared vocabulary of the job store.
 
-The store interface has two implementations — the append-only JSONL log
-(:mod:`repro.jobstore.jsonl`, the original format and still the default)
-and the indexed SQLite database (:mod:`repro.jobstore.sqlite`) — selected
-by URL scheme/extension in :func:`repro.jobstore.open_job_store`.  Both
-speak the same *record* vocabulary (``submitted`` / ``running`` /
+The store speaks one *record* vocabulary: ``submitted`` / ``running`` /
 ``settled`` lifecycle records, the ``leased`` / ``lease_heartbeat`` /
 ``released`` lease journal, ``degraded`` batch annotations, and ``event``
-records persisting the typed session event stream), and both replay into
-the same :class:`StoredJob` standings, so
+records persisting the typed session event stream.
+:class:`~repro.jobstore.sqlite.SQLiteJobStore` folds them at write time
+into per-job :class:`StoredJob` standings, which
 :meth:`~repro.service.MigrationService.resume` and the fleet's lease
-recovery work identically over either backend.
+recovery read back.
 
-This module holds what the backends share: the record-type constants, the
-versioned ``spec`` encoding, :class:`StoredJob`, and
-:class:`JobRecordWriter` — the mixin that builds the canonical record
-shapes and funnels them through each backend's ``append``.
+This module holds the record-type constants, the versioned ``spec``
+encoding, :class:`StoredJob`, and :class:`JobRecordWriter` — the mixin
+that builds the canonical record shapes and funnels them through the
+store's ``append``.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ TERMINAL_STATUSES = frozenset(
 )
 
 #: Record types that annotate work assignment without changing lifecycle
-#: standing (the lease journal; see the jsonl module docstring).
+#: standing (the lease journal; see :class:`JobRecordWriter`).
 LEASE_RECORD_TYPES = frozenset({"leased", "lease_heartbeat", "released"})
 
 #: Record type persisting one typed session event (``seq``-numbered per
@@ -119,7 +116,7 @@ def job_pin(job: Any) -> Optional[dict]:
 
 @dataclass
 class StoredJob:
-    """One job's standing after replaying the store."""
+    """One job's standing in the store."""
 
     name: str
     #: The latest lifecycle record (its ``status`` decides resumability).
@@ -163,32 +160,14 @@ class StoredJob:
         """
         return self.status == "pending" and self.spec is not None
 
-    def absorb(self, record: dict) -> None:
-        """Fold one replayed record into this standing (latest wins).
-
-        The shared replay rule of both backends: lease records only update
-        :attr:`lease`, ``event`` records are skipped entirely, lifecycle
-        records become :attr:`last` while sticky identity fields (``spec``,
-        ``tenant``, ``fingerprint``) survive later records that omit them.
-        """
-        kind = record.get("type")
-        if kind in LEASE_RECORD_TYPES:
-            self.lease = record
-            return
-        if kind == EVENT_RECORD_TYPE:
-            return
-        if record.get("spec") is not None:
-            self.spec = record["spec"]
-        if record.get("tenant"):
-            self.tenant = record["tenant"]
-        fingerprint = record.get("fingerprint") or (record.get("pin") or {}).get("source")
-        if fingerprint:
-            self.fingerprint = fingerprint
-        self.last = record
-
 
 class JobRecordWriter:
-    """Record-shape builders shared by every backend (mixin over ``append``)."""
+    """Record-shape builders over one ``append`` (a mixin).
+
+    Subclasses implement ``append(record)``;
+    :class:`~repro.jobstore.sqlite.SQLiteJobStore` folds each record into
+    its tables.
+    """
 
     def append(self, record: dict) -> None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -220,6 +199,13 @@ class JobRecordWriter:
         self.append(record)
 
     # ---------------------------------------------------------- lease journal
+    # Under distributed execution the store is also the lease journal: a
+    # fleet grants a job to one worker until ``expiry`` (``leased``), the
+    # worker's heartbeat renews it (``lease_heartbeat``), and ``released``
+    # ends it with ``outcome`` "done", "failed" or "lost" (the worker
+    # vanished and the job is re-leased elsewhere).  The store keeps the
+    # latest lease per job: one that is not ``released`` after a crash
+    # marks work that was in flight.
     def record_leased(self, job_name: str, worker_id: str, expiry: float) -> None:
         self.append(
             {"type": "leased", "job": job_name, "worker": worker_id, "expiry": expiry}

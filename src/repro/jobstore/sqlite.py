@@ -1,33 +1,44 @@
-"""Indexed SQLite job-store backend.
+"""The SQLite job store: persistence behind resumable batches.
 
-Same record vocabulary and :class:`~repro.jobstore.base.StoredJob` replay
-semantics as the JSONL log, but persisted into an indexed database so that
-``GET /jobs?tenant=…&status=…`` is a WHERE clause instead of a full-file
-scan, and SSE replay (``load_events``) is a range lookup instead of a
-re-parse.  Selected by URL scheme or extension in
-:func:`repro.jobstore.open_job_store` (``sqlite:jobs.db``, ``*.sqlite``,
-``*.db``).
+A :class:`~repro.service.MigrationService` with a ``job_store`` appends one
+record per job lifecycle transition (``submitted`` with the rebuild
+``spec``, ``running`` at dispatch, ``settled`` with the terminal snapshot),
+plus lease-journal, ``event`` and ``degraded`` records (see
+:mod:`repro.jobstore.base`).  The store folds each record at write time:
 
-Schema:
-
-* ``jobs`` — one row per job name: latest lifecycle record (JSON), sticky
-  ``spec``/``tenant``/``fingerprint`` identity fields, current
-  ``status``; indexed by tenant, status, and fingerprint.
+* ``jobs`` — one row per job name: the latest lifecycle record (JSON),
+  the sticky ``spec``/``tenant``/``fingerprint`` identity fields that
+  survive later records omitting them, the current ``status``, and an
+  ``updated`` sequence giving replay order; indexed by tenant, status,
+  fingerprint and ``updated``.  ``GET /jobs?tenant=…&status=…`` is a WHERE
+  clause, not a scan.
 * ``events`` — the persisted typed session event stream, primary-keyed on
   ``(job, seq)`` (monotonic per job; SSE ``Last-Event-ID`` replay is a
   ``seq > ?`` range scan).
-* ``leases`` — latest lease-journal record per job (the fleet's
-  in-flight-work evidence after a crash).
+* ``leases`` — the latest lease-journal record per job: after a crash, a
+  lease that was not released marks work that was in flight.
 * ``annotations`` — batch-wide records with no job name (``degraded``
   ladder steps), kept for post-mortem only.
 
+So the store keeps each job's latest standing and latest lease, not the
+history of transitions and lease grants.  Job names are the keys:
+resubmitting a name overwrites the earlier job's standing.
+
 Durability: WAL journal mode; ``fsync=True`` maps to
-``PRAGMA synchronous=FULL``, ``fsync=False`` to ``NORMAL`` — the same
-latency/durability trade the JSONL backend's ``fsync`` flag expresses.
-Connections are opened with ``check_same_thread=False`` and every statement
-runs under one process-level lock: the store is shared by the service's
-submit path, the scheduler's lease journal, and the server's event
-publisher, all on different threads.
+``PRAGMA synchronous=FULL``, ``fsync=False`` to ``NORMAL`` (append latency
+over surviving power loss).  Connections are opened with
+``check_same_thread=False`` and every statement runs under one
+process-level lock: the store is shared by the service's submit path, the
+scheduler's lease journal, and the server's event publisher, all on
+different threads.  Several handles — several services, or processes — may
+share one file: ``updated`` is assigned inside the write, so replay order
+is one sequence across them.
+
+``spec`` payloads are Python pickles: the store is a local operational
+artifact (like a WAL), not an interchange format — do not open stores from
+untrusted sources.  Specs are versioned (``"<version>:<base64>"``) so that
+resuming a store written by an incompatible code generation fails loudly in
+:func:`~repro.jobstore.base.decode_job` instead of unpickling garbage.
 """
 
 from __future__ import annotations
@@ -41,7 +52,9 @@ from typing import Optional
 from repro.jobstore.base import (
     EVENT_RECORD_TYPE,
     LEASE_RECORD_TYPES,
+    TERMINAL_STATUSES,
     JobRecordWriter,
+    JobStoreFormatError,
     StoredJob,
 )
 
@@ -61,6 +74,7 @@ CREATE TABLE IF NOT EXISTS jobs (
 CREATE INDEX IF NOT EXISTS idx_jobs_tenant      ON jobs (tenant);
 CREATE INDEX IF NOT EXISTS idx_jobs_status      ON jobs (status);
 CREATE INDEX IF NOT EXISTS idx_jobs_fingerprint ON jobs (fingerprint);
+CREATE INDEX IF NOT EXISTS idx_jobs_updated     ON jobs (updated);
 CREATE TABLE IF NOT EXISTS events (
     job     TEXT NOT NULL,
     seq     INTEGER NOT NULL,
@@ -79,15 +93,36 @@ CREATE TABLE IF NOT EXISTS annotations (
 );
 """
 
+#: The first bytes of every SQLite database file.
+_SQLITE_HEADER = b"SQLite format 3\x00"
+
+
+def _not_a_store(path: str) -> JobStoreFormatError:
+    """The error for a path that names something other than a SQLite store."""
+    return JobStoreFormatError(
+        f"{path} is not a SQLite job store; a log of the JSONL store retired "
+        "in API 5.0.0 converts once with "
+        "repro.jobstore.migrate_jsonl_to_sqlite(log_path, sqlite_path)"
+    )
+
 
 class SQLiteJobStore(JobRecordWriter):
-    """Indexed job store over one SQLite database file."""
+    """Indexed job store over one SQLite database file.
 
-    backend = "sqlite"
+    Raises :exc:`JobStoreFormatError` when *path* exists but is not a
+    SQLite database (say, a JSONL log of an earlier version).
+    """
 
     def __init__(self, path: str | os.PathLike, *, fsync: bool = True):
         self.path = str(path)
         self.fsync = fsync
+        try:
+            with open(self.path, "rb") as handle:
+                header = handle.read(len(_SQLITE_HEADER))
+        except FileNotFoundError:
+            header = b""  # nothing there yet: sqlite3 creates the file
+        if header and header != _SQLITE_HEADER:
+            raise _not_a_store(self.path)
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
         self._conn.execute("PRAGMA journal_mode=WAL")
@@ -96,19 +131,15 @@ class SQLiteJobStore(JobRecordWriter):
         )
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
-        # Monotonic replay order for `last` tie-breaking within one process.
-        self._counter = int(
-            self._conn.execute("SELECT COALESCE(MAX(updated), 0) FROM jobs").fetchone()[0]
-        )
 
     # ---------------------------------------------------------------- writing
     def append(self, record: dict) -> None:
-        """Fold one record into the indexed state (the backend's replay rule).
+        """Fold one record into the store (the replay rule, at write time).
 
-        Unlike the JSONL log, the fold happens at write time: lifecycle
-        records upsert the job row (sticky identity fields survive records
-        that omit them, exactly like :meth:`StoredJob.absorb`), lease
-        records upsert the lease row, event records insert into ``events``.
+        Lifecycle records upsert the job row (sticky identity fields
+        survive records that omit them) and take the next ``updated``
+        sequence number; lease records upsert the lease row; event records
+        insert into ``events``.
         """
         kind = record.get("type")
         name = record.get("job")
@@ -137,7 +168,6 @@ class SQLiteJobStore(JobRecordWriter):
                     ),
                 )
             elif isinstance(name, str):
-                self._counter += 1
                 fingerprint = record.get("fingerprint") or (record.get("pin") or {}).get(
                     "source"
                 )
@@ -145,7 +175,8 @@ class SQLiteJobStore(JobRecordWriter):
                 self._conn.execute(
                     "INSERT INTO jobs (name, tenant, status, fingerprint, priority,"
                     " deadline, spec, pin, last, updated)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?,"
+                    "  (SELECT COALESCE(MAX(updated), 0) + 1 FROM jobs))"
                     " ON CONFLICT(name) DO UPDATE SET"
                     "  tenant = CASE WHEN excluded.tenant != ''"
                     "    THEN excluded.tenant ELSE jobs.tenant END,"
@@ -168,7 +199,6 @@ class SQLiteJobStore(JobRecordWriter):
                         record.get("spec"),
                         json.dumps(pin, sort_keys=True) if pin is not None else None,
                         json.dumps(record, sort_keys=True),
-                        self._counter,
                     ),
                 )
             else:
@@ -197,11 +227,11 @@ class SQLiteJobStore(JobRecordWriter):
     )
 
     def load_jobs(self) -> dict[str, StoredJob]:
-        """Every job's standing (same shape as ``JobStore.load``).
+        """Every job's standing, in ``updated`` order.
 
         Includes annotation-only standings — lease-journal entries for names
         with no lifecycle record yet (a fleet whose ``lease_log`` is this
-        store) — exactly like the JSONL replay does.
+        store).
         """
         with self._lock:
             rows = self._conn.execute(self._SELECT + " ORDER BY j.updated").fetchall()
@@ -259,24 +289,26 @@ class SQLiteJobStore(JobRecordWriter):
 
     # ------------------------------------------------------------- compaction
     def compact(self) -> int:
-        """`JobStore.compact` parity: drop history the replay no longer needs.
+        """Drop what no standing needs any more, without changing one.
 
         The row-per-job design folds lifecycle history at write time, so
-        compaction here removes the remaining append-only residue: released
-        leases, leases of settled jobs, event logs of settled jobs, and
-        accumulated batch annotations.  Returns the number of rows removed.
+        compaction removes the remaining residue: released leases, leases
+        of settled jobs, event logs of settled jobs, and accumulated batch
+        annotations.  An open lease on an unsettled job stays (in-flight
+        evidence).  Returns the number of rows removed.
         """
+        terminal = sorted(TERMINAL_STATUSES)
+        settled = "SELECT name FROM jobs WHERE status IN (%s)" % ", ".join("?" * len(terminal))
         with self._lock:
             removed = 0
             cursor = self._conn.execute(
                 "DELETE FROM leases WHERE json_extract(record, '$.type') = 'released'"
-                " OR job IN (SELECT name FROM jobs WHERE status IN"
-                " ('done','failed','cancelled','expired','quarantined','incompatible'))"
+                f" OR job IN ({settled})",
+                terminal,
             )
             removed += cursor.rowcount
             cursor = self._conn.execute(
-                "DELETE FROM events WHERE job IN (SELECT name FROM jobs WHERE status IN"
-                " ('done','failed','cancelled','expired','quarantined','incompatible'))"
+                f"DELETE FROM events WHERE job IN ({settled})", terminal
             )
             removed += cursor.rowcount
             cursor = self._conn.execute("DELETE FROM annotations")

@@ -13,9 +13,9 @@ callable, runnable under any ASGI server) over one
   event stream with monotonic ids and ``Last-Event-ID`` resume, bridged
   from the sync callbacks through bounded asyncio queues with
   shed-and-count backpressure;
-* **durable state** — either job-store backend (JSONL or indexed SQLite,
-  chosen by URL scheme); a killed server restarts on the same store with
-  settled jobs served verbatim and unfinished jobs re-pinned.
+* **durable state** — the indexed SQLite job store; a killed server
+  restarts on the same store with settled jobs served verbatim and
+  unfinished jobs re-pinned.
 
 Run one with ``python -m repro.server --listen 127.0.0.1:8750
 --store sqlite:jobs.db`` or embed via :class:`ServerThread`.

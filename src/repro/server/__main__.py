@@ -41,8 +41,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--store",
         required=True,
-        help="job store path/URL (JSONL by default; sqlite:PATH or *.sqlite/"
-        "*.db for the indexed backend)",
+        help="SQLite job store path (created if missing; a sqlite: prefix is "
+        "accepted). A log of the retired JSONL store is refused; convert it "
+        "once with repro.jobstore.migrate_jsonl_to_sqlite",
     )
     parser.add_argument(
         "--tenants-file", default=None, help="JSON tenant registry file"

@@ -2,8 +2,8 @@
 
 Three layers, bottom up:
 
-* :class:`ServiceFront` — the synchronous core.  Owns the job store (either
-  backend via :func:`~repro.jobstore.open_job_store`), the
+* :class:`ServiceFront` — the synchronous core.  Owns the job store
+  (opened with :func:`~repro.jobstore.open_job_store`), the
   :class:`~repro.service.MigrationService` (rebuilt with
   :meth:`~repro.service.MigrationService.resume` when the store already has
   history — settled jobs come back restored, unfinished ones re-pinned),

@@ -101,13 +101,11 @@ def _apply_config(config: Any, overrides: dict) -> None:
     is stored and then settles ``FAILED``.
     """
     from repro.core.session import COMPLETER_CLASSES
-    from repro.correspondence.enumerator import VC_ENGINES
     from repro.engine.compiler import EXECUTION_BACKENDS
 
     choices = {
         "execution_backend": EXECUTION_BACKENDS,
         "completion_strategy": COMPLETER_CLASSES,
-        "vc_engine": VC_ENGINES,
     }
     for key, value in overrides.items():
         if not hasattr(config, key):

@@ -54,7 +54,7 @@ The service parallelizes *across* jobs; each job is one sequential
 
 Persistence: construct the service with ``job_store=<path>`` and every job's
 lifecycle (submission with a rebuildable spec, dispatch, terminal snapshot)
-is appended to a JSONL file (:mod:`repro.jobstore`).  After an interruption
+is recorded in a SQLite job store (:mod:`repro.jobstore`).  After an interruption
 — process killed mid-batch, machine rebooted — ``MigrationService.resume(path)``
 reconstructs a service from the store: settled jobs come back as *restored*
 handles (their recorded responses intact, nothing rerun) and only the
@@ -84,8 +84,8 @@ from repro.engine.compiler import ProgramCompiler
 from repro.exec import ExecutorUnavailable, TaskState, WorkScheduler
 from repro.exec.remote import RemoteFleet
 from repro.jobstore import (
-    JobStore,
     JobStoreFormatError,
+    SQLiteJobStore,
     decode_job,
     job_pin,
     open_job_store,
@@ -411,10 +411,14 @@ class MigrationService:
     re-streams from the start, so consumers see that job's prefix again
     (at-least-once under crashes).
 
-    *job_store* (a path or a :class:`~repro.jobstore.JobStore`) enables the
-    persistent batch log — see the module docstring and
-    :meth:`MigrationService.resume`.  *max_pending_events* bounds the pooled
-    modes' shared event queue (backpressure; see :mod:`repro.exec.channel`).
+    *job_store* (a path, a ``sqlite:`` URL or a
+    :class:`~repro.jobstore.SQLiteJobStore`) enables the persistent batch
+    log — see the module docstring and :meth:`MigrationService.resume`.  A
+    log of the retired JSONL store raises
+    :exc:`~repro.jobstore.JobStoreFormatError`; import it first with
+    :func:`~repro.jobstore.migrate_jsonl_to_sqlite`.  *max_pending_events*
+    bounds the pooled modes' shared event queue (backpressure; see
+    :mod:`repro.exec.channel`).
 
     *workers* turns the service into the front of a **remote fleet**: a list
     of ``"host:port"`` addresses of listening ``repro.worker`` processes (or
@@ -431,7 +435,7 @@ class MigrationService:
         max_workers: int = 0,
         default_config: Optional[SynthesisConfig] = None,
         on_event: Optional[Callable[[str, SessionEvent], None]] = None,
-        job_store: JobStore | str | None = None,
+        job_store: SQLiteJobStore | str | None = None,
         max_pending_events: Optional[int] = None,
         workers: Union[Sequence[str], RemoteFleet, None] = None,
         age_after: Optional[float] = None,
@@ -441,9 +445,7 @@ class MigrationService:
         self.default_config = default_config or SynthesisConfig()
         self._on_event = on_event
         if job_store is not None:
-            # Paths/URLs select a backend (JSONL default, ``sqlite:`` or a
-            # db extension for the indexed store); store objects — either
-            # backend, or anything store-shaped — pass through.
+            # Paths and URLs open a SQLite store; store objects pass through.
             job_store = open_job_store(job_store)
         self._store = job_store
         self.max_pending_events = max_pending_events
@@ -499,7 +501,7 @@ class MigrationService:
     @classmethod
     def resume(
         cls,
-        path: "JobStore | str",
+        path: "SQLiteJobStore | str",
         *,
         max_workers: int = 0,
         default_config: Optional[SynthesisConfig] = None,
@@ -544,7 +546,7 @@ class MigrationService:
                 service._handles.append(JobHandle.from_record(stored.last))
             elif stored.resumable:
                 # Bypass submit(): the store already has this job's
-                # submission record (append-only history, no duplicates).
+                # submission record (no duplicates).
                 service._handles.append(service._repin(stored))
             # Unfinished jobs without a spec (foreign/damaged records) are
             # unrecoverable; they stay out of the resumed batch.
@@ -618,9 +620,8 @@ class MigrationService:
         live service owns that job right now, and adopting it would
         double-execute — claiming interrupted-mid-run jobs is
         :meth:`resume`'s post-crash prerogative.  Job names decide identity;
-        adopted jobs go through :meth:`submit`, so the store's append-only
-        history simply gains a fresh submission record (latest record wins
-        on load).
+        adopted jobs go through :meth:`submit`, so the store records a fresh
+        submission (the latest record wins).
         """
         if self._store is None:
             return []

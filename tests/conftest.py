@@ -1,12 +1,44 @@
-"""Shared fixtures: the paper's running example and a few small schemas."""
+"""Shared fixtures: the paper's running example, a few small schemas, and a
+job store that records what is appended to it."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.datamodel import DataType as T
 from repro.datamodel import make_schema
+from repro.jobstore import JobRecordWriter, SQLiteJobStore
 from repro.lang.builder import ProgramBuilder, delete, eq, insert, select
+
+
+class RecordingStore(JobRecordWriter):
+    """A SQLite job store that also keeps every appended record, in order.
+
+    The store folds records at write time and keeps only each job's latest
+    standing and lease; tests that assert on the transition history (every
+    grant, every lifecycle step, ``degraded`` annotations) read
+    :attr:`records` instead.  Pass it as ``job_store=`` or ``lease_log=``.
+    """
+
+    def __init__(self, path):
+        self.store = SQLiteJobStore(path, fsync=False)
+        self.records: list[dict] = []
+
+    def append(self, record: dict) -> None:
+        self.records.append(json.loads(json.dumps(record)))
+        self.store.append(record)
+
+    def __getattr__(self, name):
+        return getattr(self.store, name)
+
+
+@pytest.fixture
+def recording_store(tmp_path):
+    store = RecordingStore(tmp_path / "recorded.sqlite")
+    yield store
+    store.close()
 
 
 @pytest.fixture(scope="session")

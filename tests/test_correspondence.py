@@ -18,6 +18,7 @@ from repro.correspondence import (
 )
 from repro.datamodel import Attribute, DataType as T, make_schema
 from repro.lang.builder import ProgramBuilder, eq, insert, select
+from repro.workloads import get_benchmark
 
 
 # ----------------------------------------------------------------------------- similarity
@@ -193,7 +194,9 @@ class TestEnumeration:
             ValueCorrespondenceEnumerator(program, target)
 
     def test_engines_agree_on_optimum_weight(self):
-        """On a tiny schema, the factored engine and the full MaxSAT encoding agree."""
+        """The factored engine and the full MaxSAT encoding (its reference)
+        agree on the optimum: a tiny schema, and Ambler-4, the one Table 1
+        workload small enough for the MaxSAT encoding."""
         source = make_schema("s", {"A": {"id": T.INT, "name": T.STRING}})
         target = make_schema(
             "t", {"B": {"id": T.INT, "name": T.STRING, "title": T.STRING}}
@@ -203,37 +206,26 @@ class TestEnumeration:
                   insert("A", {"A.id": "$id", "A.name": "$name"}))
         pb.query("get", [("id", "int")], select(["A.name"], "A", eq("A.id", "$id")))
         program = pb.build()
+        ambler = get_benchmark("Ambler-4")
 
-        factored = FactoredVcEnumerator(program, target)
-        maxsat = MaxSatVcEnumerator(program, target)
-        best_factored = next(factored.candidates())
-        best_maxsat = next(maxsat.candidates())
-        assert best_factored.correspondence == best_maxsat.correspondence
+        for source_program, target_schema in (
+            (program, target),
+            (ambler.source_program, ambler.target_schema),
+        ):
+            factored = FactoredVcEnumerator(source_program, target_schema)
+            maxsat = MaxSatVcEnumerator(source_program, target_schema)
+            best_factored = next(factored.candidates())
+            best_maxsat = next(maxsat.candidates())
+            assert best_factored.correspondence == best_maxsat.correspondence
+            # The session's enumerator is the factored engine.
+            session_vc = ValueCorrespondenceEnumerator(source_program, target_schema)
+            assert session_vc.next_value_corr().correspondence == best_factored.correspondence
         # objective values are reported on different scales (satisfied weight vs
         # factored reward), but both must map name -> name and id -> id
-        assert best_factored.correspondence.image(Attribute("A", "name")) == frozenset(
+        best_tiny = next(FactoredVcEnumerator(program, target).candidates())
+        assert best_tiny.correspondence.image(Attribute("A", "name")) == frozenset(
             {Attribute("B", "name")}
         )
-
-    def test_auto_engine_selects_maxsat_for_tiny_schemas(self):
-        source = make_schema("s", {"A": {"x": T.INT}})
-        target = make_schema("t", {"B": {"x": T.INT}})
-        pb = ProgramBuilder("p", source)
-        pb.query("q", [("v", "int")], select(["A.x"], "A", eq("A.x", "$v")))
-        enumerator = ValueCorrespondenceEnumerator(pb.build(), target, engine="auto")
-        assert enumerator.engine_name == "maxsat"
-
-    def test_auto_engine_selects_factored_for_larger_schemas(
-        self, course_program, course_target_schema
-    ):
-        enumerator = ValueCorrespondenceEnumerator(
-            course_program, course_target_schema, engine="auto"
-        )
-        assert enumerator.engine_name == "factored"
-
-    def test_unknown_engine_rejected(self, course_program, course_target_schema):
-        with pytest.raises(ValueError):
-            ValueCorrespondenceEnumerator(course_program, course_target_schema, engine="magic")
 
     def test_max_fanout_limits_image_size(self, course_program, course_target_schema):
         enumerator = FactoredVcEnumerator(course_program, course_target_schema, max_fanout=1)

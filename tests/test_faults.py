@@ -21,7 +21,6 @@ Layers under test:
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import subprocess
@@ -46,7 +45,6 @@ from repro.api import (
 )
 from repro.core.session import SynthesisSession
 from repro.exec import ExecutorUnavailable, TaskState, WorkScheduler, faults, wire
-from repro.jobstore import JobStore
 from repro.lang.pretty import format_program
 from repro.worker import WorkerAgent
 from repro.workloads import get_benchmark
@@ -337,10 +335,9 @@ class TestDegradationLadder:
                 scheduler.drain()
             assert handle.state is TaskState.PENDING
 
-    def test_service_ladder_journals_degraded_record(self, tmp_path):
+    def test_service_ladder_journals_degraded_record(self, recording_store):
         """A service batch against a dead fleet completes on the pool and
         journals the ladder step next to the job records."""
-        store_path = tmp_path / "chaos.jsonl"
         fleet = RemoteFleet(workers=DEAD_FLEET, start_timeout=0.5)
         events: list = []
         jobs = []
@@ -356,7 +353,7 @@ class TestDegradationLadder:
         try:
             with MigrationService(
                 workers=fleet,
-                job_store=str(store_path),
+                job_store=recording_store,
                 default_config=SynthesisConfig(counterexample_pool=False),
                 on_event=lambda job, event: events.append((job, event)),
             ) as service:
@@ -377,16 +374,12 @@ class TestDegradationLadder:
                 reference.program
             ), handle.job.name
 
-        records = [
-            json.loads(line)
-            for line in store_path.read_text().splitlines()
-            if line.strip()
-        ]
+        records = recording_store.records
         degraded = [r for r in records if r["type"] == "degraded"]
         assert degraded and degraded[0]["from"] == "fleet"
         assert set(degraded[0]["jobs"]) == {"Oracle-1", "Ambler-3"}
         # The batch-wide annotation must not create a phantom job standing.
-        standings = JobStore.load(store_path)
+        standings = recording_store.load_jobs()
         assert set(standings) == {"Oracle-1", "Ambler-3"}
         assert all(entry.settled for entry in standings.values())
         settled = [r for r in records if r["type"] == "settled"]
@@ -395,7 +388,7 @@ class TestDegradationLadder:
         rungs = [(job, e) for job, e in events if isinstance(e, ExecutionDegraded)]
         assert {job for job, _ in rungs} == {"Oracle-1", "Ambler-3"}
 
-    def test_service_walks_full_ladder_to_inline(self, tmp_path, monkeypatch):
+    def test_service_walks_full_ladder_to_inline(self, recording_store, monkeypatch):
         """Dead fleet + no process pool: the batch still completes, inline,
         with both rungs journalled."""
 
@@ -403,7 +396,6 @@ class TestDegradationLadder:
             raise ExecutorUnavailable("process pool disabled for this test")
 
         monkeypatch.setattr(WorkScheduler, "_ensure_executor", no_pool)
-        store_path = tmp_path / "ladder.jsonl"
         fleet = RemoteFleet(workers=DEAD_FLEET, start_timeout=0.5)
         events: list = []
         benchmark = get_benchmark("Oracle-1")
@@ -415,7 +407,7 @@ class TestDegradationLadder:
         try:
             with MigrationService(
                 workers=fleet,
-                job_store=str(store_path),
+                job_store=recording_store,
                 default_config=SynthesisConfig(counterexample_pool=False),
                 on_event=lambda job_name, event: events.append(event),
             ) as service:
@@ -424,12 +416,9 @@ class TestDegradationLadder:
         finally:
             fleet.close()
         assert handle.status.value == "done"
-        records = [
-            json.loads(line)
-            for line in store_path.read_text().splitlines()
-            if line.strip()
+        walked = [
+            (r["from"], r["to"]) for r in recording_store.records if r["type"] == "degraded"
         ]
-        walked = [(r["from"], r["to"]) for r in records if r["type"] == "degraded"]
         assert walked == [("fleet", "pool"), ("pool", "inline")]
         rungs = [e for e in events if isinstance(e, ExecutionDegraded)]
         assert [(e.from_mode, e.to_mode) for e in rungs] == [

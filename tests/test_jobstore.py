@@ -2,30 +2,30 @@
 
 The lifecycle/resume behaviour is covered from the service side in
 tests/test_service.py (TestJobStoreAndResume); this module exercises the
-store as a standalone durability layer — the distributed-execution additions
-of the 2.1 surface:
+SQLite store as a standalone durability layer:
 
 * format-versioned ``spec`` fields (legacy bare-base64 decodes, foreign
   versions and corrupt payloads fail loudly with
   :class:`~repro.jobstore.JobStoreFormatError`);
 * lease-journal records as annotations (they never change lifecycle
-  standing, survive torn tails, and surface as ``StoredJob.lease``);
-* :meth:`~repro.jobstore.JobStore.compact` — settled generations fold to
-  one line, open leases on unsettled jobs survive, torn tails die.
+  standing and surface as ``StoredJob.lease``, latest wins);
+* :meth:`~repro.jobstore.SQLiteJobStore.compact` — settled residue goes,
+  standings and open leases on unsettled jobs stay;
+* replay order shared by every handle on one file;
+* legacy JSONL logs: refused loudly by every entry point, imported once by
+  :func:`~repro.jobstore.migrate_jsonl_to_sqlite` (torn tail skipped).
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import os
 
 import pytest
 
 from repro.jobstore import (
     LEASE_RECORD_TYPES,
     SPEC_FORMAT_VERSION,
-    JobStore,
     JobStoreFormatError,
     SQLiteJobStore,
     StoredJob,
@@ -36,15 +36,18 @@ from repro.jobstore import (
 )
 
 
+@pytest.fixture
+def any_store(tmp_path):
+    """One fresh SQLite store."""
+    store = SQLiteJobStore(tmp_path / "store.sqlite", fsync=False)
+    yield store
+    store.close()
+
+
 def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8") as handle:
         for line in lines:
             handle.write(line if line.endswith("\n") or not line else line + "\n")
-
-
-def _read_records(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
 
 
 # ------------------------------------------------------------ spec versioning
@@ -79,11 +82,11 @@ class TestSpecFormat:
 
 # ---------------------------------------------------------- lease replay
 class TestLeaseJournalReplay:
-    def test_lease_records_annotate_without_changing_standing(self, tmp_path):
-        store = JobStore(tmp_path / "batch.jsonl")
+    def test_lease_records_annotate_without_changing_standing(self, any_store):
+        store = any_store
         store.append({"type": "submitted", "job": "j1", "status": "pending", "spec": encode_job("s")})
         store.record_leased("j1", "w0", expiry=123.0)
-        jobs = JobStore.load(store.path)
+        jobs = store.load_jobs()
         assert jobs["j1"].status == "pending"  # still the lifecycle standing
         assert jobs["j1"].lease == {
             "type": "leased",
@@ -92,26 +95,28 @@ class TestLeaseJournalReplay:
             "expiry": 123.0,
         }
 
-    def test_latest_lease_record_wins(self, tmp_path):
-        store = JobStore(tmp_path / "batch.jsonl")
+    def test_latest_lease_record_wins(self, any_store):
+        store = any_store
         store.append({"type": "submitted", "job": "j1", "status": "pending"})
         store.record_leased("j1", "w0", expiry=10.0)
         store.record_lease_heartbeat("j1", "w0", expiry=20.0)
+        assert store.load_jobs()["j1"].lease["expiry"] == 20.0
         store.record_lease_released("j1", "w0", outcome="lost")
-        lease = JobStore.load(store.path)["j1"].lease
-        assert lease["type"] == "released" and lease["outcome"] == "lost"
+        entry = store.load_jobs()["j1"]
+        assert entry.status == "pending"  # no lease record changes standing
+        assert entry.lease["type"] == "released" and entry.lease["outcome"] == "lost"
 
-    def test_trailing_lease_line_does_not_resurrect_settled_job(self, tmp_path):
-        store = JobStore(tmp_path / "batch.jsonl")
+    def test_trailing_lease_line_does_not_resurrect_settled_job(self, any_store):
+        store = any_store
         store.append({"type": "submitted", "job": "j1", "status": "pending"})
         store.append({"type": "settled", "job": "j1", "status": "done"})
         store.record_leased("j1", "straggler", expiry=999.0)
-        entry = JobStore.load(store.path)["j1"]
+        entry = store.load_jobs()["j1"]
         assert entry.settled and entry.status == "done"
 
     def test_torn_tail_with_interleaved_leases(self, tmp_path):
-        """A mid-append crash tears only the final line; intact lease and
-        lifecycle records on either side of job boundaries all replay."""
+        """A mid-append crash tore only the final line of a legacy log; the
+        importer replays the intact lease and lifecycle records around it."""
         path = tmp_path / "torn.jsonl"
         records = [
             {"type": "submitted", "job": "a", "status": "pending", "spec": encode_job("a")},
@@ -127,18 +132,20 @@ class TestLeaseJournalReplay:
         lines.append('{"type": "released", "job": "b", "worker": "w1", "outc')  # torn
         _write_lines(path, lines)
 
-        jobs = JobStore.load(path)
+        store = migrate_jsonl_to_sqlite(path, tmp_path / "torn.sqlite", fsync=False)
+        jobs = store.load_jobs()
+        store.close()
         assert jobs["a"].settled
         assert jobs["a"].lease["outcome"] == "done"
         # b: the torn release never happened — its lease is still the grant.
-        assert jobs["b"].status == "running" or jobs["b"].status == "pending"
+        assert jobs["b"].status == "pending"
         assert jobs["b"].lease == {"type": "leased", "job": "b", "worker": "w1", "expiry": 5.0}
         assert jobs["b"].resumable
 
-    def test_fleet_journal_protocol_matches_store_api(self, tmp_path):
+    def test_fleet_journal_protocol_matches_store_api(self, recording_store):
         """The RemoteFleet journals through append(record) duck-typing; the
         record shapes it emits are exactly the store's lease vocabulary."""
-        store = JobStore(tmp_path / "journal.jsonl", fsync=False)
+        store = recording_store
         for kind in sorted(LEASE_RECORD_TYPES):
             if kind == "released":
                 store.record_lease_released("j", "w", outcome="done")
@@ -146,28 +153,28 @@ class TestLeaseJournalReplay:
                 store.record_leased("j", "w", expiry=1.0)
             else:
                 store.record_lease_heartbeat("j", "w", expiry=2.0)
-        types = {r["type"] for r in _read_records(store.path)}
+        types = {r["type"] for r in store.records}
         assert types == set(LEASE_RECORD_TYPES)
+        assert store.load_jobs()["j"].lease["type"] == "released"
 
 
 # ------------------------------------------------------------- compaction
 class TestCompaction:
-    def test_settled_jobs_fold_to_terminal_record(self, tmp_path):
-        store = JobStore(tmp_path / "batch.jsonl", fsync=False)
+    def test_settled_jobs_fold_to_terminal_record(self, any_store):
+        store = any_store
         store.append({"type": "submitted", "job": "j1", "status": "pending", "spec": encode_job("s")})
         store.append({"type": "running", "job": "j1", "status": "running"})
         store.record_leased("j1", "w0", expiry=1.0)
         store.record_lease_released("j1", "w0", outcome="done")
         store.append({"type": "settled", "job": "j1", "status": "done", "answer": 7})
 
-        removed = store.compact()
-        assert removed == 4
-        records = _read_records(store.path)
-        assert records == [{"type": "settled", "job": "j1", "status": "done", "answer": 7}]
-        assert JobStore.load(store.path)["j1"].settled
+        assert store.compact() == 1  # the released lease; lifecycle folded at write
+        entry = store.load_jobs()["j1"]
+        assert entry.last == {"type": "settled", "job": "j1", "status": "done", "answer": 7}
+        assert entry.settled and entry.lease is None
 
-    def test_unsettled_job_keeps_spec_lifecycle_and_open_lease(self, tmp_path):
-        store = JobStore(tmp_path / "batch.jsonl", fsync=False)
+    def test_unsettled_job_keeps_spec_lifecycle_and_open_lease(self, any_store):
+        store = any_store
         spec = encode_job("rebuild-me")
         store.append({"type": "submitted", "job": "j1", "status": "pending", "spec": spec})
         store.append({"type": "running", "job": "j1", "status": "running"})
@@ -175,59 +182,71 @@ class TestCompaction:
         store.record_lease_heartbeat("j1", "w0", expiry=9.0)
 
         store.compact()
-        before = JobStore.load(store.path)["j1"]
-        assert before.status == "running"
-        assert before.spec == spec
+        after = store.load_jobs()["j1"]
+        assert after.status == "running"
+        assert after.spec == spec
         # The open lease is evidence of in-flight work — it survives.
-        assert before.lease["type"] == "lease_heartbeat"
-        assert before.resumable
+        assert after.lease["type"] == "lease_heartbeat"
+        assert after.resumable
 
-    def test_compaction_is_standing_preserving(self, tmp_path):
-        """load() before == load() after, for a mixed store."""
-        store = JobStore(tmp_path / "mixed.jsonl", fsync=False)
+    def test_compaction_is_standing_preserving(self, any_store):
+        """load_jobs() before == load_jobs() after, for a mixed store."""
+        store = any_store
         store.append({"type": "submitted", "job": "done-job", "status": "pending", "spec": encode_job(1)})
         store.append({"type": "settled", "job": "done-job", "status": "done"})
         store.append({"type": "submitted", "job": "live-job", "status": "pending", "spec": encode_job(2)})
         store.append({"type": "running", "job": "live-job", "status": "running"})
         store.append({"type": "submitted", "job": "queued-job", "status": "pending", "spec": encode_job(3)})
 
-        before = JobStore.load(store.path)
+        before = store.load_jobs()
         store.compact()
-        after = JobStore.load(store.path)
+        after = store.load_jobs()
         assert set(before) == set(after)
         for name in before:
             assert before[name].status == after[name].status, name
-            if not before[name].settled:
-                # Settled jobs fold to the terminal snapshot — their spec is
-                # history (resume never reruns a settled job).
-                assert before[name].spec == after[name].spec, name
+            assert before[name].spec == after[name].spec, name
 
-    def test_torn_tail_dies_in_compaction(self, tmp_path):
-        path = tmp_path / "torn.jsonl"
-        _write_lines(
-            path,
-            [
-                json.dumps({"type": "submitted", "job": "j1", "status": "pending", "spec": encode_job("s")}),
-                '{"type": "settled", "job": "j1", "sta',  # torn
-            ],
-        )
-        store = JobStore(path, fsync=False)
-        store.compact()
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                json.loads(line)  # every surviving line parses
+    def test_compact_preserves_standings_drops_settled_residue(self, any_store):
+        store = any_store
+        store.append({"type": "submitted", "job": "done-job", "status": "pending", "spec": encode_job(1)})
+        store.record_event("done-job", 1, {"kind": "solved"})
+        store.record_leased("done-job", "w0", expiry=1.0)
+        store.record_lease_released("done-job", "w0", outcome="done")
+        store.append({"type": "settled", "job": "done-job", "status": "done"})
+        store.append({"type": "submitted", "job": "live-job", "status": "pending", "spec": encode_job(2)})
+        store.record_event("live-job", 1, {"kind": "vc_selected"})
+        store.record_leased("live-job", "w1", expiry=99.0)
+        store.record_degraded("fleet", "pool", "test", jobs=["live-job"])
+
+        before = store.load_jobs()
+        assert store.compact() == 3  # done-job's lease and event, the annotation
+        after = store.load_jobs()
+        assert set(before) == set(after)
+        for name in before:
+            assert before[name].status == after[name].status, name
+        # Settled residue is gone; live evidence survives.
+        assert store.load_events("done-job") == []
+        assert store.load_events("live-job") == [(1, {"kind": "vc_selected"})]
+        assert after["done-job"].lease is None
+        assert after["live-job"].lease["type"] == "leased"
+        assert after["live-job"].resumable
 
     def test_compact_missing_file_is_a_noop(self, tmp_path):
-        assert JobStore(tmp_path / "never-written.jsonl").compact() == 0
+        store = SQLiteJobStore(tmp_path / "never-written.sqlite")
+        try:
+            assert store.compact() == 0
+            assert store.load_jobs() == {}
+        finally:
+            store.close()
 
-    def test_released_lease_on_unsettled_job_is_dropped(self, tmp_path):
+    def test_released_lease_on_unsettled_job_is_dropped(self, any_store):
         # A released lease is history, not in-flight evidence.
-        store = JobStore(tmp_path / "batch.jsonl", fsync=False)
+        store = any_store
         store.append({"type": "submitted", "job": "j1", "status": "pending", "spec": encode_job("s")})
         store.record_leased("j1", "w0", expiry=1.0)
         store.record_lease_released("j1", "w0", outcome="lost")
         store.compact()
-        entry = JobStore.load(store.path)["j1"]
+        entry = store.load_jobs()["j1"]
         assert entry.lease is None
         assert entry.resumable
 
@@ -236,9 +255,13 @@ class TestCompaction:
 class TestDurabilityModes:
     @pytest.mark.parametrize("fsync", [True, False])
     def test_append_visible_in_both_modes(self, tmp_path, fsync):
-        store = JobStore(tmp_path / f"fsync-{fsync}.jsonl", fsync=fsync)
+        store = SQLiteJobStore(tmp_path / f"fsync-{fsync}.sqlite", fsync=fsync)
         store.append({"type": "submitted", "job": "j1", "status": "pending"})
-        assert JobStore.load(store.path)["j1"].status == "pending"
+        assert store.load_jobs()["j1"].status == "pending"
+        store.close()
+        reopened = SQLiteJobStore(tmp_path / f"fsync-{fsync}.sqlite", fsync=fsync)
+        assert reopened.load_jobs()["j1"].status == "pending"
+        reopened.close()
 
     def test_stored_job_defaults(self):
         entry = StoredJob("bare")
@@ -248,23 +271,12 @@ class TestDurabilityModes:
         assert entry.lease is None
 
 
-# ------------------------------------------------ backend interchangeability
-@pytest.fixture(params=["jsonl", "sqlite"])
-def any_store(request, tmp_path):
-    """One store of each backend; every parity test runs over both."""
-    if request.param == "sqlite":
-        store = SQLiteJobStore(tmp_path / "store.sqlite", fsync=False)
-    else:
-        store = JobStore(tmp_path / "store.jsonl", fsync=False)
-    yield store
-    store.close()
+# ------------------------------------------------------------- replay
+class TestStoreReplay:
+    """Records fold into standings at write time; reads come back in
+    ``updated`` order."""
 
-
-class TestBackendParity:
-    """The two backends replay the same record vocabulary into the same
-    standings — resume/lease-recovery/SSE code never branches on backend."""
-
-    def test_lifecycle_replay_parity(self, any_store):
+    def test_lifecycle_replay(self, any_store):
         store = any_store
         store.append(
             {
@@ -287,15 +299,6 @@ class TestBackendParity:
         assert jobs["j1"].fingerprint == "f" * 16
         assert decode_job(jobs["j1"].spec) == "s1"
         assert jobs["j2"].settled and not jobs["j2"].resumable
-
-    def test_lease_records_annotate_in_both_backends(self, any_store):
-        store = any_store
-        store.append({"type": "submitted", "job": "j1", "status": "pending"})
-        store.record_leased("j1", "w0", expiry=10.0)
-        store.record_lease_heartbeat("j1", "w0", expiry=20.0)
-        entry = store.load_jobs()["j1"]
-        assert entry.status == "pending"  # standing unchanged
-        assert entry.lease["type"] == "lease_heartbeat" and entry.lease["expiry"] == 20.0
 
     def test_event_log_round_trip(self, any_store):
         store = any_store
@@ -327,35 +330,29 @@ class TestBackendParity:
         assert names(store.query_jobs(fingerprint=fp_a)) == ["j1", "j3"]
         assert store.query_jobs(tenant="nobody") == []
 
-    def test_compact_preserves_standings_drops_settled_residue(self, any_store):
-        store = any_store
-        store.append({"type": "submitted", "job": "done-job", "status": "pending", "spec": encode_job(1)})
-        store.record_event("done-job", 1, {"kind": "solved"})
-        store.record_leased("done-job", "w0", expiry=1.0)
-        store.record_lease_released("done-job", "w0", outcome="done")
-        store.append({"type": "settled", "job": "done-job", "status": "done"})
-        store.append({"type": "submitted", "job": "live-job", "status": "pending", "spec": encode_job(2)})
-        store.record_event("live-job", 1, {"kind": "vc_selected"})
-        store.record_leased("live-job", "w1", expiry=99.0)
-
-        before = store.load_jobs()
-        removed = store.compact()
-        assert removed > 0
-        after = store.load_jobs()
-        assert set(before) == set(after)
-        for name in before:
-            assert before[name].status == after[name].status, name
-        # Settled residue is gone; live evidence survives.
-        assert store.load_events("done-job") == []
-        assert store.load_events("live-job") == [(1, {"kind": "vc_selected"})]
-        assert after["done-job"].lease is None
-        assert after["live-job"].lease["type"] == "leased"
-        assert after["live-job"].resumable
-
     def test_degraded_annotation_creates_no_job(self, any_store):
         store = any_store
         store.record_degraded("fleet", "pool", "all workers lost", jobs=["a", "b"])
         assert store.load_jobs() == {}
+
+    def test_handles_sharing_a_store_replay_in_write_order(self, tmp_path):
+        # Two services on one file (the case StoredJob.deferred exists for):
+        # both handles are open before either writes, so neither has seen
+        # the other's rows, yet replay must follow the order of the writes.
+        path = tmp_path / "shared.sqlite"
+        first, second = SQLiteJobStore(path, fsync=False), SQLiteJobStore(path, fsync=False)
+        try:
+            for name in ("j1", "j2", "j3"):
+                first.append({"type": "submitted", "job": name, "status": "pending"})
+            second.append({"type": "submitted", "job": "j4", "status": "pending"})
+            first.append({"type": "running", "job": "j2", "status": "running"})
+            order = ["j1", "j3", "j4", "j2"]  # an update moves a job last
+            for store in (first, second):
+                assert list(store.load_jobs()) == order
+                assert [job.name for job in store.query_jobs()] == order
+        finally:
+            first.close()
+            second.close()
 
 
 class TestOpenJobStore:
@@ -366,8 +363,6 @@ class TestOpenJobStore:
         sq2 = open_job_store(f"sqlite://{tmp_path / 'b'}")
         assert isinstance(sq2, SQLiteJobStore) and sq2.path == str(tmp_path / "b")
         sq2.close()
-        js = open_job_store(f"jsonl:{tmp_path / 'c'}")
-        assert isinstance(js, JobStore)
 
     def test_extension_selects_sqlite(self, tmp_path):
         for suffix in (".sqlite", ".sqlite3", ".db"):
@@ -375,109 +370,110 @@ class TestOpenJobStore:
             assert isinstance(store, SQLiteJobStore), suffix
             store.close()
 
-    def test_plain_path_defaults_to_jsonl(self, tmp_path):
-        assert isinstance(open_job_store(tmp_path / "jobs.jsonl"), JobStore)
+    def test_plain_path_opens_sqlite(self, tmp_path):
+        store = open_job_store(tmp_path / "jobs")
+        assert isinstance(store, SQLiteJobStore)
+        store.close()
 
     def test_explicit_scheme_beats_extension(self, tmp_path):
-        # jsonl:…/jobs.db is a JSONL log whose name happens to end in .db.
-        assert isinstance(open_job_store(f"jsonl:{tmp_path / 'jobs.db'}"), JobStore)
+        # sqlite:…/jobs.jsonl is a new SQLite store whose name happens to
+        # end in .jsonl; only an unprefixed *.jsonl path means a legacy log.
+        store = open_job_store(f"sqlite:{tmp_path / 'jobs.jsonl'}")
+        assert isinstance(store, SQLiteJobStore)
+        store.close()
 
-    def test_store_like_object_passes_through(self, tmp_path):
-        store = JobStore(tmp_path / "jobs.jsonl")
-        assert open_job_store(store) is store
+    def test_store_like_object_passes_through(self, any_store):
+        assert open_job_store(any_store) is any_store
 
     def test_fsync_flag_propagates(self, tmp_path):
-        assert open_job_store(tmp_path / "a.jsonl", fsync=False).fsync is False
+        store = open_job_store(tmp_path / "a.sqlite", fsync=False)
+        assert store.fsync is False
+        store.close()
+
+
+class TestLegacyJsonlInputs:
+    """A JSONL log fails loudly at every entry point, naming the importer."""
+
+    @staticmethod
+    def _refused_everywhere(target):
+        from repro.server.__main__ import main as server_main
+        from repro.service import MigrationService
+
+        entry_points = {
+            "open_job_store": open_job_store,
+            "MigrationService(job_store=)": lambda t: MigrationService(job_store=t),
+            "MigrationService.resume": MigrationService.resume,
+            "python -m repro.server --store": lambda t: server_main(["--store", str(t)]),
+        }
+        for name, entry in entry_points.items():
+            with pytest.raises(JobStoreFormatError, match="migrate_jsonl_to_sqlite"):
+                entry(target)
+                pytest.fail(f"{name} accepted {target}")
+
+    def test_jsonl_url_is_refused(self, tmp_path):
+        self._refused_everywhere(f"jsonl:{tmp_path / 'jobs.db'}")
+        assert not (tmp_path / "jobs.db").exists()
+
+    def test_jsonl_path_is_refused(self, tmp_path):
+        self._refused_everywhere(tmp_path / "jobs.jsonl")
+        assert not (tmp_path / "jobs.jsonl").exists()
+
+    def test_existing_jsonl_log_is_refused(self, tmp_path):
+        # Any name: the file's content, not its suffix, gives it away.
+        log = tmp_path / "batch.log"
+        _write_lines(log, [json.dumps({"type": "submitted", "job": "j1", "status": "pending"})])
+        before = log.read_bytes()
+        self._refused_everywhere(log)
+        with pytest.raises(JobStoreFormatError, match="migrate_jsonl_to_sqlite"):
+            SQLiteJobStore(log)
+        assert log.read_bytes() == before  # refused, not overwritten
 
 
 class TestJsonlToSqliteMigration:
     def test_migration_reaches_identical_standings_and_events(self, tmp_path):
-        source = JobStore(tmp_path / "legacy.jsonl", fsync=False)
-        source.append({"type": "submitted", "job": "j1", "status": "pending", "spec": encode_job("s1"), "tenant": "acme", "fingerprint": "a" * 16})
-        source.append({"type": "running", "job": "j1", "status": "running"})
-        source.record_leased("j1", "w0", expiry=7.0)
-        source.record_event("j1", 1, {"kind": "vc_selected"})
-        source.record_event("j1", 2, {"kind": "solved"})
-        source.append({"type": "submitted", "job": "j2", "status": "pending", "spec": encode_job("s2")})
-        source.append({"type": "settled", "job": "j2", "status": "done"})
-        source.record_degraded("fleet", "inline", "test")
-        with open(source.path, "a", encoding="utf-8") as handle:
-            handle.write('{"type": "settled", "job": "j1", "stat')  # torn tail
+        log = tmp_path / "legacy.jsonl"
+        submitted = {
+            "type": "submitted",
+            "job": "j1",
+            "status": "pending",
+            "spec": encode_job("s1"),
+            "tenant": "acme",
+            "fingerprint": "a" * 16,
+        }
+        lease = {"type": "leased", "job": "j1", "worker": "w0", "expiry": 7.0}
+        records = [
+            submitted,
+            {"type": "running", "job": "j1", "status": "running"},
+            lease,
+            {"type": "event", "job": "j1", "seq": 1, "event": {"kind": "vc_selected"}},
+            {"type": "event", "job": "j1", "seq": 2, "event": {"kind": "solved"}},
+            {"type": "submitted", "job": "j2", "status": "pending", "spec": encode_job("s2")},
+            {"type": "settled", "job": "j2", "status": "done"},
+            {"type": "degraded", "from": "fleet", "to": "inline", "reason": "test", "jobs": []},
+        ]
+        lines = [json.dumps(record) for record in records]
+        lines.append('{"type": "settled", "job": "j1", "stat')  # torn tail
+        _write_lines(log, lines)
+        before = log.read_bytes()
 
-        migrated = migrate_jsonl_to_sqlite(source.path, tmp_path / "new.sqlite", fsync=False)
+        migrated = migrate_jsonl_to_sqlite(log, tmp_path / "new.sqlite", fsync=False)
         try:
-            before, after = source.load_jobs(), migrated.load_jobs()
-            assert set(before) == set(after)
-            for name in before:
-                assert before[name].status == after[name].status, name
-                assert before[name].spec == after[name].spec, name
-                assert before[name].tenant == after[name].tenant, name
-                assert before[name].fingerprint == after[name].fingerprint, name
-                assert before[name].lease == after[name].lease, name
-            assert migrated.load_events("j1") == source.load_events("j1")
-            # The source log is left untouched.
-            assert source.load_jobs()["j1"].status == "running"
+            jobs = migrated.load_jobs()
+            assert list(jobs) == ["j1", "j2"]
+            # j1: the torn settle never happened — still running, resumable,
+            # with its sticky identity from the submission and its lease.
+            assert jobs["j1"].last == {"type": "running", "job": "j1", "status": "running"}
+            assert jobs["j1"].spec == submitted["spec"] and jobs["j1"].resumable
+            assert jobs["j1"].tenant == "acme"
+            assert jobs["j1"].fingerprint == "a" * 16
+            assert jobs["j1"].lease == lease
+            assert jobs["j2"].last == {"type": "settled", "job": "j2", "status": "done"}
+            assert jobs["j2"].spec == encode_job("s2") and jobs["j2"].lease is None
+            assert migrated.load_events("j1") == [
+                (1, {"kind": "vc_selected"}),
+                (2, {"kind": "solved"}),
+            ]
+            assert migrated.load_events("j2") == []
+            assert log.read_bytes() == before  # the source log is left untouched
         finally:
             migrated.close()
-
-
-# -------------------------------------------- compaction vs concurrent readers
-class TestCompactionConcurrency:
-    """The 2.3 hardening: ``compact()`` must survive platforms where an open
-    reader handle makes ``os.replace`` raise (Windows sharing semantics), and
-    POSIX readers holding the old inode mid-iteration must finish cleanly."""
-
-    def _seeded_store(self, tmp_path) -> JobStore:
-        store = JobStore(tmp_path / "busy.jsonl", fsync=False)
-        for index in range(20):
-            name = f"j{index}"
-            store.append({"type": "submitted", "job": name, "status": "pending", "spec": encode_job(index)})
-            store.append({"type": "settled", "job": name, "status": "done"})
-        return store
-
-    def test_blocked_replace_is_retried(self, tmp_path, monkeypatch):
-        store = self._seeded_store(tmp_path)
-        import repro.jobstore.jsonl as jsonl_module
-
-        real_replace = os.replace
-        calls = []
-
-        def flaky_replace(src, dst):
-            calls.append(src)
-            if len(calls) < 3:
-                raise PermissionError("destination held open")
-            real_replace(src, dst)
-
-        monkeypatch.setattr(jsonl_module.os, "replace", flaky_replace)
-        monkeypatch.setattr(jsonl_module.time, "sleep", lambda _s: None)
-        assert store.compact() == 20  # one snapshot line per settled job
-        assert len(calls) == 3
-        assert all(entry.settled for entry in store.load_jobs().values())
-
-    def test_permanently_blocked_replace_degrades_to_rewrite(self, tmp_path, monkeypatch):
-        store = self._seeded_store(tmp_path)
-        import repro.jobstore.jsonl as jsonl_module
-
-        def always_blocked(_src, _dst):
-            raise PermissionError("destination held open")
-
-        monkeypatch.setattr(jsonl_module.os, "replace", always_blocked)
-        monkeypatch.setattr(jsonl_module.time, "sleep", lambda _s: None)
-        assert store.compact() == 20
-        assert not os.path.exists(store.path + ".compact"), "swap file must not leak"
-        jobs = store.load_jobs()
-        assert len(jobs) == 20 and all(entry.settled for entry in jobs.values())
-
-    def test_reader_mid_iteration_survives_compact(self, tmp_path):
-        store = self._seeded_store(tmp_path)
-        reader = JobStore._records(store.path)
-        consumed = [next(reader) for _ in range(5)]  # holds the pre-compact inode
-        assert store.compact() == 20
-        consumed.extend(reader)  # the reader finishes its consistent old view
-        assert len(consumed) == 40
-        jobs: dict[str, StoredJob] = {}
-        for record in consumed:
-            jobs.setdefault(record["job"], StoredJob(record["job"])).absorb(record)
-        assert all(entry.settled for entry in jobs.values())
-        # And the post-compact file is itself consistent for new readers.
-        assert all(entry.settled for entry in store.load_jobs().values())

@@ -463,16 +463,12 @@ class TestLeaseRecovery:
                 link.lost = False
             link.last_beat = time.time()
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_lease_journal_replays_from_real_store_backends(self, tmp_path, backend):
-        """The fleet's lease_log can be a real job store of either backend:
-        the journal lands as replayable lease annotations in load_jobs()."""
-        from repro.jobstore import JobStore, SQLiteJobStore
+    def test_lease_journal_replays_from_real_store_backends(self, tmp_path):
+        """The fleet's lease_log can be a real job store: the journal lands
+        as replayable lease annotations in load_jobs()."""
+        from repro.jobstore import SQLiteJobStore
 
-        if backend == "sqlite":
-            store = SQLiteJobStore(tmp_path / "leases.sqlite", fsync=False)
-        else:
-            store = JobStore(tmp_path / "leases.jsonl", fsync=False)
+        store = SQLiteJobStore(tmp_path / "leases.sqlite", fsync=False)
         fleet = RemoteFleet(
             listen="127.0.0.1:0", min_workers=2, start_timeout=15.0, lease_log=store
         )
@@ -670,7 +666,7 @@ class TestDistributedSmoke:
         result["cache"] = cache
         return {"job": response["job"], "status": response["status"], "result": result}
 
-    def test_five_job_batch_survives_kill9_with_pinned_trajectories(self, tmp_path):
+    def test_five_job_batch_survives_kill9_with_pinned_trajectories(self, recording_store):
         config = SynthesisConfig(counterexample_pool=False)
         sequential = MigrationService(default_config=config)
         sequential.submit_batch(self._jobs())
@@ -680,7 +676,6 @@ class TestDistributedSmoke:
             for handle in sequential.handles
         }
 
-        store = tmp_path / "smoke.jsonl"
         fleet = RemoteFleet(
             listen="127.0.0.1:0",
             min_workers=2,
@@ -699,7 +694,7 @@ class TestDistributedSmoke:
         try:
             with MigrationService(
                 workers=fleet,
-                job_store=str(store),
+                job_store=recording_store,
                 default_config=config,
                 on_event=kill_on_first_event,
             ) as service:
@@ -715,11 +710,7 @@ class TestDistributedSmoke:
             }
             assert distributed == baseline
             # The lease journal shows the crash and the re-grant.
-            records = [
-                json.loads(line)
-                for line in store.read_text().splitlines()
-                if line.strip()
-            ]
+            records = recording_store.records
             outcomes = [r.get("outcome") for r in records if r["type"] == "released"]
             assert "lost" in outcomes
             lost_jobs = {

@@ -37,7 +37,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import MigrationService, SynthesisConfig
-from repro.jobstore import JobStore
+from repro.jobstore import SQLiteJobStore
 from repro.server import (
     EventHub,
     QuotaExceeded,
@@ -241,7 +241,7 @@ class TestEventHub:
         return asyncio.run(coro)
 
     def test_publish_persists_before_fanout_and_seeds_from_store(self, tmp_path):
-        store = JobStore(tmp_path / "events.jsonl", fsync=False)
+        store = SQLiteJobStore(tmp_path / "events.sqlite", fsync=False)
         store.record_event("job", 5, {"kind": "old"})  # a previous life
 
         async def scenario():
@@ -258,7 +258,7 @@ class TestEventHub:
         self._run(scenario())
 
     def test_bounded_queue_sheds_oldest_and_counts(self, tmp_path):
-        store = JobStore(tmp_path / "events.jsonl", fsync=False)
+        store = SQLiteJobStore(tmp_path / "events.sqlite", fsync=False)
 
         async def scenario():
             hub = EventHub(store, asyncio.get_running_loop())
@@ -275,7 +275,7 @@ class TestEventHub:
         self._run(scenario())
 
     def test_unsubscribe_releases_the_bridge(self, tmp_path):
-        store = JobStore(tmp_path / "events.jsonl", fsync=False)
+        store = SQLiteJobStore(tmp_path / "events.sqlite", fsync=False)
 
         async def scenario():
             hub = EventHub(store, asyncio.get_running_loop())
@@ -435,6 +435,11 @@ class TestServerHTTP:
             base, "/jobs", key="k-alpha", payload={"config": {"parallel_workers": 2}}
         )
         assert status == 400 and "unknown config field 'parallel_workers'" in body["error"]
+        # Retired in API 5.0.0: the factored VC engine is the only one.
+        status, body, _ = _http(
+            base, "/jobs", key="k-alpha", payload={"config": {"vc_engine": "maxsat"}}
+        )
+        assert status == 400 and "unknown config field 'vc_engine'" in body["error"]
         status, body, _ = _http(
             base, "/jobs", key="k-alpha", payload={"config": {"verifier_random_sequences": "many"}}
         )
@@ -445,7 +450,6 @@ class TestServerHTTP:
         [
             ("execution_backend", "columnar", "interpreter, compiled"),
             ("completion_strategy", "sat", "mfi, enumerative, bmc"),
-            ("vc_engine", "greedy", "auto, factored, maxsat"),
         ],
     )
     def test_unknown_engine_names_rejected_before_storing(self, server, field, value, known):

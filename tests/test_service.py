@@ -12,12 +12,13 @@ from repro import SynthesisConfig, format_program, migrate
 from repro.api import (
     CandidateRejected,
     JobStatus,
-    JobStore,
     MigrationJob,
     MigrationService,
     SessionEvent,
+    SQLiteJobStore,
     VcSelected,
     migrate_batch,
+    migrate_jsonl_to_sqlite,
 )
 from repro.workloads import SchemaSpec, benchmark_names, get_benchmark, rename_column
 
@@ -410,12 +411,11 @@ class TestJobStoreAndResume:
     #: counterexample pools, whose per-job observations depend on history).
     NAMES = ["Oracle-1", "Ambler-3", "Ambler-4"]
 
-    def test_lifecycle_records_are_appended(self, tmp_path):
-        path = str(tmp_path / "jobs.jsonl")
-        service = MigrationService(job_store=path)
+    def test_lifecycle_records_are_appended(self, recording_store):
+        service = MigrationService(job_store=recording_store)
         service.submit_batch([_job("Oracle-1"), _job("Ambler-4")])
         service.run()
-        records = [json.loads(line) for line in open(path, encoding="utf-8")]
+        records = recording_store.records
         by_type = {}
         for record in records:
             by_type.setdefault(record["type"], []).append(record["job"])
@@ -428,9 +428,13 @@ class TestJobStoreAndResume:
         # Submission records carry the rebuild spec; settled records do not.
         assert all("spec" in r for r in records if r["type"] == "submitted")
         assert all("spec" not in r for r in settled)
+        # The store folded them into one settled standing per job.
+        standings = recording_store.load_jobs()
+        assert sorted(standings) == ["Ambler-4", "Oracle-1"]
+        assert all(entry.status == "done" for entry in standings.values())
 
     def test_resume_runs_only_unfinished_jobs_with_pinned_results(self, tmp_path):
-        path = str(tmp_path / "jobs.jsonl")
+        path = str(tmp_path / "jobs.sqlite")
         # Generation 1 settles the first two jobs...
         first = MigrationService(job_store=path)
         first.submit_batch([_job(name) for name in self.NAMES[:2]])
@@ -464,12 +468,12 @@ class TestJobStoreAndResume:
         assert all(h.result is None and h.done for h in restored)
 
     def test_resume_reruns_job_interrupted_mid_run(self, tmp_path):
-        path = str(tmp_path / "jobs.jsonl")
+        path = str(tmp_path / "jobs.sqlite")
         service = MigrationService(job_store=path)
         handle = service.submit(_job("Oracle-1"))
         # Simulate dying mid-job: the store's last record says "running".
         service._store.record_running(handle)
-        stored = JobStore.load(path)["Oracle-1"]
+        stored = service._store.load_jobs()["Oracle-1"]
         assert not stored.settled and stored.resumable
 
         resumed = MigrationService.resume(path)
@@ -482,7 +486,7 @@ class TestJobStoreAndResume:
         # submit_deferred writes a store-only record (the job is not in the
         # live batch); adopt_unfinished pulls it in later — the deferred
         # pattern of the HTTP front.
-        path = str(tmp_path / "jobs.jsonl")
+        path = str(tmp_path / "jobs.sqlite")
         live = MigrationService(job_store=path)
         live.submit_batch([_job("Oracle-1")])
         live.run()
@@ -495,40 +499,46 @@ class TestJobStoreAndResume:
         assert adopted[0].status is JobStatus.DONE and adopted[0].result.succeeded
 
     def test_adopt_unfinished_on_fresh_store_is_empty(self, tmp_path):
-        # The store file only exists after the first submission; scanning
-        # before that must be a no-op, not an error (the /resume route of a
-        # fresh HTTP front hits exactly this).
-        service = MigrationService(job_store=str(tmp_path / "never-written.jsonl"))
+        # Scanning a store nothing was submitted to must be a no-op, not an
+        # error (the /resume route of a fresh HTTP front hits exactly this).
+        service = MigrationService(job_store=str(tmp_path / "never-written.sqlite"))
         assert service.adopt_unfinished() == []
         with pytest.raises(ValueError):
             MigrationService().submit_deferred(_job("Oracle-1"))  # no store
 
-    def test_resume_with_all_jobs_settled_is_a_noop(self, tmp_path):
-        path = str(tmp_path / "jobs.jsonl")
-        service = MigrationService(job_store=path)
+    def test_resume_with_all_jobs_settled_is_a_noop(self, recording_store):
+        service = MigrationService(job_store=recording_store)
         service.submit_batch([_job("Oracle-1")])
         service.run()
-        before = open(path, encoding="utf-8").read()
-        resumed = MigrationService.resume(path)
+        written = len(recording_store.records)
+        resumed = MigrationService.resume(recording_store)
         ran: list = []
         resumed._on_event = lambda name, _e: ran.append(name)
         resumed.run()
         assert not ran
         assert all(h.restored for h in resumed.handles)
-        assert open(path, encoding="utf-8").read() == before, "no-op resume must not write"
+        assert len(recording_store.records) == written, "no-op resume must not write"
 
-    def test_load_ignores_torn_tail_record(self, tmp_path):
-        path = str(tmp_path / "jobs.jsonl")
-        service = MigrationService(job_store=path)
+    def test_load_ignores_torn_tail_record(self, recording_store, tmp_path):
+        # A legacy JSONL log as an earlier service wrote it, torn mid-append:
+        # the one-shot import keeps the intact history, so the settled job
+        # resumes restored instead of rerunning.
+        service = MigrationService(job_store=recording_store)
         service.submit_batch([_job("Oracle-1")])
         service.run()
-        with open(path, "a", encoding="utf-8") as fh:
+        log = tmp_path / "legacy.jsonl"
+        with open(log, "w", encoding="utf-8") as fh:
+            for record in recording_store.records:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
             fh.write('{"type": "settled", "job": "Oracle-1", "stat')  # torn write
-        stored = JobStore.load(path)
-        assert stored["Oracle-1"].settled  # the intact history still wins
+        store = migrate_jsonl_to_sqlite(log, tmp_path / "imported.sqlite", fsync=False)
+        assert store.load_jobs()["Oracle-1"].settled  # the intact history still wins
+        (restored,) = MigrationService.resume(store).handles
+        assert restored.restored and restored.to_dict()["status"] == "done"
+        store.close()
 
     def test_resume_over_sqlite_store_is_pinned(self, tmp_path):
-        # The indexed backend honours the same resume contract as JSONL.
+        # A sqlite: URL opens the same store a bare path does.
         path = "sqlite:" + str(tmp_path / "jobs.sqlite")
         first = MigrationService(job_store=path)
         first.submit_batch([_job("Oracle-1")])
@@ -557,7 +567,7 @@ class TestResumeRePinning:
 
     def _crashed_store(self, tmp_path, job) -> str:
         """A store whose only job died mid-run (last record: running)."""
-        path = str(tmp_path / "jobs.jsonl")
+        path = str(tmp_path / "jobs.sqlite")
         service = MigrationService(job_store=path)
         handle = service.submit(job)
         service._store.record_running(handle)
@@ -584,7 +594,7 @@ class TestResumeRePinning:
         assert "gone from the registry" in handle.error
         # The verdict is terminal and persisted: the job is settled in the
         # store, and a second resume restores it instead of re-judging.
-        stored = JobStore.load(path)["Oracle-1"]
+        stored = resumed._store.load_jobs()["Oracle-1"]
         assert stored.settled and stored.status == "incompatible"
         again = MigrationService.resume(path)
         (restored,) = again.handles
@@ -601,21 +611,19 @@ class TestResumeRePinning:
         assert "no longer matches the stored pin" in handle.error
 
     def test_tampered_pin_is_incompatible(self, tmp_path):
-        path = str(tmp_path / "jobs.jsonl")
-        service = MigrationService(job_store=path)
-        service.submit_deferred(_job("Oracle-1"))
-        records = [json.loads(line) for line in open(path, encoding="utf-8")]
-        assert records[0]["pin"]["source"]
-        records[0]["pin"]["source"] = "deadbeefdeadbeef"
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
+        store = SQLiteJobStore(tmp_path / "jobs.sqlite", fsync=False)
+        MigrationService(job_store=store).submit_deferred(_job("Oracle-1"))
+        record = store.load_jobs()["Oracle-1"].last
+        assert record["pin"]["source"]
+        record["pin"]["source"] = "deadbeefdeadbeef"
+        store.append(record)  # the tampered submission replaces the real one
 
-        resumed = MigrationService.resume(path)
+        resumed = MigrationService.resume(store)
         (handle,) = resumed.handles
         assert handle.status is JobStatus.INCOMPATIBLE
         assert "submission pin" in handle.error
-        assert JobStore.load(path)["Oracle-1"].status == "incompatible"
+        assert store.load_jobs()["Oracle-1"].status == "incompatible"
+        store.close()
 
     def test_incompatible_jobs_do_not_block_the_batch(self, tmp_path):
         path = self._crashed_store(tmp_path, _job("Oracle-1", workload="Retired-99"))
@@ -630,17 +638,20 @@ class TestResumeRePinning:
 
     def test_retired_parallel_fields_in_stored_config_are_inert(self, tmp_path):
         # A 3.x spec pickled SynthesisConfig with the three wave-parallel
-        # fields; unpickling restores them as plain attributes that nothing
-        # reads, so the job resumes and runs sequentially inside the service.
+        # fields, a 4.x spec with the VC engine choice; unpickling restores
+        # them as plain attributes that nothing reads, so the job resumes
+        # and runs sequentially on the factored VC engine.
         config = _config()
         config.parallel_workers = 2
         config.parallel_wave_size = 1
         config.execution_fleet = ("127.0.0.1:9",)
+        config.vc_engine = "maxsat"
         path = self._crashed_store(tmp_path, _job("Oracle-1", config, workload="Oracle-1"))
         resumed = MigrationService.resume(path)
         (handle,) = resumed.handles
         assert handle.status is JobStatus.PENDING
         assert handle.job.config.parallel_workers == 2  # the pickle kept it
+        assert handle.job.config.vc_engine == "maxsat"
         resumed.run()
         assert handle.status is JobStatus.DONE
         assert handle.result.succeeded
@@ -649,7 +660,7 @@ class TestResumeRePinning:
         # A 2.x spec may name the retired "columnar" backend: it passes the
         # pins (the config is not part of them), runs, and settles FAILED
         # with the backend error instead of running on another engine.
-        path = str(tmp_path / "jobs.jsonl")
+        path = str(tmp_path / "jobs.sqlite")
         MigrationService(job_store=path).submit_deferred(
             _job("Oracle-1", _config(execution_backend="columnar"), workload="Oracle-1")
         )
@@ -658,7 +669,7 @@ class TestResumeRePinning:
         (handle,) = resumed.handles
         assert handle.status is JobStatus.FAILED
         assert "unknown execution backend 'columnar'" in handle.error
-        assert JobStore.load(path)["Oracle-1"].status == "failed"
+        assert resumed._store.load_jobs()["Oracle-1"].status == "failed"
 
 
 class TestCompiledClosureSharing:
