@@ -450,10 +450,16 @@ class TestServerHTTP:
         [
             ("execution_backend", "columnar", "interpreter, compiled"),
             ("completion_strategy", "sat", "mfi, enumerative, bmc"),
+            # Retired in API 5.0.0: the field itself is unknown now.
+            ("vc_engine", "greedy", None),
         ],
     )
     def test_unknown_engine_names_rejected_before_storing(self, server, field, value, known):
         thread, base = server
+        if known is None:
+            expected = f"unknown config field {field!r}"
+        else:
+            expected = f"unknown {field} {value!r}; known: {known}"
         for defer in (False, True):
             status, body, _ = _http(
                 base,
@@ -462,8 +468,14 @@ class TestServerHTTP:
                 payload={"benchmark": "Oracle-1", "defer": defer, "config": {field: value}},
             )
             assert status == 400
-            assert f"unknown {field} {value!r}; known: {known}" == body["error"]
+            assert expected == body["error"]
         assert thread.front.store.query_jobs() == []
+        if known is None:
+            # The names the retired field once accepted are refused as well.
+            for name in ("auto", "factored", "maxsat"):
+                with pytest.raises(ValueError, match=expected):
+                    _build_jobs(thread.front, {"benchmark": "Oracle-1", "config": {field: name}})
+            return
         # Every known name is accepted.
         for name in known.split(", "):
             (job,) = _build_jobs(thread.front, {"benchmark": "Oracle-1", "config": {field: name}})
