@@ -14,15 +14,15 @@ Two service modes are measured:
   host, and the mode the acceptance gate asserts on: every job succeeds,
   jobs 2..N hit the shared source-output cache more than their cold
   twins, and the batch is no slower than the sequential runs;
-* **process pool** (``max_workers=4``): sharing per worker process plus
-  job-level parallelism — reported for context, with no hard assertion
-  because the win depends on the host's core count (this container often
-  has a single core, where the pool can only add overhead).
+* **local worker processes** (``max_workers=4``): sharing per worker
+  process plus job-level parallelism — reported for context, with no hard
+  assertion because the win depends on the host's core count (on a single
+  core the workers can only add overhead).
 
 A second measurement covers the unified execution layer's event streaming:
-**first-event latency** under the queue transport — how long after
-``run()`` the first live typed event of a pooled (``max_workers > 1``)
-batch reaches the parent's ``on_event``.  Before the execution-layer
+**first-event latency** on the local fleet — how long after ``run()`` the
+first live typed event of a pooled (``max_workers > 1``) batch reaches the
+parent's ``on_event`` over the socket transport.  Before the execution-layer
 refactor this quantity did not exist (pooled jobs delivered no live events
 at all); the gate asserts events arrive while the batch is still running,
 i.e. streaming is live rather than post-hoc.
@@ -136,7 +136,7 @@ def test_service_batch_throughput():
 
 
 def test_streaming_first_event_latency():
-    """First-event latency of live streaming under the queue transport."""
+    """First-event latency of live streaming on the local fleet."""
     jobs = _jobs()
     first_event: list[float] = []
     events_total = [0]
@@ -159,7 +159,7 @@ def test_streaming_first_event_latency():
     print(
         render_table(
             ["Transport", "Jobs", "Events", "FirstEvent(ms)", "Batch(s)"],
-            [["queue (max_workers=2)", len(jobs), events_total[0], f"{latency * 1000:.0f}", f"{total:.2f}"]],
+            [["local fleet (max_workers=2)", len(jobs), events_total[0], f"{latency * 1000:.0f}", f"{total:.2f}"]],
             title="Live event streaming: first-event latency",
         )
     )

@@ -144,6 +144,33 @@ Breaking in 5.0.0 — "one job store, one VC engine":
   reference).  ``SynthesisConfig(vc_engine=…)`` raises ``TypeError`` and
   ``POST /jobs`` answers ``400`` to ``config.vc_engine``.  Stored 4.x
   configs that carry it are ignored: the attribute is inert.
+
+Breaking in 6.0.0 — "one cross-process transport": ``max_workers=N``
+(service, scheduler, ``--scheduler-workers``) runs N worker processes
+forked from the caller against a private localhost fleet, over the socket
+transport and lease model remote fleets use.  The multiprocessing-queue
+transport, the process pool and its break recovery are gone.
+
+* ``repro.exec`` loses ``QueueChannel``, ``FlagSignal``, ``ChannelStats``,
+  ``DEFAULT_MAX_PENDING_EVENTS``, ``install_worker_transport``,
+  ``worker_context`` and ``DEFAULT_MAX_RETRIES``, and
+  ``WorkScheduler.channel_stats()``, ``TaskPort.slot`` and
+  ``TaskPort.release(recycle=)`` are gone.
+* ``WorkScheduler(max_pending_events=…)``, ``WorkScheduler(max_retries=…)``,
+  ``MigrationService(max_pending_events=…)``,
+  ``MigrationService.resume(max_pending_events=…)`` and
+  ``RetryPolicy(max_retries=…)`` raise ``TypeError``.  Stored configs whose
+  pickled ``RetryPolicy`` carries ``max_retries`` still resume: the
+  attribute is inert.
+* A crashed worker process is charged to the tasks it held, not to every
+  task in flight.  A task that keeps killing its workers settles
+  ``QUARANTINED`` (``JobStatus.QUARANTINED``) with a ``WorkerLost`` error
+  after ``RetryPolicy.quarantine_after`` re-leases, where it used to
+  settle ``FAILED`` with ``BrokenProcessPool``.
+* ``SchedulerStats`` loses ``pool_rebuilds`` and ``events_high_water``
+  (and the eval scheduler table its ``PoolRebuilds`` and ``EventsHWM``
+  columns).  Lost local workers count in ``workers_lost``;
+  ``events_dropped`` stays and reads 0.
 """
 
 from __future__ import annotations
@@ -190,7 +217,7 @@ from repro.service import (
 )
 
 #: Semantic version of this surface (not of the package implementation).
-API_VERSION = "5.0.0"
+API_VERSION = "6.0.0"
 
 __all__ = [
     "API_VERSION",

@@ -484,11 +484,11 @@ class SynthesisSession:
         self._on_event = on_event
         # *cancel_signal* injects an external cancellation signal — anything
         # with the ``threading.Event`` set()/is_set() surface.  The execution
-        # layer passes a cross-process flag here so ``JobHandle.cancel()``
-        # reaches a session running inside a pooled worker (see
-        # repro.exec.channel.FlagSignal); ``cancel()`` and the cooperative
-        # polling inside completion/testing go through the same object either
-        # way.
+        # layer passes the task's cancel event here so ``JobHandle.cancel()``
+        # reaches a session running inside a worker process (a worker sets
+        # it when a ``cancel`` frame arrives); ``cancel()`` and the
+        # cooperative polling inside completion/testing go through the same
+        # object either way.
         self._cancel = cancel_signal if cancel_signal is not None else threading.Event()
         self._result = SynthesisResult(source_program=source_program, program=None)
         self._stream: Optional[Iterator[SessionEvent]] = None

@@ -186,9 +186,7 @@ SCHEDULER_HEADERS = [
     "Retries",
     "Quarantined",
     "Degraded",
-    "PoolRebuilds",
     "WorkersLost",
-    "EventsHWM",
     "EventsDropped",
 ]
 
@@ -197,10 +195,8 @@ def scheduler_summary_row(stats) -> list:
     """One row summarizing a :class:`~repro.exec.SchedulerStats`.
 
     Covers the task-lifecycle counters, the crash-recovery counters (retries,
-    poison-task quarantines, degradation-ladder steps, pool rebuilds, remote
-    workers lost) and the channel-load counters
-    (queue-transport backpressure: pending-event high-water mark and events
-    shed by producers) folded in when channels close.
+    poison-task quarantines, degradation-ladder steps, workers lost) and the
+    events the transport shed (always 0 over TCP, kept as a guard).
     """
     return [
         stats.tasks_submitted,
@@ -211,9 +207,7 @@ def scheduler_summary_row(stats) -> list:
         stats.task_retries,
         stats.tasks_quarantined,
         stats.degradations,
-        stats.pool_rebuilds,
         stats.workers_lost,
-        stats.events_high_water,
         stats.events_dropped,
     ]
 

@@ -6,14 +6,13 @@ crash retries with a bare integer, ``RemoteFleet`` redialed on a fixed
 delay.  ``RetryPolicy`` and ``TimeoutPolicy`` centralise those knobs so
 every seam (scheduler, fleet, worker, service) reads the same semantics:
 
-* **max_retries** — how many times a task may be re-run after a process
-  pool breaks underneath it before it settles FAILED.
 * **quarantine_after** — how many *worker-killing* re-leases a task may
   cause before it is quarantined (settled ``QUARANTINED`` instead of
-  being handed to yet another worker it will probably kill).
+  being handed to yet another worker it will probably kill).  A lost
+  worker is the only crash the scheduler retries, local or remote.
 * **retry_budget** — an optional scheduler-wide cap on total crash
-  retries across all tasks; once exhausted, further casualties settle
-  immediately instead of being requeued.
+  retries across all tasks; once exhausted, further casualties are
+  quarantined immediately instead of being requeued.
 * **backoff** — jittered exponential delay before a retried task becomes
   dispatchable again.  Deterministic when ``seed`` is set.
 
@@ -34,8 +33,6 @@ __all__ = ["RetryPolicy", "TimeoutPolicy", "ResilienceConfig"]
 class RetryPolicy:
     """How many times, and how eagerly, failed work is re-attempted."""
 
-    #: Pool-break incidents a task survives before settling FAILED.
-    max_retries: int = 2
     #: Worker-killing re-leases a task may cause before QUARANTINED.
     quarantine_after: int = 2
     #: Optional scheduler-wide cap on total crash retries (None = unbounded).
@@ -70,9 +67,11 @@ class RetryPolicy:
 class TimeoutPolicy:
     """Deadlines and grace periods shared across the execution seams."""
 
-    #: Seconds past a task deadline before the scheduler cancels it.
+    #: Seconds past the nudge before the scheduler abandons a running task.
     deadline_grace: float = 5.0
-    #: Idle-poll interval while waiting for pooled futures.
+    #: Seconds past a task's deadline before the scheduler raises its
+    #: cancel signal, so a task's own deadline handling (which reports a
+    #: truthful "timed out") wins the race against the cooperative nudge.
     nudge_delay: float = 1.0
     #: Socket connect timeout for worker dials.
     connect_timeout: float = 5.0
@@ -90,5 +89,5 @@ class ResilienceConfig:
     timeout: TimeoutPolicy = dataclasses.field(default_factory=TimeoutPolicy)
     #: Walk the fleet -> pool -> inline ladder instead of failing fast.
     degrade_ladder: bool = True
-    #: Pool width used when degrading from a lost fleet.
+    #: Local worker processes started when degrading from a lost fleet.
     degrade_workers: int = 2

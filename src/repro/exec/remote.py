@@ -1,21 +1,20 @@
-"""Socket transport: a remote-worker fleet behind the channel/scheduler contract.
+"""Socket transport: worker fleets behind the channel/scheduler contract.
 
-This module is the coordinator side of distributed execution.  A
+This module is the coordinator side of every cross-process run.  A
 :class:`RemoteFleet` owns the connections to ``repro.worker`` processes
 (possibly on other machines) and presents two familiar surfaces to
 :class:`~repro.exec.scheduler.WorkScheduler`:
 
 * a **channel** — :class:`SocketChannel` satisfies the same contract as
-  :class:`~repro.exec.channel.DirectChannel` / ``QueueChannel``: per-task
-  event ordering (each worker connection is drained by one receiver thread,
-  so a task's frames arrive in emission order), an end-of-stream marker
-  (the worker's ``task_end`` frame) gating :meth:`TaskPort.wait_drained`,
-  and cross-process cancellation (``TaskPort.cancel`` sends a ``cancel``
+  :class:`~repro.exec.channel.DirectChannel`: per-task event ordering (each
+  worker connection is drained by one receiver thread, so a task's frames
+  arrive in emission order), an end-of-stream marker (the worker's
+  ``task_end`` frame) gating :meth:`TaskPort.wait_drained`, and
+  cross-process cancellation (``TaskPort.cancel`` sends a ``cancel``
   frame; the worker's receiver thread raises the task's cancel event);
 * an **executor** — :meth:`RemoteFleet.submit` returns a plain
   ``concurrent.futures.Future`` resolved by the owning connection's
-  receiver thread, so the scheduler's pooled drain loop waits on fleet
-  futures exactly like pool futures.
+  receiver thread, which the scheduler's pooled drain loop waits on.
 
 Topologies (the protocol is direction-agnostic — the worker always sends
 ``hello`` first, see :mod:`repro.exec.wire`):
@@ -24,7 +23,10 @@ Topologies (the protocol is direction-agnostic — the worker always sends
   ``python -m repro.worker --listen HOST:PORT`` (addresses via
   ``RemoteFleet(workers=[...])`` or ``MigrationService(workers=[...])``);
 * **listen** — the fleet binds ``RemoteFleet(listen="HOST:PORT")`` and
-  workers register with ``python -m repro.worker --connect HOST:PORT``.
+  workers register with ``python -m repro.worker --connect HOST:PORT``;
+* **local** — :class:`LocalFleet`, the scheduler's own fleet for
+  ``WorkScheduler(max_workers=N)``: a listening fleet on ``127.0.0.1`` plus
+  N worker processes forked from this one.
 
 Leases and failure semantics: every dispatched task is a **lease** — an
 assignment of one task to one worker with an expiry, renewed by the
@@ -34,22 +36,24 @@ worker's heartbeats and optionally journalled to a
 per job).  A worker whose
 connection drops, or that stays silent past ``lease_ttl``, is declared
 lost: its in-flight futures fail with :class:`WorkerLost`, which the
-scheduler treats like a pool-break crash for just those tasks — charge a
-retry and **re-lease** them to a surviving worker (recorded as a fresh
-``leased`` record).  Because a lost worker's socket is closed before its
-futures fail, a straggler result from a worker that was merely slow can
-never settle the task a second time: execution is at-least-once under
-crashes, settlement exactly-once — the same contract the queue transport's
-crash recovery established.
+scheduler turns into a charged retry for just those tasks and a
+**re-lease** to a surviving worker (recorded as a fresh ``leased`` record).
+Because a lost worker's socket is closed before its futures fail, a
+straggler result from a worker that was merely slow can never settle the
+task a second time: execution is at-least-once under crashes, settlement
+exactly-once.
 
-Backpressure: the socket transport sheds nothing.  A slow coordinator
-propagates TCP flow control back to the workers' ``sendall``, so
-:attr:`SocketChannel.stats` reports zero drops by construction (the
-high-water/drop counters exist for the bounded-queue transport).
+Every connection sets ``TCP_NODELAY``: a streamed task's small ``event``,
+``task_end`` and ``result`` frames would otherwise wait on Nagle's
+algorithm behind the peer's delayed ACK (about 40 ms per task).  The
+socket transport sheds nothing: a slow coordinator propagates TCP flow
+control back to the workers' ``sendall``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
 import socket
 import threading
@@ -60,7 +64,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.exec import wire
-from repro.exec.channel import ChannelStats, TaskPort
+from repro.exec.channel import TaskPort
 from repro.exec.policy import RetryPolicy
 
 #: Seconds between worker heartbeats (announced in the welcome frame).
@@ -73,6 +77,10 @@ DEFAULT_LEASE_TTL = 6.0
 #: Seconds ensure_started() waits for the fleet to reach ``min_workers``.
 DEFAULT_START_TIMEOUT = 20.0
 
+#: Seconds LocalFleet.close() waits for its workers to exit after the
+#: ``shutdown`` frame before killing them.
+LOCAL_EXIT_TIMEOUT = 5.0
+
 
 class WorkerLost(RuntimeError):
     """A remote worker vanished (connection drop or lease expiry) mid-task.
@@ -84,6 +92,23 @@ class WorkerLost(RuntimeError):
 
 class FleetUnavailable(RuntimeError):
     """The fleet has no live workers (and none arrived within the timeout)."""
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """Shut a socket down, then close it.
+
+    ``shutdown`` wakes a thread blocked in ``recv``/``accept`` on the socket,
+    which a bare ``close`` does not, and it reaches copies of the descriptor
+    that forked local workers inherited.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or the peer is already gone
+    try:
+        sock.close()
+    except OSError:  # pragma: no cover - already torn down
+        pass
 
 
 # ---------------------------------------------------------------- channel
@@ -110,9 +135,9 @@ class SocketChannel:
 
     Events arrive as ``event`` frames on the per-worker receiver threads and
     are dispatched synchronously to the bound subscriber — same isolation
-    contract as the queue transport's router (a raising subscriber is
-    recorded on the port, the receiver keeps running).  The worker's
-    ``task_end`` frame is the end-of-stream marker; it precedes the
+    contract as :class:`~repro.exec.channel.DirectChannel` (a raising
+    subscriber is recorded on the port, the receiver keeps running).  The
+    worker's ``task_end`` frame is the end-of-stream marker; it precedes the
     ``result`` frame on the same ordered connection, so a settling task's
     stream is always fully delivered first.
     """
@@ -127,7 +152,7 @@ class SocketChannel:
 
     def bind(self, task_id: int, on_event: Optional[Callable[[Any], None]]) -> TaskPort:
         port = TaskPort(
-            self, task_id, -1, on_event is not None, None, _FleetCancelSignal(self._fleet, task_id)
+            self, task_id, on_event is not None, None, _FleetCancelSignal(self._fleet, task_id)
         )
         if on_event is not None:
             with self._lock:
@@ -158,18 +183,13 @@ class SocketChannel:
             return True
         return entry[1].wait(timeout)
 
-    def _release(self, port: TaskPort, recycle: bool) -> None:
+    def _release(self, port: TaskPort) -> None:
         with self._lock:
             self._subscribers.pop(port.task_id, None)
 
     def close(self) -> None:
         with self._lock:
             self._subscribers.clear()
-
-    @property
-    def stats(self) -> ChannelStats:
-        """Zeros by construction: TCP flow control replaces load shedding."""
-        return ChannelStats()
 
 
 # ------------------------------------------------------------------ fleet
@@ -257,12 +277,13 @@ class RemoteFleet:
         self._task_owner: dict[int, _WorkerLink] = {}
         self._threads: list[threading.Thread] = []
         self._listener: Optional[socket.socket] = None
+        #: Set by close(): wakes the monitor and dial loops out of their waits.
+        self._stop = threading.Event()
         self._started = False
         self._closed = False
         if listen is not None:
             host, port = wire.parse_address(listen)
             self._listener = socket.create_server((host, port))
-            self._listener.settimeout(0.25)
 
     # ------------------------------------------------------------- lifecycle
     @property
@@ -334,11 +355,10 @@ class RemoteFleet:
             self._links.clear()
             self._task_owner.clear()
             self._roster_changed.notify_all()
+        self._stop.set()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
+            # Shutting a listening socket down wakes the blocked accept().
+            _hang_up(self._listener)
         for link in links:
             # Mark lost under the lock so a monitor expire scan racing this
             # close sees the link as already handled and backs off.
@@ -348,10 +368,7 @@ class RemoteFleet:
                 link.send({"type": "shutdown"})
             except OSError:
                 pass
-            try:
-                link.sock.close()
-            except OSError:  # pragma: no cover
-                pass
+            _hang_up(link.sock)
             self._fail_inflight(link, "fleet closed with work in flight")
         self.channel.close()
         for thread in self._threads:
@@ -368,10 +385,8 @@ class RemoteFleet:
         while not self._closed:
             try:
                 conn, _peer = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                return  # listener closed
+                return  # listener shut down by close()
             self._spawn(lambda sock=conn: self._register(sock), "repro-fleet-handshake")
 
     def _dial_loop(self, address: tuple[str, int]) -> None:
@@ -390,13 +405,14 @@ class RemoteFleet:
             except OSError:
                 attempt += 1
                 delay = self.retry.backoff_delay(attempt, rng) or 0.2
-                time.sleep(min(delay, max(0.0, deadline - time.time())))
+                self._stop.wait(min(delay, max(0.0, deadline - time.time())))
                 continue
             self._register(sock)
             return
 
     def _register(self, sock: socket.socket) -> None:
         try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(10.0)
             hello = wire.coordinator_accept(
                 sock,
@@ -519,10 +535,7 @@ class RemoteFleet:
             if not closing:
                 self.workers_lost += 1
             self._roster_changed.notify_all()
-        try:
-            link.sock.close()
-        except OSError:  # pragma: no cover
-            pass
+        _hang_up(link.sock)
         if not closing:
             self._fail_inflight(link, reason)
 
@@ -571,19 +584,15 @@ class RemoteFleet:
             self._links.pop(link.worker_id, None)
             self.workers_lost += 1
             self._roster_changed.notify_all()
-        try:
-            link.sock.close()
-        except OSError:  # pragma: no cover
-            pass
+        _hang_up(link.sock)
         self._fail_inflight(link, reason)
         return True
 
     def _monitor_loop(self) -> None:
         interval = max(0.05, min(self.heartbeat_interval, self.lease_ttl / 3))
         rng = random.Random(f"monitor:{id(self)}")
-        while not self._closed:
-            # Jitter the scan period so restarted fleets don't expire in step.
-            time.sleep(interval * rng.uniform(0.8, 1.2))
+        # Jitter the scan period so restarted fleets don't expire in step.
+        while not self._stop.wait(interval * rng.uniform(0.8, 1.2)):
             now = time.time()
             with self._lock:
                 silent = [
@@ -680,3 +689,109 @@ class RemoteFleet:
             log.append(record)
         except Exception as error:  # noqa: BLE001 - journalling is best-effort
             self.lease_log_error = error
+
+
+# ------------------------------------------------------------ local fleet
+def _mp_context():
+    """Fork where available: local workers inherit the imported ``repro``."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context("spawn")
+
+
+def _serve_local_fleet(agent: type, host: str, port: int) -> None:
+    """Body of one local worker process: serve the parent's fleet, then exit."""
+    agent(worker_id=f"local-{os.getpid()}").connect(host, port)
+
+
+class LocalFleet(RemoteFleet):
+    """The scheduler's own fleet: *size* worker processes on ``127.0.0.1``.
+
+    ``WorkScheduler(max_workers=N)`` owns one per scheduler.  The fleet
+    listens on a free localhost port and forks N processes (spawn where
+    fork is unavailable), each running the ``--connect`` worker loop of
+    :class:`~repro.worker.WorkerAgent`; forking keeps every ``repro`` module
+    the parent imported.  Tasks then take the path of a remote fleet: the
+    socket transport, leases and :class:`WorkerLost` re-leases.  Leases are
+    not journalled.
+
+    The draining thread calls :meth:`replenish` before each dispatch pass,
+    which forks a replacement for every worker that exited or whose link
+    the fleet dropped, so capacity returns to *size*.
+    """
+
+    def __init__(self, size: int, *, start_timeout: float = DEFAULT_START_TIMEOUT):
+        super().__init__(listen="127.0.0.1:0", min_workers=size, start_timeout=start_timeout)
+        self.size = size
+        self._processes: list = []
+        #: Pids of workers whose link was dropped (added by receiver and
+        #: monitor threads, drained by replenish() on the draining thread).
+        self._dropped: set[int] = set()
+
+    def ensure_started(self) -> None:
+        if not self._started:
+            # Fork before RemoteFleet starts the accept and monitor threads.
+            self._start_workers()
+            super().ensure_started()
+        self.replenish()
+
+    def replenish(self) -> None:
+        """Replace exited or dropped workers; wait until all *size* register."""
+        if self._closed:
+            raise FleetUnavailable("fleet is closed")
+        with self._lock:
+            dropped, self._dropped = self._dropped, set()
+        live = []
+        for process in self._processes:
+            if process.pid in dropped:
+                # A dropped link whose process lingers (a stalled worker)
+                # would hold a slot forever.
+                process.kill()
+            if process.pid in dropped or not process.is_alive():
+                process.join()
+            else:
+                live.append(process)
+        if len(live) < self.size:
+            self._processes = live
+            self._start_workers()
+        if not self.wait_for_capacity(self.start_timeout, workers=self.size):
+            raise FleetUnavailable(
+                f"local fleet has {self.worker_count}/{self.size} worker(s) "
+                f"after {self.start_timeout:.0f}s"
+            )
+
+    def _start_workers(self) -> None:
+        # Imported here, in the parent, so every fork inherits the module.
+        from repro.worker import WorkerAgent
+
+        host, port = wire.parse_address(self.bound_address)
+        context = _mp_context()
+        try:
+            while len(self._processes) < self.size:
+                process = context.Process(
+                    target=_serve_local_fleet,
+                    args=(WorkerAgent, host, port),
+                    name="repro-local-worker",
+                    daemon=True,
+                )
+                process.start()
+                self._processes.append(process)
+        except (OSError, ValueError) as error:
+            raise FleetUnavailable(f"cannot start local workers: {error}") from error
+
+    def _fail_inflight(self, link: _WorkerLink, reason: str) -> None:
+        # Every dropped link passes through here (lost, expired or closed).
+        with self._lock:
+            self._dropped.add(link.pid)
+        super()._fail_inflight(link, reason)
+
+    def close(self) -> None:
+        super().close()  # each worker exits on its ``shutdown`` frame
+        deadline = time.time() + LOCAL_EXIT_TIMEOUT
+        for process in self._processes:
+            process.join(max(0.0, deadline - time.time()))
+            if process.is_alive():
+                process.kill()  # SIGKILL also ends a stopped process
+                process.join()
+        self._processes = []

@@ -23,34 +23,37 @@ Scheduling model:
   worker process winds down via the cancel signal rather than being killed).
 * **Cancellation** — :meth:`TaskHandle.cancel` removes a pending task from
   contention and raises the cooperative cancel signal of a running one,
-  across the process boundary when pooled (see
-  :class:`~repro.exec.channel.FlagSignal`).
+  across the process boundary when pooled (a ``cancel`` frame on the
+  worker's connection).
 * **Events** — tasks submitted with an ``on_event`` subscriber stream their
   typed events live through the channel transport matching the execution
-  mode: :class:`~repro.exec.channel.DirectChannel` inline,
-  :class:`~repro.exec.channel.QueueChannel` under the process pool.  A task
-  only settles after its event stream is fully drained, so a ``DONE`` handle
-  never has events still in flight.
+  mode: :class:`~repro.exec.channel.DirectChannel` inline, the fleet's
+  :class:`~repro.exec.remote.SocketChannel` otherwise.  A task only settles
+  after its event stream is fully drained, so a ``DONE`` handle never has
+  events still in flight.
 
 Execution modes mirror the clients' needs: ``max_workers <= 1`` runs tasks
-inline on the draining thread (closures allowed, zero transport overhead);
-``max_workers > 1`` runs them on a fork-based process pool (work functions
-must be module-level picklables taking ``(payload, ctx)``); ``fleet=``
-swaps the pool for a :class:`~repro.exec.remote.RemoteFleet` of socket
-workers behind the same drain loop — clients see the identical handle,
+inline on the draining thread (closures allowed, zero transport overhead).
+Every other mode leases tasks to a fleet of socket workers (work functions
+must be module-level picklables taking ``(payload, ctx)``): ``fleet=``
+supplies a :class:`~repro.exec.remote.RemoteFleet`, and ``max_workers > 1``
+without one starts a private :class:`~repro.exec.remote.LocalFleet` of
+worker processes forked from this one.  Clients see the identical handle,
 event and settle semantics over every backend.
 
-Crash recovery: when the pool *breaks* mid-drain (a worker process died),
-the scheduler rebuilds the pool and channel and requeues just the affected
-in-flight tasks with their priority and deadline preserved, up to
-``max_retries`` crash incidents per task; a task that exhausts its retries
-settles :attr:`TaskState.FAILED` with the pool-break error attached, while
-the rest of the queue keeps running.  (A broken pool cannot attribute the
-crash, so every task in flight at the incident shares the blame — the bound
-is per task, not per culprit.)  Only when worker processes cannot be
-*started* at all does :meth:`WorkScheduler.drain` still raise
-:class:`ExecutorUnavailable`, with every unsettled task back in PENDING
-state so the client can fall back to inline execution.
+Crash recovery: a worker that dies (connection drop) or goes silent (lease
+expiry) fails only the leases it held, with
+:class:`~repro.exec.remote.WorkerLost`; the scheduler charges each of those
+tasks one retry and re-leases it with its priority and deadline preserved.
+A task that loses more than ``retry.quarantine_after`` workers, or that is
+lost once the scheduler-wide ``retry.retry_budget`` is spent, settles
+:attr:`TaskState.QUARANTINED` with the ``WorkerLost`` error attached, while
+the rest of the queue keeps running.  The local fleet forks a replacement
+for every worker it loses, so capacity returns to ``max_workers``.  Only
+when worker processes cannot be *started* (or a fleet loses every worker)
+does :meth:`WorkScheduler.drain` raise :class:`ExecutorUnavailable`, with
+every unsettled task back in PENDING state so the client can fall back to
+inline execution.
 """
 
 from __future__ import annotations
@@ -58,45 +61,21 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-import multiprocessing
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import CancelledError as FuturesCancelledError
+from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Union
 
-from repro.exec.channel import (
-    DEFAULT_MAX_PENDING_EVENTS,
-    ChannelStats,
-    DirectChannel,
-    QueueChannel,
-    close_worker_stream,
-    install_worker_transport,
-    run_streamed_task,
-    worker_context,
-)
-from repro.exec.compat import TIMEOUT_ERRORS  # noqa: F401  (re-exported surface)
+from repro.exec.channel import DirectChannel
 from repro.exec.policy import RetryPolicy, TimeoutPolicy
-from repro.exec.remote import FleetUnavailable, RemoteFleet, WorkerLost
+from repro.exec.remote import FleetUnavailable, LocalFleet, RemoteFleet, WorkerLost
 
 #: Seconds a running task is granted past its deadline before the scheduler
 #: stops waiting for it (the task's own deadline handling normally wins the
 #: race; the grace only matters for wedged workers).
 DEADLINE_GRACE = 5.0
-
-#: Seconds past a task's deadline before the scheduler raises its cancel
-#: signal.  Tasks are expected to self-limit *at* the deadline (clients fold
-#: it into the session time limit); the delay keeps the self-limit path —
-#: which reports a truthful "timed out" — from racing the cooperative nudge,
-#: whose cancel signal would read as a cancellation instead.
-NUDGE_DELAY = 1.0
-
-#: Pool-break incidents one task may survive (and be requeued after) before
-#: it settles FAILED.
-DEFAULT_MAX_RETRIES = 2
 
 
 class ExecutorUnavailable(RuntimeError):
@@ -112,19 +91,17 @@ class SchedulerStats:
     tasks_failed: int = 0
     tasks_cancelled: int = 0
     tasks_expired: int = 0
-    #: Requeues caused by pool-break incidents (crash recovery).
+    #: Re-leases after a worker was lost mid-task (crash recovery).
     task_retries: int = 0
     #: Poison tasks settled QUARANTINED after repeatedly killing workers.
     tasks_quarantined: int = 0
     #: Degradation-ladder steps taken (fleet -> pool) by this scheduler.
     degradations: int = 0
-    #: Times the worker pool (and its channel) was rebuilt after a break.
-    pool_rebuilds: int = 0
-    #: Remote workers declared lost (connection drop / lease expiry) while
-    #: this scheduler was driving a fleet backend.
+    #: Workers declared lost (connection drop / lease expiry) on this
+    #: scheduler's watch, local or remote.
     workers_lost: int = 0
-    #: Channel-load counters folded in when a channel is torn down.
-    events_high_water: int = 0
+    #: Events shed by the transport.  Always 0: TCP flow control blocks a
+    #: fast producer instead of dropping its events.
     events_dropped: int = 0
     #: Priority boosts applied by the anti-starvation aging sweep
     #: (``age_after``): one count per task per boost.
@@ -176,16 +153,17 @@ class TaskHandle:
         self.deadline = deadline
         self.on_event = on_event
         self.on_start = on_start
-        #: Pool-break incidents this task was in flight for (crash retries).
+        #: Crash retries charged to this task (one per lost worker).
         self.retries = 0
-        #: Remote workers this task was leased to that were then lost
-        #: (drives poison-task quarantine, separately from pool breaks).
+        #: Workers this task was leased to that were then lost (drives
+        #: poison-task quarantine).
         self.worker_losses = 0
         self.state = TaskState.PENDING
         self.result: Any = None
         self.error: str = ""
         #: The exception object a FAILED task's work function raised (already
-        #: unpickled on the parent side for pooled tasks).
+        #: unpickled on the parent side for pooled tasks; ``WorkerLost`` for a
+        #: QUARANTINED one).
         self.exception: Optional[BaseException] = None
         self._cancel_requested = False
         self._nudged = False  # deadline passed: cancel signal already raised
@@ -193,7 +171,6 @@ class TaskHandle:
         self._enqueued = time.time()  # aging reference instant
         self._age_credits = 0  # aging boosts already applied
         self._port = None
-        self._future = None
 
     @property
     def done(self) -> bool:
@@ -208,10 +185,8 @@ class TaskHandle:
         their cooperative cancel signal raised (cross-process when pooled)."""
         with self._scheduler._lock:
             self._cancel_requested = True
-            # Raise the signal while still holding the lock (it is a cheap
-            # flag write): once _settle() clears _port and recycles the
-            # cancel slot, a stale port reference here could otherwise cancel
-            # whatever unrelated task received the slot.
+            # Raise the signal while still holding the lock: once _settle()
+            # clears _port, a settled task never sends a stray cancel.
             if self._port is not None:
                 self._port.cancel()
 
@@ -220,44 +195,9 @@ class TaskHandle:
         return (self.priority, deadline, self.task_id)
 
 
-# ---------------------------------------------------------------- executors
-def _mp_context():
-    """The multiprocessing context shared by the channel and the pool.
-
-    One selection point on purpose: the queue/flag primitives a
-    :class:`~repro.exec.channel.QueueChannel` creates are inherited by the
-    pool's workers, so both MUST come from the same context.
-    """
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
-
-
-def _make_executor(
-    workers: int,
-    *,
-    initializer: Optional[Callable] = None,
-    initargs: tuple = (),
-) -> ProcessPoolExecutor:
-    """A fork-based process pool (spawn where fork is unavailable)."""
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=_mp_context(),
-        initializer=initializer,
-        initargs=initargs,
-    )
-
-
-def _pooled_entry(task_id: int, slot: int, streaming: bool, fn: Callable, payload: Any):
-    """Worker-process entry point: rebuild the context, run, close the stream."""
-    ctx = worker_context(task_id, slot, streaming)
-    return run_streamed_task(fn, payload, ctx, lambda: close_worker_stream(task_id))
-
-
 # ---------------------------------------------------------------- scheduler
 class WorkScheduler:
-    """Priority/deadline scheduler over inline or pooled execution.
+    """Priority/deadline scheduler over inline or fleet execution.
 
     Usage::
 
@@ -266,8 +206,8 @@ class WorkScheduler:
             scheduler.drain()
         # every handle is now settled: DONE / FAILED / CANCELLED / EXPIRED
 
-    ``drain`` may be called repeatedly; the worker pool stays warm across
-    drains until the scheduler closes.
+    ``drain`` may be called repeatedly; the worker processes stay warm
+    across drains until the scheduler closes.
     """
 
     def __init__(
@@ -275,8 +215,6 @@ class WorkScheduler:
         *,
         max_workers: int = 0,
         deadline_grace: float = DEADLINE_GRACE,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        max_pending_events: int = DEFAULT_MAX_PENDING_EVENTS,
         fleet: Union[RemoteFleet, Sequence[str], None] = None,
         retry: Optional[RetryPolicy] = None,
         timeout: Optional[TimeoutPolicy] = None,
@@ -287,16 +225,14 @@ class WorkScheduler:
         age_step: int = 1,
     ):
         # The unified policies are the source of truth; the bare
-        # ``deadline_grace`` / ``max_retries`` knobs survive as shorthand
-        # for building one-field policies.
-        self.retry = retry if retry is not None else RetryPolicy(max_retries=max_retries)
+        # ``deadline_grace`` knob survives as shorthand for a one-field
+        # policy.
+        self.retry = retry if retry is not None else RetryPolicy()
         self.timeout = (
             timeout if timeout is not None else TimeoutPolicy(deadline_grace=deadline_grace)
         )
         self.max_workers = max_workers
         self.deadline_grace = self.timeout.deadline_grace
-        self.max_retries = self.retry.max_retries
-        self.max_pending_events = max_pending_events
         #: Walk the fleet -> pool degradation ladder on ExecutorUnavailable
         #: instead of raising (opt-in: the service enables it and still owns
         #: the final inline rung).
@@ -313,11 +249,10 @@ class WorkScheduler:
         self.stats = SchedulerStats()
         self._retry_rng = self.retry.rng()
         self._next_ready: Optional[float] = None
-        # The executor backend: a local process pool (fleet=None) or a remote
-        # worker fleet — both drive the same drain loop; only _ensure_channel,
-        # _ensure_executor and the per-task-crash handling differ.  A list of
-        # "host:port" addresses builds a fleet this scheduler owns (and
-        # closes); a RemoteFleet instance is borrowed from the caller.
+        # The fleet tasks are leased to.  A list of "host:port" addresses
+        # builds a fleet this scheduler owns (and closes); a RemoteFleet
+        # instance is borrowed from the caller.  Without either, pooled
+        # drains start a LocalFleet (see _ensure_executor), also owned.
         if fleet is not None and not isinstance(fleet, RemoteFleet):
             fleet = RemoteFleet(
                 workers=tuple(fleet),
@@ -334,8 +269,6 @@ class WorkScheduler:
         self._lock = threading.Lock()
         self._heap: list[tuple[tuple, TaskHandle]] = []
         self._ids = itertools.count(1)
-        self._channel = None
-        self._executor: Optional[ProcessPoolExecutor] = None
         self._closed = False
 
     @property
@@ -344,15 +277,13 @@ class WorkScheduler:
 
     @property
     def fleet(self) -> Optional[RemoteFleet]:
-        """The remote-fleet backend, or ``None`` when running locally."""
-        return self._fleet
+        """The caller's fleet, or ``None`` when running locally."""
+        return None if isinstance(self._fleet, LocalFleet) else self._fleet
 
     def _slots(self) -> int:
-        """Concurrent dispatch width: pool size, or the fleet's live capacity
-        (optionally clamped by ``max_workers``), re-read each fill pass so a
-        shrinking fleet stops receiving new leases."""
-        if self._fleet is None:
-            return self.max_workers
+        """Concurrent dispatch width: the fleet's live capacity (clamped by
+        ``max_workers`` when set), re-read each fill pass so a shrinking
+        fleet stops receiving new leases."""
         capacity = self._fleet.capacity
         if self.max_workers > 0:
             capacity = min(capacity, self.max_workers)
@@ -399,22 +330,21 @@ class WorkScheduler:
     def drain(self) -> None:
         """Run every queued task to a settled state.
 
-        A pool that *breaks* mid-drain (worker crash) is handled internally:
-        the pool is rebuilt and the affected tasks are retried up to
-        ``max_retries``, after which they settle FAILED with the pool-break
-        error attached — no exception surfaces.  Raises
+        A worker lost mid-drain is handled internally: its tasks are
+        re-leased (and a local worker replaced), or quarantined once they
+        have killed too many workers — no exception surfaces.  Raises
         :class:`ExecutorUnavailable` only when worker processes cannot be
-        *started* at all; every unsettled task is returned to PENDING state
-        first, so the caller can retry on a fresh scheduler or fall back to
-        inline execution.
+        *started*, or a fleet loses every worker; every unsettled task is
+        returned to PENDING state first, so the caller can retry on a fresh
+        scheduler or fall back to inline execution.
 
-        With ``degrade=True`` an unavailable *fleet* does not surface at
-        all: the scheduler steps down the degradation ladder (fleet ->
-        local pool), notifies ``on_degrade`` and finishes the drain on the
-        next rung.  Only when the bottom rung is also unavailable does
-        :class:`ExecutorUnavailable` escape (clients own the final inline
-        step — running their work functions in-process is a client
-        decision, not a scheduler one).
+        With ``degrade=True`` an unavailable caller-supplied *fleet* does
+        not surface at all: the scheduler steps down the degradation ladder
+        (fleet -> local pool), notifies ``on_degrade`` and finishes the
+        drain on the next rung.  Only when the local pool is also
+        unavailable does :class:`ExecutorUnavailable` escape (clients own
+        the final inline step — running their work functions in-process is
+        a client decision, not a scheduler one).
         """
         while True:
             try:
@@ -430,13 +360,15 @@ class WorkScheduler:
     def _degrade_step(self, error: BaseException) -> bool:
         """Take one step down the ladder; True when the drain should retry.
 
-        The scheduler's ladder has exactly one step — fleet -> local
-        process pool.  The pool -> inline rung belongs to the clients: the
-        service must not run worker-process entrypoints in its own process
-        (they mutate process globals), so it reruns the unsettled jobs
-        through its own in-process path instead.
+        The scheduler's ladder has exactly one step — a caller's fleet ->
+        the local pool (a :class:`~repro.exec.remote.LocalFleet`).  A local
+        fleet that cannot start never steps to another one.  The pool ->
+        inline rung belongs to the clients: the service must not run
+        worker-process entrypoints in its own process (they mutate process
+        globals), so it reruns the unsettled jobs through its own
+        in-process path instead.
         """
-        if not self.degrade or self._fleet is None:
+        if not self.degrade or self.fleet is None:
             return False
         fleet = self._fleet
         reason = str(error) or type(error).__name__
@@ -444,9 +376,6 @@ class WorkScheduler:
             # Fold the fleet's loss counter now (close() won't see it).
             self.stats.workers_lost += fleet.workers_lost - self._fleet_lost_baseline
             self._fleet = None
-            # The fleet's channel belongs to the fleet: drop the reference
-            # without closing it, so _ensure_channel builds a QueueChannel.
-            self._channel = None
             self.stats.degradations += 1
             if self.max_workers <= 1:
                 self.max_workers = self.degrade_workers
@@ -468,7 +397,7 @@ class WorkScheduler:
         pushed back) rather than dispatched; ``self._next_ready`` records
         the earliest such instant so the drain loop can sleep toward it
         instead of spinning.  Inline drains pass ``respect_backoff=False``
-        (no pool to protect, and an inline drain must always terminate).
+        (no workers to protect, and an inline drain must always terminate).
         """
         if self.age_after is not None:
             self._age_pending()
@@ -529,7 +458,7 @@ class WorkScheduler:
                 heapq.heapify(self._heap)
 
     def _drain_inline(self) -> None:
-        channel = self._ensure_channel()
+        channel = DirectChannel()
         while True:
             task = self._pop_dispatchable(respect_backoff=False)
             if task is None:
@@ -550,136 +479,67 @@ class WorkScheduler:
                 self._settle(task, TaskState.DONE, value=value)
 
     # ---------------------------------------------------------------- pooled
-    def _ensure_channel(self):
-        if self._channel is None:
-            if self._fleet is not None:
-                self._channel = self._fleet.channel
-            elif self.pooled:
-                capacity = max(32, 4 * self.max_workers)
-                try:
-                    self._channel = QueueChannel(
-                        _mp_context(), capacity, max_pending_events=self.max_pending_events
-                    )
-                except (OSError, ValueError) as error:  # pragma: no cover - env-specific
-                    raise ExecutorUnavailable(str(error)) from error
-            else:
-                self._channel = DirectChannel()
-        return self._channel
-
-    def _ensure_executor(self):
-        if self._fleet is not None:
-            try:
-                self._fleet.ensure_started()
-            except FleetUnavailable as error:
-                # Same contract as a pool that cannot start: the caller keeps
-                # its degrade-to-inline fallback.
-                raise ExecutorUnavailable(str(error)) from error
-            return self._fleet
-        if self._executor is None:
-            channel = self._ensure_channel()
-            try:
-                self._executor = _make_executor(
-                    self.max_workers,
-                    initializer=install_worker_transport,
-                    initargs=channel.initializer_args(),
-                )
-            except (OSError, ValueError) as error:
-                raise ExecutorUnavailable(str(error)) from error
-        return self._executor
+    def _ensure_executor(self) -> RemoteFleet:
+        """Start the fleet tasks are leased to: the caller's, or a local one."""
+        if self._fleet is None:
+            self._fleet = LocalFleet(
+                self.max_workers, start_timeout=self.timeout.start_timeout
+            )
+            self._owns_fleet = True
+            self._fleet_lost_baseline = 0
+        try:
+            self._fleet.ensure_started()
+        except FleetUnavailable as error:
+            # The caller keeps its degrade-to-inline fallback.
+            raise ExecutorUnavailable(str(error)) from error
+        return self._fleet
 
     def _drain_pooled(self) -> None:
         inflight: dict[Any, TaskHandle] = {}
-        while True:
-            channel = self._ensure_channel()
-            try:
-                executor = self._ensure_executor()
-                self._drain_pooled_loop(channel, executor, inflight)
-                return
-            except BrokenProcessPool as error:
-                # A worker process died and took the pool with it.  Rebuild
-                # the pool (and its channel — a worker killed mid-put can
-                # leave the shared queue corrupted) and retry just the tasks
-                # that were in flight; the rest of the queue is untouched.
-                victims = list(inflight.values())
-                inflight.clear()
-                self._rebuild_after_break()
-                for task in victims:
-                    self._abandon_port(task)
-                    task.retries += 1
-                    if task.retries > self.max_retries or not self._retry_budget_left():
-                        self._settle(task, TaskState.FAILED, exception=error)
-                    else:
-                        self._charge_retry(task)
-            except ExecutorUnavailable:
-                # The pool cannot be (re)started at all: hand every unsettled
-                # task back as PENDING so the client can fall back inline.
-                for task in inflight.values():
-                    self._requeue(task)
-                raise
-
-    def _retry_budget_left(self) -> bool:
-        """Whether the scheduler-wide retry budget still allows a requeue."""
-        budget = self.retry.retry_budget
-        return budget is None or self.stats.task_retries < budget
-
-    def _charge_retry(self, task: TaskHandle) -> None:
-        """Charge one crash retry and requeue with its backoff window set."""
-        self.stats.task_retries += 1
-        task._not_before = time.time() + self.retry.backoff_delay(
-            task.retries, self._retry_rng
-        )
-        self._requeue(task)
+        try:
+            self._drain_pooled_loop(self._ensure_executor(), inflight)
+        except ExecutorUnavailable:
+            # No worker can run them: hand every unsettled task back as
+            # PENDING so the client can fall back inline.
+            for task in inflight.values():
+                self._requeue(task)
+            raise
 
     def _retry_lost(self, task: TaskHandle, error: BaseException) -> None:
-        """Re-lease one task whose remote worker vanished (fleet backend).
+        """Re-lease one task whose worker vanished, or quarantine it.
 
-        Mirrors the pool-break victim handling — abandon the stale channel
-        binding, charge a crash retry, requeue with priority and deadline
-        preserved — but per task: losing one worker must not tear down the
-        surviving fleet the way a broken pool tears down the pool.
+        Only the lost worker's own leases come here — a peer in flight on
+        another worker is never charged.  The stale channel binding is
+        dropped and the task requeued with priority and deadline preserved,
+        dispatchable again after its backoff delay.
 
         A task that keeps killing its workers is poison, not unlucky: past
         ``retry.quarantine_after`` lost workers (or once the scheduler-wide
         retry budget is spent) it settles QUARANTINED instead of being
         handed yet another worker to take down.
         """
-        self._abandon_port(task)
         task.retries += 1
         task.worker_losses += 1
-        if task.worker_losses > self.retry.quarantine_after or not self._retry_budget_left():
+        budget = self.retry.retry_budget
+        if task.worker_losses > self.retry.quarantine_after or (
+            budget is not None and self.stats.task_retries >= budget
+        ):
             self._settle(task, TaskState.QUARANTINED, exception=error)
             return
-        self._charge_retry(task)
+        self.stats.task_retries += 1
+        task._not_before = time.time() + self.retry.backoff_delay(
+            task.retries, self._retry_rng
+        )
+        self._requeue(task)
 
-    def _rebuild_after_break(self) -> None:
-        self.stats.pool_rebuilds += 1
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-        if self._channel is not None:
-            self._fold_channel_stats(self._channel)
-            self._channel.close()
-            self._channel = None
-
-    def _abandon_port(self, task: TaskHandle) -> None:
-        """Detach a task from its (dead) channel binding without settling it."""
-        with self._lock:
-            port = task._port
-            task._port = None
-            task._future = None
-        if port is not None:
-            port.release(recycle=False)
-
-    def _fold_channel_stats(self, channel) -> None:
-        stats: Optional[ChannelStats] = getattr(channel, "stats", None)
-        if stats is not None:
-            self.stats.events_high_water = max(
-                self.stats.events_high_water, stats.high_water_mark
-            )
-            self.stats.events_dropped += stats.dropped_events
-
-    def _drain_pooled_loop(self, channel, executor, inflight: dict) -> None:
+    def _drain_pooled_loop(self, fleet: RemoteFleet, inflight: dict) -> None:
+        channel = fleet.channel
         while True:
+            if isinstance(fleet, LocalFleet):
+                try:
+                    fleet.replenish()
+                except FleetUnavailable as error:
+                    raise ExecutorUnavailable(str(error)) from error
             # Fill free slots in (priority, deadline, submission) order.
             while len(inflight) < self._slots():
                 task = self._pop_dispatchable()
@@ -687,39 +547,22 @@ class WorkScheduler:
                     break
                 port = channel.bind(task.task_id, task.on_event)
                 try:
-                    if self._fleet is not None:
-                        future = self._fleet.submit(
-                            task.task_id,
-                            port.streaming,
-                            task.fn,
-                            task.payload,
-                            name=task.name,
-                            deadline=task.deadline,
-                        )
-                    else:
-                        future = executor.submit(
-                            _pooled_entry,
-                            task.task_id,
-                            port.slot,
-                            port.streaming,
-                            task.fn,
-                            task.payload,
-                        )
-                except BrokenProcessPool:
-                    # Pool died between drains: requeue without a retry charge
-                    # (this task never ran) and let the crash handler rebuild.
-                    port.release(recycle=False)
-                    self._requeue(task)
-                    raise
-                except (OSError, RuntimeError) as error:
-                    # FleetUnavailable lands here too: a fleet with zero live
-                    # workers is the remote analogue of an unstartable pool.
-                    port.release(recycle=False)
+                    future = fleet.submit(
+                        task.task_id,
+                        port.streaming,
+                        task.fn,
+                        task.payload,
+                        name=task.name,
+                        deadline=task.deadline,
+                    )
+                except FleetUnavailable as error:
+                    # Zero live workers: requeue without a retry charge
+                    # (this task never ran).
+                    port.release()
                     self._requeue(task)
                     raise ExecutorUnavailable(str(error)) from error
                 with self._lock:
                     task._port = port
-                    task._future = future
                     task.state = TaskState.RUNNING
                     if task._cancel_requested:  # raced with cancel()
                         port.cancel()
@@ -736,11 +579,11 @@ class WorkScheduler:
                     # toward the earliest re-dispatch instead of spinning.
                     time.sleep(min(0.25, max(0.01, next_ready - time.time())))
                     continue
-                if self._fleet is not None and self._fleet.capacity == 0:
+                if fleet.capacity == 0:
                     # Work is queued but every worker is gone: wait for a
                     # (re)connection rather than spinning; give up loudly on
                     # the same timeout registration uses.
-                    if not self._fleet.wait_for_capacity(self._fleet.start_timeout):
+                    if not fleet.wait_for_capacity(fleet.start_timeout):
                         raise ExecutorUnavailable(
                             "fleet lost every worker with tasks still queued"
                         )
@@ -753,21 +596,13 @@ class WorkScheduler:
             )
             for future in done:
                 task = inflight.pop(future)
-                if self._fleet is not None and not future.cancelled():
-                    error = future.exception(timeout=0)
-                    if isinstance(error, WorkerLost):
-                        # The remote analogue of a pool break, scoped to one
-                        # worker's leases: charge a retry and re-lease, no
-                        # teardown (the fleet already dropped the dead link).
-                        self._retry_lost(task, error)
-                        continue
-                try:
+                error = future.exception(timeout=0)
+                if isinstance(error, WorkerLost):
+                    # Scoped to one worker's leases: charge a retry and
+                    # re-lease, no teardown (the fleet dropped the dead link).
+                    self._retry_lost(task, error)
+                else:
                     self._settle_pooled(task, future)
-                except BrokenProcessPool:
-                    # Put the task back among the crash victims so the break
-                    # handler charges and requeues it with the others.
-                    inflight[future] = task
-                    raise
             self._enforce_deadlines(inflight)
 
     def _wait_timeout(self, tasks, now: float) -> Optional[float]:
@@ -802,19 +637,11 @@ class WorkScheduler:
                 if task._port is not None:
                     task._port.cancel()  # cooperative nudge across the process boundary
             if now >= cutoff + self.timeout.nudge_delay + self.deadline_grace:
-                future.cancel()
-                if future.done() and not future.cancelled():
-                    # It finished while we decided: keep the real outcome.
-                    del inflight[future]
-                    try:
-                        self._settle_pooled(task, future)
-                    except BrokenProcessPool:
-                        # Same hazard as the drain loop's settle: leave the
-                        # task among the crash victims, never stuck RUNNING.
-                        inflight[future] = task
-                        raise
-                    continue
                 del inflight[future]
+                if future.done():
+                    # It finished while we decided: keep the real outcome.
+                    self._settle_pooled(task, future)
+                    continue
                 port = task._port
                 with self._lock:
                     task._port = None
@@ -822,17 +649,11 @@ class WorkScheduler:
                     task.error = "deadline expired"
                     self.stats.tasks_expired += 1
                 if port is not None:
-                    port.release(recycle=False)
+                    port.release()
 
     def _settle_pooled(self, task: TaskHandle, future) -> None:
         try:
             value = future.result(timeout=0)
-        except FuturesCancelledError:
-            self._settle(task, TaskState.CANCELLED)
-        except TIMEOUT_ERRORS:  # pragma: no cover - future reported done
-            self._settle(task, TaskState.EXPIRED)
-        except BrokenProcessPool:
-            raise  # crash-recovery is the drain loop's job, not a task failure
         except Exception as error:  # noqa: BLE001 - task isolation boundary
             self._settle(task, TaskState.FAILED, exception=error)
         else:
@@ -856,7 +677,6 @@ class WorkScheduler:
             port.wait_drained(timeout=self.deadline_grace)
         with self._lock:
             task._port = None
-            task._future = None
             task.state = state
             task.result = value
             if exception is not None:
@@ -873,47 +693,26 @@ class WorkScheduler:
             elif state is TaskState.QUARANTINED:
                 self.stats.tasks_quarantined += 1
         if port is not None:
-            # Release only after ``task._port`` is cleared under the lock: a
-            # concurrent cancel() must never reach a recycled slot that now
-            # belongs to an unrelated task.
+            # Release only after ``task._port`` is cleared under the lock, so
+            # a concurrent cancel() sees either the live port or none.
             port.release()
 
     def _requeue(self, task: TaskHandle) -> None:
-        """Return an unsettled task to PENDING (executor-failure unwind)."""
+        """Return an unsettled task to PENDING (re-lease or executor unwind)."""
         with self._lock:
             port = task._port
             task._port = None
-            task._future = None
             task.state = TaskState.PENDING
             heapq.heappush(self._heap, (task._sort_key(), task))
         if port is not None:
-            port.release(recycle=False)
+            port.release()
 
     # ------------------------------------------------------------- lifecycle
-    def channel_stats(self) -> Optional[ChannelStats]:
-        """Load counters of the live channel (``None`` before first dispatch).
-
-        After :meth:`close`, the final counters are folded into
-        :attr:`stats` (``events_high_water`` / ``events_dropped``).
-        """
-        channel = self._channel
-        return None if channel is None else getattr(channel, "stats", None)
-
     def close(self) -> None:
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-        if self._channel is not None:
-            self._fold_channel_stats(self._channel)
-            if self._fleet is None:
-                # A fleet's channel belongs to the fleet (it may outlive this
-                # scheduler when borrowed); everything else is ours to close.
-                self._channel.close()
-            self._channel = None
         if self._fleet is not None:
             self.stats.workers_lost += self._fleet.workers_lost - self._fleet_lost_baseline
             if self._owns_fleet:

@@ -12,13 +12,12 @@ through :class:`EventHub`:
   restarts when the store survives (the hub re-seeds its counters from
   ``last_event_seq``);
 * live fan-out crosses into asyncio via ``loop.call_soon_threadsafe`` into
-  per-subscriber **bounded** ``asyncio.Queue``\\ s with the same
-  shed-and-count backpressure discipline as
-  :class:`repro.exec.channel.QueueChannel`: a consumer that stops reading
-  sheds its *own* oldest events (counted on the subscription) instead of
-  stalling the publishing thread or other subscribers — and because every
-  event is in the store first, a shed subscriber heals the gap by
-  re-reading from its last seen id.
+  per-subscriber **bounded** ``asyncio.Queue``\\ s with a shed-and-count
+  backpressure discipline: a consumer that stops reading sheds its *own*
+  oldest events (counted on the subscription) instead of stalling the
+  publishing thread or other subscribers — and because every event is in
+  the store first, a shed subscriber heals the gap by re-reading from its
+  last seen id.
 
 Frame shape (one event)::
 
@@ -38,8 +37,7 @@ import json
 import threading
 from typing import Any, Optional
 
-#: Bound of one subscriber's bridge queue (matches the exec layer's
-#: DEFAULT_MAX_PENDING_EVENTS spirit at per-client scale).
+#: Bound of one subscriber's bridge queue.
 DEFAULT_SUBSCRIBER_QUEUE = 256
 
 #: The synthetic terminal SSE event kind (not a session event: the service

@@ -2,12 +2,11 @@
 
 One worker process serves one coordinator connection at a time.  It
 registers over the :mod:`repro.exec.wire` handshake, heartbeats on the
-interval the coordinator announced, and executes leased tasks through the
-same entrypoints the local process pool uses — a leased service job runs
-``service._run_job_in_worker``; the worker itself is transport only.
-Typed session events stream back as ``event`` frames, followed by a
-``task_end`` end-of-stream marker and a ``result`` frame, in that order on
-one TCP connection — which is what lets the coordinator's
+interval the coordinator announced, and executes leased tasks — a leased
+service job runs ``service._run_job_in_worker``; the worker itself is
+transport only.  Typed session events stream back as ``event`` frames,
+followed by a ``task_end`` end-of-stream marker and a ``result`` frame, in
+that order on one TCP connection — which is what lets the coordinator's
 :class:`~repro.exec.remote.SocketChannel` guarantee a task's stream is
 fully drained before its future settles.
 
@@ -22,8 +21,13 @@ Two modes, same protocol (the worker always sends ``hello`` first):
   ``listening on HOST:PORT`` for harnesses to parse.  Serves coordinator
   connections sequentially until killed.
 
+:class:`WorkerAgent` is also the body of every local worker process:
+``WorkScheduler(max_workers=N)`` forks N of them, each running the
+``--connect`` loop against a private localhost fleet
+(:class:`~repro.exec.remote.LocalFleet`).
+
 Cache state (compiled-closure caches, counterexample pools) lives in this
-process's module globals exactly as it does in a pool worker; pool deltas
+process's module globals, remote or local alike; pool deltas
 arrive inside task payloads and fresh counterexamples travel back in
 results, so remote workers share discoveries at job granularity without
 shared memory.
@@ -92,6 +96,9 @@ class WorkerAgent:
     # ------------------------------------------------------------------ serve
     def serve(self, sock: socket.socket) -> int:
         """Handshake then run the task loop until the coordinator closes."""
+        # Small event/task_end/result frames must not wait on Nagle's
+        # algorithm behind the coordinator's delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         welcome = wire.worker_hello(
             sock, worker_id=self.worker_id, slots=self.slots, pid=os.getpid()
         )

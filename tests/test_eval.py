@@ -78,7 +78,7 @@ class TestHarness:
         text = render_scheduler_report(
             SchedulerStats(tasks_submitted=3, tasks_done=2, task_retries=1)
         )
-        assert "Retries" in text and "EventsHWM" in text
+        assert "Retries" in text and "WorkersLost" in text
 
     def test_cli_scheduler_workers_flag(self, capsys):
         from repro.eval.__main__ import main

@@ -1,18 +1,17 @@
 """Tests for the unified execution layer (repro.exec).
 
-Covers the channel transports (direct vs multiprocessing-queue), queue
-backpressure (bounded pending events, producer block-with-timeout, load
-counters), the priority/deadline scheduler in both execution modes,
-cross-process cancellation, crash recovery (worker-killing tasks retried
-up to max_retries, FAILED after), cross-transport stream equivalence at
-the scheduler level, the FuturesTimeout compat shim, and the
-ExecutorUnavailable hand-back when worker processes cannot start.
+Covers the priority/deadline scheduler inline and on its local fleet of
+forked worker processes, cross-process cancellation, crash recovery (a
+killed worker's task re-leased, peers uncharged, worker-killing tasks
+quarantined, lost workers replaced), direct vs local-fleet stream
+equivalence at the scheduler level, the FuturesTimeout compat shim, and
+the ExecutorUnavailable hand-back when worker processes cannot start.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -21,13 +20,15 @@ import pytest
 from repro.exec import (
     TIMEOUT_ERRORS,
     ExecutorUnavailable,
+    RetryPolicy,
     TaskState,
+    WorkerLost,
     WorkScheduler,
 )
 
 
 # ------------------------------------------------------------ worker bodies
-# Module-level so the fork-based pool can pickle them by reference.
+# Module-level so they pickle by reference (forked workers hold this module).
 def _double(payload, ctx):
     return payload * 2
 
@@ -72,104 +73,6 @@ def _run_until_cancelled(payload, ctx):
         time.sleep(0.005)
         ticks += 1
     return ("timed-out", ticks)
-
-
-# ----------------------------------------------------------------- channels
-class TestQueueChannel:
-    def test_round_trip_order_eos_and_cancel(self):
-        from repro.exec import channel as ch
-
-        context = multiprocessing.get_context("fork")
-        qc = ch.QueueChannel(context, capacity=4)
-        received: list = []
-        port = qc.bind(7, received.append)
-        assert port.slot >= 0
-        try:
-            # Simulate the worker side in this same process: install the
-            # transport ends exactly like the pool initializer would.
-            ch.install_worker_transport(*qc.initializer_args())
-            wctx = ch.worker_context(7, port.slot, True)
-            for i in range(5):
-                wctx.emit(i)
-            wctx.emit(None)  # a legitimate None payload is NOT end-of-stream
-            ch.close_worker_stream(7)
-            assert port.wait_drained(5.0)
-            assert received == [0, 1, 2, 3, 4, None]
-            assert not wctx.cancel_event.is_set()
-            port.cancel()
-            assert wctx.cancel_event.is_set()
-        finally:
-            port.release(recycle=False)
-            qc.close()
-            ch.install_worker_transport(None, None)
-
-    def test_unsubscribed_task_drains_trivially(self):
-        from repro.exec import channel as ch
-
-        qc = ch.QueueChannel(multiprocessing.get_context("fork"), capacity=2)
-        port = qc.bind(1, None)
-        assert not port.streaming
-        assert port.wait_drained(0.1)
-        port.release()
-        qc.close()
-
-
-class TestBackpressure:
-    def test_bounded_queue_still_delivers_everything(self):
-        # A consumer slower than the producer, a tiny bound: the producer
-        # blocks (never drops at the default generous timeout), pending
-        # events stay at or under the bound, and delivery is complete.
-        events: list = []
-
-        def slow(event):
-            time.sleep(0.002)
-            events.append(event)
-
-        with WorkScheduler(max_workers=2, max_pending_events=4) as scheduler:
-            handle = scheduler.submit(_emit_range, 80, on_event=slow)
-            scheduler.drain()
-            live = scheduler.channel_stats()
-            assert live is not None and live.max_pending_events == 4
-        assert handle.state is TaskState.DONE
-        assert events == list(range(80))
-        stats = scheduler.stats  # channel counters folded in on close
-        assert stats.events_high_water <= 4
-        assert stats.events_dropped == 0
-
-    def test_wedged_consumer_sheds_events_after_timeout(self):
-        from repro.exec import channel as ch
-
-        context = multiprocessing.get_context("fork")
-        qc = ch.QueueChannel(context, capacity=4, max_pending_events=2, put_timeout=0.05)
-        unblock = threading.Event()
-        received: list = []
-
-        def wedged(event):
-            unblock.wait(5.0)
-            received.append(event)
-
-        port = qc.bind(1, wedged)
-        try:
-            ch.install_worker_transport(*qc.initializer_args())
-            wctx = ch.worker_context(1, port.slot, True)
-            for i in range(10):
-                wctx.emit(i)
-            stats = qc.stats
-            assert stats.max_pending_events == 2
-            assert stats.dropped_events > 0, "producer never shed under backpressure"
-            assert stats.high_water_mark <= 2
-            unblock.set()
-            ch.close_worker_stream(1)
-            assert port.wait_drained(5.0)
-            # Prefix semantics: whatever was delivered is an in-order prefix
-            # plus nothing out of order (drops only ever trim the tail of
-            # what fit in the queue at each instant).
-            assert received == sorted(received)
-            assert len(received) + stats.dropped_events >= 10
-        finally:
-            port.release(recycle=False)
-            qc.close()
-            ch.install_worker_transport(None, None)
 
 
 # --------------------------------------------------------- inline scheduler
@@ -326,8 +229,6 @@ class TestPooledScheduler:
 
             # Cancel shortly after dispatch, from the draining thread's
             # perspective an external thread.
-            import threading
-
             timer = threading.Timer(0.3, cancel_soon)
             timer.start()
             try:
@@ -360,60 +261,93 @@ class TestPooledScheduler:
             return events, handle.result, handle.state
 
         direct = run(0)
-        queued = run(2)
-        assert direct == queued
+        forked = run(2)
+        assert direct == forked
         assert direct[0] == list(range(6))
 
 
 # ------------------------------------------------------------ crash recovery
 class TestCrashRetry:
     def test_killed_worker_task_is_requeued_and_recovers(self, tmp_path):
-        # The task hard-kills its worker process on the first run (breaking
-        # the pool) and succeeds on the retry; an innocent peer task caught
-        # in the same incident is requeued too and still completes.
+        # The task hard-kills its worker process on the first run and
+        # succeeds on the re-lease.  The peer task, leased to the other
+        # worker, is not charged for the crash.
         marker = str(tmp_path / "crash-once")
         with WorkScheduler(max_workers=2) as scheduler:
             crash = scheduler.submit(_crash_once, marker, name="crash-once")
             peer = scheduler.submit(_double, 21)
             scheduler.drain()
-            stats = scheduler.stats
+        stats = scheduler.stats
         assert crash.state is TaskState.DONE
         assert crash.result == "recovered"
-        assert crash.retries >= 1
+        assert crash.retries == 1
         assert peer.state is TaskState.DONE and peer.result == 42
-        assert stats.task_retries >= 1
-        assert stats.pool_rebuilds >= 1
+        assert peer.retries == 0
+        assert stats.task_retries == 1
+        assert stats.workers_lost == 1
         assert stats.tasks_done == 2 and stats.tasks_failed == 0
 
-    def test_retries_exhaust_to_failed_without_wholesale_fallback(self):
-        # A task that kills its worker every time must settle FAILED after
-        # max_retries — not raise ExecutorUnavailable — and must not poison
-        # the scheduler: a task submitted afterwards on the same scheduler
-        # runs on the rebuilt pool and completes.
-        with WorkScheduler(max_workers=2, max_retries=1) as scheduler:
+    def test_worker_killer_is_quarantined_without_wholesale_fallback(self):
+        # A task that kills its worker every time settles QUARANTINED with
+        # the WorkerLost error once it has taken down more than
+        # quarantine_after workers — drain() does not raise
+        # ExecutorUnavailable — and the scheduler keeps working: the lost
+        # workers are replaced and a later task runs on them.
+        retry = RetryPolicy(quarantine_after=1)
+        with WorkScheduler(max_workers=2, retry=retry) as scheduler:
             doomed = scheduler.submit(_always_crash, None, name="doomed")
             scheduler.drain()  # must NOT raise
             later = scheduler.submit(_double, 21)
             scheduler.drain()
-            stats = scheduler.stats
-        assert doomed.state is TaskState.FAILED
-        assert doomed.retries == 2  # first incident + one retry, then give up
-        assert "BrokenProcessPool" in doomed.error
+            assert scheduler._fleet.capacity == 2
+        stats = scheduler.stats
+        assert doomed.state is TaskState.QUARANTINED
+        assert doomed.worker_losses == 2  # first loss + one re-lease, then quarantine
+        assert isinstance(doomed.exception, WorkerLost)
+        assert "WorkerLost" in doomed.error
         assert later.state is TaskState.DONE and later.result == 42
-        assert stats.tasks_failed == 1 and stats.tasks_done == 1
+        assert stats.tasks_quarantined == 1 and stats.tasks_done == 1
         assert stats.task_retries == 1
-        assert stats.pool_rebuilds == 2
+        assert stats.workers_lost == 2
+
+    def test_idle_worker_killed_is_replaced_before_next_drain(self):
+        # A worker killed between drains holds no lease, so no task is
+        # charged; the next drain forks its replacement before dispatching
+        # and runs at full width.
+        with WorkScheduler(max_workers=2) as scheduler:
+            scheduler.submit(_double, 1)
+            scheduler.drain()
+            fleet = scheduler._fleet
+            os.kill(fleet._processes[0].pid, signal.SIGKILL)
+            deadline = time.time() + 10.0
+            while fleet.capacity == 2 and time.time() < deadline:
+                time.sleep(0.01)
+            assert fleet.capacity == 1
+            widths: list = []
+            handles = [
+                scheduler.submit(
+                    _double, index, on_start=lambda: widths.append(fleet.capacity)
+                )
+                for index in range(2)
+            ]
+            scheduler.drain()
+            assert fleet.capacity == scheduler.max_workers
+        assert widths == [2, 2]
+        assert [handle.result for handle in handles] == [0, 2]
+        assert scheduler.stats.workers_lost == 1
+        assert scheduler.stats.task_retries == 0
 
 
 # ----------------------------------------------------- executor degradation
 class TestExecutorUnavailable:
     def test_drain_raises_and_requeues(self, monkeypatch):
-        import repro.exec.scheduler as scheduler_module
+        import repro.exec.remote as remote_module
 
-        def broken(*_args, **_kwargs):
-            raise OSError("no worker processes on this platform")
+        class NoProcesses:
+            def Process(self, *_args, **_kwargs):
+                raise OSError("no worker processes on this platform")
 
-        monkeypatch.setattr(scheduler_module, "_make_executor", broken)
+        monkeypatch.setattr(remote_module, "_mp_context", NoProcesses)
         with WorkScheduler(max_workers=2) as scheduler:
             handle = scheduler.submit(_double, 1)
             with pytest.raises(ExecutorUnavailable):

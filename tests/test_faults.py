@@ -223,7 +223,7 @@ class TestFleetChaos:
                 ),
             ),
         )
-        retry = RetryPolicy(max_retries=5, quarantine_after=1, backoff_base=0.0)
+        retry = RetryPolicy(quarantine_after=1, backoff_base=0.0)
         with faults.activate(plan):
             with WorkScheduler(fleet=chaos_fleet, retry=retry) as scheduler:
                 good = scheduler.submit(echo_task, "fine", name="good")

@@ -5,13 +5,14 @@ Layers under test, bottom up:
 * :mod:`repro.exec.wire` — frame round-trips, torn/corrupt stream failures,
   handshake version checking (plain ``socketpair``, no processes);
 * :class:`repro.exec.remote.RemoteFleet` + ``repro.worker`` — dispatch,
-  ordered event streaming, failure propagation, cross-socket cancel, lease
-  expiry → re-lease with exactly-once settlement (in-thread workers for the
+  ordered event streaming, failure propagation, cross-socket cancel,
+  ``TCP_NODELAY`` on every connection, a prompt ``close()``, lease expiry →
+  re-lease with exactly-once settlement (in-thread workers for the
   protocol tests, real killed subprocesses for the crash tests);
-* cross-transport equivalence — a service batch over the socket transport
-  must produce the same events and results as the in-process and queue
-  transports on the pinned registry slice (all 20 benchmarks under
-  ``REPRO_FULL_EQUIV=1``);
+* cross-transport equivalence — a service batch over a remote fleet must
+  produce the same events and results as the in-process service and the
+  local fleet (``max_workers=2``) on the pinned registry slice (all 20
+  benchmarks under ``REPRO_FULL_EQUIV=1``);
 * the CI distributed smoke (``REPRO_DIST_SMOKE=1``): a 5-job service batch
   over a 2-worker fleet, one worker killed -9 mid-batch, trajectories
   pinned against the sequential service.
@@ -373,6 +374,44 @@ class TestRemoteFleet:
         finally:
             fleet.close()
 
+    def test_every_connection_sets_tcp_nodelay(self):
+        # Without TCP_NODELAY a streamed task's task_end and result frames
+        # wait on Nagle's algorithm behind the peer's delayed ACK (~40 ms).
+        fleet = RemoteFleet(listen="127.0.0.1:0", start_timeout=15.0)
+        sock = socket.create_connection(wire.parse_address(fleet.bound_address))
+        agent = WorkerAgent(worker_id="nodelay-w0")
+        thread = threading.Thread(target=agent.serve, args=(sock,), daemon=True)
+        thread.start()
+        try:
+            fleet.ensure_started()
+            (link,) = fleet._links.values()
+            nodelay = (socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            assert link.sock.getsockopt(*nodelay), "coordinator side"
+            assert sock.getsockopt(*nodelay), "worker side"
+        finally:
+            fleet.close()
+            thread.join(timeout=5)
+            sock.close()
+
+    def test_close_stops_every_fleet_thread(self):
+        # With these settings the monitor sleeps 24-36 s between scans and
+        # the accept loop blocks with no timeout: close() must wake both
+        # rather than leave them to a join that times out.
+        fleet = RemoteFleet(
+            listen="127.0.0.1:0",
+            heartbeat_interval=30,
+            lease_ttl=90,
+            start_timeout=15.0,
+        )
+        host, port = wire.parse_address(fleet.bound_address)
+        agent = WorkerAgent(worker_id="close-w0")
+        thread = threading.Thread(target=agent.connect, args=(host, port), daemon=True)
+        thread.start()
+        fleet.ensure_started()
+        fleet.close()
+        thread.join(timeout=5)
+        assert [t.name for t in fleet._threads if t.is_alive()] == []
+
 
 class TestLeaseRecovery:
     def test_kill9_mid_task_releases_and_releases_exactly_once(self):
@@ -607,14 +646,14 @@ def socket_slice(listen_workers) -> tuple:
 
 
 class TestSocketTransportEquivalence:
-    """A service batch over the socket transport matches the other two."""
+    """A service batch over a remote fleet matches the other two modes."""
 
     def test_socket_stream_matches_sequential_on_slice(self, socket_slice):
         batch, fleet = socket_slice
         _assert_equivalent(_run_batch(QUICK_SLICE, max_workers=0), batch)
         assert fleet.workers_lost == 0
 
-    def test_socket_matches_queue_transport(self, socket_slice):
+    def test_socket_matches_local_fleet(self, socket_slice):
         batch, _fleet = socket_slice
         _assert_equivalent(_run_batch(QUICK_SLICE, max_workers=2), batch)
 

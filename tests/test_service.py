@@ -14,6 +14,8 @@ from repro.api import (
     JobStatus,
     MigrationJob,
     MigrationService,
+    ResilienceConfig,
+    RetryPolicy,
     SessionEvent,
     SQLiteJobStore,
     VcSelected,
@@ -52,9 +54,9 @@ def _crash_job_once(task, ctx):
     """Fork-safe crash injection for the kill-a-worker retry test.
 
     Hard-kills the worker the first time it runs the job named in
-    ``REPRO_TEST_CRASH_JOB`` (the marker file keeps it once-only across the
-    rebuilt pool), then delegates to the real worker entry point.
-    Module-level so the fork pool pickles it by reference.
+    ``REPRO_TEST_CRASH_JOB`` (the marker file keeps it once-only across
+    worker processes), then delegates to the real worker entry point.
+    Module-level so it pickles by reference.
     """
     import repro.service as service_module
 
@@ -270,9 +272,10 @@ class TestPooledService:
         assert handle.result.iterations < 5000, "cancellation did not stop the worker"
 
     def test_killed_worker_is_retried_with_same_trajectory(self, monkeypatch, tmp_path):
-        # Kill the worker running Oracle-1 once mid-batch: the scheduler's
-        # crash recovery requeues the in-flight jobs onto a rebuilt pool, and
-        # the job settles DONE with the exact in-process trajectory.
+        # Kill the worker running Oracle-1 once mid-batch: the local fleet
+        # reports the lost lease, the scheduler re-leases just that job (the
+        # dead worker is replaced), and it settles DONE with the exact
+        # in-process trajectory.
         import repro.service as service_module
 
         marker = tmp_path / "worker-crashed"
@@ -337,14 +340,14 @@ class TestCrossTransportEquivalence:
 
     def _assert_equivalent(self, names: list[str]):
         direct_handles, direct_events = self._run(names, 0)
-        queued_handles, queued_events = self._run(names, 2)
-        for name, direct, queued in zip(names, direct_handles, queued_handles):
-            assert direct.status is queued.status is JobStatus.DONE, name
-            # Same ordered event stream per job (queue events survive the
+        forked_handles, forked_events = self._run(names, 2)
+        for name, direct, forked in zip(names, direct_handles, forked_handles):
+            assert direct.status is forked.status is JobStatus.DONE, name
+            # Same ordered event stream per job (socket events survive the
             # pickle round-trip with value equality)...
-            assert direct_events[name] == queued_events[name], name
+            assert direct_events[name] == forked_events[name], name
             # ... and the same trajectory on the results.
-            assert _trajectory(direct.result) == _trajectory(queued.result), name
+            assert _trajectory(direct.result) == _trajectory(forked.result), name
 
     def test_transports_equivalent_on_registry_slice(self):
         self._assert_equivalent(self.QUICK)
@@ -638,20 +641,25 @@ class TestResumeRePinning:
 
     def test_retired_parallel_fields_in_stored_config_are_inert(self, tmp_path):
         # A 3.x spec pickled SynthesisConfig with the three wave-parallel
-        # fields, a 4.x spec with the VC engine choice; unpickling restores
-        # them as plain attributes that nothing reads, so the job resumes
-        # and runs sequentially on the factored VC engine.
+        # fields, a 4.x spec with the VC engine choice, and a 5.x spec's
+        # RetryPolicy carries the pool-break retry count; unpickling
+        # restores them as plain attributes that nothing reads, so the job
+        # resumes and runs sequentially on the factored VC engine.
         config = _config()
         config.parallel_workers = 2
         config.parallel_wave_size = 1
         config.execution_fleet = ("127.0.0.1:9",)
         config.vc_engine = "maxsat"
+        retry = RetryPolicy()
+        object.__setattr__(retry, "max_retries", 5)  # frozen dataclass
+        config.resilience = ResilienceConfig(retry=retry)
         path = self._crashed_store(tmp_path, _job("Oracle-1", config, workload="Oracle-1"))
         resumed = MigrationService.resume(path)
         (handle,) = resumed.handles
         assert handle.status is JobStatus.PENDING
         assert handle.job.config.parallel_workers == 2  # the pickle kept it
         assert handle.job.config.vc_engine == "maxsat"
+        assert handle.job.config.resilience.retry.max_retries == 5
         resumed.run()
         assert handle.status is JobStatus.DONE
         assert handle.result.succeeded
