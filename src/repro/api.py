@@ -147,9 +147,10 @@ Breaking in 5.0.0 — "one job store, one VC engine":
 
 Breaking in 6.0.0 — "one cross-process transport": ``max_workers=N``
 (service, scheduler, ``--scheduler-workers``) runs N worker processes
-forked from the caller against a private localhost fleet, over the socket
-transport and lease model remote fleets use.  The multiprocessing-queue
-transport, the process pool and its break recovery are gone.
+forked from the caller, each holding one end of a socketpair to a private
+fleet, over the socket transport and lease model remote fleets use.  The
+multiprocessing-queue transport, the process pool and its break recovery
+are gone.
 
 * ``repro.exec`` loses ``QueueChannel``, ``FlagSignal``, ``ChannelStats``,
   ``DEFAULT_MAX_PENDING_EVENTS``, ``install_worker_transport``,
@@ -171,6 +172,10 @@ transport, the process pool and its break recovery are gone.
   (and the eval scheduler table its ``PoolRebuilds`` and ``EventsHWM``
   columns).  Lost local workers count in ``workers_lost``;
   ``events_dropped`` stays and reads 0.
+* Pooled ``on_event`` callbacks run on one receiver thread per worker, so
+  callbacks for different jobs may now run at the same time.  Callbacks
+  for one job stay sequential and in order.  A callback that counts or
+  writes shared state needs its own lock.
 """
 
 from __future__ import annotations

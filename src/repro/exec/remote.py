@@ -25,8 +25,9 @@ Topologies (the protocol is direction-agnostic — the worker always sends
 * **listen** — the fleet binds ``RemoteFleet(listen="HOST:PORT")`` and
   workers register with ``python -m repro.worker --connect HOST:PORT``;
 * **local** — :class:`LocalFleet`, the scheduler's own fleet for
-  ``WorkScheduler(max_workers=N)``: a listening fleet on ``127.0.0.1`` plus
-  N worker processes forked from this one.
+  ``WorkScheduler(max_workers=N)``: N worker processes forked from this
+  one, each holding one end of a socketpair.  No port is opened, so no
+  other process can register or receive work.
 
 Leases and failure semantics: every dispatched task is a **lease** — an
 assignment of one task to one worker with an expiry, renewed by the
@@ -43,11 +44,13 @@ straggler result from a worker that was merely slow can never settle the
 task a second time: execution is at-least-once under crashes, settlement
 exactly-once.
 
-Every connection sets ``TCP_NODELAY``: a streamed task's small ``event``,
-``task_end`` and ``result`` frames would otherwise wait on Nagle's
-algorithm behind the peer's delayed ACK (about 40 ms per task).  The
-socket transport sheds nothing: a slow coordinator propagates TCP flow
-control back to the workers' ``sendall``.
+Every TCP connection sets ``TCP_NODELAY``: a streamed task's small
+``event``, ``task_end`` and ``result`` frames would otherwise wait on
+Nagle's algorithm behind the peer's delayed ACK (about 40 ms per task).
+The socket transport sheds nothing: a slow subscriber propagates flow
+control back to the workers' ``sendall``.  Silence is only counted while
+a receiver thread waits for a frame, so a worker whose frames queue behind
+a slow subscriber never loses its leases.
 """
 
 from __future__ import annotations
@@ -217,7 +220,11 @@ class _WorkerLink:
         self.heartbeat: float = float(
             hello.get("heartbeat_effective") or DEFAULT_HEARTBEAT_INTERVAL
         )
+        #: Renewed each time the receiver thread goes back to waiting.
         self.last_beat = time.time()
+        #: True while the receiver thread waits for a frame: the only time
+        #: the worker can be silent.
+        self.listening = False
         self.inflight: dict[int, _Lease] = {}
         self.send_lock = threading.Lock()
         self.lost = False
@@ -341,6 +348,13 @@ class RemoteFleet:
                 self._roster_changed.wait(remaining)
             return len(self._links) >= workers
 
+    def replenish(self) -> None:
+        """Restore lost capacity before a dispatch pass.
+
+        A no-op here: remote workers reconnect on their own.
+        :class:`LocalFleet` forks replacements.
+        """
+
     def _spawn(self, target: Callable[[], None], name: str) -> None:
         thread = threading.Thread(target=target, name=name, daemon=True)
         thread.start()
@@ -410,9 +424,10 @@ class RemoteFleet:
             self._register(sock)
             return
 
-    def _register(self, sock: socket.socket) -> None:
+    def _register(self, sock: socket.socket) -> Optional[_WorkerLink]:
+        """Handshake one connection and serve it; None when it is turned away."""
         try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            wire.set_nodelay(sock)
             sock.settimeout(10.0)
             hello = wire.coordinator_accept(
                 sock,
@@ -426,7 +441,7 @@ class RemoteFleet:
                 sock.close()
             except OSError:  # pragma: no cover
                 pass
-            return
+            return None
         link = _WorkerLink(sock, hello)
         with self._roster_changed:
             if self._closed or link.worker_id in self._links:
@@ -437,14 +452,21 @@ class RemoteFleet:
                     sock.close()
                 except OSError:
                     pass
-                return
+                return None
             self._links[link.worker_id] = link
             self._roster_changed.notify_all()
         self._spawn(lambda: self._serve_link(link), f"repro-fleet-recv-{link.worker_id}")
+        return link
 
     # -------------------------------------------------------------- receiving
     def _serve_link(self, link: _WorkerLink) -> None:
         while True:
+            with self._lock:
+                # Every frame renews the link, and silence is only counted
+                # from here on: heartbeats queued behind events for a slow
+                # subscriber are the coordinator's delay, not the worker's.
+                link.last_beat = time.time()
+                link.listening = True
             try:
                 header, payload = wire.recv_frame(link.sock)
             except wire.ConnectionClosed:
@@ -453,6 +475,7 @@ class RemoteFleet:
             except (wire.FrameError, OSError) as error:
                 self._lose_worker(link, f"connection failed ({error})")
                 return
+            link.listening = False
             kind = header.get("type")
             if kind == "event":
                 self.channel._dispatch(header["task"], wire.load_payload(payload))
@@ -569,16 +592,16 @@ class RemoteFleet:
 
         Re-validates under ``self._lock`` that the link is still live
         (not already being closed by ``_lose_worker``/``close()``) and
-        still silent (a heartbeat may have renewed ``last_beat`` between
-        the monitor's scan and this call).  Only then is the loss
-        committed, atomically with the decision — the monitor can never
-        expire a lease out from under a concurrent close.  Returns True
-        when the link was expired.
+        still silent (a frame may have renewed ``last_beat``, or the
+        receiver may be busy delivering one, since the monitor's scan).
+        Only then is the loss committed, atomically with the decision — the
+        monitor can never expire a lease out from under a concurrent close.
+        Returns True when the link was expired.
         """
         with self._roster_changed:
             if link.lost or self._closed:
                 return False
-            if time.time() - link.last_beat <= self.lease_ttl:
+            if not self._silent(link, time.time()):
                 return False  # renewed since the scan: not silent after all
             link.lost = True
             self._links.pop(link.worker_id, None)
@@ -588,6 +611,10 @@ class RemoteFleet:
         self._fail_inflight(link, reason)
         return True
 
+    def _silent(self, link: _WorkerLink, now: float) -> bool:
+        """Whether *link* has owed a frame for longer than ``lease_ttl``."""
+        return link.listening and now - link.last_beat > self.lease_ttl
+
     def _monitor_loop(self) -> None:
         interval = max(0.05, min(self.heartbeat_interval, self.lease_ttl / 3))
         rng = random.Random(f"monitor:{id(self)}")
@@ -595,11 +622,7 @@ class RemoteFleet:
         while not self._stop.wait(interval * rng.uniform(0.8, 1.2)):
             now = time.time()
             with self._lock:
-                silent = [
-                    link
-                    for link in self._links.values()
-                    if now - link.last_beat > self.lease_ttl
-                ]
+                silent = [link for link in self._links.values() if self._silent(link, now)]
             for link in silent:
                 self._expire_link(
                     link, f"lease expired after {self.lease_ttl:.1f}s of silence"
@@ -700,21 +723,26 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-def _serve_local_fleet(agent: type, host: str, port: int) -> None:
-    """Body of one local worker process: serve the parent's fleet, then exit."""
-    agent(worker_id=f"local-{os.getpid()}").connect(host, port)
+def _serve_local_fleet(agent: type, sock: socket.socket, parent_end: socket.socket) -> None:
+    """Body of one local worker process: serve the parent over *sock*, then exit."""
+    # Drop this process's copy of the parent's end, so the worker reads EOF
+    # when the parent dies instead of waiting on a socket it holds itself.
+    parent_end.close()
+    with sock:
+        sock.settimeout(30.0)  # handshake window; serve() lifts it
+        agent(worker_id=f"local-{os.getpid()}").serve(sock)
 
 
 class LocalFleet(RemoteFleet):
-    """The scheduler's own fleet: *size* worker processes on ``127.0.0.1``.
+    """The scheduler's own fleet: *size* worker processes forked from this one.
 
-    ``WorkScheduler(max_workers=N)`` owns one per scheduler.  The fleet
-    listens on a free localhost port and forks N processes (spawn where
-    fork is unavailable), each running the ``--connect`` worker loop of
-    :class:`~repro.worker.WorkerAgent`; forking keeps every ``repro`` module
-    the parent imported.  Tasks then take the path of a remote fleet: the
-    socket transport, leases and :class:`WorkerLost` re-leases.  Leases are
-    not journalled.
+    ``WorkScheduler(max_workers=N)`` owns one per scheduler.  Each worker is
+    forked (spawned where fork is unavailable) with one end of a fresh
+    ``socketpair`` and runs :meth:`~repro.worker.WorkerAgent.serve` on it;
+    forking keeps every ``repro`` module the parent imported.  The fleet
+    opens no port, so only its own children can register.  Tasks then take
+    the path of a remote fleet: the socket transport, leases and
+    :class:`WorkerLost` re-leases.  Leases are not journalled.
 
     The draining thread calls :meth:`replenish` before each dispatch pass,
     which forks a replacement for every worker that exited or whose link
@@ -722,76 +750,80 @@ class LocalFleet(RemoteFleet):
     """
 
     def __init__(self, size: int, *, start_timeout: float = DEFAULT_START_TIMEOUT):
-        super().__init__(listen="127.0.0.1:0", min_workers=size, start_timeout=start_timeout)
+        super().__init__(min_workers=size, start_timeout=start_timeout)
         self.size = size
-        self._processes: list = []
-        #: Pids of workers whose link was dropped (added by receiver and
-        #: monitor threads, drained by replenish() on the draining thread).
-        self._dropped: set[int] = set()
+        #: (process, link) of every registered worker.
+        self._workers: list[tuple[Any, _WorkerLink]] = []
 
     def ensure_started(self) -> None:
-        if not self._started:
-            # Fork before RemoteFleet starts the accept and monitor threads.
-            self._start_workers()
-            super().ensure_started()
+        # replenish() forks the first workers before RemoteFleet starts
+        # the monitor thread.
         self.replenish()
+        super().ensure_started()
 
     def replenish(self) -> None:
-        """Replace exited or dropped workers; wait until all *size* register."""
+        """Replace exited or dropped workers until all *size* are registered."""
         if self._closed:
             raise FleetUnavailable("fleet is closed")
-        with self._lock:
-            dropped, self._dropped = self._dropped, set()
-        live = []
-        for process in self._processes:
-            if process.pid in dropped:
+        workers = []
+        for process, link in self._workers:
+            if link.lost or not process.is_alive():
                 # A dropped link whose process lingers (a stalled worker)
                 # would hold a slot forever.
                 process.kill()
-            if process.pid in dropped or not process.is_alive():
                 process.join()
             else:
-                live.append(process)
-        if len(live) < self.size:
-            self._processes = live
+                workers.append((process, link))
+        self._workers = workers
+        if len(workers) < self.size:
             self._start_workers()
-        if not self.wait_for_capacity(self.start_timeout, workers=self.size):
+        if len(self._workers) < self.size:
             raise FleetUnavailable(
-                f"local fleet has {self.worker_count}/{self.size} worker(s) "
-                f"after {self.start_timeout:.0f}s"
+                f"local fleet has {len(self._workers)}/{self.size} worker(s)"
             )
 
     def _start_workers(self) -> None:
+        """Fork the missing workers first, then register each one."""
         # Imported here, in the parent, so every fork inherits the module.
         from repro.worker import WorkerAgent
 
-        host, port = wire.parse_address(self.bound_address)
         context = _mp_context()
+        forked = []
         try:
-            while len(self._processes) < self.size:
-                process = context.Process(
-                    target=_serve_local_fleet,
-                    args=(WorkerAgent, host, port),
-                    name="repro-local-worker",
-                    daemon=True,
-                )
-                process.start()
-                self._processes.append(process)
+            while len(self._workers) + len(forked) < self.size:
+                parent_end, child_end = socket.socketpair()
+                # Closed here once the child holds its own copy, so the
+                # parent reads EOF on its end as soon as the worker exits.
+                with child_end:
+                    try:
+                        process = context.Process(
+                            target=_serve_local_fleet,
+                            args=(WorkerAgent, child_end, parent_end),
+                            name="repro-local-worker",
+                            daemon=True,
+                        )
+                        process.start()
+                    except BaseException:
+                        parent_end.close()
+                        raise
+                forked.append((process, parent_end))
         except (OSError, ValueError) as error:
             raise FleetUnavailable(f"cannot start local workers: {error}") from error
-
-    def _fail_inflight(self, link: _WorkerLink, reason: str) -> None:
-        # Every dropped link passes through here (lost, expired or closed).
-        with self._lock:
-            self._dropped.add(link.pid)
-        super()._fail_inflight(link, reason)
+        finally:
+            for process, parent_end in forked:
+                link = self._register(parent_end)
+                if link is None:  # never said hello
+                    process.kill()
+                    process.join()
+                else:
+                    self._workers.append((process, link))
 
     def close(self) -> None:
         super().close()  # each worker exits on its ``shutdown`` frame
         deadline = time.time() + LOCAL_EXIT_TIMEOUT
-        for process in self._processes:
+        for process, _link in self._workers:
             process.join(max(0.0, deadline - time.time()))
             if process.is_alive():
                 process.kill()  # SIGKILL also ends a stopped process
                 process.join()
-        self._processes = []
+        self._workers = []

@@ -263,6 +263,8 @@ class WorkScheduler:
         else:
             self._owns_fleet = False
         self._fleet: Optional[RemoteFleet] = fleet
+        #: True once _ensure_executor has started this scheduler's LocalFleet.
+        self._local = False
         # Loss counter baseline: a borrowed fleet outlives schedulers, so this
         # scheduler only reports workers lost on *its* watch.
         self._fleet_lost_baseline = 0 if fleet is None else fleet.workers_lost
@@ -278,7 +280,7 @@ class WorkScheduler:
     @property
     def fleet(self) -> Optional[RemoteFleet]:
         """The caller's fleet, or ``None`` when running locally."""
-        return None if isinstance(self._fleet, LocalFleet) else self._fleet
+        return None if self._local else self._fleet
 
     def _slots(self) -> int:
         """Concurrent dispatch width: the fleet's live capacity (clamped by
@@ -486,6 +488,7 @@ class WorkScheduler:
                 self.max_workers, start_timeout=self.timeout.start_timeout
             )
             self._owns_fleet = True
+            self._local = True
             self._fleet_lost_baseline = 0
         try:
             self._fleet.ensure_started()
@@ -535,11 +538,10 @@ class WorkScheduler:
     def _drain_pooled_loop(self, fleet: RemoteFleet, inflight: dict) -> None:
         channel = fleet.channel
         while True:
-            if isinstance(fleet, LocalFleet):
-                try:
-                    fleet.replenish()
-                except FleetUnavailable as error:
-                    raise ExecutorUnavailable(str(error)) from error
+            try:
+                fleet.replenish()
+            except FleetUnavailable as error:
+                raise ExecutorUnavailable(str(error)) from error
             # Fill free slots in (priority, deadline, submission) order.
             while len(inflight) < self._slots():
                 task = self._pop_dispatchable()

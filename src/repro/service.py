@@ -36,10 +36,10 @@ transports:
   :class:`~repro.core.session.SynthesisSession` at a time, events delivered
   through the direct (synchronous callback) transport.
 * ``max_workers > 1`` — jobs run on **local worker processes**, forked from
-  this one and registered with a private localhost fleet (see
+  this one, each holding one end of a socketpair to a private fleet (see
   :class:`~repro.exec.remote.LocalFleet`).  Typed session events stream
   *live* over the socket transport (``on_event`` fires mid-job, from the
-  connection's receiver thread), and ``JobHandle.cancel()`` reaches a
+  worker's receiver thread), and ``JobHandle.cancel()`` reaches a
   running worker as a ``cancel`` frame — the session winds down
   cooperatively at its next completion iteration or tested sequence,
   exactly like the in-process mode.  Shared artifacts live in per-process
@@ -410,7 +410,9 @@ class MigrationService:
     ``on_event`` receives ``(job_name, event)`` for every typed session
     event, in every execution mode: synchronously on the running thread
     in-process, live from a connection's receiver thread when jobs run on
-    worker processes.  Delivery is exactly-once in crash-free runs; if a
+    worker processes.  There is one receiver thread per worker, so calls
+    for different jobs may overlap; calls for one job are sequential and
+    in order.  Delivery is exactly-once in crash-free runs; if a
     worker process crashes mid-job and the scheduler retries it, the
     retried job re-streams from the start, so consumers see that job's
     prefix again (at-least-once under crashes).

@@ -22,8 +22,8 @@ Two modes, same protocol (the worker always sends ``hello`` first):
   connections sequentially until killed.
 
 :class:`WorkerAgent` is also the body of every local worker process:
-``WorkScheduler(max_workers=N)`` forks N of them, each running the
-``--connect`` loop against a private localhost fleet
+``WorkScheduler(max_workers=N)`` forks N of them, each serving one end of a
+socketpair whose other end its private fleet holds
 (:class:`~repro.exec.remote.LocalFleet`).
 
 Cache state (compiled-closure caches, counterexample pools) lives in this
@@ -96,9 +96,7 @@ class WorkerAgent:
     # ------------------------------------------------------------------ serve
     def serve(self, sock: socket.socket) -> int:
         """Handshake then run the task loop until the coordinator closes."""
-        # Small event/task_end/result frames must not wait on Nagle's
-        # algorithm behind the coordinator's delayed ACK.
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        wire.set_nodelay(sock)
         welcome = wire.worker_hello(
             sock, worker_id=self.worker_id, slots=self.slots, pid=os.getpid()
         )

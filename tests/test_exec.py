@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -25,6 +26,7 @@ from repro.exec import (
     WorkerLost,
     WorkScheduler,
 )
+from repro.exec.remote import LocalFleet
 
 
 # ------------------------------------------------------------ worker bodies
@@ -265,6 +267,43 @@ class TestPooledScheduler:
         assert direct == forked
         assert direct[0] == list(range(6))
 
+    def test_local_fleet_opens_no_port(self):
+        # Local workers hold one end of a socketpair each: there is no
+        # listener another process could register on or take work from.
+        with WorkScheduler(max_workers=2) as scheduler:
+            scheduler.submit(_double, 1)
+            scheduler.drain()
+            fleet = scheduler._fleet
+            assert fleet.bound_address is None
+            families = {link.sock.family for link in fleet._links.values()}
+        assert len(families) == 1
+        assert not families & {socket.AF_INET, socket.AF_INET6}
+
+    def test_slow_subscriber_costs_no_worker(self):
+        # Heartbeats every 0.1 s, leases expire after 0.5 s of silence, and
+        # the subscriber needs about 1.5 s for the task's events, so the
+        # worker's heartbeats wait behind the event backlog in the stream.
+        # Flow control slows the worker down; it never loses its lease.
+        fleet = LocalFleet(1)
+        fleet.heartbeat_interval, fleet.lease_ttl = 0.1, 0.5
+        events: list = []
+
+        def slow(event):
+            time.sleep(0.015)
+            events.append(event)
+
+        try:
+            with WorkScheduler(fleet=fleet) as scheduler:
+                handle = scheduler.submit(_emit_range, 100, on_event=slow)
+                scheduler.drain()
+        finally:
+            fleet.close()
+        assert handle.state is TaskState.DONE and handle.result == 100
+        assert events == list(range(100))
+        assert scheduler.stats.workers_lost == 0
+        assert scheduler.stats.task_retries == 0
+        assert scheduler.stats.events_dropped == 0
+
 
 # ------------------------------------------------------------ crash recovery
 class TestCrashRetry:
@@ -318,7 +357,7 @@ class TestCrashRetry:
             scheduler.submit(_double, 1)
             scheduler.drain()
             fleet = scheduler._fleet
-            os.kill(fleet._processes[0].pid, signal.SIGKILL)
+            os.kill(fleet._workers[0][0].pid, signal.SIGKILL)
             deadline = time.time() + 10.0
             while fleet.capacity == 2 and time.time() < deadline:
                 time.sleep(0.01)
