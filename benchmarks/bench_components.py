@@ -3,6 +3,8 @@
 These isolate the cost of the individual stages — value-correspondence
 enumeration, sketch generation, SAT solving, bounded testing — on the paper's
 running example, which is useful when profiling regressions in the substrates.
+``test_bench_first_vc_refutation`` times the search regime's costliest unit:
+refuting a wrong value correspondence through ``SessionCore.attempt``.
 """
 
 from __future__ import annotations
@@ -10,11 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.completion import SketchCompleter, SketchEncoder, instantiate
+from repro.core import SynthesisConfig
+from repro.core.session import SessionCore
 from repro.correspondence import ValueCorrespondenceEnumerator
 from repro.equivalence import BoundedTester
 from repro.sat import CNF, SatSolver, exactly_one
 from repro.sketchgen import SketchGenerator
-from repro.workloads import get_benchmark
+from repro.workloads import get_benchmark, rename_variants
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +91,27 @@ def test_bench_sketch_completion(benchmark, running_example):
 
     result = benchmark.pedantic(run, iterations=1, rounds=1)
     assert result.succeeded
+
+
+@pytest.mark.parametrize("name", ["cdx", "2030Club"])
+def test_bench_first_vc_refutation(benchmark, name):
+    """Refute the first VC of a column-0 rename variant: 1,024 completions.
+
+    The enumerator ranks a wrong VC first on both variants.  On cdx/r0 its
+    sketch has 16 x 64 completions of ``addUsers`` and ``getUsers``, and one
+    failing input that calls both kills each pair.  Each iteration
+    re-searches only the functions its blocking clauses touched.
+    """
+    bench = get_benchmark(name)
+    source, target = bench.source_program, rename_variants(bench.target_schema, 1)[0]
+    config = SynthesisConfig()
+    first = ValueCorrespondenceEnumerator(
+        source, target, alpha=config.alpha, max_fanout=config.max_mapping_fanout
+    ).next_value_corr()
+
+    def run():
+        return SessionCore(source, target, config).attempt(first.correspondence, first.weight, 1)
+
+    outcome = benchmark.pedantic(run, iterations=1, rounds=3)
+    assert outcome.record.iterations == 1024
+    assert outcome.record.failure_reason == "no equivalent completion"

@@ -7,6 +7,12 @@ that rule out completions that are ill-formed by construction (an attribute
 choice whose table is not part of the chosen join chain, or a delete
 table-list not contained in the chosen chain); these can be disabled to
 reproduce the paper's exact search-space sizes.
+
+Variables are allocated hole by hole in index order, and a hole's
+auxiliary registers follow its indicator variables.  The sketch generator
+numbers holes function by function, so each function owns one contiguous
+variable range (``SketchEncoding.function_variables``), and the
+consistency constraints never leave it.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
+from repro.completion.instantiate import InstantiationError
 from repro.datamodel.schema import Attribute
 from repro.sat.cardinality import exactly_one
 from repro.sat.cnf import CNF, Literal
@@ -33,24 +40,32 @@ from repro.sketchgen.sketch_ast import (
 
 @dataclass
 class SketchEncoding:
-    """The CNF together with the variable <-> (hole, position) dictionaries."""
+    """The CNF together with the variable <-> (hole, position) dictionaries.
+
+    ``function_variables`` maps each function with holes to the range of
+    variables its holes own (indicators and auxiliaries).
+    """
 
     cnf: CNF
     variable_of: dict[tuple[int, int], int]
     choice_of: dict[int, tuple[int, int]]
     holes: dict[int, Hole]
+    function_variables: dict[str, range]
 
     def model_to_assignment(self, model: Mapping[int, bool]) -> dict[int, int]:
-        """Extract the hole assignment from a SAT model."""
+        """Extract the hole assignment from a SAT model of the whole sketch.
+
+        Raises :class:`InstantiationError` naming a hole the model leaves
+        unset: filling it in would make a candidate no model chose.
+        """
         assignment: dict[int, int] = {}
         for variable, value in model.items():
             if value and variable in self.choice_of:
                 hole_index, position = self.choice_of[variable]
                 assignment[hole_index] = position
-        # Exactly-one constraints guarantee completeness of the assignment;
-        # defensively fill any hole missed by a partial model with position 0.
         for hole_index in self.holes:
-            assignment.setdefault(hole_index, 0)
+            if hole_index not in assignment:
+                raise InstantiationError(f"the model sets no position of hole ??{hole_index}")
         return assignment
 
     def blocking_clause(
@@ -76,8 +91,10 @@ class SketchEncoder:
         variable_of: dict[tuple[int, int], int] = {}
         choice_of: dict[int, tuple[int, int]] = {}
         holes = {hole.index: hole for hole in self.sketch.holes()}
+        function_variables: dict[str, range] = {}
 
         for hole in holes.values():
+            first = cnf.num_variables + 1
             literals = []
             for position in range(hole.size):
                 variable = cnf.new_variable()
@@ -85,8 +102,14 @@ class SketchEncoder:
                 choice_of[variable] = (hole.index, position)
                 literals.append(variable)
             exactly_one(cnf, literals)
+            owned = function_variables.get(hole.function)
+            if owned is None:
+                owned = range(first, first)
+            elif owned.stop != first:
+                raise ValueError(f"the holes of {hole.function!r} are not numbered consecutively")
+            function_variables[hole.function] = range(owned.start, cnf.num_variables + 1)
 
-        encoding = SketchEncoding(cnf, variable_of, choice_of, holes)
+        encoding = SketchEncoding(cnf, variable_of, choice_of, holes, function_variables)
         if self.consistency_constraints:
             self._add_consistency(encoding)
         return encoding

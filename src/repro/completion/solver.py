@@ -7,6 +7,11 @@ the minimum failing input (MFI) identifies the functions responsible, and a
 blocking clause over *only the holes of those functions* prunes every other
 completion that fails for the same reason.
 
+Consecutive candidates therefore differ in one or two functions, and
+:class:`ComponentSearch` re-searches only those: every other function keeps
+its values fixed in the SAT solver, and each model is still the one a
+search of the whole sketch would return.
+
 When the tester carries a cross-sketch counterexample pool (see
 :mod:`repro.testing_cache`), candidates are first screened against pooled
 failing inputs and only reach the full bounded enumeration when screening
@@ -18,7 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.completion.encoder import SketchEncoder, SketchEncoding
 from repro.completion.instantiate import MemoizedInstantiator
@@ -31,6 +36,7 @@ from repro.equivalence.tester import (
 )
 from repro.equivalence.verifier import BoundedVerifier
 from repro.lang.ast import Program
+from repro.sat.cnf import Literal
 from repro.sat.solver import SatSolver, Status
 from repro.sketchgen.sketch_ast import ProgramSketch
 
@@ -62,6 +68,127 @@ class CompletionResult:
     @property
     def succeeded(self) -> bool:
         return self.program is not None
+
+
+class _Component:
+    """Functions whose holes blocking clauses couple, and their variables."""
+
+    __slots__ = ("functions", "variables", "fixed")
+
+    def __init__(self, functions: list[str], variables: list[range]):
+        self.functions = functions
+        self.variables = variables
+        #: Whether the solver holds this component's values fixed.
+        self.fixed = False
+
+    def literals(self, model: dict[int, bool]) -> list[Literal]:
+        return [v if model[v] else -v for span in self.variables for v in span]
+
+
+class ComponentSearch:
+    """The SAT side of the completion loop: one hole assignment per call.
+
+    The sketch's functions fall into *components*: functions share one once
+    a blocking clause names holes of both.  Consistency constraints stay
+    inside a function and learned clauses inside the component whose
+    conflict produced them, so components share no clause and nothing
+    propagates between them.  A component searched in one ``solve()`` whose
+    activities did not move during it had no conflict there; the next call
+    would decide it the same way and reach the same values, so it is fixed
+    at them instead.  :meth:`block` releases and merges the components its
+    clause names, so each call searches only those and the ones still
+    having conflicts.  Every model equals the one a search of the whole
+    sketch would return (EXPERIMENTS.md, "Completion-loop costs").
+    """
+
+    def __init__(self, encoding: SketchEncoding):
+        self.encoding = encoding
+        self.solver = SatSolver()
+        self.solver.add_cnf(encoding.cnf)
+        #: The running hole assignment; each call rewrites the holes it searched.
+        self.assignment: dict[int, int] = {}
+        self._component_of = {
+            name: _Component([name], [variables])
+            for name, variables in encoding.function_variables.items()
+        }
+        self._searched = list(self._component_of.values())
+        #: Settled in the last call; fixed when the next one starts unless
+        #: a blocking clause names them first.
+        self._settled: list[_Component] = []
+        self._model: dict[int, bool] = {}
+        #: The activities as the last call found them.
+        self._activity = list(self.solver.activity)
+
+    def next_assignment(self) -> Optional[dict[int, int]]:
+        """The hole assignment of the next model, or ``None`` once UNSAT.
+
+        Returns the running assignment itself, valid until the next call.
+        """
+        solver = self.solver
+        for component in self._settled:
+            solver.fix(component.literals(self._model))
+            component.fixed = True
+        conflicts, activity = solver.stats.conflicts, solver.activity
+        result = solver.solve()
+        if result.status is not Status.SAT:
+            return None
+        model = self._model = result.model
+        choice_of = self.encoding.choice_of
+        assignment = self.assignment
+        for variable, value in model.items():
+            if value:
+                choice = choice_of.get(variable)
+                if choice is not None:
+                    assignment[choice[0]] = choice[1]
+        if solver.stats.conflicts == conflicts:
+            # Only conflict analysis bumps activities.
+            self._settled, self._searched = self._searched, []
+        elif solver.activity is not activity:
+            # A rescale replaced the activities: it counts as a bump everywhere.
+            self._settled = []
+            self._activity = list(solver.activity)
+        else:
+            before = self._activity
+            self._settled, bumped = [], []
+            for component in self._searched:
+                moved = any(
+                    activity[span.start : span.stop] != before[span.start : span.stop]
+                    for span in component.variables
+                )
+                (bumped if moved else self._settled).append(component)
+            self._searched = bumped
+            self._activity = list(activity)
+        return assignment
+
+    def block(self, hole_indices: Sequence[int]) -> None:
+        """Block the current assignment restricted to *hole_indices*.
+
+        The components owning those holes are released and merged first, so
+        the clause never touches a fixed variable.
+        """
+        holes = self.encoding.holes
+        named = list(
+            dict.fromkeys(self._component_of[holes[index].function] for index in hole_indices)
+        )
+        if named:
+            for component in named:
+                if component.fixed:
+                    self.solver.release(v for span in component.variables for v in span)
+                elif component in self._settled:
+                    self._settled.remove(component)
+                else:
+                    self._searched.remove(component)
+            merged = named[0]
+            if len(named) > 1:
+                merged = _Component(
+                    [name for component in named for name in component.functions],
+                    [span for component in named for span in component.variables],
+                )
+                for name in merged.functions:
+                    self._component_of[name] = merged
+            merged.fixed = False
+            self._searched.append(merged)
+        self.solver.add_clause(self.encoding.blocking_clause(self.assignment, hole_indices))
 
 
 class SketchCompleter:
@@ -113,9 +240,7 @@ class SketchCompleter:
         stats = CompletionStatistics()
         started = time.perf_counter()
         encoder = SketchEncoder(sketch, consistency_constraints=self.consistency_constraints)
-        encoding = encoder.encode()
-        solver = SatSolver()
-        solver.add_cnf(encoding.cnf)
+        search = ComponentSearch(encoder.encode())
         instantiator = MemoizedInstantiator(sketch)
 
         hole_sizes = {hole.index: hole.size for hole in sketch.holes()}
@@ -136,14 +261,12 @@ class SketchCompleter:
                     return CompletionResult(None, stats, interrupted=True)
 
                 sat_started = time.perf_counter()
-                result = solver.solve()
+                assignment = search.next_assignment()
                 stats.sat_time += time.perf_counter() - sat_started
-                if result.status is not Status.SAT:
+                if assignment is None:
                     return CompletionResult(None, stats)
 
                 stats.iterations += 1
-                assert result.model is not None
-                assignment = encoding.model_to_assignment(result.model)
                 candidate = instantiator.instantiate(assignment)
 
                 test_started = time.perf_counter()
@@ -180,8 +303,7 @@ class SketchCompleter:
                     on_reject(stats.iterations, failing)
                 stats.mfi_lengths.append(len(failing))
                 blocked_holes = self._holes_to_block(failing, holes_by_function, all_hole_indices)
-                clause = encoding.blocking_clause(assignment, blocked_holes)
-                solver.add_clause(clause)
+                search.block(blocked_holes)
                 stats.blocked_clauses += 1
                 stats.eliminated_estimate += self._eliminated(hole_sizes, blocked_holes)
 

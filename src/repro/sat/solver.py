@@ -12,6 +12,10 @@ array-backed: values, watch lists, levels, reasons and activities live in
 lists indexed by literal or variable, the branching order is a heap instead
 of a scan, and unit clauses are indexed instead of rediscovered.  None of
 this changes a decision — see :meth:`SatSolver._pick_branch_variable`.
+
+A caller that knows part of the formula is settled can :meth:`SatSolver.fix`
+its values: fixed variables keep them across calls and drop out of the
+search until :meth:`SatSolver.release` hands them back.
 """
 
 from __future__ import annotations
@@ -32,7 +36,11 @@ class Status(enum.Enum):
 
 @dataclass
 class SolverStatistics:
-    """Counters exposed for benchmarking and tests."""
+    """Counters exposed for benchmarking and tests.
+
+    They count the work the solver does: a fixed variable is never decided
+    or propagated, so it adds nothing.
+    """
 
     decisions: int = 0
     propagations: int = 0
@@ -43,6 +51,13 @@ class SolverStatistics:
 
 @dataclass
 class SolveResult:
+    """The outcome of one :meth:`SatSolver.solve` call.
+
+    ``model`` maps every variable this call assigned to its value, in trail
+    order.  Fixed variables are not repeated: a caller that fixed them
+    already knows their values.
+    """
+
     status: Status
     model: Optional[dict[int, bool]] = None
 
@@ -94,6 +109,12 @@ class SatSolver:
     slots.  Capacity grows geometrically and is decoupled from
     ``_num_vars``: an assumption on a variable no clause mentions gets a
     slot without joining the branching order.
+
+    ``_base`` is the per-literal value array every ``solve()`` starts from:
+    ``None`` everywhere except on fixed literals.  ``_free`` holds the
+    variables of the branching order, those of ``1 … _num_vars`` that are
+    not fixed.  With nothing fixed, ``solve()`` searches exactly as it would
+    without them.
     """
 
     __slots__ = (
@@ -104,6 +125,8 @@ class SatSolver:
         "_units",
         "_watches",
         "_value",
+        "_base",
+        "_free",
         "_level",
         "_reason",
         "_trail",
@@ -127,6 +150,8 @@ class SatSolver:
         self._watches: list[list[_Watcher]] = [[]]
         # assignment state
         self._value: list[Optional[bool]] = [None]
+        self._base: list[Optional[bool]] = [None]
+        self._free: set[int] = set()
         self._level: list[int] = [0]
         self._reason: list[Optional[int]] = [None]
         self._trail: list[Literal] = []
@@ -156,6 +181,8 @@ class SatSolver:
         # Positive literals keep their slots; negative ones move to the end.
         value = self._value
         self._value = value[: old + 1] + [None] * (2 * pad) + value[old + 1 :]
+        base = self._base
+        self._base = base[: old + 1] + [None] * (2 * pad) + base[old + 1 :]
         watches = self._watches
         self._watches = (
             watches[: old + 1] + [[] for _ in range(2 * pad)] + watches[old + 1 :]
@@ -165,6 +192,7 @@ class SatSolver:
     def _ensure_vars(self, var: int) -> None:
         if var > self._num_vars:
             self._grow(var)
+            self._free.update(range(self._num_vars + 1, var + 1))
             self._num_vars = var
 
     def add_cnf(self, cnf: CNF) -> None:
@@ -202,6 +230,55 @@ class SatSolver:
             watches[clause[0]].append(_Watcher(index, clause[0]))
             self._units.append(index)
         return index
+
+    # ----------------------------------------------------------------- fixing
+    def fix(self, literals: Iterable[Literal]) -> None:
+        """Hold every literal of *literals* true across ``solve()`` calls.
+
+        A fixed variable is not reset, decided, propagated or put on the
+        trail, and ``SolveResult.model`` leaves it out; it keeps its value
+        until :meth:`release`.  The solver does not propagate *from* fixed
+        literals either, and conflict analysis treats them like top-level
+        facts.  So fix only a set of variables that shares no clause with
+        the unfixed ones, holding values that satisfy its own clauses (a
+        settled part of an earlier model): then no clause or conflict ever
+        mixes fixed and searched variables, and every learned clause stays
+        valid after a release.
+        """
+        literals = list(literals)
+        if not literals:
+            return
+        self._ensure_vars(max(lit if lit > 0 else -lit for lit in literals))
+        base = self._base
+        level = self._level
+        reason = self._reason
+        free = self._free
+        for lit in literals:
+            var = lit if lit > 0 else -lit
+            base[lit] = True
+            base[-lit] = False
+            level[var] = 0
+            reason[var] = None
+            free.discard(var)
+
+    def release(self, variables: Iterable[int]) -> None:
+        """Return fixed *variables* to the search; others are left alone."""
+        base = self._base
+        free = self._free
+        num_vars = self._num_vars
+        for var in variables:
+            if var <= num_vars and base[var] is not None:
+                base[var] = base[-var] = None
+                free.add(var)
+
+    @property
+    def activity(self) -> Sequence[float]:
+        """The branching activity of every variable (slot 0 unused).
+
+        Activities change only during conflict analysis: a bump raises one
+        variable's, and a rescale shrinks them all and replaces this list.
+        """
+        return self._activity
 
     # ------------------------------------------------------------- assignment
     def _enqueue(self, lit: Literal, reason: Optional[int]) -> bool:
@@ -401,7 +478,7 @@ class SatSolver:
     def _rebuild_heap(self) -> None:
         value = self._value
         activity = self._activity
-        heap = [(-activity[v], v) for v in range(1, self._num_vars + 1) if value[v] is None]
+        heap = [(-activity[v], v) for v in self._free if value[v] is None]
         heapify(heap)
         self._heap = heap
 
@@ -412,8 +489,8 @@ class SatSolver:
         variable as long as every unassigned variable has an entry carrying
         its current activity.  Entries are never updated in place: a
         variable gets a fresh entry when backtracking frees it, and the heap
-        is rebuilt at ``solve()`` start and whenever activities are
-        rescaled.  In between, activities change only by bumps in
+        is rebuilt from the unfixed variables at ``solve()`` start and
+        whenever activities are rescaled.  In between, activities change only by bumps in
         ``_analyze``, which touch assigned variables only.  Entries of
         assigned variables or with an outdated activity are discarded as
         they surface.
@@ -429,13 +506,17 @@ class SatSolver:
 
     # ------------------------------------------------------------------ solve
     def solve(self, assumptions: Sequence[Literal] = ()) -> SolveResult:
-        """Solve the current clause database under optional assumptions."""
+        """Solve the current clause database under optional assumptions.
+
+        Every call starts from the fixed literals alone and searches the
+        unfixed variables; the model lists only those.
+        """
         if self._empty_clause:
             return SolveResult(Status.UNSAT)
         for lit in assumptions:
             self._grow(abs(lit))
         # Reset transient state.
-        self._value = [None] * len(self._value)
+        self._value = self._base.copy()
         self._trail.clear()
         self._trail_lim.clear()
         self._qhead = 0
@@ -491,8 +572,8 @@ class SatSolver:
                     continue
                 var = self._pick_branch_variable()
                 if var is None:
-                    # Every variable is assigned; the model lists them in
-                    # trail order.
+                    # Every unfixed variable is assigned; the model lists
+                    # them in trail order.
                     model = {(lit if lit > 0 else -lit): lit > 0 for lit in self._trail}
                     return SolveResult(Status.SAT, model)
                 self.stats.decisions += 1

@@ -1,5 +1,10 @@
 """Tests for sketch encoding, instantiation, and the completion solvers."""
 
+import itertools
+import math
+import os
+import random
+
 import pytest
 
 from repro.baselines import BmcCompleter
@@ -7,15 +12,21 @@ from repro.completion import (
     EnumerativeCompleter,
     SketchCompleter,
     SketchEncoder,
+    SketchEncoding,
     instantiate,
 )
 from repro.completion.instantiate import InstantiationError, MemoizedInstantiator
+from repro.completion.solver import ComponentSearch
 from repro.correspondence import ValueCorrespondenceEnumerator
 from repro.equivalence import BoundedTester, BoundedVerifier
 from repro.lang import Program, QueryFunction, UpdateFunction
 from repro.lang.visitors import validate_program
+from repro.sat import CNF, exactly_one
 from repro.sat.solver import SatSolver, Status
-from repro.sketchgen import SketchGenerator
+from repro.sketchgen import Hole, SketchGenerator
+from repro.workloads import get_benchmark, rename_variants
+
+FULL_EQUIV = os.environ.get("REPRO_FULL_EQUIV") == "1"
 
 
 @pytest.fixture()
@@ -46,6 +57,29 @@ class TestEncoder:
         assert set(assignment) == {hole.index for hole in sketch.holes()}
         for hole in sketch.holes():
             assert 0 <= assignment[hole.index] < hole.size
+
+    def test_model_missing_a_hole_raises(self, running_example):
+        """A partial model is an error, never a candidate with a made-up position."""
+        _, _, sketch = running_example
+        encoding = SketchEncoder(sketch).encode()
+        model = SatSolver(encoding.cnf).solve().model
+        for hole in sketch.holes():
+            partial = {
+                variable: value
+                for variable, value in model.items()
+                if encoding.choice_of.get(variable, (None,))[0] != hole.index
+            }
+            with pytest.raises(InstantiationError, match=rf"\?\?{hole.index}\b"):
+                encoding.model_to_assignment(partial)
+
+    def test_function_variables_are_contiguous_and_cover_the_holes(self, running_example):
+        _, _, sketch = running_example
+        encoding = SketchEncoder(sketch).encode()
+        spans = sorted(encoding.function_variables.values(), key=lambda span: span.start)
+        assert spans[0].start == 1 and spans[-1].stop == encoding.cnf.num_variables + 1
+        assert all(left.stop == right.start for left, right in zip(spans, spans[1:]))
+        for (hole_index, _), variable in encoding.variable_of.items():
+            assert variable in encoding.function_variables[encoding.holes[hole_index].function]
 
     def test_blocking_clause_excludes_assignment(self, running_example):
         _, _, sketch = running_example
@@ -206,3 +240,192 @@ class TestSketchCompleter:
         result = completer.complete(sketch)
         if result.statistics.blocked_clauses:
             assert result.statistics.eliminated_estimate >= result.statistics.blocked_clauses
+
+
+# ------------------------------------------------------------------- component search
+#: Synthetic seeds on which settling a component that had a conflict in the
+#: call (the bump check removed) changes a later model.  Of the full range,
+#: 54 of 2,000 diverge that way, and on the real sketches Ambler-5 with
+#: seed 10; the exact rule matches the whole-sketch loop on every seed.
+SETTLING_SEEDS = [0, 27, 38, 68, 69, 81, 105, 135, 171, 221]
+SYNTHETIC_SEEDS = range(2000) if FULL_EQUIV else [*SETTLING_SEEDS, 1, 2, 3, 4, 5]
+SKETCH_SEEDS = range(12) if FULL_EQUIV else [0, 10]
+
+
+def _failing_input(rng: random.Random, names: list[str]) -> tuple:
+    """A failing input calling 1–3 of *names*, as the tester would report it."""
+    chosen = rng.sample(names, rng.randint(1, min(3, len(names))))
+    return tuple((name, ()) for name in chosen)
+
+
+def _blocked_holes(failing, holes_by_function, all_holes) -> list[int]:
+    """The holes ``SketchCompleter`` blocks for *failing* (MFI, with the fallback)."""
+    functions = {name for name, _ in failing}
+    return [index for name in functions for index in holes_by_function.get(name, ())] or list(
+        all_holes
+    )
+
+
+def _synthetic_encoding(seed: int) -> SketchEncoding:
+    """3–6 functions of 1–3 exactly-one holes, with pairwise exclusions inside each."""
+    rng = random.Random(seed)
+    cnf = CNF()
+    holes, variable_of, choice_of, function_variables = {}, {}, {}, {}
+    density = rng.choice((0.2, 0.35, 0.5))
+    for number in range(rng.randint(3, 6)):
+        name = f"f{number}"
+        first = cnf.num_variables + 1
+        groups = []
+        for _ in range(rng.randint(1, 3)):
+            index = len(holes) + 1
+            size = rng.randint(2, 8)
+            holes[index] = Hole(index, name, tuple(range(size)))
+            literals = [cnf.new_variable() for _ in range(size)]
+            for position, variable in enumerate(literals):
+                variable_of[(index, position)] = variable
+                choice_of[variable] = (index, position)
+            exactly_one(cnf, literals)
+            groups.append(literals)
+        for left, right in itertools.combinations(groups, 2):
+            for x in left:
+                for y in right:
+                    if rng.random() < density:
+                        cnf.add_clause([-x, -y])
+        function_variables[name] = range(first, cnf.num_variables + 1)
+    return SketchEncoding(cnf, variable_of, choice_of, holes, function_variables)
+
+
+def _open_functions(sketch) -> list[str]:
+    """The functions with more than one completion: failing inputs name these.
+
+    Naming a function with one completion blocks it for good, so drawing
+    from every function would end most runs UNSAT within a few models.
+    """
+    return [
+        name
+        for name, holes in sketch.holes_by_function().items()
+        if math.prod(hole.size for hole in holes) > 1
+    ]
+
+
+def _first_sketch(name: str, variant=None):
+    benchmark = get_benchmark(name)
+    source, target = benchmark.source_program, benchmark.target_schema
+    if variant is not None:
+        target = rename_variants(target, variant + 1)[variant]
+    vc = ValueCorrespondenceEnumerator(source, target).next_value_corr().correspondence
+    return source, SketchGenerator(source, target).generate(vc)
+
+
+class _ScriptedTester:
+    """Fails every candidate with an input drawn from a seeded RNG."""
+
+    pool = None
+    interrupt = None
+
+    def __init__(self, names: list[str], seed: int):
+        self.names = names
+        self.rng = random.Random(seed)
+
+    def find_failing_input(self, candidate):
+        return _failing_input(self.rng, self.names)
+
+
+def _whole_sketch_loop(sketch, seed: int, max_iterations: int):
+    """The completion loop before components: every call searches every hole."""
+    encoding = SketchEncoder(sketch).encode()
+    solver = SatSolver(encoding.cnf)
+    tester = _ScriptedTester(_open_functions(sketch), seed)
+    holes_by_function = {
+        name: [hole.index for hole in holes] for name, holes in sketch.holes_by_function().items()
+    }
+    all_holes = [hole.index for hole in sketch.holes()]
+    assignments = []
+    while len(assignments) < max_iterations:
+        result = solver.solve()
+        if result.status is not Status.SAT:
+            return assignments, "unsat"
+        assignment = encoding.model_to_assignment(result.model)
+        assignments.append(assignment)
+        failing = tester.find_failing_input(None)
+        blocked = _blocked_holes(failing, holes_by_function, all_holes)
+        solver.add_clause(encoding.blocking_clause(assignment, blocked))
+    return assignments, "capped"
+
+
+class TestComponentSearch:
+    """The component-aware loop returns the whole-sketch loop's every model.
+
+    Real sketches run through ``SketchCompleter`` with a scripted tester;
+    synthetic encodings drive its :class:`ComponentSearch` in lock-step with
+    a plain solver.  A tier-1 run checks a slice of the seeds (including
+    every named settling seed); ``REPRO_FULL_EQUIV=1`` checks all of them.
+    """
+
+    @pytest.fixture(scope="class")
+    def sketches(self):
+        return {
+            "gallery": _first_sketch("gallery"),
+            "cdx/r0": _first_sketch("cdx", 0),
+            "Ambler-5": _first_sketch("Ambler-5"),
+        }
+
+    @pytest.mark.parametrize("seed", SKETCH_SEEDS)
+    @pytest.mark.parametrize("job", ["gallery", "cdx/r0", "Ambler-5"])
+    def test_sketch_matches_whole_sketch_loop(self, sketches, job, seed, monkeypatch):
+        source, sketch = sketches[job]
+        max_iterations = 300 if FULL_EQUIV else 120
+        recorded = []
+
+        class Recording(MemoizedInstantiator):
+            def instantiate(self, assignment):
+                recorded.append(dict(assignment))
+                return super().instantiate(assignment)
+
+        monkeypatch.setattr("repro.completion.solver.MemoizedInstantiator", Recording)
+        tester = _ScriptedTester(_open_functions(sketch), seed)
+        result = SketchCompleter(source, tester=tester, max_iterations=max_iterations).complete(
+            sketch
+        )
+        end = "capped" if result.statistics.iterations == max_iterations else "unsat"
+        assert not result.succeeded and result.statistics.iterations == len(recorded)
+        expected, expected_end = _whole_sketch_loop(sketch, seed, max_iterations)
+        assert (recorded, end) == (expected, expected_end)
+
+    @pytest.mark.parametrize("seed", SYNTHETIC_SEEDS)
+    def test_synthetic_matches_whole_sketch_loop(self, seed):
+        _lock_step(seed)
+
+    @pytest.mark.parametrize("seed", [0, 27, 81])
+    def test_models_match_across_an_activity_rescale(self, seed):
+        # Starting the increment near the threshold rescales at the first bumps.
+        assert _lock_step(seed, var_inc=1e99) < 1e99
+
+
+def _lock_step(seed: int, var_inc=None) -> float:
+    """Run a synthetic encoding through both loops, asserting equal models.
+
+    Returns the component search's final activity increment.
+    """
+    encoding = _synthetic_encoding(seed)
+    rng = random.Random(seed * 7919 + 1)
+    names = sorted(encoding.function_variables)
+    holes_by_function: dict[str, list[int]] = {}
+    for index, hole in encoding.holes.items():
+        holes_by_function.setdefault(hole.function, []).append(index)
+    reference = SatSolver(encoding.cnf)
+    search = ComponentSearch(encoding)
+    if var_inc is not None:
+        reference._var_inc = search.solver._var_inc = var_inc
+    for _ in range(200):
+        result = reference.solve()
+        assignment = search.next_assignment()
+        if not result.is_sat:
+            assert assignment is None
+            break
+        expected = encoding.model_to_assignment(result.model)
+        assert assignment == expected
+        blocked = _blocked_holes(_failing_input(rng, names), holes_by_function, ())
+        reference.add_clause(encoding.blocking_clause(expected, blocked))
+        search.block(blocked)
+    return search.solver._var_inc

@@ -202,6 +202,100 @@ class TestSatSolver:
             assert cnf.evaluate(result.model)
 
 
+# ------------------------------------------------------------------------ fixed literals
+class TestFixedLiterals:
+    """``fix`` holds values across calls outside the search; ``release`` ends it."""
+
+    @staticmethod
+    def _two_groups() -> SatSolver:
+        # Two independent exactly-one groups: variables 1-3 and 4-6.
+        cnf = CNF()
+        exactly_one(cnf, [1, 2, 3])
+        exactly_one(cnf, [4, 5, 6])
+        return SatSolver(cnf)
+
+    def test_fixed_literals_survive_solve_and_are_never_decided(self):
+        solver = self._two_groups()
+        solver.fix([-1, -2, 3])
+        for blocked in (4, 5):
+            result = solver.solve()
+            assert result.is_sat
+            # Only the unfixed group is in the model, and it is complete.
+            assert sorted(result.model) == [4, 5, 6]
+            assert result.model[blocked]
+            solver.add_clause([-blocked])
+        decisions = solver.stats.decisions
+        result = solver.solve()
+        assert result.model == {4: False, 5: False, 6: True}
+        # Variable 6 is propagated; nothing of the fixed group is decided.
+        assert solver.stats.decisions == decisions
+        assert solver.solve().model == result.model
+
+    def test_fixed_values_hold_against_the_search(self):
+        solver = self._two_groups()
+        solver.fix([-1, -2, 3])
+        # The fixed values stay even where a fresh search would pick 1.
+        assert 1 not in solver.solve().model
+        solver.add_clause([-4])
+        solver.add_clause([-5])
+        solver.add_clause([-6])
+        assert solver.solve().status is Status.UNSAT
+
+    def test_release_returns_a_variable_to_the_search(self):
+        solver = self._two_groups()
+        solver.fix([-1, -2, 3, 4, -5, -6])
+        assert solver.solve().model == {}
+        solver.release([1, 2, 3])
+        result = solver.solve()
+        assert sorted(result.model) == [1, 2, 3]
+        assert result.model[1]
+        solver.add_clause([-1])
+        assert solver.solve().model == {1: False, 2: True, 3: False}
+        # Releasing an unfixed or unknown variable changes nothing.
+        solver.release([1, 99])
+        assert solver.solve().model == {1: False, 2: True, 3: False}
+
+    def test_fix_then_grow_keeps_both_polarities(self):
+        solver = SatSolver()
+        solver.add_clause([1, 2])
+        solver.add_clause([-2, 3])
+        solver.fix([-1, 2, 3])
+        capacity = solver._capacity
+        # A clause beyond capacity moves every negative-literal slot.
+        solver.add_clause([-(capacity + 5), 1, 2])
+        assert solver._capacity > capacity
+        for lit, value in ((1, False), (2, True), (3, True)):
+            assert solver._base[lit] is value
+            assert solver._base[-lit] is (not value)
+        result = solver.solve()
+        assert result.is_sat
+        assert 1 not in result.model and 2 not in result.model and 3 not in result.model
+        assert solver._value[-1] is True and solver._value[2] is True
+        solver.release([1, 2, 3])
+        solver.add_clause([1])
+        result = solver.solve()
+        assert result.model[1] and result.model[2] and result.model[3]
+
+    def test_nothing_fixed_searches_as_before(self):
+        # Fixing and releasing everything leaves the search pin's trace intact.
+        factory, kwargs = SEARCH_CASES["3sat-40x180"]
+        cnf = factory()
+        solver = SatSolver(cnf)
+        solver.fix(range(1, cnf.num_variables + 1))
+        solver.release(range(1, cnf.num_variables + 1))
+        solver_models = []
+        for _ in range(5):
+            result = solver.solve()
+            solver_models.append(result.model)
+            solver.add_clause([-v if value else v for v, value in result.model.items()])
+        plain = SatSolver(cnf)
+        for model in solver_models:
+            result = plain.solve()
+            assert result.model == model
+            plain.add_clause([-v if value else v for v, value in result.model.items()])
+        assert plain.stats == solver.stats
+
+
 # --------------------------------------------------------------------------- search pin
 def _random_cnf(seed: int, num_vars: int, num_clauses: int, widths=(3,)) -> CNF:
     rng = random.Random(seed)
