@@ -176,6 +176,34 @@ are gone.
   callbacks for different jobs may now run at the same time.  Callbacks
   for one job stay sequential and in order.  A callback that counts or
   writes shared state needs its own lock.
+
+Breaking in 7.0.0 — "one bounded checker": bounded testing and the
+verifier's deeper pass run one state-deduplicated walk
+(``BoundedTester.first_failing``), and three incremental-testing options
+that no caller set are gone.  Trajectories are unchanged.
+
+* ``SynthesisConfig(pool_max_size=…)``, ``pool_screening_budget=…`` and
+  ``source_cache_max_entries=…`` raise ``TypeError``, and ``POST /jobs``
+  answers ``400`` to them.  Pools hold 256 counterexamples, screening
+  tries at most 64 of them per candidate, and source caches hold 100,000
+  entries.  Stored 6.x configs that carry the fields still resume: the
+  attributes are inert.
+* ``BoundedTester(pool_screening_budget=…)`` and
+  ``SketchCompleter(use_mfi=…)`` raise ``TypeError``.  A tester screens
+  at most 64 pooled sequences, as sessions always did; a completer that
+  blocks full models sets the ``use_mfi = False`` class attribute, as
+  ``EnumerativeCompleter`` does.
+* ``repro.engine.make_runner`` is gone: use
+  ``make_loader(backend, compiler)(program).run_sequence(sequence)``.
+* ``repro.equivalence.VerifierStatistics`` is gone: ``BoundedVerifier.stats``
+  is a ``TesterStatistics``.  A verifier without a shared ``source_cache``
+  keeps a private one across calls.  A verifier builds its tester at the
+  first ``verify()``, so an unknown ``execution_backend`` raises
+  ``ValueError`` there rather than in the constructor.
+* ``TesterStatistics.sequences_executed`` counts only sequences run one at
+  a time (screening, the randomized phase), and ``source_cache_hits`` now
+  includes prefix-state hits during testing.  Interrupt hooks are polled
+  once per block of the exhaustive walk rather than once per sequence.
 """
 
 from __future__ import annotations
@@ -222,7 +250,7 @@ from repro.service import (
 )
 
 #: Semantic version of this surface (not of the package implementation).
-API_VERSION = "6.0.0"
+API_VERSION = "7.0.0"
 
 __all__ = [
     "API_VERSION",

@@ -13,37 +13,14 @@ completer while keeping its weaker (full-model) blocking.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.completion.solver import SketchCompleter
-from repro.equivalence.tester import BoundedTester
-from repro.equivalence.verifier import BoundedVerifier
-from repro.lang.ast import Program
 
 
 class EnumerativeCompleter(SketchCompleter):
     """Sketch completion without minimum-failing-input pruning.
 
-    ``complete`` (including its deadline / cancellation / rejection-callback
-    session interface) is inherited unchanged from :class:`SketchCompleter`.
+    Everything, ``complete`` and its session interface included, is
+    inherited from :class:`SketchCompleter`; only the blocking differs.
     """
 
-    def __init__(
-        self,
-        source_program: Program,
-        *,
-        tester: BoundedTester | None = None,
-        verifier: BoundedVerifier | None = None,
-        consistency_constraints: bool = True,
-        max_iterations: Optional[int] = None,
-        time_limit: Optional[float] = None,
-    ):
-        super().__init__(
-            source_program,
-            tester=tester,
-            verifier=verifier,
-            use_mfi=False,
-            consistency_constraints=consistency_constraints,
-            max_iterations=max_iterations,
-            time_limit=time_limit,
-        )
+    use_mfi = False

@@ -192,12 +192,13 @@ class ComponentSearch:
 
 
 class SketchCompleter:
-    """The ``CompleteSketch`` procedure.
+    """The ``CompleteSketch`` procedure."""
 
-    ``use_mfi=False`` turns the completer into the paper's *symbolic
-    enumerative search* baseline (Table 3): each failing candidate blocks only
-    its own full model.
-    """
+    #: Block only the holes of the functions a failing input calls.  The
+    #: paper's *symbolic enumerative search* baseline (Table 3,
+    #: :class:`~repro.completion.enumerative.EnumerativeCompleter`) turns it
+    #: off: each failing candidate blocks only its own full model.
+    use_mfi = True
 
     def __init__(
         self,
@@ -205,7 +206,6 @@ class SketchCompleter:
         *,
         tester: BoundedTester | None = None,
         verifier: BoundedVerifier | None = None,
-        use_mfi: bool = True,
         consistency_constraints: bool = True,
         max_iterations: Optional[int] = None,
         time_limit: Optional[float] = None,
@@ -213,7 +213,6 @@ class SketchCompleter:
         self.source_program = source_program
         self.tester = tester or BoundedTester(source_program)
         self.verifier = verifier
-        self.use_mfi = use_mfi
         self.consistency_constraints = consistency_constraints
         self.max_iterations = max_iterations
         self.time_limit = time_limit
@@ -232,7 +231,7 @@ class SketchCompleter:
         *deadline* is an absolute ``time.perf_counter()`` instant (the run's
         global budget, threaded down by the session); *cancel* is a
         cooperative cancellation event.  Both are checked once per candidate
-        here and once per executed sequence inside the tester, so even a
+        here and once per block of sequences inside the tester, so even a
         single long bounded-testing enumeration stops promptly.  *on_reject*
         is invoked with ``(iteration, counterexample)`` for every candidate
         that fails testing or verification.

@@ -70,20 +70,14 @@ class SynthesisConfig:
     verifier_random_sequences: int = 100
     #: Overall wall-clock limit for one synthesis run, in seconds.  The
     #: deadline is enforced between value correspondences *and* inside sketch
-    #: completion (down to individual tested sequences), so a single long
-    #: sketch cannot overrun the budget.
+    #: completion (down to individual blocks of tested sequences), so a
+    #: single long sketch cannot overrun the budget.
     time_limit: Optional[float] = None
 
     # ---- incremental testing (repro.testing_cache)
     #: Screen each candidate against previously discovered counterexamples before
     #: running the full bounded enumeration (A/B flag for bench_cache.py).
     counterexample_pool: bool = True
-    #: Maximum counterexamples retained in the pool (lowest-hit evicted).
-    pool_max_size: int = 256
-    #: Maximum pool sequences executed per screened candidate (None = all).
-    pool_screening_budget: Optional[int] = 64
-    #: Entry cap of the shared source-output LRU cache.
-    source_cache_max_entries: int = 100_000
 
     # ---- resilience (repro.exec.policy)
     #: Retry/timeout policies and the graceful-degradation ladder of the

@@ -239,7 +239,6 @@ def build_tester(
         relevance_filter=config.relevance_filter,
         source_cache=source_cache,
         pool=pool,
-        pool_screening_budget=config.pool_screening_budget,
         execution_backend=config.execution_backend,
         compiler=compiler,
     )
@@ -319,10 +318,10 @@ class SessionCore:
         self.target_schema = target_schema
         self.config = config
         if pool is None and config.counterexample_pool:
-            pool = CounterexamplePool(config.pool_max_size)
+            pool = CounterexamplePool()
         self.pool = pool
         if source_cache is None:
-            source_cache = SourceOutputCache(config.source_cache_max_entries)
+            source_cache = SourceOutputCache()
         self.source_cache = source_cache
         # One compiler per run unless a shared one is injected: tester and
         # verifier share the compiled-function cache, so a candidate verified

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.engine.compiler import ProgramCompiler, make_runner
+from repro.engine.compiler import ProgramCompiler, make_loader
 from repro.equivalence.invocation import SequenceGenerator, format_sequence
 from repro.equivalence.result_compare import canonicalize_outputs
 from repro.corpus.generator import CorpusConfig, GeneratedWorkload, generate_workload
@@ -82,10 +82,10 @@ class FuzzReport:
         }
 
 
-def _outcome(run, program, sequence):
+def _outcome(load, program, sequence):
     """(canonical_outputs, error_class) — exactly one side is not ``None``."""
     try:
-        return canonicalize_outputs(run(program, sequence)), None
+        return canonicalize_outputs(load(program).run_sequence(sequence)), None
     except Exception as error:  # noqa: BLE001 - error *class* is the datum
         return None, type(error).__name__
 
@@ -101,7 +101,7 @@ def fuzz_workload(
     source = workload.source_program
     oracle = workload.oracle_program
     compiler = ProgramCompiler()
-    runners = {name: make_runner(name, compiler) for name in backends}
+    loaders = {name: make_loader(name, compiler) for name in backends}
     reference = backends[0]
 
     generator = SequenceGenerator(programs=[source, oracle])
@@ -127,9 +127,9 @@ def fuzz_workload(
         checked += 1
         verdicts: dict[str, Optional[bool]] = {}
         outcomes: dict[str, dict[str, tuple]] = {"source": {}, "oracle": {}}
-        for name, run in runners.items():
-            outcomes["source"][name] = _outcome(run, source, sequence)
-            outcomes["oracle"][name] = _outcome(run, oracle, sequence)
+        for name, load in loaders.items():
+            outcomes["source"][name] = _outcome(load, source, sequence)
+            outcomes["oracle"][name] = _outcome(load, oracle, sequence)
 
         # 1. Every backend must agree with the reference backend, per program.
         for label in ("source", "oracle"):

@@ -16,7 +16,6 @@ from repro.engine.compiler import (
     ProgramCompiler,
     compile_program,
     make_loader,
-    make_runner,
     run_sequence_compiled,
 )
 from repro.engine.evaluator import Evaluator
@@ -48,7 +47,6 @@ __all__ = [
     "compile_program",
     "evaluate_join",
     "make_loader",
-    "make_runner",
     "evaluate_predicate",
     "resolve_operand",
     "run_invocation_sequence",

@@ -767,8 +767,7 @@ def make_loader(execution_backend: str, compiler: Optional[ProgramCompiler] = No
     ``new_state()``, ``call(state, name, args)`` and ``run_sequence``, and
     both with states that support ``fork()`` and ``key()``.  The compiled
     backend closes over the shared *compiler*, or a private one.  This is
-    the single dispatch point the tester and verifier share, so backend
-    semantics cannot drift between them.
+    the single dispatch point of bounded testing and verification.
     """
     if execution_backend not in EXECUTION_BACKENDS:
         raise ValueError(
@@ -777,16 +776,6 @@ def make_loader(execution_backend: str, compiler: Optional[ProgramCompiler] = No
     if execution_backend == "interpreter":
         return InterpretedProgram
     return (compiler if compiler is not None else ProgramCompiler()).compile_program
-
-
-def make_runner(execution_backend: str, compiler: Optional[ProgramCompiler] = None):
-    """``run(program, sequence)``: one invocation sequence from the empty database."""
-    load = make_loader(execution_backend, compiler)
-
-    def run(program: Program, sequence, _load=load):
-        return _load(program).run_sequence(sequence)
-
-    return run
 
 
 def compile_program(program: Program) -> CompiledProgram:

@@ -17,7 +17,7 @@ from repro.equivalence.sql_oracle import (
     oracle_agrees,
 )
 from repro.equivalence.tester import BoundedTester, TesterStatistics, TestingInterrupted
-from repro.equivalence.verifier import BoundedVerifier, VerificationResult, VerifierStatistics
+from repro.equivalence.verifier import BoundedVerifier, VerificationResult
 
 __all__ = [
     "BoundedTester",
@@ -31,7 +31,6 @@ __all__ = [
     "SqliteOracle",
     "TesterStatistics",
     "VerificationResult",
-    "VerifierStatistics",
     "argument_combinations",
     "canonicalize_outputs",
     "canonicalize_result",

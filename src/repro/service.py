@@ -283,15 +283,10 @@ _worker_source_cache: Optional[SourceOutputCache] = None
 _worker_compiler: Optional[ProgramCompiler] = None
 
 
-def _worker_cache(max_entries: int) -> SourceOutputCache:
+def _worker_cache() -> SourceOutputCache:
     global _worker_source_cache
     if _worker_source_cache is None:
-        _worker_source_cache = SourceOutputCache(max_entries)
-    elif max_entries > _worker_source_cache.max_entries:
-        # Capacity only grows (put() reads max_entries live), mirroring the
-        # in-process service: replacing the cache on a smaller request would
-        # throw away the cross-job reuse this process global exists for.
-        _worker_source_cache.max_entries = max_entries
+        _worker_source_cache = SourceOutputCache()
     return _worker_source_cache
 
 
@@ -319,17 +314,7 @@ def _shared_pool_for(
         return None
     pool = pools.get(source_key)
     if pool is None:
-        pool = CounterexamplePool(config.pool_max_size)
-        pools[source_key] = pool
-    elif pool.max_size != config.pool_max_size:
-        # A job with a different cap gets a re-capped pool carrying the
-        # entries earlier jobs discovered (merge evicts down to the new cap)
-        # — never an empty one; the sharing is the point of the service.
-        resized = CounterexamplePool(config.pool_max_size)
-        resized.merge(pool.snapshot())
-        pool = resized
-        pools[source_key] = pool
-        pool.stats = type(pool.stats)()
+        pool = pools[source_key] = CounterexamplePool()
     else:
         pool.stats = type(pool.stats)()
     return pool
@@ -374,7 +359,7 @@ def _run_job_in_worker(task: _JobTask, ctx) -> _JobOutcome:
         task.target_schema,
         config,
         pool=pool,
-        source_cache=_worker_cache(config.source_cache_max_entries),
+        source_cache=_worker_cache(),
         compiler=_worker_program_compiler(config),
     )
     session = SynthesisSession(
@@ -474,7 +459,7 @@ class MigrationService:
         # this module's globals).
         self._compiler = ProgramCompiler()
         self._pools: dict[str, CounterexamplePool] = {}
-        self._source_cache = SourceOutputCache(self.default_config.source_cache_max_entries)
+        self._source_cache = SourceOutputCache()
 
     # ------------------------------------------------------------- submission
     def submit(self, job: MigrationJob) -> JobHandle:
@@ -755,10 +740,7 @@ class MigrationService:
                 if outcome.counterexamples and outcome.source_key:
                     parent_pool = self._pools.get(outcome.source_key)
                     if parent_pool is None:
-                        parent_pool = CounterexamplePool(
-                            self._job_config(handle.job).pool_max_size
-                        )
-                        self._pools[outcome.source_key] = parent_pool
+                        parent_pool = self._pools[outcome.source_key] = CounterexamplePool()
                     parent_pool.merge(outcome.counterexamples)
             else:
                 result = outcome
@@ -796,13 +778,6 @@ class MigrationService:
         job = handle.job
         config = _clip_to_deadline(self._job_config(job), handle._wall_deadline)
         self._job_started(handle)
-        # Honor the job's cache-size knob without discarding shared
-        # entries: capacity only grows (put() reads max_entries live, so
-        # growing in place is safe).  A smaller request is already
-        # satisfied by the larger shared cache; shrinking it would throw
-        # away the cross-job reuse the service exists for.
-        if config.source_cache_max_entries > self._source_cache.max_entries:
-            self._source_cache.max_entries = config.source_cache_max_entries
         core = SessionCore(
             job.source_program,
             job.target_schema,

@@ -58,9 +58,9 @@ def collect_cache_stats(
     """Assemble the merged view from one tester's components.
 
     ``tester_stats`` is a ``TesterStatistics``; *pool* and *source_cache* may
-    be ``None`` when the corresponding feature is disabled.  When the
-    verifier shares the source cache, its ``VerifierStatistics`` contributes
-    its hits to the merged ``source_cache_hits`` counter.  *compiler_delta*
+    be ``None`` when the corresponding feature is disabled.  The verifier's
+    ``TesterStatistics`` (*verifier_stats*) contributes its hits to the
+    merged ``source_cache_hits`` counter.  *compiler_delta*
     is this run's share of a (possibly shared) program compiler's
     :class:`~repro.engine.compiler.CompilerStats`.
     """

@@ -440,6 +440,12 @@ class TestServerHTTP:
             base, "/jobs", key="k-alpha", payload={"config": {"vc_engine": "maxsat"}}
         )
         assert status == 400 and "unknown config field 'vc_engine'" in body["error"]
+        # Retired in API 7.0.0: the pool and source-cache sizes are fixed.
+        for field in ("pool_max_size", "pool_screening_budget", "source_cache_max_entries"):
+            status, body, _ = _http(
+                base, "/jobs", key="k-alpha", payload={"config": {field: 64}}
+            )
+            assert status == 400 and f"unknown config field {field!r}" in body["error"]
         status, body, _ = _http(
             base, "/jobs", key="k-alpha", payload={"config": {"verifier_random_sequences": "many"}}
         )

@@ -22,6 +22,7 @@ from repro.api import (
     migrate_batch,
     migrate_jsonl_to_sqlite,
 )
+from repro.testing_cache import SourceOutputCache
 from repro.workloads import SchemaSpec, benchmark_names, get_benchmark, rename_column
 
 
@@ -304,21 +305,17 @@ class TestPooledService:
 
 
 class TestWorkerCache:
-    def test_worker_source_cache_capacity_only_grows(self):
+    def test_worker_source_cache_is_one_per_process(self):
         import repro.service as service_module
         from repro.service import _worker_cache
 
         saved = service_module._worker_source_cache
         service_module._worker_source_cache = None
         try:
-            first = _worker_cache(100)
-            assert first.max_entries == 100
-            # A smaller request keeps the shared cache (and its entries)...
-            assert _worker_cache(50) is first
-            assert first.max_entries == 100
-            # ... and a larger one grows it in place.
-            assert _worker_cache(200) is first
-            assert first.max_entries == 200
+            first = _worker_cache()
+            assert first.max_entries == SourceOutputCache().max_entries
+            # Every later job of the process reuses the cache and its entries.
+            assert _worker_cache() is first
         finally:
             service_module._worker_source_cache = saved
 
@@ -641,15 +638,19 @@ class TestResumeRePinning:
 
     def test_retired_parallel_fields_in_stored_config_are_inert(self, tmp_path):
         # A 3.x spec pickled SynthesisConfig with the three wave-parallel
-        # fields, a 4.x spec with the VC engine choice, and a 5.x spec's
-        # RetryPolicy carries the pool-break retry count; unpickling
-        # restores them as plain attributes that nothing reads, so the job
-        # resumes and runs sequentially on the factored VC engine.
+        # fields, a 4.x spec with the VC engine choice, a 5.x spec's
+        # RetryPolicy carries the pool-break retry count, and a 6.x spec
+        # the pool and source-cache sizes; unpickling restores them as
+        # plain attributes that nothing reads, so the job resumes and runs
+        # sequentially on the factored VC engine with the fixed sizes.
         config = _config()
         config.parallel_workers = 2
         config.parallel_wave_size = 1
         config.execution_fleet = ("127.0.0.1:9",)
         config.vc_engine = "maxsat"
+        config.pool_max_size = 1
+        config.pool_screening_budget = 1
+        config.source_cache_max_entries = 1
         retry = RetryPolicy()
         object.__setattr__(retry, "max_retries", 5)  # frozen dataclass
         config.resilience = ResilienceConfig(retry=retry)
@@ -660,6 +661,7 @@ class TestResumeRePinning:
         assert handle.job.config.parallel_workers == 2  # the pickle kept it
         assert handle.job.config.vc_engine == "maxsat"
         assert handle.job.config.resilience.retry.max_retries == 5
+        assert handle.job.config.source_cache_max_entries == 1
         resumed.run()
         assert handle.status is JobStatus.DONE
         assert handle.result.succeeded

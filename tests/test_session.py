@@ -266,7 +266,7 @@ class TestDeadline:
         assert result.timed_out and not result.succeeded
         assert result.attempts[-1].failure_reason == "time limit reached"
         assert len(polls) == trip_at
-        assert stopped_in == ["_exhaustive"]
+        assert stopped_in == ["first_failing"]
 
     def test_verifier_interrupt_hook(self, course_program):
         from repro.equivalence import BoundedVerifier, TestingInterrupted

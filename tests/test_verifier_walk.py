@@ -1,18 +1,24 @@
-"""Pins for the state-deduplicated exhaustive verification walk.
+"""Pins for the state-deduplicated exhaustive walk of bounded testing and verification.
 
-``BoundedVerifier.verify`` executes each update prefix once per program and
-skips a block (one prefix, one query, all of its argument tuples) when an
-earlier block of the same call already checked the same (query, source
-state key, candidate state key) triple.  These tests compare it with a naive
-reference that runs every generator sequence from the empty database
-through ``run_invocation_sequence``, source first: verdict, counterexample,
-``sequences_checked``, method and the raised error's class and message must
-match on every backend, with and without a (warm) source-output cache.
+``BoundedTester.first_failing`` executes each update prefix once per
+program and skips a block (one prefix, one query, all of its argument
+tuples) when an earlier block of the same call already checked the same
+(query, source state key, candidate state key) triple.  It is the
+exhaustive search of both ``BoundedTester.find_failing_input`` and
+``BoundedVerifier.verify``.  These tests compare both with naive references
+that run every generator sequence from the empty database through
+``run_invocation_sequence``, source first: the tester's failing sequence
+and ``full_enumeration_sequences``, the verifier's verdict,
+counterexample, ``sequences_checked`` and method, and the raised error's
+class and message must match on every backend, with private caches and
+with one shared source-output cache that either checker fills first.
+``REPRO_FULL_EQUIV=1`` sweeps more corpus seeds.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
 
 import pytest
@@ -20,7 +26,7 @@ import pytest
 from repro import SynthesisConfig, format_program, migrate
 from repro.corpus import CorpusConfig, generate_workload
 from repro.engine import ExecutionError, make_loader, run_invocation_sequence
-from repro.equivalence import BoundedVerifier, SeedSet, SequenceGenerator
+from repro.equivalence import BoundedTester, BoundedVerifier, SeedSet, SequenceGenerator
 from repro.equivalence.result_compare import canonicalize_outputs
 from repro.lang.ast import QueryFunction, UpdateFunction
 from repro.lang.builder import ProgramBuilder, delete, eq, insert, join, select
@@ -30,36 +36,68 @@ from repro.workloads import get_benchmark
 
 BACKENDS = ("interpreter", "compiled")
 CORPUS = CorpusConfig().scaled(tables=2, columns=3, steps=2, functions=6)
+FULL_EQUIV = os.environ.get("REPRO_FULL_EQUIV") == "1"
+CORPUS_SEEDS = range(60) if FULL_EQUIV else range(10)
+
+
+def _differs(source, candidate, sequence) -> bool:
+    expected = canonicalize_outputs(run_invocation_sequence(source, sequence))
+    try:
+        actual = canonicalize_outputs(run_invocation_sequence(candidate, sequence))
+    except ExecutionError:
+        return True
+    return actual != expected
+
+
+def _first_failing(source, candidate, *, seeds, max_updates, max_sequences):
+    """The first failing sequence of the enumeration (or ``None``) and the count."""
+    generator = SequenceGenerator(
+        programs=[source, candidate], seeds=seeds, max_updates=max_updates
+    )
+    checked = 0
+    for sequence in generator.sequences():
+        checked += 1
+        if checked > max_sequences:
+            break
+        if _differs(source, candidate, sequence):
+            return sequence, checked
+    return None, checked
+
+
+def reference_test(source, candidate, *, max_updates, max_sequences=50000):
+    """The tester's bound, every sequence one at a time from the empty database."""
+    try:
+        return _first_failing(
+            source,
+            candidate,
+            seeds=SeedSet.default(),
+            max_updates=max_updates,
+            max_sequences=max_sequences,
+        )
+    except Exception as error:
+        return ("raised", type(error), str(error))
 
 
 def reference_verify(
     source, candidate, *, max_updates, random_sequences, max_sequences=50000, seed=0
 ):
     """Every sequence, one at a time, from the empty database (interpreter)."""
-    generator = SequenceGenerator(
-        programs=[source, candidate], seeds=SeedSet.exhaustive(), max_updates=max_updates
-    )
-
-    def differs(sequence) -> bool:
-        expected = canonicalize_outputs(run_invocation_sequence(source, sequence))
-        try:
-            actual = canonicalize_outputs(run_invocation_sequence(candidate, sequence))
-        except ExecutionError:
-            return True
-        return actual != expected
-
-    checked = 0
     try:
-        for sequence in generator.sequences():
+        failing, checked = _first_failing(
+            source,
+            candidate,
+            seeds=SeedSet.exhaustive(),
+            max_updates=max_updates,
+            max_sequences=max_sequences,
+        )
+        if failing is not None:
+            return (False, failing, checked, "bounded-testing")
+        generator = SequenceGenerator(
+            programs=[source, candidate], seeds=SeedSet.exhaustive(), max_updates=max_updates
+        )
+        for sequence in generator.random_sequences(random_sequences, 5, random.Random(seed)):
             checked += 1
-            if checked > max_sequences:
-                break
-            if differs(sequence):
-                return (False, sequence, checked, "bounded-testing")
-        rng = random.Random(seed)
-        for sequence in generator.random_sequences(random_sequences, 5, rng):
-            checked += 1
-            if differs(sequence):
+            if _differs(source, candidate, sequence):
                 return (False, sequence, checked, "randomized-testing")
     except Exception as error:
         return ("raised", type(error), str(error))
@@ -74,18 +112,55 @@ def _outcome(verifier, source, candidate):
     return (result.equivalent, result.counterexample, result.sequences_checked, result.method)
 
 
-def assert_pinned(source, candidate, **bounds):
-    """The walk equals the reference on every backend; returns the verdict."""
-    expected = reference_verify(source, candidate, **bounds)
+def _verified(source, candidate, backend, cache, bounds) -> list:
+    """One verifier's outcomes on two calls: cold, then warm."""
+    verifier = BoundedVerifier(execution_backend=backend, source_cache=cache, **bounds)
+    return [_outcome(verifier, source, candidate) for _ in range(2)]
+
+
+def _tested(source, candidate, backend, cache, bounds) -> list:
+    """One tester's outcomes on two calls (cold, then warm), without a pool."""
+    tester = BoundedTester(source, execution_backend=backend, source_cache=cache, **bounds)
+    outcomes = []
+    for _ in range(2):
+        before = tester.stats.full_enumeration_sequences
+        try:
+            failing = tester.find_failing_input(candidate)
+        except Exception as error:
+            outcomes.append(("raised", type(error), str(error)))
+        else:
+            outcomes.append((failing, tester.stats.full_enumeration_sequences - before))
+    return outcomes
+
+
+def assert_pinned(source, candidate, *, max_updates, random_sequences, max_sequences=50000):
+    """The walk equals both references on every backend; returns the verdict.
+
+    The verifier and the tester each run with a private cache, then on one
+    shared cache that the other checker filled first.
+    """
+    tester_bounds = dict(max_updates=max_updates, max_sequences=max_sequences)
+    verifier_bounds = dict(tester_bounds, random_sequences=random_sequences)
+    verdict = reference_verify(source, candidate, **verifier_bounds)
+    failing = reference_test(source, candidate, **tester_bounds)
+    verified = [verdict] * 2
+    tested = [failing] * 2
     for backend in BACKENDS:
-        uncached = BoundedVerifier(execution_backend=backend, **bounds)
-        assert _outcome(uncached, source, candidate) == expected, backend
-        cached = BoundedVerifier(
-            execution_backend=backend, source_cache=SourceOutputCache(), **bounds
-        )
-        assert _outcome(cached, source, candidate) == expected, (backend, "cold cache")
-        assert _outcome(cached, source, candidate) == expected, (backend, "warm cache")
-    return expected
+        assert _verified(source, candidate, backend, None, verifier_bounds) == verified, (
+            backend, "verifier, private cache")
+        assert _tested(source, candidate, backend, None, tester_bounds) == tested, (
+            backend, "tester, private cache")
+        shared = SourceOutputCache()
+        assert _verified(source, candidate, backend, shared, verifier_bounds) == verified, (
+            backend, "verifier first")
+        assert _tested(source, candidate, backend, shared, tester_bounds) == tested, (
+            backend, "tester after the verifier")
+        shared = SourceOutputCache()
+        assert _tested(source, candidate, backend, shared, tester_bounds) == tested, (
+            backend, "tester first")
+        assert _verified(source, candidate, backend, shared, verifier_bounds) == verified, (
+            backend, "verifier after the tester")
+    return verdict
 
 
 # ----------------------------------------------------------------- programs
@@ -217,21 +292,37 @@ class TestWalkMatchesReference:
     def test_sequence_cap_trips_inside_a_block(self, people_program, people_schema, cap):
         # getPerson's blocks hold two argument tuples and findByName's two, so
         # odd caps trip in the middle of a block, skipped or not.
+        # The tester's default seeds give getPerson blocks of two tuples and
+        # 255 sequences in all, so caps up to 123 trip inside its walk too.
+        source, candidate = people_program, _people(people_schema)
         verdict = assert_pinned(
-            people_program,
-            _people(people_schema),
-            max_updates=3,
-            random_sequences=5,
-            max_sequences=cap,
+            source, candidate, max_updates=3, random_sequences=5, max_sequences=cap
         )
         assert verdict[0] is True and verdict[2] == cap + 1 + 5
+        failing = reference_test(source, candidate, max_updates=3, max_sequences=cap)
+        assert failing == (None, min(cap + 1, 255))
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", CORPUS_SEEDS)
     def test_corpus_workload_against_oracle_and_mutant(self, seed):
         workload = generate_workload(seed, CORPUS)
         bounds = dict(max_updates=2, random_sequences=5)
         assert assert_pinned(workload.source_program, workload.oracle_program, **bounds)[0] is True
         assert_pinned(workload.source_program, _without_effect(workload.oracle_program), **bounds)
+
+
+def test_checkers_never_enumerate_sequence_by_sequence(
+    monkeypatch, people_program, people_schema
+):
+    # The exhaustive search exists once, as the walk over blocks.
+    def sequences(self):
+        raise AssertionError("a checker iterated SequenceGenerator.sequences()")
+
+    monkeypatch.setattr(SequenceGenerator, "sequences", sequences)
+    wrong = _people(people_schema, wrong_delete=True)
+    assert BoundedTester(people_program).find_failing_input(wrong) is not None
+    verifier = BoundedVerifier(max_updates=2, random_sequences=5)
+    assert not verifier.verify(people_program, wrong).equivalent
+    assert verifier.verify(people_program, _people(people_schema)).equivalent
 
 
 # --------------------------------------------------------------- state keys
