@@ -204,6 +204,30 @@ that no caller set are gone.  Trajectories are unchanged.
   a time (screening, the randomized phase), and ``source_cache_hits`` now
   includes prefix-state hits during testing.  Interrupt hooks are polled
   once per block of the exhaustive walk rather than once per sequence.
+
+Additive in 7.1.0 — "learning across value correspondences": a rejected
+attempt that proved its failure becomes a *nogood*, the images its failing
+functions' sketches read, and the session's enumerator skips every later
+value correspondence that agrees with it.  Skipped correspondences do not
+count toward ``max_value_correspondences``.  Trajectories that try more
+than one correspondence change (EXPERIMENTS.md lists the moved pins).
+
+* ``AttemptRecord.nogood`` (``None`` or a ``repro.core.Nogood``:
+  ``functions`` plus the partial ``mapping``), serialized by ``to_dict()``
+  under ``"nogood"``.
+* ``CompletionResult.refuted``: the functions a proven UNSAT depends on
+  (``None`` unless the search ended UNSAT), and ``CompletionResult.limit``.
+* ``ValueCorrespondenceEnumerator.block(partial)`` and
+  ``FactoredVcEnumerator.block(partial)``; ``SketchGenerationError`` gains
+  ``function`` and ``reads``, and ``ProgramSketch`` gains ``reads``.
+* New failure reasons: an attempt stopped by ``max_iterations_per_sketch``
+  reports ``"iteration limit reached"`` and one stopped by
+  ``sketch_time_limit`` reports ``"sketch time limit reached"`` (both used
+  to read ``"no equivalent completion"``); a run whose enumerator runs dry
+  because of nogoods ends ``BudgetExhausted`` with ``"value correspondences
+  exhausted; the rest agree with recorded nogoods of …"`` naming their
+  functions.
+* ``ValueCorrespondenceEnumerator.produced`` (never read) is gone.
 """
 
 from __future__ import annotations
@@ -250,7 +274,7 @@ from repro.service import (
 )
 
 #: Semantic version of this surface (not of the package implementation).
-API_VERSION = "7.0.0"
+API_VERSION = "7.1.0"
 
 __all__ = [
     "API_VERSION",

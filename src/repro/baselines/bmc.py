@@ -39,7 +39,12 @@ from typing import Callable, Optional
 
 from repro.completion.encoder import SketchEncoder
 from repro.completion.instantiate import MemoizedInstantiator
-from repro.completion.solver import CompletionResult, CompletionStatistics
+from repro.completion.solver import (
+    ITERATION_LIMIT,
+    SKETCH_TIME_LIMIT,
+    CompletionResult,
+    CompletionStatistics,
+)
 from repro.equivalence.invocation import InvocationSequence, SequenceGenerator, SeedSet
 from repro.equivalence.tester import (
     BoundedTester,
@@ -131,7 +136,7 @@ class BmcCompleter:
                     sketch, encoding, solver, holes_by_function, instantiator, stats, check_time
                 )
             except BmcTimeout:
-                return CompletionResult(None, stats)
+                return CompletionResult(None, stats, limit=SKETCH_TIME_LIMIT)
             except TestingInterrupted:
                 return CompletionResult(None, stats, interrupted=True)
 
@@ -140,11 +145,11 @@ class BmcCompleter:
             # deeper counterexample is found, its model is blocked and we repeat.
             while True:
                 if self.max_iterations is not None and stats.iterations >= self.max_iterations:
-                    return CompletionResult(None, stats)
+                    return CompletionResult(None, stats, limit=ITERATION_LIMIT)
                 try:
                     check_time()
                 except BmcTimeout:
-                    return CompletionResult(None, stats)
+                    return CompletionResult(None, stats, limit=SKETCH_TIME_LIMIT)
                 except TestingInterrupted:
                     return CompletionResult(None, stats, interrupted=True)
 

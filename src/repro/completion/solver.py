@@ -54,6 +54,11 @@ class CompletionStatistics:
     verify_time: float = 0.0
 
 
+#: ``CompletionResult.limit`` values: the per-sketch bound that stopped the loop.
+ITERATION_LIMIT = "iteration limit reached"
+SKETCH_TIME_LIMIT = "sketch time limit reached"
+
+
 @dataclass
 class CompletionResult:
     """Outcome of completing one sketch."""
@@ -64,6 +69,14 @@ class CompletionResult:
     #: The loop was stopped by the caller's deadline or cancellation event
     #: (as opposed to exhausting the search space or the per-sketch limits).
     interrupted: bool = False
+    #: The per-sketch bound that stopped the loop (``ITERATION_LIMIT`` or
+    #: ``SKETCH_TIME_LIMIT``), if one did.
+    limit: Optional[str] = None
+    #: Set only when the search proved that no completion passes: the
+    #: functions that proof depends on.  Every other function's holes were
+    #: free throughout, so any sketch that agrees on these functions has no
+    #: passing completion either.
+    refuted: Optional[frozenset[str]] = None
 
     @property
     def succeeded(self) -> bool:
@@ -248,14 +261,16 @@ class SketchCompleter:
             name: [hole.index for hole in holes]
             for name, holes in sketch.holes_by_function().items()
         }
+        # The functions named by the failing inputs behind blocking clauses.
+        refuted: set[str] = set()
 
         interrupted = make_interrupt_check(deadline, cancel)
         with interrupt_scope(self.tester, self.verifier, interrupted):
             while True:
                 if self.max_iterations is not None and stats.iterations >= self.max_iterations:
-                    return CompletionResult(None, stats)
+                    return CompletionResult(None, stats, limit=ITERATION_LIMIT)
                 if self.time_limit is not None and time.perf_counter() - started > self.time_limit:
-                    return CompletionResult(None, stats)
+                    return CompletionResult(None, stats, limit=SKETCH_TIME_LIMIT)
                 if interrupted is not None and interrupted():
                     return CompletionResult(None, stats, interrupted=True)
 
@@ -263,7 +278,11 @@ class SketchCompleter:
                 assignment = search.next_assignment()
                 stats.sat_time += time.perf_counter() - sat_started
                 if assignment is None:
-                    return CompletionResult(None, stats)
+                    # UNSAT before any model: the consistency constraints
+                    # alone conflict, in functions no clause names.
+                    if not stats.iterations:
+                        refuted = set(holes_by_function)
+                    return CompletionResult(None, stats, refuted=frozenset(refuted))
 
                 stats.iterations += 1
                 candidate = instantiator.instantiate(assignment)
@@ -301,7 +320,10 @@ class SketchCompleter:
                 if on_reject is not None:
                     on_reject(stats.iterations, failing)
                 stats.mfi_lengths.append(len(failing))
-                blocked_holes = self._holes_to_block(failing, holes_by_function, all_hole_indices)
+                blocked_holes, functions = self._holes_to_block(
+                    failing, holes_by_function, all_hole_indices
+                )
+                refuted |= functions
                 search.block(blocked_holes)
                 stats.blocked_clauses += 1
                 stats.eliminated_estimate += self._eliminated(hole_sizes, blocked_holes)
@@ -312,16 +334,19 @@ class SketchCompleter:
         failing: InvocationSequence,
         holes_by_function: dict[str, list[int]],
         all_holes: list[int],
-    ) -> list[int]:
-        if not self.use_mfi:
-            return list(all_holes)
-        functions = {name for name, _ in failing}
-        blocked: list[int] = []
-        for name in functions:
-            blocked.extend(holes_by_function.get(name, ()))
+    ) -> tuple[list[int], set[str]]:
+        """The holes one blocking clause names, and the functions it depends on."""
+        if self.use_mfi:
+            functions = {name for name, _ in failing}
+            blocked: list[int] = []
+            for name in functions:
+                blocked.extend(holes_by_function.get(name, ()))
+            if blocked:
+                return blocked, functions
         # If the failing functions contain no holes (fully determined), fall
-        # back to blocking the complete model to guarantee progress.
-        return blocked or list(all_holes)
+        # back to blocking the complete model to guarantee progress.  The
+        # clause then couples every function.
+        return list(all_holes), set(holes_by_function)
 
     @staticmethod
     def _eliminated(hole_sizes: dict[int, int], blocked_holes: list[int]) -> int:

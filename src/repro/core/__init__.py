@@ -2,7 +2,7 @@
 streaming session that runs it."""
 
 from repro.core.config import SynthesisConfig
-from repro.core.result import AttemptRecord, SynthesisResult
+from repro.core.result import AttemptRecord, Nogood, SynthesisResult
 from repro.core.session import (
     BudgetExhausted,
     BudgetTimeout,
@@ -24,6 +24,7 @@ __all__ = [
     "BudgetTimeout",
     "Cancelled",
     "CandidateRejected",
+    "Nogood",
     "SessionCore",
     "SessionEvent",
     "SketchGenerated",

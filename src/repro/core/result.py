@@ -14,8 +14,32 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.correspondence.value_corr import ValueCorrespondence
+from repro.datamodel.schema import Attribute
 from repro.lang.ast import Program
 from repro.testing_cache import TestingCacheStats
+
+
+@dataclass(frozen=True)
+class Nogood:
+    """A partial value correspondence under which every correspondence fails.
+
+    ``functions`` are the functions the rejection depended on: the one
+    whose sketch generation failed, or those a refuted completion named.
+    ``mapping`` holds the images their sketches read.  Every correspondence
+    that agrees with ``mapping`` fails the same bounded check.
+    """
+
+    functions: frozenset[str]
+    mapping: dict[Attribute, frozenset[Attribute]]
+
+    def to_dict(self) -> dict:
+        return {
+            "functions": sorted(self.functions),
+            "mapping": {
+                str(attr): sorted(str(target) for target in image)
+                for attr, image in sorted(self.mapping.items())
+            },
+        }
 
 
 @dataclass(kw_only=True)
@@ -40,6 +64,10 @@ class AttemptRecord:
     #: ``("vc_selected w=3", "sketch_generated holes=2 space=16",
     #: "candidate_rejected x4", "solved iters=5")``.
     events: tuple[str, ...] = ()
+    #: Why this correspondence was rejected, as a partial correspondence the
+    #: session blocked; ``None`` when the attempt proved nothing (solved,
+    #: interrupted, capped, or a completer that proves no refutation).
+    nogood: Optional[Nogood] = None
 
     def to_dict(self) -> dict:
         return {
@@ -50,6 +78,7 @@ class AttemptRecord:
             "succeeded": self.succeeded,
             "failure_reason": self.failure_reason,
             "events": list(self.events),
+            "nogood": None if self.nogood is None else self.nogood.to_dict(),
         }
 
 

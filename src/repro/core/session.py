@@ -48,7 +48,7 @@ from repro.baselines.bmc import BmcCompleter
 from repro.completion.enumerative import EnumerativeCompleter
 from repro.completion.solver import SketchCompleter
 from repro.core.config import SynthesisConfig
-from repro.core.result import AttemptRecord, SynthesisResult
+from repro.core.result import AttemptRecord, Nogood, SynthesisResult
 from repro.correspondence.enumerator import ValueCorrespondenceEnumerator, VcEnumerationError
 from repro.correspondence.value_corr import ValueCorrespondence
 from repro.datamodel.schema import Schema
@@ -374,6 +374,7 @@ class SessionCore:
                     vc_weight=weight,
                     failure_reason=str(error),
                     events=summarizer.summary(),
+                    nogood=Nogood(frozenset({error.function}), error.reads),
                 ),
             )
         record(
@@ -393,6 +394,7 @@ class SessionCore:
             sketch, deadline=deadline, cancel=cancel, on_reject=on_reject
         )
 
+        nogood = None
         if completion.succeeded:
             record(Solved(index=index, iterations=completion.statistics.iterations))
             failure_reason = ""
@@ -401,7 +403,12 @@ class SessionCore:
                 "cancelled" if cancel is not None and cancel.is_set() else "time limit reached"
             )
         else:
-            failure_reason = "no equivalent completion"
+            failure_reason = completion.limit or "no equivalent completion"
+            if completion.refuted is not None:
+                mapping = {}
+                for name in completion.refuted:
+                    mapping.update(sketch.reads[name])
+                nogood = Nogood(completion.refuted, mapping)
 
         return AttemptOutcome(
             record=AttemptRecord(
@@ -412,6 +419,7 @@ class SessionCore:
                 succeeded=completion.succeeded,
                 failure_reason=failure_reason,
                 events=summarizer.summary(),
+                nogood=nogood,
             ),
             program=completion.program,
             iterations=completion.statistics.iterations,
@@ -573,6 +581,7 @@ class SynthesisSession:
             yield from self._flush(buffer)
             return
 
+        blocked_functions: set[str] = set()
         terminal: Optional[SessionEvent] = None
         while True:
             if self._cancel.is_set():
@@ -589,7 +598,13 @@ class SynthesisSession:
 
             candidate_vc = enumerator.next_value_corr()
             if candidate_vc is None:
-                terminal = BudgetExhausted(reason="value correspondences exhausted")
+                reason = "value correspondences exhausted"
+                if enumerator.engine.skipped:
+                    reason += (
+                        "; the rest agree with recorded nogoods of "
+                        + ", ".join(sorted(blocked_functions))
+                    )
+                terminal = BudgetExhausted(reason=reason)
                 break
             result.value_correspondences_tried += 1
 
@@ -617,6 +632,12 @@ class SynthesisSession:
                     result.timed_out = True
                     terminal = BudgetTimeout(elapsed=time.perf_counter() - started)
                 break
+            nogood = outcome.record.nogood
+            if nogood is not None:
+                # Nogoods live in this run's enumerator only: another job's
+                # target schema gives the same images a different meaning.
+                enumerator.block(nogood.mapping)
+                blocked_functions |= nogood.functions
             yield from self._flush(buffer)
 
         if terminal is not None:

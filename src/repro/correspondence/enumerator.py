@@ -28,14 +28,17 @@ This module provides one engine and its reference:
 
 Both engines yield :class:`ValueCorrespondence` objects in non-increasing
 order of objective value and never repeat a correspondence, which subsumes
-the paper's blocking-clause mechanism.
+the paper's blocking-clause mechanism.  The factored engine also blocks
+*nogoods* (:meth:`FactoredVcEnumerator.block`): partial correspondences that
+every agreeing correspondence fails under, learned by the session from a
+rejected attempt.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.correspondence.similarity import DEFAULT_ALPHA, name_similarity
 from repro.correspondence.value_corr import ValueCorrespondence
@@ -165,8 +168,25 @@ class _RowCandidates:
         return None
 
 
+#: A blocked partial correspondence: ``(row index, image)`` pairs.
+_RowNogood = tuple[tuple[int, frozenset[Attribute]], ...]
+
+
 class FactoredVcEnumerator:
-    """Exact best-first enumeration of the MaxSAT encoding, per-attribute factored."""
+    """Exact best-first enumeration of the MaxSAT encoding, per-attribute factored.
+
+    A *state* holds one rank per row (source attribute); its successors
+    raise one rank.  That makes the key ``(-weight, state)`` of a successor
+    larger than its parent's, so the heap pops states in sorted key order.
+
+    A state that agrees with a blocked nogood is skipped when popped.  It
+    pushes only its successors along the nogood's rows: every step along
+    another row still agrees with the nogood, and a step along one of them
+    always leads toward any state that does not agree.  So every unblocked
+    state is still reached before a larger key is popped, and the stream is
+    the unblocked stream minus the blocked correspondences, in the same
+    order.
+    """
 
     def __init__(
         self,
@@ -192,30 +212,57 @@ class FactoredVcEnumerator:
                     f"queried attribute {attr} has no type-compatible target attribute"
                 )
             self.rows.append(row)
+        self._row_of = {row.attribute: index for index, row in enumerate(self.rows)}
+        self.nogoods: list[_RowNogood] = []
+        #: Popped states that agreed with a nogood and were not yielded.
+        self.skipped = 0
+
+    def block(self, partial: Mapping[Attribute, Iterable[Attribute]]) -> None:
+        """Never yield a correspondence that agrees with *partial* on all its attributes."""
+        self.nogoods.append(
+            tuple(sorted((self._row_of[attr], frozenset(image)) for attr, image in partial.items()))
+        )
 
     def candidates(self) -> Iterator[VcCandidate]:
-        """Yield all value correspondences in non-increasing objective order."""
-        if not self.rows:
-            yield VcCandidate(ValueCorrespondence(self.source, self.target, {}), 0)
-            return
+        """Yield all unblocked value correspondences in non-increasing objective order."""
         start = tuple(0 for _ in self.rows)
         initial = self._state_weight(start)
         if initial is None:
             return
         heap: list[tuple[int, tuple[int, ...]]] = [(-initial, start)]
         visited: set[tuple[int, ...]] = {start}
+        rows = self.rows
+        every_row = range(len(rows))
         while heap:
             neg_weight, state = heapq.heappop(heap)
-            yield VcCandidate(self._state_to_vc(state), -neg_weight)
-            for row_index in range(len(self.rows)):
-                successor = state[:row_index] + (state[row_index] + 1,) + state[row_index + 1 :]
+            nogood = self._nogood_of(state)
+            if nogood is None:
+                yield VcCandidate(self._state_to_vc(state), -neg_weight)
+                steps: Iterable[int] = every_row
+            else:
+                self.skipped += 1
+                steps = [row_index for row_index, _ in nogood]
+            for row_index in steps:
+                rank = state[row_index]
+                successor = state[:row_index] + (rank + 1,) + state[row_index + 1 :]
                 if successor in visited:
                     continue
-                weight = self._state_weight(successor)
-                if weight is None:
+                row = rows[row_index]
+                entry = row.get(rank + 1)
+                if entry is None:
                     continue
                 visited.add(successor)
+                # The successor's weight differs from the state's in one row.
+                weight = -neg_weight - row.get(rank)[0] + entry[0]
                 heapq.heappush(heap, (-weight, successor))
+
+    def _nogood_of(self, state: tuple[int, ...]) -> Optional[_RowNogood]:
+        """The first blocked nogood that *state* agrees with, if any."""
+        rows = self.rows
+        for nogood in self.nogoods:
+            if all(rows[index].get(state[index])[1] == image for index, image in nogood):
+                return nogood
+        return None
 
     def _state_weight(self, state: tuple[int, ...]) -> Optional[int]:
         total = 0
@@ -318,19 +365,18 @@ class ValueCorrespondenceEnumerator:
         alpha: int = DEFAULT_ALPHA,
         max_fanout: Optional[int] = 2,
     ):
-        self._iterator = FactoredVcEnumerator(
+        self.engine = FactoredVcEnumerator(
             source_program, target_schema, alpha=alpha, max_fanout=max_fanout
-        ).candidates()
-        self.produced = 0
+        )
+        self._iterator = self.engine.candidates()
 
     def next_value_corr(self) -> Optional[VcCandidate]:
-        """The next-most-likely value correspondence, or ``None`` when exhausted."""
-        try:
-            candidate = next(self._iterator)
-        except StopIteration:
-            return None
-        self.produced += 1
-        return candidate
+        """The next-most-likely unblocked value correspondence, or ``None`` when exhausted."""
+        return next(self._iterator, None)
+
+    def block(self, partial: Mapping[Attribute, Iterable[Attribute]]) -> None:
+        """Skip every later correspondence that agrees with the nogood *partial*."""
+        self.engine.block(partial)
 
     def __iter__(self) -> Iterator[VcCandidate]:
         while True:

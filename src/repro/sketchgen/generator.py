@@ -58,8 +58,43 @@ class SketchGenerationError(Exception):
     """Raised when no sketch exists for the given value correspondence.
 
     The synthesizer treats this as "the conjectured value correspondence is
-    wrong" and moves on to the next one.
+    wrong" and moves on to the next one.  :meth:`SketchGenerator.generate`
+    sets ``function``, the function whose sketch failed, and ``reads``, the
+    images that function's sketch read up to the failure: every
+    correspondence that agrees with ``reads`` fails the same way.
     """
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.function: Optional[str] = None
+        self.reads: dict[Attribute, frozenset[Attribute]] = {}
+
+
+class _RecordedReads:
+    """One function's view of a value correspondence.
+
+    Forwards the two lookups sketch generation makes (``image`` and
+    ``is_mapped``, here and in :mod:`repro.sketchgen.join_corr`) and records
+    each attribute asked about with its image.  A function's sketch, or the
+    error generating it, depends only on those answers: the target schema,
+    the generator config and the Steiner memo (keyed by terminals) are fixed
+    for a run.
+    """
+
+    __slots__ = ("_correspondence", "reads")
+
+    def __init__(self, correspondence: ValueCorrespondence):
+        self._correspondence = correspondence
+        self.reads: dict[Attribute, frozenset[Attribute]] = {}
+
+    def image(self, attr: Attribute) -> frozenset[Attribute]:
+        image = self.reads.get(attr)
+        if image is None:
+            image = self.reads[attr] = self._correspondence.image(attr)
+        return image
+
+    def is_mapped(self, attr: Attribute) -> bool:
+        return bool(self.image(attr))
 
 
 @dataclass
@@ -116,12 +151,21 @@ class SketchGenerator:
     def generate(self, correspondence: ValueCorrespondence) -> ProgramSketch:
         allocator = HoleAllocator()
         functions: list[FunctionSketch] = []
+        reads: dict[str, dict[Attribute, frozenset[Attribute]]] = {}
         for func in self.source_program:
-            if isinstance(func, QueryFunction):
-                functions.append(self._query_sketch(func, correspondence, allocator))
-            else:
-                functions.append(self._update_sketch(func, correspondence, allocator))
-        return ProgramSketch(self.source_program, self.target_schema, correspondence, functions)
+            view = _RecordedReads(correspondence)
+            try:
+                if isinstance(func, QueryFunction):
+                    functions.append(self._query_sketch(func, view, allocator))
+                else:
+                    functions.append(self._update_sketch(func, view, allocator))
+            except SketchGenerationError as error:
+                error.function, error.reads = func.name, view.reads
+                raise
+            reads[func.name] = view.reads
+        return ProgramSketch(
+            self.source_program, self.target_schema, correspondence, functions, reads
+        )
 
     # --------------------------------------------------------------- rewrites
     def _rewrite_attr(
@@ -252,7 +296,7 @@ class SketchGenerator:
                 return True
         return False
 
-    def _tablist_domain(self, chains: Sequence[JoinChain]) -> list[tuple[str, ...]]:
+    def _tablist_domain(self, function: str, chains: Sequence[JoinChain]) -> list[tuple[str, ...]]:
         """Non-empty table subsets deletable through at least one candidate chain.
 
         The paper's rule is ``TabLists(J')`` = the powerset of the tables of
@@ -266,7 +310,8 @@ class SketchGenerator:
             tables = sorted(chain.tables)
             if len(tables) > self.config.max_tablist_tables:
                 raise SketchGenerationError(
-                    f"delete table-list domain too large ({len(tables)} tables in one chain)"
+                    f"delete table-list domain of {function!r} too large "
+                    f"({len(tables)} tables in one chain)"
                 )
             for size in range(1, len(tables) + 1):
                 for subset in itertools.combinations(tables, size):
@@ -315,7 +360,7 @@ class SketchGenerator:
             chains = self._chains_for(correspondence, sorted(required), f"delete in {name!r}")
             alternatives = self._compositions(chains)
             tablist = allocator.tablist_hole(
-                name, self._tablist_domain(chains), "delete table list"
+                name, self._tablist_domain(name, chains), "delete table list"
             )
             choice = allocator.choice_hole(name, alternatives, "delete join chain")
             subqueries = self._subquery_holes(

@@ -149,6 +149,9 @@ class ProgramSketch:
     target_schema: Schema
     correspondence: ValueCorrespondence
     functions: list[FunctionSketch]
+    #: Per function name, the source attributes whose image sketch generation
+    #: read while building that function's sketch, with the image.
+    reads: dict[str, dict[Attribute, frozenset[Attribute]]]
 
     def holes(self) -> list[Hole]:
         """All holes of the sketch, deduplicated, in index order."""

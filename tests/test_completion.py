@@ -1,9 +1,11 @@
 """Tests for sketch encoding, instantiation, and the completion solvers."""
 
+import dataclasses
 import itertools
 import math
 import os
 import random
+import threading
 
 import pytest
 
@@ -16,14 +18,14 @@ from repro.completion import (
     instantiate,
 )
 from repro.completion.instantiate import InstantiationError, MemoizedInstantiator
-from repro.completion.solver import ComponentSearch
+from repro.completion.solver import ITERATION_LIMIT, SKETCH_TIME_LIMIT, ComponentSearch
 from repro.correspondence import ValueCorrespondenceEnumerator
 from repro.equivalence import BoundedTester, BoundedVerifier
 from repro.lang import Program, QueryFunction, UpdateFunction
 from repro.lang.visitors import validate_program
 from repro.sat import CNF, exactly_one
 from repro.sat.solver import SatSolver, Status
-from repro.sketchgen import Hole, SketchGenerator
+from repro.sketchgen import Hole, SketchGenerator, UpdateFunctionSketch
 from repro.workloads import get_benchmark, rename_variants
 
 FULL_EQUIV = os.environ.get("REPRO_FULL_EQUIV") == "1"
@@ -219,12 +221,14 @@ class TestSketchCompleter:
         completer = SketchCompleter(source, max_iterations=0)
         result = completer.complete(sketch)
         assert not result.succeeded
+        assert (result.limit, result.refuted) == (ITERATION_LIMIT, None)
 
     def test_time_limit_reports_failure(self, running_example):
         source, _, sketch = running_example
         completer = SketchCompleter(source, time_limit=0.0)
         result = completer.complete(sketch)
         assert not result.succeeded
+        assert (result.limit, result.refuted) == (SKETCH_TIME_LIMIT, None)
 
     def test_bmc_completer_on_running_example(self, running_example):
         source, _, sketch = running_example
@@ -240,6 +244,99 @@ class TestSketchCompleter:
         result = completer.complete(sketch)
         if result.statistics.blocked_clauses:
             assert result.statistics.eliminated_estimate >= result.statistics.blocked_clauses
+
+
+# ------------------------------------------------------------------------ refutation
+class _FixedTester:
+    """Fails every candidate, with *inputs* in turn and then the last one forever."""
+
+    pool = None
+    interrupt = None
+
+    def __init__(self, *inputs):
+        self.inputs = list(inputs)
+
+    def find_failing_input(self, candidate):
+        return self.inputs.pop(0) if len(self.inputs) > 1 else self.inputs[0]
+
+
+def _call(*names) -> tuple:
+    return tuple((name, ()) for name in names)
+
+
+class TestRefuted:
+    """``CompletionResult.refuted``: the functions a proven UNSAT depends on."""
+
+    @pytest.fixture()
+    def holeless(self, running_example):
+        """The running example with ``deleteTA`` emptied: a function with no holes."""
+        source, _, sketch = running_example
+        functions = [
+            UpdateFunctionSketch(fs.source, []) if fs.name == "deleteTA" else fs
+            for fs in sketch.functions
+        ]
+        sketch = dataclasses.replace(sketch, functions=functions)
+        assert sketch.holes_by_function()["deleteTA"] == []
+        return source, sketch
+
+    def test_names_every_function_of_the_failing_inputs(self, holeless):
+        source, sketch = holeless
+        tester = _FixedTester(_call("getTAInfo", "deleteTA"))
+        result = SketchCompleter(source, tester=tester).complete(sketch)
+        assert not result.succeeded and result.limit is None
+        assert result.statistics.iterations >= 1
+        assert result.refuted == {"getTAInfo", "deleteTA"}
+
+    def test_is_every_function_when_unsat_before_the_first_model(self, running_example, monkeypatch):
+        source, _, sketch = running_example
+
+        class Contradictory(SketchEncoder):
+            def encode(self):
+                encoding = super().encode()
+                encoding.cnf.add_clause([1])
+                encoding.cnf.add_clause([-1])
+                return encoding
+
+        monkeypatch.setattr("repro.completion.solver.SketchEncoder", Contradictory)
+        result = SketchCompleter(source, tester=_FixedTester(_call("getTAInfo"))).complete(sketch)
+        assert result.statistics.iterations == 0
+        assert result.refuted == set(sketch.holes_by_function())
+
+    def test_is_every_function_after_a_full_model_fallback(self, holeless):
+        source, sketch = holeless
+        # The first input names only the hole-less function, so its clause
+        # blocks the whole model; the later ones name getTAInfo.
+        tester = _FixedTester(_call("deleteTA"), _call("getTAInfo"))
+        result = SketchCompleter(source, tester=tester).complete(sketch)
+        assert result.refuted == set(sketch.holes_by_function())
+        # The enumerative baseline blocks every model whole, so on a sketch of
+        # two functions it refutes both, though the inputs name one.
+        pair = dataclasses.replace(
+            sketch, functions=[fs for fs in sketch.functions if fs.name in ("getTAInfo", "deleteTA")]
+        )
+        for completer, refuted in (
+            (SketchCompleter, {"getTAInfo"}),
+            (EnumerativeCompleter, {"getTAInfo", "deleteTA"}),
+        ):
+            result = completer(source, tester=_FixedTester(_call("getTAInfo"))).complete(pair)
+            assert result.refuted == refuted
+
+    def test_is_none_when_a_limit_or_an_interrupt_stops_the_search(self, running_example):
+        """Blocking clauses were added, but no UNSAT was reached: nothing is refuted.
+
+        (``TestSketchCompleter`` checks the caps before any iteration.)
+        """
+        source, _, sketch = running_example
+        tester = _FixedTester(_call("getTAInfo"))
+        capped = SketchCompleter(source, tester=tester, max_iterations=1).complete(sketch)
+        assert capped.statistics.blocked_clauses == 1
+        assert (capped.limit, capped.refuted) == (ITERATION_LIMIT, None)
+        cancel = threading.Event()
+        cancel.set()
+        stopped = SketchCompleter(source, tester=tester).complete(sketch, cancel=cancel)
+        assert stopped.interrupted and (stopped.limit, stopped.refuted) == (None, None)
+        bmc = BmcCompleter(source, time_limit=0.0).complete(sketch)
+        assert (bmc.limit, bmc.refuted) == (SKETCH_TIME_LIMIT, None)
 
 
 # ------------------------------------------------------------------- component search

@@ -1,5 +1,9 @@
 """Tests for similarity, value correspondences, and their lazy enumeration."""
 
+import itertools
+import os
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,9 +20,12 @@ from repro.correspondence import (
     name_similarity,
     normalized_similarity,
 )
+from repro.core import BudgetExhausted, SynthesisConfig, SynthesisSession, migrate
 from repro.datamodel import Attribute, DataType as T, make_schema
 from repro.lang.builder import ProgramBuilder, eq, insert, select
-from repro.workloads import get_benchmark
+from repro.workloads import benchmark_names, get_benchmark, rename_variants
+
+FULL_EQUIV = os.environ.get("REPRO_FULL_EQUIV") == "1"
 
 
 # ----------------------------------------------------------------------------- similarity
@@ -232,3 +239,191 @@ class TestEnumeration:
         for candidate, _ in zip(enumerator.candidates(), range(20)):
             for _, image in candidate.correspondence.items():
                 assert len(image) <= 1
+
+
+# --------------------------------------------------------------------------------- nogoods
+#: (registry name, rename variant or None).  ``REPRO_FULL_EQUIV=1`` sweeps
+#: the 20 targets and their column-0 rename variants, 5 trials each.
+NOGOOD_TARGETS = (
+    [(name, variant) for name in benchmark_names() for variant in (None, 0)]
+    if FULL_EQUIV
+    else [("Ambler-5", None), ("Ambler-8", 0), ("gallery", 0), ("Oracle-2", 0)]
+)
+NOGOOD_PREFIX = 400 if FULL_EQUIV else 150
+NOGOOD_TRIALS = 5 if FULL_EQUIV else 3
+
+
+def _agrees(vc: ValueCorrespondence, partial) -> bool:
+    return all(vc.image(attr) == image for attr, image in partial.items())
+
+
+def _filtered(stream, schedule) -> list:
+    """*stream* minus every VC a nogood blocks by the time it would be yielded.
+
+    *schedule* lists ``(yields, partial)``: the nogood is blocked once the
+    enumerator has yielded that many VCs.
+    """
+    kept, active = [], []
+    for vc, weight in stream:
+        active = [partial for at, partial in schedule if at <= len(kept)]
+        if not any(_agrees(vc, partial) for partial in active):
+            kept.append((vc, weight))
+    return kept
+
+
+def _pruned(enumerator: FactoredVcEnumerator, schedule, count: int) -> list:
+    """The first *count* VCs of *enumerator*, blocking each nogood on schedule."""
+    stream = enumerator.candidates()
+    got = []
+    while len(got) < count:
+        for at, partial in schedule:
+            if at == len(got):
+                enumerator.block(partial)
+        candidate = next(stream, None)
+        if candidate is None:
+            break
+        got.append((candidate.correspondence, candidate.weight))
+    return got
+
+
+def _draw_schedule(rng: random.Random, stream) -> list:
+    """1–4 nogoods: 1–3 attributes of a VC of *stream*, blocked up front or later."""
+    schedule = []
+    for _ in range(rng.randint(1, 4)):
+        vc, _weight = rng.choice(stream)
+        attrs = sorted(attr for attr, _image in vc.items())
+        attrs = rng.sample(attrs, rng.randint(1, min(3, len(attrs))))
+        at = 0 if rng.random() < 0.5 else rng.randint(1, 30)
+        schedule.append((at, {attr: vc.image(attr) for attr in attrs}))
+    return schedule
+
+
+class TestNogoods:
+    """Blocking nogoods inside the best-first search removes VCs, never reorders.
+
+    The pruned stream must equal the unpruned stream minus the VCs that
+    agree with a nogood blocked by then, in the same order and with the
+    same weights.
+    """
+
+    @pytest.mark.parametrize("name, variant", NOGOOD_TARGETS)
+    def test_pruned_stream_equals_filtered_stream(self, name, variant):
+        benchmark = get_benchmark(name)
+        source, target = benchmark.source_program, benchmark.target_schema
+        if variant is not None:
+            target = rename_variants(target, variant + 1)[variant]
+        unpruned = [
+            (candidate.correspondence, candidate.weight)
+            for candidate in itertools.islice(
+                FactoredVcEnumerator(source, target).candidates(), NOGOOD_PREFIX
+            )
+        ]
+        rng = random.Random(f"{name}/{variant}")
+        removed = 0
+        for _ in range(NOGOOD_TRIALS):
+            schedule = _draw_schedule(rng, unpruned)
+            expected = _filtered(unpruned, schedule)
+            assert _pruned(FactoredVcEnumerator(source, target), schedule, len(expected)) == (
+                expected
+            )
+            removed += len(unpruned) - len(expected)
+        assert removed > 0
+
+    def test_exhausts_the_running_example_to_its_end(self, course_program, course_target_schema):
+        """Nogoods leave a small rest of the space; the stream ends after exactly it.
+
+        Single-attribute nogoods keep the first two images of each row (three
+        for the two key rows); two-attribute nogoods then remove combinations
+        inside that rest.  The expected stream is every remaining rank tuple,
+        sorted by (-weight, ranks): the order the heap pops states in.
+        """
+        enumerator = FactoredVcEnumerator(course_program, course_target_schema, max_fanout=1)
+        # Every (weight, image) each row offers, best first.
+        offers = []
+        for row in enumerator.rows:
+            entries = []
+            while (entry := row.get(len(entries))) is not None:
+                entries.append(entry)
+            offers.append(entries)
+        keep = [3 if row.attribute.name in ("InstId", "TaId") and row.required else 2
+                for row in enumerator.rows]
+        for row, entries, kept in zip(enumerator.rows, offers, keep):
+            for _weight, image in entries[kept:]:
+                enumerator.block({row.attribute: image})
+        open_rows = [index for index, entries in enumerate(offers) if len(entries) > 1]
+        # Two-attribute nogoods as (row, rank, row, rank).
+        pairs = [(open_rows[0], 1, open_rows[1], 0), (open_rows[2], 0, open_rows[-1], 1)]
+        for left, left_rank, right, right_rank in pairs:
+            enumerator.block({
+                enumerator.rows[left].attribute: offers[left][left_rank][1],
+                enumerator.rows[right].attribute: offers[right][right_rank][1],
+            })
+
+        remaining = []
+        for ranks in itertools.product(*(range(min(k, len(e))) for k, e in zip(keep, offers))):
+            if any(ranks[left] == left_rank and ranks[right] == right_rank
+                   for left, left_rank, right, right_rank in pairs):
+                continue
+            weight = sum(offers[index][rank][0] for index, rank in enumerate(ranks))
+            remaining.append((-weight, ranks))
+        expected = [
+            (
+                ValueCorrespondence(
+                    course_program.schema,
+                    course_target_schema,
+                    {row.attribute: offers[index][rank][1]
+                     for index, (row, rank) in enumerate(zip(enumerator.rows, ranks))},
+                ),
+                -neg_weight,
+            )
+            for neg_weight, ranks in sorted(remaining)
+        ]
+        got = [(c.correspondence, c.weight) for c in enumerator.candidates()]
+        assert len(expected) > 100
+        assert got == expected
+        assert enumerator.skipped > 0
+
+    def test_session_blocks_nogoods_and_skips_do_not_count(self):
+        """Ambler-5 solves at its 4th tried VC; the unpruned order needs 10.
+
+        The VCs the enumerator skips are never tried, so a budget of 4
+        suffices: skipped VCs do not count toward
+        ``max_value_correspondences``.
+        """
+        bench = get_benchmark("Ambler-5")
+        config = SynthesisConfig(max_value_correspondences=4, verifier_random_sequences=10)
+        result = migrate(bench.source_program, bench.target_schema, config)
+        assert result.succeeded
+        assert result.value_correspondences_tried == len(result.attempts) == 4
+        for attempt in result.attempts[:-1]:
+            assert attempt.failure_reason == "no equivalent completion"
+            assert attempt.nogood is not None and attempt.nogood.mapping
+
+    def test_nogoods_exhaust_the_enumerator(self):
+        """No VC gives ``get`` a join chain: one attempt, then the rest is skipped."""
+        source = make_schema("s", {"A": {"x": T.INT, "y": T.STRING, "z": T.INT}})
+        target = make_schema("t", {"B": {"x": T.INT}, "C": {"y": T.STRING}})
+        pb = ProgramBuilder("p", source)
+        pb.query("get", [("x", "int")], select(["A.y"], "A", eq("A.x", "$x")))
+        program = pb.build()
+        assert len(list(FactoredVcEnumerator(program, target).candidates())) > 1
+
+        result = migrate(program, target, SynthesisConfig())
+        assert result.status == "FAILED"
+        assert result.value_correspondences_tried == 1
+        nogood = result.attempts[0].nogood
+        assert nogood.functions == {"get"}
+        assert nogood.mapping == {
+            Attribute("A", "x"): {Attribute("B", "x")},
+            Attribute("A", "y"): {Attribute("C", "y")},
+        }
+        assert result.attempts[0].to_dict()["nogood"] == {
+            "functions": ["get"],
+            "mapping": {"A.x": ["B.x"], "A.y": ["C.y"]},
+        }
+
+        events = list(SynthesisSession(program, target, SynthesisConfig()).events())
+        assert isinstance(events[-1], BudgetExhausted)
+        assert events[-1].reason == (
+            "value correspondences exhausted; the rest agree with recorded nogoods of get"
+        )

@@ -1,9 +1,19 @@
 """Tests for the join graph, Steiner trees, join correspondences, and sketch generation."""
 
+import itertools
+import random
+import re
+
 import pytest
 
-from repro.correspondence import ValueCorrespondenceEnumerator, identity_correspondence
+from repro.correspondence import (
+    FactoredVcEnumerator,
+    ValueCorrespondence,
+    ValueCorrespondenceEnumerator,
+    identity_correspondence,
+)
 from repro.datamodel import Attribute, DataType as T, make_schema
+from repro.lang import Program
 from repro.lang.builder import ProgramBuilder, eq, insert, select
 from repro.sketchgen import (
     JoinGraph,
@@ -20,6 +30,7 @@ from repro.sketchgen import (
 )
 from repro.sketchgen.join_graph import tree_to_join_chain
 from repro.sketchgen.sketch_ast import Hole, HoleAllocator
+from repro.workloads import get_benchmark, rename_variants
 
 
 # -------------------------------------------------------------------------------- graph
@@ -221,3 +232,142 @@ class TestSketchGeneration:
         # without pruning, insert statements also admit composed alternatives
         add_holes = sketch.holes_by_function()["addInstructor"]
         assert add_holes[0].size > 3
+
+
+# ---------------------------------------------------------------------------------- reads
+def _job(job: str):
+    """(source program, target schema) of a registry job; ``/r0`` is a rename variant."""
+    name, _, variant = job.partition("/")
+    benchmark = get_benchmark(name)
+    target = benchmark.target_schema
+    if variant:
+        target = rename_variants(target, 1)[0]
+    return benchmark.source_program, target
+
+
+def _shape(function_sketch) -> str:
+    """The function sketch's repr with hole indices counted from its first hole.
+
+    Hole indices are global to a program sketch, so another function's
+    hole count shifts them; everything else must match exactly.
+    """
+    text = repr(function_sketch)
+    base = min(hole.index for hole in function_sketch.holes()) if function_sketch.holes() else 0
+    return re.sub(r"index=(\d+)", lambda match: f"index={int(match.group(1)) - base}", text)
+
+
+def _with_images(vc: ValueCorrespondence, images) -> ValueCorrespondence:
+    return ValueCorrespondence(vc.source, vc.target, {**dict(vc.items()), **images})
+
+
+class TestRecordedReads:
+    """A function's sketch depends only on the images it read (its *reads*)."""
+
+    @pytest.mark.parametrize("job", ["Ambler-5", "Ambler-3/r0", "gallery/r0", "Oracle-2"])
+    def test_images_outside_reads_do_not_change_a_function_sketch(self, job):
+        source, target = _job(job)
+        generator = SketchGenerator(source, target)
+        enumerator = FactoredVcEnumerator(source, target)
+        checked = 0
+        for candidate in itertools.islice(enumerator.candidates(), 6):
+            vc = candidate.correspondence
+            try:
+                sketch = generator.generate(vc)
+            except SketchGenerationError:
+                continue
+            shapes = {fs.name: _shape(fs) for fs in sketch.functions}
+            assert set(sketch.reads) == set(shapes)
+            for row in enumerator.rows:
+                offered = [row.get(rank) for rank in range(4)]
+                for image in {entry[1] for entry in offered if entry} - {vc.image(row.attribute)}:
+                    checked += self._check_change(generator, sketch, shapes, vc, row.attribute, image)
+        assert checked > 0
+
+    @staticmethod
+    def _check_change(generator, sketch, shapes, vc, attr, image) -> int:
+        """Regenerate with *attr* mapped to *image*; returns the functions compared."""
+        changed = _with_images(vc, {attr: image})
+        try:
+            again = generator.generate(changed)
+        except SketchGenerationError as error:
+            # Only a function that read the changed image may fail now.
+            assert attr in sketch.reads[error.function]
+            return 0
+        compared = 0
+        for fs in again.functions:
+            if attr not in sketch.reads[fs.name]:
+                assert _shape(fs) == shapes[fs.name]
+                assert again.reads[fs.name] == sketch.reads[fs.name]
+                compared += 1
+        return compared
+
+    def test_reads_record_every_image_a_sketch_asked_for(self, course_program, course_target_schema):
+        vc = ValueCorrespondenceEnumerator(course_program, course_target_schema).next_value_corr()
+        sketch = SketchGenerator(course_program, course_target_schema).generate(vc.correspondence)
+        reads = sketch.reads
+        assert set(reads["getInstructorInfo"]) == {
+            Attribute("Instructor", "IName"),
+            Attribute("Instructor", "IPic"),
+            Attribute("Instructor", "InstId"),
+        }
+        # A delete reads every attribute of the tables it deletes from.
+        assert set(reads["deleteTA"]) == {
+            Attribute("TA", "TaId"), Attribute("TA", "TName"), Attribute("TA", "TPic")
+        }
+        for name, images in reads.items():
+            assert all(images[attr] == vc.correspondence.image(attr) for attr in images)
+        # An attribute the delete only asks "is it mapped?" about is read too.
+        dropped = _with_images(vc.correspondence, {Attribute("TA", "TPic"): frozenset()})
+        alone = Program(
+            course_program.name, course_program.schema, [course_program.function("deleteTA")]
+        )
+        reads = SketchGenerator(alone, course_target_schema).generate(dropped).reads
+        assert reads["deleteTA"][Attribute("TA", "TPic")] == frozenset()
+
+    @pytest.mark.parametrize("job", ["Ambler-6/r0", "coachup", "Ambler-7/r0"])
+    def test_agreeing_with_an_error_reads_fails_the_same_way(self, job):
+        """Every VC that agrees with a ``SketchGenerationError``'s reads fails.
+
+        Generated alone, the failing function raises the same error with the
+        same reads; in the whole program it fails, unless an earlier
+        function fails first.
+        """
+        source, target = _job(job)
+        generator = SketchGenerator(source, target)
+        stream = [c.correspondence for c in itertools.islice(
+            FactoredVcEnumerator(source, target).candidates(), 80)]
+        errors = {}
+        for vc in stream:
+            try:
+                generator.generate(vc)
+            except SketchGenerationError as error:
+                errors.setdefault((error.function, str(error)), error)
+        assert errors
+        order = source.function_names
+        rng = random.Random(job)
+        for (function, message), error in errors.items():
+            assert error.reads
+            alone = SketchGenerator(
+                Program(source.name, source.schema, [source.function(function)]), target
+            )
+            for vc in rng.sample(stream, 8):
+                agreeing = _with_images(vc, error.reads)
+                with pytest.raises(SketchGenerationError) as again:
+                    alone.generate(agreeing)
+                assert (again.value.function, str(again.value)) == (function, message)
+                assert again.value.reads == error.reads
+                with pytest.raises(SketchGenerationError) as whole:
+                    generator.generate(agreeing)
+                if whole.value.function == function:
+                    assert str(whole.value) == message and whole.value.reads == error.reads
+                else:
+                    assert order.index(whole.value.function) < order.index(function)
+
+    def test_every_error_names_its_function(self):
+        """The table-list bound names the delete's function like every other error."""
+        source, target = _job("Ambler-5")
+        vc = FactoredVcEnumerator(source, target).candidates().__next__().correspondence
+        config = SketchGeneratorConfig(max_tablist_tables=0)
+        with pytest.raises(SketchGenerationError, match="delete table-list domain of") as error:
+            SketchGenerator(source, target, config).generate(vc)
+        assert repr(error.value.function) in str(error.value)
