@@ -228,6 +228,38 @@ than one correspondence change (EXPERIMENTS.md lists the moved pins).
   exhausted; the rest agree with recorded nogoods of …"`` naming their
   functions.
 * ``ValueCorrespondenceEnumerator.produced`` (never read) is gone.
+
+Breaking in 8.0.0 — "one job runner, one ladder owner": every service job
+runs through one runner over an explicit artifact set (a compiler, the
+counterexample pools and a source-output cache), inline and in worker
+processes alike, and :meth:`MigrationService.run` alone walks the
+degradation ladder (fleet -> pool -> inline).  A scheduler drain settles
+every task or raises ``ExecutorUnavailable``.  Trajectories are unchanged.
+
+* ``WorkScheduler(degrade=…)``, ``degrade_workers=…``, ``on_degrade=…``
+  and ``deadline_grace=…``, ``ResilienceConfig(degrade_ladder=…)`` and
+  ``degrade_workers=…``, ``TimeoutPolicy(deadline_grace=…)``,
+  ``nudge_delay=…``, ``connect_timeout=…`` and ``handshake_timeout=…``,
+  and ``RetryPolicy(retry_budget=…)`` raise ``TypeError``.  The ladder is
+  always on; the deadline nudge and grace are the constants
+  ``repro.exec.NUDGE_DELAY`` and ``DEADLINE_GRACE``.  Stored configs whose
+  pickled policies carry a retired field still resume: the attribute is
+  inert.
+* ``SchedulerStats.degradations`` and the ``Degraded`` column of the eval
+  scheduler table are gone.
+* ``repro.exec`` loses ``TIMEOUT_ERRORS`` and ``FuturesTimeoutError``.
+* ``QuotaGate`` loses ``may_dispatch``, ``job_dispatched``,
+  ``job_settled`` and ``counts()`` (the running count nothing updated);
+  ``queued()`` reports the queued count and ``forget()`` frees a slot.
+* Jobs carried to the next rung run as new scheduler tasks (their retry
+  and aging counts restart), a job started on a fleet that then died
+  records ``running`` again on the next rung, and the fleet -> pool
+  ``ExecutionDegraded`` event and ``degraded`` record name only the jobs
+  the fleet left unsettled.
+* Fixed: one ``POST /jobs`` charges all its jobs to the rate limit at the
+  request's arrival instant, and ``adopt_unfinished`` (and
+  ``POST /resume``) settles a bad deferred record ``INCOMPATIBLE``
+  instead of aborting the scan.
 """
 
 from __future__ import annotations
@@ -274,7 +306,7 @@ from repro.service import (
 )
 
 #: Semantic version of this surface (not of the package implementation).
-API_VERSION = "7.1.0"
+API_VERSION = "8.0.0"
 
 __all__ = [
     "API_VERSION",

@@ -185,7 +185,6 @@ SCHEDULER_HEADERS = [
     "Expired",
     "Retries",
     "Quarantined",
-    "Degraded",
     "WorkersLost",
     "EventsDropped",
 ]
@@ -195,8 +194,8 @@ def scheduler_summary_row(stats) -> list:
     """One row summarizing a :class:`~repro.exec.SchedulerStats`.
 
     Covers the task-lifecycle counters, the crash-recovery counters (retries,
-    poison-task quarantines, degradation-ladder steps, workers lost) and the
-    events the transport shed (always 0 over TCP, kept as a guard).
+    poison-task quarantines, workers lost) and the events the transport shed
+    (always 0 over TCP, kept as a guard).
     """
     return [
         stats.tasks_submitted,
@@ -206,7 +205,6 @@ def scheduler_summary_row(stats) -> list:
         stats.tasks_expired,
         stats.task_retries,
         stats.tasks_quarantined,
-        stats.degradations,
         stats.workers_lost,
         stats.events_dropped,
     ]

@@ -6,10 +6,14 @@
 :class:`WorkScheduler`, and stream typed session events through one of two
 channel transports: :class:`DirectChannel` in-process, and
 :class:`SocketChannel` across process boundaries — for the scheduler's own
-local worker processes and for remote fleets alike.  See the module
-docstrings of :mod:`repro.exec.scheduler`, :mod:`repro.exec.channel`,
-:mod:`repro.exec.wire` and :mod:`repro.exec.remote` for the scheduling
-model, lease and crash-retry semantics and the delivery guarantees.
+local worker processes and for remote fleets alike.  A scheduler runs its
+tasks on the one backend it was built for, or raises
+:class:`ExecutorUnavailable`; where unsettled work goes next is its
+client's decision (the service's fleet → pool → inline ladder).  See the
+module docstrings of :mod:`repro.exec.scheduler`,
+:mod:`repro.exec.channel`, :mod:`repro.exec.wire` and
+:mod:`repro.exec.remote` for the scheduling model, lease and crash-retry
+semantics and the delivery guarantees.
 """
 
 from repro.exec.channel import (
@@ -19,7 +23,6 @@ from repro.exec.channel import (
     build_work_context,
     run_streamed_task,
 )
-from repro.exec.compat import TIMEOUT_ERRORS, FuturesTimeoutError
 from repro.exec.faults import (
     FaultInjector,
     FaultPlan,
@@ -35,6 +38,7 @@ from repro.exec.remote import (
 )
 from repro.exec.scheduler import (
     DEADLINE_GRACE,
+    NUDGE_DELAY,
     ExecutorUnavailable,
     SchedulerStats,
     TaskHandle,
@@ -63,6 +67,7 @@ __all__ = [
     "SchedulerStats",
     "ExecutorUnavailable",
     "DEADLINE_GRACE",
+    "NUDGE_DELAY",
     # resilience policies + fault injection
     "RetryPolicy",
     "TimeoutPolicy",
@@ -71,7 +76,4 @@ __all__ = [
     "FaultSpec",
     "FaultInjector",
     "InjectedFault",
-    # compat
-    "FuturesTimeoutError",
-    "TIMEOUT_ERRORS",
 ]

@@ -10,11 +10,14 @@ every seam (scheduler, fleet, worker, service) reads the same semantics:
   cause before it is quarantined (settled ``QUARANTINED`` instead of
   being handed to yet another worker it will probably kill).  A lost
   worker is the only crash the scheduler retries, local or remote.
-* **retry_budget** — an optional scheduler-wide cap on total crash
-  retries across all tasks; once exhausted, further casualties are
-  quarantined immediately instead of being requeued.
 * **backoff** — jittered exponential delay before a retried task becomes
   dispatchable again.  Deterministic when ``seed`` is set.
+* **start_timeout** — how long a fleet waits for its first workers.
+
+The scheduler's deadline nudge and grace are fixed
+(:data:`~repro.exec.scheduler.NUDGE_DELAY`,
+:data:`~repro.exec.scheduler.DEADLINE_GRACE`), as are the fleet's dial
+and handshake timeouts.
 
 This module is stdlib-only and imports nothing from ``repro`` so it can
 be pulled into ``core.config`` without cycles.
@@ -35,8 +38,6 @@ class RetryPolicy:
 
     #: Worker-killing re-leases a task may cause before QUARANTINED.
     quarantine_after: int = 2
-    #: Optional scheduler-wide cap on total crash retries (None = unbounded).
-    retry_budget: Optional[int] = None
     #: Base delay (seconds) before the first retry; <= 0 disables backoff.
     backoff_base: float = 0.05
     #: Multiplier applied per additional attempt.
@@ -65,18 +66,8 @@ class RetryPolicy:
 
 @dataclasses.dataclass(frozen=True)
 class TimeoutPolicy:
-    """Deadlines and grace periods shared across the execution seams."""
+    """Timeouts shared across the execution seams."""
 
-    #: Seconds past the nudge before the scheduler abandons a running task.
-    deadline_grace: float = 5.0
-    #: Seconds past a task's deadline before the scheduler raises its
-    #: cancel signal, so a task's own deadline handling (which reports a
-    #: truthful "timed out") wins the race against the cooperative nudge.
-    nudge_delay: float = 1.0
-    #: Socket connect timeout for worker dials.
-    connect_timeout: float = 5.0
-    #: Hello/welcome handshake timeout.
-    handshake_timeout: float = 10.0
     #: How long a fleet waits for its first worker before giving up.
     start_timeout: float = 20.0
 
@@ -87,7 +78,3 @@ class ResilienceConfig:
 
     retry: RetryPolicy = dataclasses.field(default_factory=RetryPolicy)
     timeout: TimeoutPolicy = dataclasses.field(default_factory=TimeoutPolicy)
-    #: Walk the fleet -> pool -> inline ladder instead of failing fast.
-    degrade_ladder: bool = True
-    #: Local worker processes started when degrading from a lost fleet.
-    degrade_workers: int = 2

@@ -317,8 +317,8 @@ class RemoteFleet:
 
         Idempotent.  Raises :class:`FleetUnavailable` when the roster is
         still short after ``start_timeout`` — the scheduler surfaces that as
-        :class:`~repro.exec.ExecutorUnavailable` so clients keep their
-        degrade-to-inline fallback.
+        :class:`~repro.exec.ExecutorUnavailable` so clients can run the
+        work on their next rung.
         """
         with self._lock:
             if self._closed:
@@ -495,14 +495,11 @@ class RemoteFleet:
             self._task_owner.pop(task_id, None)
         if lease is None:
             return  # task was re-leased elsewhere after this worker expired
+        outcome = "done" if header.get("ok") else "failed"
         self._journal(
-            {
-                "type": "released",
-                "job": lease.name,
-                "worker": link.worker_id,
-                "task": task_id,
-                "outcome": "done" if header.get("ok") else "failed",
-            }
+            lambda log: log.record_lease_released(
+                lease.name, link.worker_id, outcome, task=task_id
+            )
         )
         try:
             value = wire.load_payload(payload)
@@ -526,13 +523,9 @@ class RemoteFleet:
                 lease.expiry = now + self.lease_ttl
         for lease in leases:
             self._journal(
-                {
-                    "type": "lease_heartbeat",
-                    "job": lease.name,
-                    "worker": link.worker_id,
-                    "task": lease.task_id,
-                    "expiry": lease.expiry,
-                }
+                lambda log: log.record_lease_heartbeat(
+                    lease.name, link.worker_id, lease.expiry, task=lease.task_id
+                )
             )
 
     @staticmethod
@@ -570,13 +563,9 @@ class RemoteFleet:
                 self._task_owner.pop(lease.task_id, None)
         for lease in victims:
             self._journal(
-                {
-                    "type": "released",
-                    "job": lease.name,
-                    "worker": link.worker_id,
-                    "task": lease.task_id,
-                    "outcome": "lost",
-                }
+                lambda log: log.record_lease_released(
+                    lease.name, link.worker_id, "lost", task=lease.task_id
+                )
             )
             # The socket is already closed, so a straggler result from this
             # worker can never race this exception in: exactly-once settling.
@@ -670,13 +659,9 @@ class RemoteFleet:
             link.inflight[task_id] = lease
             self._task_owner[task_id] = link
         self._journal(
-            {
-                "type": "leased",
-                "job": lease.name,
-                "worker": link.worker_id,
-                "task": task_id,
-                "expiry": lease.expiry,
-            }
+            lambda log: log.record_leased(
+                lease.name, link.worker_id, lease.expiry, task=task_id
+            )
         )
         try:
             link.send(
@@ -704,12 +689,14 @@ class RemoteFleet:
             self._lose_worker(link, f"send failed ({error})")
 
     # -------------------------------------------------------------- journal
-    def _journal(self, record: dict) -> None:
+    def _journal(self, write: Callable[[Any], None]) -> None:
+        """Write one lease record through the log's ``record_*`` methods,
+        best-effort."""
         log = self.lease_log
         if log is None:
             return
         try:
-            log.append(record)
+            write(log)
         except Exception as error:  # noqa: BLE001 - journalling is best-effort
             self.lease_log_error = error
 

@@ -18,9 +18,10 @@ Scheduling model:
   front of the queue is marked :attr:`TaskState.EXPIRED` without being
   dispatched.  A *running* task is expected to self-limit (clients thread
   the deadline into the work payload); the scheduler adds a cooperative
-  nudge — past the deadline it raises the task's cancel signal, and past
-  ``deadline + grace`` it stops waiting and marks the task EXPIRED (the
-  worker process winds down via the cancel signal rather than being killed).
+  nudge — :data:`NUDGE_DELAY` past the deadline it raises the task's
+  cancel signal, and :data:`DEADLINE_GRACE` later it stops waiting and
+  marks the task EXPIRED (the worker process winds down via the cancel
+  signal rather than being killed).
 * **Cancellation** — :meth:`TaskHandle.cancel` removes a pending task from
   contention and raises the cooperative cancel signal of a running one,
   across the process boundary when pooled (a ``cancel`` frame on the
@@ -45,15 +46,17 @@ Crash recovery: a worker that dies (connection drop) or goes silent (lease
 expiry) fails only the leases it held, with
 :class:`~repro.exec.remote.WorkerLost`; the scheduler charges each of those
 tasks one retry and re-leases it with its priority and deadline preserved.
-A task that loses more than ``retry.quarantine_after`` workers, or that is
-lost once the scheduler-wide ``retry.retry_budget`` is spent, settles
+A task that loses more than ``retry.quarantine_after`` workers settles
 :attr:`TaskState.QUARANTINED` with the ``WorkerLost`` error attached, while
 the rest of the queue keeps running.  The local fleet forks a replacement
-for every worker it loses, so capacity returns to ``max_workers``.  Only
-when worker processes cannot be *started* (or a fleet loses every worker)
-does :meth:`WorkScheduler.drain` raise :class:`ExecutorUnavailable`, with
-every unsettled task back in PENDING state so the client can fall back to
-inline execution.
+for every worker it loses, so capacity returns to ``max_workers``.
+
+A drain either settles every task or raises :class:`ExecutorUnavailable`:
+when worker processes cannot be *started*, or a fleet loses every worker,
+every unsettled task goes back to PENDING and the error surfaces.  The
+scheduler never moves work to another backend itself; deciding where
+unsettled work runs next (the degradation ladder) is the client's job
+(see :meth:`repro.service.MigrationService.run`).
 """
 
 from __future__ import annotations
@@ -72,9 +75,15 @@ from repro.exec.channel import DirectChannel
 from repro.exec.policy import RetryPolicy, TimeoutPolicy
 from repro.exec.remote import FleetUnavailable, LocalFleet, RemoteFleet, WorkerLost
 
-#: Seconds a running task is granted past its deadline before the scheduler
-#: stops waiting for it (the task's own deadline handling normally wins the
-#: race; the grace only matters for wedged workers).
+#: Seconds past a task's deadline before the scheduler raises its cancel
+#: signal, so the task's own deadline handling (which reports a truthful
+#: "timed out") wins the race against the cooperative nudge.
+NUDGE_DELAY = 1.0
+
+#: Seconds past the nudge before the scheduler stops waiting for a running
+#: task (the task's own deadline handling normally wins the race; the grace
+#: only matters for wedged workers).  Also bounds the wait for a settling
+#: task's event stream to drain.
 DEADLINE_GRACE = 5.0
 
 
@@ -95,8 +104,6 @@ class SchedulerStats:
     task_retries: int = 0
     #: Poison tasks settled QUARANTINED after repeatedly killing workers.
     tasks_quarantined: int = 0
-    #: Degradation-ladder steps taken (fleet -> pool) by this scheduler.
-    degradations: int = 0
     #: Workers declared lost (connection drop / lease expiry) on this
     #: scheduler's watch, local or remote.
     workers_lost: int = 0
@@ -204,7 +211,9 @@ class WorkScheduler:
         with WorkScheduler(max_workers=4) as scheduler:
             handles = [scheduler.submit(fn, payload, priority=i) for i, payload in ...]
             scheduler.drain()
-        # every handle is now settled: DONE / FAILED / CANCELLED / EXPIRED
+        # every handle is now settled: DONE / FAILED / CANCELLED / EXPIRED /
+        # QUARANTINED — or drain() raised ExecutorUnavailable with every
+        # unsettled handle back in PENDING
 
     ``drain`` may be called repeatedly; the worker processes stay warm
     across drains until the scheduler closes.
@@ -214,31 +223,15 @@ class WorkScheduler:
         self,
         *,
         max_workers: int = 0,
-        deadline_grace: float = DEADLINE_GRACE,
         fleet: Union[RemoteFleet, Sequence[str], None] = None,
         retry: Optional[RetryPolicy] = None,
         timeout: Optional[TimeoutPolicy] = None,
-        degrade: bool = False,
-        degrade_workers: int = 2,
-        on_degrade: Optional[Callable[[str, str, str], None]] = None,
         age_after: Optional[float] = None,
         age_step: int = 1,
     ):
-        # The unified policies are the source of truth; the bare
-        # ``deadline_grace`` knob survives as shorthand for a one-field
-        # policy.
         self.retry = retry if retry is not None else RetryPolicy()
-        self.timeout = (
-            timeout if timeout is not None else TimeoutPolicy(deadline_grace=deadline_grace)
-        )
+        self.timeout = timeout if timeout is not None else TimeoutPolicy()
         self.max_workers = max_workers
-        self.deadline_grace = self.timeout.deadline_grace
-        #: Walk the fleet -> pool degradation ladder on ExecutorUnavailable
-        #: instead of raising (opt-in: the service enables it and still owns
-        #: the final inline rung).
-        self.degrade = degrade
-        self.degrade_workers = max(1, degrade_workers)
-        self.on_degrade = on_degrade
         #: Anti-starvation aging: every ``age_after`` seconds a still-pending
         #: task waits, its priority improves by ``age_step`` (lower sorts
         #: first), so low-weight tenants behind a firehose of high-priority
@@ -263,8 +256,6 @@ class WorkScheduler:
         else:
             self._owns_fleet = False
         self._fleet: Optional[RemoteFleet] = fleet
-        #: True once _ensure_executor has started this scheduler's LocalFleet.
-        self._local = False
         # Loss counter baseline: a borrowed fleet outlives schedulers, so this
         # scheduler only reports workers lost on *its* watch.
         self._fleet_lost_baseline = 0 if fleet is None else fleet.workers_lost
@@ -276,11 +267,6 @@ class WorkScheduler:
     @property
     def pooled(self) -> bool:
         return self.max_workers > 1 or self._fleet is not None
-
-    @property
-    def fleet(self) -> Optional[RemoteFleet]:
-        """The caller's fleet, or ``None`` when running locally."""
-        return None if self._local else self._fleet
 
     def _slots(self) -> int:
         """Concurrent dispatch width: the fleet's live capacity (clamped by
@@ -330,66 +316,19 @@ class WorkScheduler:
 
     # -------------------------------------------------------------- draining
     def drain(self) -> None:
-        """Run every queued task to a settled state.
+        """Run every queued task to a settled state, or raise.
 
         A worker lost mid-drain is handled internally: its tasks are
         re-leased (and a local worker replaced), or quarantined once they
         have killed too many workers — no exception surfaces.  Raises
         :class:`ExecutorUnavailable` only when worker processes cannot be
         *started*, or a fleet loses every worker; every unsettled task is
-        returned to PENDING state first, so the caller can retry on a fresh
-        scheduler or fall back to inline execution.
-
-        With ``degrade=True`` an unavailable caller-supplied *fleet* does
-        not surface at all: the scheduler steps down the degradation ladder
-        (fleet -> local pool), notifies ``on_degrade`` and finishes the
-        drain on the next rung.  Only when the local pool is also
-        unavailable does :class:`ExecutorUnavailable` escape (clients own
-        the final inline step — running their work functions in-process is
-        a client decision, not a scheduler one).
+        returned to PENDING state first, so the caller can run it elsewhere.
         """
-        while True:
-            try:
-                if self.pooled:
-                    self._drain_pooled()
-                else:
-                    self._drain_inline()
-                return
-            except ExecutorUnavailable as error:
-                if not self._degrade_step(error):
-                    raise
-
-    def _degrade_step(self, error: BaseException) -> bool:
-        """Take one step down the ladder; True when the drain should retry.
-
-        The scheduler's ladder has exactly one step — a caller's fleet ->
-        the local pool (a :class:`~repro.exec.remote.LocalFleet`).  A local
-        fleet that cannot start never steps to another one.  The pool ->
-        inline rung belongs to the clients: the service must not run
-        worker-process entrypoints in its own process (they mutate process
-        globals), so it reruns the unsettled jobs through its own
-        in-process path instead.
-        """
-        if not self.degrade or self.fleet is None:
-            return False
-        fleet = self._fleet
-        reason = str(error) or type(error).__name__
-        with self._lock:
-            # Fold the fleet's loss counter now (close() won't see it).
-            self.stats.workers_lost += fleet.workers_lost - self._fleet_lost_baseline
-            self._fleet = None
-            self.stats.degradations += 1
-            if self.max_workers <= 1:
-                self.max_workers = self.degrade_workers
-        if self._owns_fleet:
-            fleet.close()
-            self._owns_fleet = False
-        if self.on_degrade is not None:
-            try:
-                self.on_degrade("fleet", "pool" if self.pooled else "inline", reason)
-            except Exception:  # noqa: BLE001 - observer isolation
-                pass
-        return True
+        if self.pooled:
+            self._drain_pooled()
+        else:
+            self._drain_inline()
 
     # ---------------------------------------------------------------- inline
     def _pop_dispatchable(self, *, respect_backoff: bool = True) -> Optional[TaskHandle]:
@@ -488,12 +427,9 @@ class WorkScheduler:
                 self.max_workers, start_timeout=self.timeout.start_timeout
             )
             self._owns_fleet = True
-            self._local = True
-            self._fleet_lost_baseline = 0
         try:
             self._fleet.ensure_started()
         except FleetUnavailable as error:
-            # The caller keeps its degrade-to-inline fallback.
             raise ExecutorUnavailable(str(error)) from error
         return self._fleet
 
@@ -503,7 +439,7 @@ class WorkScheduler:
             self._drain_pooled_loop(self._ensure_executor(), inflight)
         except ExecutorUnavailable:
             # No worker can run them: hand every unsettled task back as
-            # PENDING so the client can fall back inline.
+            # PENDING so the client can run it elsewhere.
             for task in inflight.values():
                 self._requeue(task)
             raise
@@ -517,16 +453,12 @@ class WorkScheduler:
         dispatchable again after its backoff delay.
 
         A task that keeps killing its workers is poison, not unlucky: past
-        ``retry.quarantine_after`` lost workers (or once the scheduler-wide
-        retry budget is spent) it settles QUARANTINED instead of being
-        handed yet another worker to take down.
+        ``retry.quarantine_after`` lost workers it settles QUARANTINED
+        instead of being handed yet another worker to take down.
         """
         task.retries += 1
         task.worker_losses += 1
-        budget = self.retry.retry_budget
-        if task.worker_losses > self.retry.quarantine_after or (
-            budget is not None and self.stats.task_retries >= budget
-        ):
+        if task.worker_losses > self.retry.quarantine_after:
             self._settle(task, TaskState.QUARANTINED, exception=error)
             return
         self.stats.task_retries += 1
@@ -619,9 +551,9 @@ class WorkScheduler:
             cutoff = task.deadline
             if cutoff is None:
                 continue
-            cutoff += self.timeout.nudge_delay
+            cutoff += NUDGE_DELAY
             if task._nudged:
-                cutoff += self.deadline_grace
+                cutoff += DEADLINE_GRACE
             horizon = cutoff if horizon is None else min(horizon, cutoff)
         if horizon is None:
             return None
@@ -632,13 +564,13 @@ class WorkScheduler:
         now = time.time()
         for future, task in list(inflight.items()):
             cutoff = task.deadline
-            if cutoff is None or now < cutoff + self.timeout.nudge_delay:
+            if cutoff is None or now < cutoff + NUDGE_DELAY:
                 continue
             if not task._nudged:
                 task._nudged = True
                 if task._port is not None:
                     task._port.cancel()  # cooperative nudge across the process boundary
-            if now >= cutoff + self.timeout.nudge_delay + self.deadline_grace:
+            if now >= cutoff + NUDGE_DELAY + DEADLINE_GRACE:
                 del inflight[future]
                 if future.done():
                     # It finished while we decided: keep the real outcome.
@@ -676,7 +608,7 @@ class WorkScheduler:
             # event stream before the task reads as settled — a DONE handle
             # must never have events still in flight.  (A task cancelled
             # before it started never opened a stream.)
-            port.wait_drained(timeout=self.deadline_grace)
+            port.wait_drained(timeout=DEADLINE_GRACE)
         with self._lock:
             task._port = None
             task.state = state

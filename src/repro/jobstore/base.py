@@ -203,28 +203,32 @@ class JobRecordWriter:
     # fleet grants a job to one worker until ``expiry`` (``leased``), the
     # worker's heartbeat renews it (``lease_heartbeat``), and ``released``
     # ends it with ``outcome`` "done", "failed" or "lost" (the worker
-    # vanished and the job is re-leased elsewhere).  The store keeps the
-    # latest lease per job: one that is not ``released`` after a crash
-    # marks work that was in flight.
-    def record_leased(self, job_name: str, worker_id: str, expiry: float) -> None:
-        self.append(
-            {"type": "leased", "job": job_name, "worker": worker_id, "expiry": expiry}
-        )
+    # vanished and the job is re-leased elsewhere).  A fleet passes its
+    # scheduler ``task`` id too.  The store keeps the latest lease per
+    # job: one that is not ``released`` after a crash marks work that was
+    # in flight.
+    def record_leased(
+        self, job_name: str, worker_id: str, expiry: float, *, task: Optional[int] = None
+    ) -> None:
+        self._append_lease("leased", job_name, worker_id, task, expiry=expiry)
 
-    def record_lease_heartbeat(self, job_name: str, worker_id: str, expiry: float) -> None:
-        self.append(
-            {
-                "type": "lease_heartbeat",
-                "job": job_name,
-                "worker": worker_id,
-                "expiry": expiry,
-            }
-        )
+    def record_lease_heartbeat(
+        self, job_name: str, worker_id: str, expiry: float, *, task: Optional[int] = None
+    ) -> None:
+        self._append_lease("lease_heartbeat", job_name, worker_id, task, expiry=expiry)
 
-    def record_lease_released(self, job_name: str, worker_id: str, outcome: str) -> None:
-        self.append(
-            {"type": "released", "job": job_name, "worker": worker_id, "outcome": outcome}
-        )
+    def record_lease_released(
+        self, job_name: str, worker_id: str, outcome: str, *, task: Optional[int] = None
+    ) -> None:
+        self._append_lease("released", job_name, worker_id, task, outcome=outcome)
+
+    def _append_lease(
+        self, kind: str, job_name: str, worker_id: str, task: Optional[int], **fields: Any
+    ) -> None:
+        record = {"type": kind, "job": job_name, "worker": worker_id, **fields}
+        if task is not None:
+            record["task"] = task
+        self.append(record)
 
     def record_degraded(
         self, from_mode: str, to_mode: str, reason: str, *, jobs: Any = ()

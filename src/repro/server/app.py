@@ -32,7 +32,7 @@ import time
 from typing import Any, Callable, Optional
 from urllib.parse import unquote
 
-from repro.jobstore import decode_job, open_job_store
+from repro.jobstore import open_job_store
 from repro.server.quotas import QuotaExceeded, QuotaGate, StridePacer
 from repro.server.sse import EventHub, JOB_SETTLED_KIND
 from repro.server.tenants import Tenant, TenantRegistry
@@ -144,17 +144,21 @@ class ServiceFront:
     def authenticate(self, api_key: str) -> Optional[Tenant]:
         return self.tenants.resolve(api_key)
 
-    def submit(self, tenant: Tenant, job: MigrationJob) -> dict:
+    def submit(
+        self, tenant: Tenant, job: MigrationJob, now: Optional[float] = None
+    ) -> dict:
         """Admit one job: quota gate, stride priority, backlog, wake runner.
 
         Raises :class:`~repro.server.quotas.QuotaExceeded` on refusal.
+        *now* is the ``time.monotonic()`` instant the rate limit charges
+        the job at: the arrival of its request (default: the clock now).
         Admission is durable — the job lands in the store as a *deferred*
         record immediately (a crash before dispatch leaves an adoptable
         standing) — but the real service submission happens in the runner,
         which is what makes ``max_running`` per tenant enforceable.
         Returns the accepted-job summary (name, tenant, assigned priority).
         """
-        self.quotas.admit_submit(tenant)
+        self.quotas.admit_submit(tenant, now)
         try:
             job.tenant = tenant.name
             job.priority = self.pacer.next_priority(tenant)
@@ -200,7 +204,7 @@ class ServiceFront:
                 return False
         self.store.record_settled(cancelled, include_program=False)
         if tenant_name is not None:
-            self.quotas.job_settled(tenant_name, was_dispatched=False)
+            self.quotas.forget(tenant_name)
         self._publish_settled(cancelled)
         return True
 
@@ -212,16 +216,21 @@ class ServiceFront:
         are also deferred standings — they are skipped here, the runner owns
         them.  Adopted jobs bypass tenant quotas (their admission happened
         wherever they were written) but still run behind the fair-share
-        priorities already queued.
+        priorities already queued.  Records pass the service's resume gate
+        one by one: a rejected record settles ``incompatible`` and the rest
+        are still adopted.  Returns the adopted job names.
         """
+        adopted, rejected = [], []
         with self._lock:
             ours = set(self._tracked)
             known = {handle.job.name for handle in self.service.handles} | ours
-            adopted = []
             for stored in self.store.load_jobs().values():
                 if stored.name in known or not stored.deferred:
                     continue
-                adopted.append(self.service.submit(decode_job(stored.spec)))
+                handle = self.service._adopt(stored)
+                (rejected if handle.done else adopted).append(handle)
+        for handle in rejected:
+            self._publish_settled(handle)
         if adopted:
             self._wake.set()
         return [handle.job.name for handle in adopted]
@@ -253,7 +262,7 @@ class ServiceFront:
             with self._lock:
                 tenant_name = self._tracked.pop(name, None)
             if tenant_name is not None:
-                self.quotas.job_settled(tenant_name, was_dispatched=True)
+                self.quotas.forget(tenant_name)
             self._publish_settled(handle)
 
     def _runner_loop(self) -> None:

@@ -3,10 +3,12 @@
 Two mechanisms, deliberately separate:
 
 * :class:`QuotaGate` answers *may this tenant submit right now?* —
-  token-bucket rate limiting plus queued/running counts against the
-  tenant's :class:`~repro.server.tenants.TenantQuota`.  Refusals raise
+  token-bucket rate limiting plus the queued count against the tenant's
+  :class:`~repro.server.tenants.TenantQuota`.  Refusals raise
   :class:`QuotaExceeded` carrying a ``retry_after`` hint (the HTTP layer
-  turns it into ``429`` + ``Retry-After``).
+  turns it into ``429`` + ``Retry-After``).  ``max_running`` is not a gate
+  matter: the front's runner dispatches at most that many jobs per tenant
+  per cycle.
 
 * :class:`StridePacer` answers *in what order should admitted jobs run?* —
   classic stride scheduling: each tenant advances a per-tenant *pass* by
@@ -56,12 +58,18 @@ class TokenBucket:
         self._updated = time.monotonic()
         self._lock = threading.Lock()
 
-    def try_take(self) -> Optional[float]:
-        """Take one token; ``None`` on success, else seconds until one frees."""
+    def try_take(self, now: Optional[float] = None) -> Optional[float]:
+        """Take one token; ``None`` on success, else seconds until one frees.
+
+        *now* is the ``time.monotonic()`` instant to charge at (default: the
+        clock now).  Every job of one request is charged at the request's
+        arrival, so a busy process cannot refill the bucket mid-request; a
+        *now* older than the bucket's last charge refills nothing.
+        """
         if self.rate <= 0:
             return None
         with self._lock:
-            now = time.monotonic()
+            now = max(self._updated, time.monotonic() if now is None else now)
             self._tokens = min(
                 float(self.burst), self._tokens + (now - self._updated) * self.rate
             )
@@ -73,13 +81,12 @@ class TokenBucket:
 
 
 class QuotaGate:
-    """Admission control for one server: counts + buckets per tenant."""
+    """Admission control for one server: queued counts + buckets per tenant."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._buckets: dict[str, TokenBucket] = {}
         self._queued: dict[str, int] = {}
-        self._running: dict[str, int] = {}
 
     def _bucket(self, tenant: Tenant) -> TokenBucket:
         bucket = self._buckets.get(tenant.name)
@@ -89,14 +96,14 @@ class QuotaGate:
             )
         return bucket
 
-    def admit_submit(self, tenant: Tenant) -> None:
+    def admit_submit(self, tenant: Tenant, now: Optional[float] = None) -> None:
         """Charge one submission; raises :class:`QuotaExceeded` on refusal.
 
         Checked in cheap-first order: queue-depth (a count), then the rate
-        bucket — so a tenant at its queue cap is not also charged a token.
-        On success the tenant's queued count is incremented; the caller must
-        balance with :meth:`job_settled` (or :meth:`forget` on a failed
-        internal submit).
+        bucket (charged at *now*, see :meth:`TokenBucket.try_take`) — so a
+        tenant at its queue cap is not also charged a token.  On success the
+        tenant's queued count is incremented; the caller balances it with
+        :meth:`forget` when the job settles or its internal submit fails.
         """
         quota = tenant.quota
         with self._lock:
@@ -107,7 +114,7 @@ class QuotaGate:
                     f"(max_queued={quota.max_queued})",
                     retry_after=2.0,
                 )
-        wait = self._bucket(tenant).try_take()
+        wait = self._bucket(tenant).try_take(now)
         if wait is not None:
             raise QuotaExceeded(
                 f"tenant {tenant.name!r} exceeded its submit rate "
@@ -117,37 +124,16 @@ class QuotaGate:
         with self._lock:
             self._queued[tenant.name] = self._queued.get(tenant.name, 0) + 1
 
-    def may_dispatch(self, tenant: Tenant) -> bool:
-        """May one more of this tenant's jobs start running right now?"""
-        if tenant.quota.max_running <= 0:
-            return True
-        with self._lock:
-            return self._running.get(tenant.name, 0) < tenant.quota.max_running
-
-    def job_dispatched(self, tenant_name: str) -> None:
-        with self._lock:
-            self._running[tenant_name] = self._running.get(tenant_name, 0) + 1
-
-    def job_settled(self, tenant_name: str, *, was_dispatched: bool) -> None:
-        with self._lock:
-            self._queued[tenant_name] = max(0, self._queued.get(tenant_name, 0) - 1)
-            if was_dispatched:
-                self._running[tenant_name] = max(
-                    0, self._running.get(tenant_name, 0) - 1
-                )
-
     def forget(self, tenant_name: str) -> None:
-        """Refund a queued slot whose submission failed after admission."""
+        """Free one queued slot: the job settled, or its submission failed
+        after admission."""
         with self._lock:
             self._queued[tenant_name] = max(0, self._queued.get(tenant_name, 0) - 1)
 
-    def counts(self, tenant_name: str) -> tuple[int, int]:
-        """(queued, running) for *tenant_name* — introspection/stats."""
+    def queued(self, tenant_name: str) -> int:
+        """Admitted, not yet settled jobs of *tenant_name* — introspection."""
         with self._lock:
-            return (
-                self._queued.get(tenant_name, 0),
-                self._running.get(tenant_name, 0),
-            )
+            return self._queued.get(tenant_name, 0)
 
 
 class StridePacer:

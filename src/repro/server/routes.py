@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from typing import Any, Callable, Optional
 
 from repro.server.app import ClientDisconnected, ServiceFront
@@ -252,6 +253,8 @@ async def dispatch(
 async def _post_jobs(
     front: ServiceFront, tenant: Tenant, receive: Callable, send: Callable
 ) -> None:
+    # The rate limit charges every job of the request at its arrival.
+    arrived = time.monotonic()
     body = await _read_body(receive)
     try:
         payload = json.loads(body or b"{}")
@@ -271,7 +274,7 @@ async def _post_jobs(
     accepted = []
     for job in jobs:
         try:
-            accepted.append(await asyncio.to_thread(front.submit, tenant, job))
+            accepted.append(await asyncio.to_thread(front.submit, tenant, job, arrived))
         except QuotaExceeded as error:
             # Partial admission: everything accepted so far stays accepted
             # and runs; the refusal reports both halves.

@@ -2,7 +2,8 @@
 
 The :class:`MigrationService` facade accepts batches of
 :class:`MigrationJob`\\ s and schedules them through the unified execution
-layer (:mod:`repro.exec`), sharing process-global artifacts across jobs:
+layer (:mod:`repro.exec`), sharing one artifact set per process across
+jobs:
 
 * **Compiled-program caches** — one
   :class:`~repro.engine.compiler.ProgramCompiler` per process serves every
@@ -29,29 +30,35 @@ per-job completion deadline: it clips the job's ``time_limit`` so a running
 job times out at the deadline, and a job still queued when its deadline
 passes settles as :attr:`JobStatus.EXPIRED` without running.
 
-Execution modes — the *same* scheduler, channels and semantics, different
-transports:
+Execution — the *same* job runner, scheduler, channels and semantics on
+every rung of one ladder:
 
-* ``max_workers <= 1`` — jobs run **in-process**, one
+* ``inline`` — jobs run **in-process**, one
   :class:`~repro.core.session.SynthesisSession` at a time, events delivered
   through the direct (synchronous callback) transport.
-* ``max_workers > 1`` — jobs run on **local worker processes**, forked from
-  this one, each holding one end of a socketpair to a private fleet (see
-  :class:`~repro.exec.remote.LocalFleet`).  Typed session events stream
-  *live* over the socket transport (``on_event`` fires mid-job, from the
-  worker's receiver thread), and ``JobHandle.cancel()`` reaches a
-  running worker as a ``cancel`` frame — the session winds down
+* ``pool`` (``max_workers > 1``) — jobs run on **local worker processes**,
+  forked from this one, each holding one end of a socketpair to a private
+  fleet (see :class:`~repro.exec.remote.LocalFleet`).  Typed session
+  events stream *live* over the socket transport (``on_event`` fires
+  mid-job, from the worker's receiver thread), and ``JobHandle.cancel()``
+  reaches a running worker as a ``cancel`` frame — the session winds down
   cooperatively at its next completion iteration or tested sequence,
-  exactly like the in-process mode.  Shared artifacts live in per-process
-  globals.
-* ``workers=["host:port", ...]`` — jobs run on **remote workers** (a
-  :class:`~repro.exec.remote.RemoteFleet` of ``repro.worker`` processes,
-  possibly on other machines) over the same socket transport, with the same
-  streaming, cancellation and retry semantics, and the job store doubles as
-  the fleet's lease journal.
+  exactly like the in-process mode.
+* ``fleet`` (``workers=["host:port", ...]``) — jobs run on **remote
+  workers** (a :class:`~repro.exec.remote.RemoteFleet` of ``repro.worker``
+  processes, possibly on other machines) over the same socket transport,
+  with the same streaming, cancellation and retry semantics, and the job
+  store doubles as the fleet's lease journal.
 
-Either way counterexample pools sync by value (snapshots out, discoveries
-back): workers share no memory with the service.
+Every rung runs a job through one runner, :meth:`_ArtifactSet.run`, over
+an explicit artifact set: the service owns one for the jobs it runs
+inline, and each worker process owns one (``_worker_artifacts``).
+Because the runner mutates nothing but the set it is given, the service
+can own the whole degradation ladder (:meth:`MigrationService.run`):
+``fleet`` → ``pool`` → ``inline``, each rung running the jobs the one
+before left unsettled.  Worker jobs sync counterexample pools by value
+(the parent's snapshot out, discoveries back): workers share no memory
+with the service.
 
 The service parallelizes *across* jobs; each job is one sequential
 :class:`~repro.core.session.SynthesisSession`.
@@ -96,7 +103,7 @@ from repro.jobstore import (
 )
 from repro.lang.ast import Program
 from repro.lang.pretty import format_program
-from repro.testing_cache import CounterexamplePool, SourceOutputCache
+from repro.testing_cache import CounterexamplePool, PoolStatistics, SourceOutputCache
 
 
 @dataclass
@@ -148,7 +155,6 @@ class JobHandle:
         self.result: Optional[SynthesisResult] = None
         self.error: str = ""
         self._cancel = threading.Event()
-        self._session: Optional[SynthesisSession] = None
         self._task = None  # the scheduler TaskHandle, while running
         self._wall_deadline: Optional[float] = None
         #: The stored response payload of a handle rebuilt from a job store
@@ -190,13 +196,12 @@ class JobHandle:
 
         Pending jobs are skipped.  A running job — in-process *or* inside a
         worker process — winds down cooperatively at its next completion-loop
-        iteration or tested sequence: the request crosses the process
-        boundary as a ``cancel`` frame and the job settles with a partial,
-        ``cancelled`` result.
+        iteration or tested sequence: the request raises the task's cancel
+        signal, which is the session's (across the process boundary as a
+        ``cancel`` frame), and the job settles with a partial, ``cancelled``
+        result.
         """
         self._cancel.set()
-        if self._session is not None:
-            self._session.cancel()
         if self._task is not None:
             self._task.cancel()
 
@@ -239,7 +244,7 @@ class JobHandle:
 
 @dataclass
 class _JobTask:
-    """One job shipped to a service worker (local process or remote peer)."""
+    """One job as a scheduler task, inline or shipped to a worker process."""
 
     name: str
     source_program: Program
@@ -247,17 +252,19 @@ class _JobTask:
     config: SynthesisConfig
     #: Absolute completion deadline (``time.time()`` base), or ``None``.
     wall_deadline: Optional[float] = None
-    #: The parent's accumulated counterexamples for this job's source program
-    #: (cache sync: workers merge the snapshot instead of assuming shared
-    #: process memory — which remote peers by definition lack).
-    pool_snapshot: list = field(default_factory=list)
+    #: The parent's accumulated counterexamples for this job's source program,
+    #: taken at submission, for a job shipped to a worker (cache sync: workers
+    #: merge the snapshot instead of assuming shared process memory — which
+    #: remote peers by definition lack).  ``None`` for an inline job, which
+    #: screens against the service's live pool.
+    pool_snapshot: Optional[list] = None
 
 
 @dataclass
 class _JobOutcome:
-    """A worker's reply: the result plus the cache deltas to merge back.
+    """A job's reply: the result plus the cache deltas to merge back.
 
-    ``counterexamples`` are only the sequences *this* job discovered (the
+    ``counterexamples`` are only the sequences a worker job discovered (the
     shipped snapshot is already in the parent's pool), so the parent-side
     merge stays O(new discoveries) per job regardless of pool size.
     """
@@ -266,58 +273,6 @@ class _JobOutcome:
     counterexamples: list = field(default_factory=list)
     #: Source-program fingerprint keying the parent pool to merge into.
     source_key: str = ""
-
-
-#: Per-worker-process cross-job counterexample pools, keyed by source-program
-#: fingerprint (sequences only transfer between jobs migrating the same
-#: source program).
-_process_pools: dict[str, CounterexamplePool] = {}
-
-#: Per-worker-process source-output cache, shared across the jobs a worker
-#: runs (keys include the program fingerprint, so cross-job reuse is sound).
-_worker_source_cache: Optional[SourceOutputCache] = None
-
-#: Per-worker-process program compiler (compiled execution backend): its
-#: compiled-closure cache is keyed by (schema signature, function value), so
-#: reuse works even though each pickled job carries fresh program objects.
-_worker_compiler: Optional[ProgramCompiler] = None
-
-
-def _worker_cache() -> SourceOutputCache:
-    global _worker_source_cache
-    if _worker_source_cache is None:
-        _worker_source_cache = SourceOutputCache()
-    return _worker_source_cache
-
-
-def _worker_program_compiler(config: SynthesisConfig) -> Optional[ProgramCompiler]:
-    global _worker_compiler
-    if config.execution_backend != "compiled":
-        return None
-    if _worker_compiler is None:
-        _worker_compiler = ProgramCompiler()
-    return _worker_compiler
-
-
-def _shared_pool_for(
-    pools: dict[str, CounterexamplePool], source_key: str, config: SynthesisConfig
-) -> Optional[CounterexamplePool]:
-    """Fetch/create the cross-job pool for one source program.
-
-    Serves both the in-process service pools and the per-worker-process
-    globals (same lookup rules, different dict).  The pool's *entries*
-    persist across jobs — that is the sharing — but its reporting counters
-    are reset per job, so each ``SynthesisResult.cache`` reflects that job's
-    own screening.
-    """
-    if not config.counterexample_pool:
-        return None
-    pool = pools.get(source_key)
-    if pool is None:
-        pool = pools[source_key] = CounterexamplePool()
-    else:
-        pool.stats = type(pool.stats)()
-    return pool
 
 
 def _clip_to_deadline(
@@ -332,52 +287,84 @@ def _clip_to_deadline(
     return config
 
 
-def _run_job_in_worker(task: _JobTask, ctx) -> _JobOutcome:
-    """Service worker entry point: run one job over the process-shared artifacts.
+class _ArtifactSet:
+    """What one process shares across the jobs it runs, and the job runner.
 
-    *ctx* is the scheduler-provided :class:`~repro.exec.WorkContext`: typed
-    session events stream out through ``ctx.emit`` (live, when the parent
-    subscribed) and the cross-process cancel flag comes in as the session's
-    cancel signal.  The same entry point serves local and remote worker
-    processes — cache sync is explicit either way: the parent's accumulated
-    counterexamples arrive in ``task.pool_snapshot`` and merge into this
-    process's pool for the source program; sequences discovered here travel
-    back in the :class:`_JobOutcome` (the compiled-closure cache stays
-    process-local — closures cannot cross a process boundary — but its
-    hit/miss deltas surface on ``result.cache`` to prove reuse remotely).
+    * one :class:`~repro.engine.compiler.ProgramCompiler` (compiled
+      backend): its closure cache is keyed by (schema signature, function
+      value), so reuse works even though each pickled job carries fresh
+      program objects;
+    * one :class:`CounterexamplePool` per source program, keyed by its
+      fingerprint (sequences only transfer between jobs migrating the same
+      source program);
+    * one :class:`SourceOutputCache` (keys include the program fingerprint,
+      so cross-job reuse is sound).
     """
-    config = _clip_to_deadline(task.config, task.wall_deadline)
-    source_key = format_program(task.source_program)
-    pool = _shared_pool_for(_process_pools, source_key, config)
-    if pool is not None and task.pool_snapshot:
-        pool.merge(task.pool_snapshot)
-        # Stats must reflect this job's own screening, not the snapshot.
-        pool.stats.added = 0
-        pool.stats.duplicates = 0
-    core = SessionCore(
-        task.source_program,
-        task.target_schema,
-        config,
-        pool=pool,
-        source_cache=_worker_cache(),
-        compiler=_worker_program_compiler(config),
-    )
-    session = SynthesisSession(
-        task.source_program,
-        task.target_schema,
-        config,
-        core=core,
-        on_event=ctx.emit if ctx.streaming else None,
-        cancel_signal=ctx.cancel_event,
-    )
-    result = session.run()
-    fresh: list = []
-    if pool is not None:
-        # Ship back only sequences this job discovered (the snapshot is
-        # already in the parent's pool).
-        seen = set(task.pool_snapshot)
-        fresh = [sequence for sequence in pool.snapshot() if sequence not in seen]
-    return _JobOutcome(result=result, counterexamples=fresh, source_key=source_key)
+
+    def __init__(self):
+        self.compiler = ProgramCompiler()
+        self.pools: dict[str, CounterexamplePool] = {}
+        self.source_cache = SourceOutputCache()
+
+    def pool(self, source_key: str) -> CounterexamplePool:
+        pool = self.pools.get(source_key)
+        if pool is None:
+            pool = self.pools[source_key] = CounterexamplePool()
+        return pool
+
+    def run(self, task: _JobTask, ctx) -> _JobOutcome:
+        """Run one job over this set (the scheduler work function).
+
+        *ctx* is the scheduler-provided :class:`~repro.exec.WorkContext`:
+        typed session events stream out through ``ctx.emit`` (live, when
+        the parent subscribed) and the cancel signal — cross-process for a
+        worker job — comes in as the session's cancel signal.  A worker job
+        merges ``task.pool_snapshot`` into this set's pool for the source
+        program and ships back the sequences the snapshot lacked (the
+        compiled-closure cache stays process-local — closures cannot cross
+        a process boundary — but its hit/miss deltas surface on
+        ``result.cache`` to prove reuse remotely).
+        """
+        config = _clip_to_deadline(task.config, task.wall_deadline)
+        source_key = format_program(task.source_program)
+        pool = self.pool(source_key) if config.counterexample_pool else None
+        if pool is not None:
+            if task.pool_snapshot:
+                pool.merge(task.pool_snapshot)
+            # The entries persist across jobs (that is the sharing); the
+            # counters report this job's own screening.
+            pool.stats = PoolStatistics()
+        core = SessionCore(
+            task.source_program,
+            task.target_schema,
+            config,
+            pool=pool,
+            source_cache=self.source_cache,
+            compiler=self.compiler if config.execution_backend == "compiled" else None,
+        )
+        session = SynthesisSession(
+            task.source_program,
+            task.target_schema,
+            config,
+            core=core,
+            on_event=ctx.emit if ctx.streaming else None,
+            cancel_signal=ctx.cancel_event,
+        )
+        result = session.run()
+        fresh: list = []
+        if pool is not None and task.pool_snapshot is not None:
+            seen = set(task.pool_snapshot)
+            fresh = [sequence for sequence in pool.snapshot() if sequence not in seen]
+        return _JobOutcome(result=result, counterexamples=fresh, source_key=source_key)
+
+
+#: This process's artifact set for worker jobs (local or remote workers).
+_worker_artifacts = _ArtifactSet()
+
+
+def _run_job_in_worker(task: _JobTask, ctx) -> _JobOutcome:
+    """Service worker entry point: run one job over the worker artifact set."""
+    return _worker_artifacts.run(task, ctx)
 
 
 class MigrationService:
@@ -455,11 +442,10 @@ class MigrationService:
             # are visible right next to the jobs they belong to.
             self._fleet.lease_log = self._store
         self._handles: list[JobHandle] = []
-        # In-process shared artifacts (the worker-process equivalents live in
-        # this module's globals).
-        self._compiler = ProgramCompiler()
-        self._pools: dict[str, CounterexamplePool] = {}
-        self._source_cache = SourceOutputCache()
+        #: The artifacts of the jobs this service runs inline (worker jobs
+        #: use their process's set) and the pools worker discoveries merge
+        #: into.
+        self._artifacts = _ArtifactSet()
 
     # ------------------------------------------------------------- submission
     def submit(self, job: MigrationJob) -> JobHandle:
@@ -606,7 +592,10 @@ class MigrationService:
         double-execute — claiming interrupted-mid-run jobs is
         :meth:`resume`'s post-crash prerogative.  Job names decide identity;
         adopted jobs go through :meth:`submit`, so the store records a fresh
-        submission (the latest record wins).
+        submission (the latest record wins).  Each record passes the gate
+        :meth:`resume` uses; one it rejects settles
+        :attr:`JobStatus.INCOMPATIBLE` and the scan goes on.  Returns the
+        adopted runnable handles.
         """
         if self._store is None:
             return []
@@ -614,8 +603,21 @@ class MigrationService:
         adopted: list[JobHandle] = []
         for stored in self._store.load_jobs().values():
             if stored.name not in known and stored.deferred:
-                adopted.append(self.submit(decode_job(stored.spec)))
+                handle = self._adopt(stored)
+                if not handle.done:
+                    adopted.append(handle)
         return adopted
+
+    def _adopt(self, stored) -> JobHandle:
+        """Pull one deferred store record into the batch through
+        :meth:`_repin`: submitted when the gate passes it, else settled
+        INCOMPATIBLE right away (tracked and recorded)."""
+        handle = self._repin(stored)
+        if not handle.done:
+            return self.submit(handle.job)
+        self._handles.append(handle)
+        self._record_settled()
+        return handle
 
     @property
     def handles(self) -> list[JobHandle]:
@@ -628,7 +630,15 @@ class MigrationService:
 
     # -------------------------------------------------------------- execution
     def run(self) -> list[JobHandle]:
-        """Run every pending job to a settled state; returns all handles."""
+        """Run every pending job to a settled state; returns all handles.
+
+        Jobs walk the degradation ladder: ``fleet`` (with ``workers=``),
+        then ``pool`` (with ``workers=`` or ``max_workers > 1``), then
+        ``inline``.  A rung whose workers cannot be started, or are all
+        lost, hands the jobs it left unsettled to the next rung, with
+        their priority and deadline, after journalling the step and
+        telling each of those jobs (:class:`ExecutionDegraded`).
+        """
         pending = [handle for handle in self._handles if handle.status is JobStatus.PENDING]
         if not pending:
             return self.handles
@@ -636,11 +646,20 @@ class MigrationService:
         for handle in pending:
             deadline = handle.job.deadline
             handle._wall_deadline = None if deadline is None else started + deadline
+        rungs = ["fleet"] if self._fleet is not None else []
+        if self._fleet is not None or self.max_workers > 1:
+            rungs.append("pool")
+        rungs.append("inline")  # never raises ExecutorUnavailable
         try:
-            if self._fleet is not None or self.max_workers > 1:
-                pending = self._run_pooled(pending)
-            if pending:
-                self._run_inline(pending)
+            for index, rung in enumerate(rungs):
+                try:
+                    self._run_rung(rung, pending)
+                    break
+                except ExecutorUnavailable as error:
+                    pending = [handle for handle in pending if not handle.done]
+                    if not pending:
+                        break
+                    self._degraded(rung, rungs[index + 1], error, pending)
         finally:
             self._record_settled()
         return self.handles
@@ -713,37 +732,126 @@ class MigrationService:
 
         return deliver
 
-    def _apply_task(self, handle: JobHandle) -> bool:
+    def _run_rung(self, rung: str, handles: list[JobHandle]) -> None:
+        """Submit, drain and apply *handles* on one rung of the ladder.
+
+        Raises :class:`ExecutorUnavailable` when the rung's workers are
+        gone, with every job it could not settle back in PENDING.
+        """
+        runnable: list[JobHandle] = []
+        for handle in handles:
+            if handle.cancelled:
+                handle.status = JobStatus.CANCELLED
+            else:
+                runnable.append(handle)
+        if not runnable:
+            return
+        resilience = self.default_config.resilience
+        options = {
+            "retry": resilience.retry,
+            "timeout": resilience.timeout,
+            "age_after": self.age_after,
+            "age_step": self.age_step,
+        }
+        if rung == "fleet":
+            # Fleet width is the workers' live capacity (max_workers, when
+            # set, clamps it); the fleet object is borrowed by the scheduler
+            # so it survives for the next run() over the same batch store.
+            options.update(fleet=self._fleet, max_workers=max(0, self.max_workers))
+        elif rung == "pool":
+            # Never below 2: a one-worker scheduler runs its tasks inline.
+            width = self.max_workers
+            if self._fleet is None:
+                width = min(width, len(runnable))
+            options["max_workers"] = max(2, width)
+        work = self._artifacts.run if rung == "inline" else _run_job_in_worker
+        with WorkScheduler(**options) as scheduler:
+            for handle in runnable:
+                handle._task = scheduler.submit(
+                    work,
+                    self._job_task(handle, shipped=rung != "inline"),
+                    priority=handle.job.priority,
+                    deadline=handle._wall_deadline,
+                    on_event=self._subscriber(handle.job.name),
+                    on_start=lambda _handle=handle: self._job_started(_handle),
+                    name=handle.job.name,
+                )
+                if handle.cancelled:
+                    # cancel() raced the submit loop: with _task unset it
+                    # could only record the request — propagate it now.
+                    handle._task.cancel()
+            try:
+                scheduler.drain()
+            finally:
+                for handle in runnable:
+                    self._apply_task(handle)
+
+    def _job_task(self, handle: JobHandle, *, shipped: bool) -> _JobTask:
+        """The task payload of one job; *shipped* jobs carry a pool snapshot."""
+        job = handle.job
+        config = self._job_config(job)
+        snapshot = None
+        if shipped:
+            pool = (
+                self._artifacts.pools.get(format_program(job.source_program))
+                if config.counterexample_pool
+                else None
+            )
+            snapshot = pool.snapshot() if pool is not None else []
+        return _JobTask(
+            name=job.name,
+            source_program=job.source_program,
+            target_schema=job.target_schema,
+            config=config,
+            wall_deadline=handle._wall_deadline,
+            pool_snapshot=snapshot,
+        )
+
+    def _degraded(
+        self, from_mode: str, to_mode: str, error: BaseException, unsettled: list[JobHandle]
+    ) -> None:
+        """One rung down the ladder: journal it next to the job records
+        (auditable trail), then tell every unsettled job's subscriber so
+        streaming clients see the switch live."""
+        reason = str(error) or type(error).__name__
+        names = [handle.job.name for handle in unsettled]
+        if self._store is not None:
+            try:
+                self._store.record_degraded(from_mode, to_mode, reason, jobs=names)
+            except OSError:  # pragma: no cover - journal is best-effort
+                pass
+        event = ExecutionDegraded(from_mode=from_mode, to_mode=to_mode, reason=reason)
+        for name in names:
+            deliver = self._subscriber(name)
+            if deliver is None:
+                continue
+            try:
+                deliver(event)
+            except Exception:  # noqa: BLE001 - observer isolation, as on the channels
+                pass
+
+    def _apply_task(self, handle: JobHandle) -> None:
         """Map a settled scheduler task back onto its job handle.
 
-        Returns ``False`` when the task never settled (executor-failure
-        unwind left it PENDING) so the caller can re-run it inline.
+        A task that never settled (the executor-failure unwind left it
+        PENDING) puts its job back in PENDING for the next rung.
         """
         task = handle._task
         if task is None:
-            return True
-        if task.state in (TaskState.PENDING, TaskState.RUNNING):
-            # Never settled: the executor-failure unwind left it queued —
-            # hand it to the inline fallback.
-            handle._task = None
-            handle.status = JobStatus.PENDING
-            return False
+            return
         handle._task = None
+        if task.state in (TaskState.PENDING, TaskState.RUNNING):
+            handle.status = JobStatus.PENDING
+            return
         if task.state is TaskState.DONE:
-            outcome = task.result
-            if isinstance(outcome, _JobOutcome):
-                # Pooled/remote workers reply with cache deltas attached:
-                # fold the fresh counterexamples into the parent-side pool so
-                # later jobs over the same source program — and later
-                # snapshots shipped to workers — screen with them.
-                result: SynthesisResult = outcome.result
-                if outcome.counterexamples and outcome.source_key:
-                    parent_pool = self._pools.get(outcome.source_key)
-                    if parent_pool is None:
-                        parent_pool = self._pools[outcome.source_key] = CounterexamplePool()
-                    parent_pool.merge(outcome.counterexamples)
-            else:
-                result = outcome
+            outcome: _JobOutcome = task.result
+            # Worker jobs reply with cache deltas attached: fold the fresh
+            # counterexamples into the service's pool so later jobs over the
+            # same source program — and later snapshots shipped to workers
+            # — screen with them.
+            if outcome.counterexamples:
+                self._artifacts.pool(outcome.source_key).merge(outcome.counterexamples)
+            result = outcome.result
             if (
                 result.cancelled
                 and not handle.cancelled
@@ -770,176 +878,6 @@ class MigrationService:
         else:  # EXPIRED
             handle.status = JobStatus.EXPIRED
             handle.error = "job deadline expired"
-        return True
-
-    # ----------------------------------------------------------- in-process
-    def _execute_job(self, handle: JobHandle, ctx) -> SynthesisResult:
-        """Run one job in-process over the service-shared artifacts."""
-        job = handle.job
-        config = _clip_to_deadline(self._job_config(job), handle._wall_deadline)
-        self._job_started(handle)
-        core = SessionCore(
-            job.source_program,
-            job.target_schema,
-            config,
-            pool=_shared_pool_for(self._pools, format_program(job.source_program), config),
-            source_cache=self._source_cache,
-            compiler=self._compiler if config.execution_backend == "compiled" else None,
-        )
-        session = SynthesisSession(
-            job.source_program,
-            job.target_schema,
-            config,
-            core=core,
-            on_event=ctx.emit if ctx.streaming else None,
-            cancel_signal=ctx.cancel_event,
-        )
-        handle._session = session
-        try:
-            if handle.cancelled:  # cancelled between scheduling and dispatch
-                session.cancel()
-            return session.run()
-        finally:
-            handle._session = None
-
-    def _run_inline(self, pending: list[JobHandle]) -> None:
-        with WorkScheduler(
-            max_workers=0, age_after=self.age_after, age_step=self.age_step
-        ) as scheduler:
-            submitted: list[JobHandle] = []
-            for handle in pending:
-                if handle.cancelled:
-                    handle.status = JobStatus.CANCELLED
-                    continue
-                job = handle.job
-
-                def run_job(_payload, ctx, _handle=handle) -> SynthesisResult:
-                    return self._execute_job(_handle, ctx)
-
-                handle._task = scheduler.submit(
-                    run_job,
-                    priority=job.priority,
-                    deadline=handle._wall_deadline,
-                    on_event=self._subscriber(job.name),
-                    name=job.name,
-                )
-                submitted.append(handle)
-            scheduler.drain()
-            for handle in submitted:
-                self._apply_task(handle)
-
-    # -------------------------------------------------------------- pooled
-    def _run_pooled(self, pending: list[JobHandle]) -> list[JobHandle]:
-        """Run jobs on worker processes (local or a fleet); returns handles
-        for the inline fallback."""
-        runnable: list[JobHandle] = []
-        for handle in pending:
-            if handle.cancelled:
-                handle.status = JobStatus.CANCELLED
-            else:
-                runnable.append(handle)
-        if not runnable:
-            return []
-        resilience = self.default_config.resilience
-
-        def note_degrade(from_mode: str, to_mode: str, reason: str) -> None:
-            # One rung down the degradation ladder: journal it next to the
-            # job records (auditable trail), then tell every still-unsettled
-            # job's subscriber so streaming clients see the switch live.
-            unsettled = [
-                handle.job.name
-                for handle in runnable
-                if handle.status in (JobStatus.PENDING, JobStatus.RUNNING)
-            ]
-            if self._store is not None:
-                try:
-                    self._store.record_degraded(
-                        from_mode, to_mode, reason, jobs=unsettled
-                    )
-                except OSError:  # pragma: no cover - journal is best-effort
-                    pass
-            event = ExecutionDegraded(
-                from_mode=from_mode, to_mode=to_mode, reason=reason
-            )
-            for name in unsettled:
-                deliver = self._subscriber(name)
-                if deliver is not None:
-                    deliver(event)
-
-        scheduler_options = {
-            "retry": resilience.retry,
-            "timeout": resilience.timeout,
-            "age_after": self.age_after,
-            "age_step": self.age_step,
-        }
-        if self._fleet is not None:
-            # Fleet width is the workers' live capacity (max_workers, when
-            # set, clamps it); the fleet object is borrowed by the scheduler
-            # so it survives for the next run() over the same batch store.
-            scheduler_options["fleet"] = self._fleet
-            scheduler_options["max_workers"] = max(0, self.max_workers)
-            # First ladder rung (fleet -> local worker processes) lives in the
-            # scheduler; the pool -> inline rung below is service-owned,
-            # because only the service may run jobs in-process without
-            # leaking worker globals into the parent.  Keep the pool at >= 2
-            # for that reason.
-            scheduler_options["degrade"] = resilience.degrade_ladder
-            scheduler_options["degrade_workers"] = max(2, resilience.degrade_workers)
-            scheduler_options["on_degrade"] = note_degrade
-        else:
-            # Never clamp below 2: a 1-job batch must still run on a worker
-            # process (the scheduler's inline mode would execute the pooled
-            # entry point in the parent, leaking worker-process globals there).
-            scheduler_options["max_workers"] = max(2, min(self.max_workers, len(runnable)))
-        with WorkScheduler(**scheduler_options) as scheduler:
-            for handle in runnable:
-                job = handle.job
-                config = self._job_config(job)
-                source_key = format_program(job.source_program)
-                parent_pool = (
-                    self._pools.get(source_key) if config.counterexample_pool else None
-                )
-                handle._task = scheduler.submit(
-                    _run_job_in_worker,
-                    _JobTask(
-                        name=job.name,
-                        source_program=job.source_program,
-                        target_schema=job.target_schema,
-                        config=config,
-                        wall_deadline=handle._wall_deadline,
-                        pool_snapshot=(
-                            parent_pool.snapshot() if parent_pool is not None else []
-                        ),
-                    ),
-                    priority=job.priority,
-                    deadline=handle._wall_deadline,
-                    on_event=self._subscriber(job.name),
-                    on_start=lambda _handle=handle: self._job_started(_handle),
-                    name=job.name,
-                )
-                if handle.cancelled:
-                    # cancel() raced the submit loop: with _task unset it
-                    # could only record the request — propagate it now.
-                    handle._task.cancel()
-            try:
-                scheduler.drain()
-            except ExecutorUnavailable as error:
-                # Last ladder rung: every worker backend is gone — finish the
-                # unsettled jobs in-process (sequentially) after recording
-                # the step so the batch trail explains why.
-                unfinished = [
-                    handle for handle in runnable if not self._apply_task(handle)
-                ]
-                if unfinished:
-                    note_degrade(
-                        "fleet" if scheduler.fleet is not None else "pool",
-                        "inline",
-                        str(error) or type(error).__name__,
-                    )
-                return unfinished
-            for handle in runnable:
-                self._apply_task(handle)
-        return []
 
 
 def migrate_batch(

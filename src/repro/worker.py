@@ -27,10 +27,10 @@ socketpair whose other end its private fleet holds
 (:class:`~repro.exec.remote.LocalFleet`).
 
 Cache state (compiled-closure caches, counterexample pools) lives in this
-process's module globals, remote or local alike; pool deltas
-arrive inside task payloads and fresh counterexamples travel back in
-results, so remote workers share discoveries at job granularity without
-shared memory.
+process's one worker artifact set (``repro.service._worker_artifacts``),
+remote or local alike; pool deltas arrive inside task payloads and fresh
+counterexamples travel back in results, so remote workers share
+discoveries at job granularity without shared memory.
 """
 
 from __future__ import annotations

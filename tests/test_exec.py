@@ -4,8 +4,8 @@ Covers the priority/deadline scheduler inline and on its local fleet of
 forked worker processes, cross-process cancellation, crash recovery (a
 killed worker's task re-leased, peers uncharged, worker-killing tasks
 quarantined, lost workers replaced), direct vs local-fleet stream
-equivalence at the scheduler level, the FuturesTimeout compat shim, and
-the ExecutorUnavailable hand-back when worker processes cannot start.
+equivalence at the scheduler level, and the ExecutorUnavailable hand-back
+when worker processes cannot start.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import time
 import pytest
 
 from repro.exec import (
-    TIMEOUT_ERRORS,
     ExecutorUnavailable,
     RetryPolicy,
     TaskState,
@@ -392,14 +391,3 @@ class TestExecutorUnavailable:
             with pytest.raises(ExecutorUnavailable):
                 scheduler.drain()
             assert handle.state is TaskState.PENDING  # ready for a fallback path
-
-
-# ------------------------------------------------------------------- compat
-class TestTimeoutCompat:
-    def test_both_spellings_are_caught(self):
-        import concurrent.futures
-
-        with pytest.raises(TIMEOUT_ERRORS):
-            raise concurrent.futures.TimeoutError()
-        with pytest.raises(TIMEOUT_ERRORS):
-            raise TimeoutError()

@@ -4,15 +4,16 @@ Layers under test:
 
 * :mod:`repro.exec.faults` — plan serialization, matching and firing
   arithmetic, deterministic replay from (seed, plan) alone;
-* :mod:`repro.exec.policy` — jittered-backoff determinism and bounds;
+* :mod:`repro.exec.policy` — jittered-backoff determinism and bounds, and
+  the retired resilience keywords raising ``TypeError``;
 * the fleet under injected chaos (in-thread workers over real sockets):
   kill-mid-result with exactly-once settlement, corrupted result frames,
   heartbeat loss via ``REPRO_FAULT_PLAN`` in subprocess workers, and
   poison-task quarantine;
-* the graceful-degradation ladder — scheduler (fleet -> pool) and the
-  service (journalled ``degraded`` records and ``ExecutionDegraded``
-  events, results identical to the in-process service, full
-  fleet -> pool -> inline walk);
+* the graceful-degradation ladder — the scheduler only raises on a dead
+  fleet, and the service walks the rungs (journalled ``degraded`` records
+  and ``ExecutionDegraded`` events, results identical to the in-process
+  service, full fleet -> pool -> inline walk);
 * the CI chaos smoke (``REPRO_CHAOS_SMOKE=1``): a seeded fault-plan
   matrix, each plan one service batch over a real faulty/clean subprocess
   worker pair, trajectories pinned against the undisturbed sequential
@@ -39,6 +40,7 @@ from repro.api import (
     MigrationJob,
     MigrationService,
     RemoteFleet,
+    ResilienceConfig,
     RetryPolicy,
     SynthesisConfig,
     TimeoutPolicy,
@@ -145,6 +147,33 @@ class TestRetryPolicy:
         assert wire.effective_heartbeat(1.0, 0.25, "worker-3") == wire.effective_heartbeat(
             1.0, 0.25, "worker-3"
         )
+
+
+class TestRetiredSettings:
+    @pytest.mark.parametrize(
+        "build, keyword",
+        [
+            pytest.param(build, keyword, id=f"{build.__name__}-{keyword}")
+            for build, keyword in [
+                (WorkScheduler, "degrade"),
+                (WorkScheduler, "degrade_workers"),
+                (WorkScheduler, "on_degrade"),
+                (WorkScheduler, "deadline_grace"),
+                (ResilienceConfig, "degrade_ladder"),
+                (ResilienceConfig, "degrade_workers"),
+                (TimeoutPolicy, "deadline_grace"),
+                (TimeoutPolicy, "nudge_delay"),
+                (TimeoutPolicy, "connect_timeout"),
+                (TimeoutPolicy, "handshake_timeout"),
+                (RetryPolicy, "retry_budget"),
+            ]
+        ],
+    )
+    def test_retired_keywords_raise_type_error(self, build, keyword):
+        # API 8.0.0 retired these settings: the service owns the ladder,
+        # and the timeouts nothing read or set are fixed constants.
+        with pytest.raises(TypeError, match=keyword):
+            build(**{keyword: 1})
 
 
 # ------------------------------------------------------------ fleet chaos
@@ -302,31 +331,9 @@ class TestFleetChaos:
 
 # ------------------------------------------------------ degradation ladder
 class TestDegradationLadder:
-    def test_scheduler_degrades_fleet_to_pool(self):
-        """A dead fleet degrades to a local pool; tasks still complete."""
-        steps = []
-        with WorkScheduler(
-            fleet=DEAD_FLEET,
-            timeout=TimeoutPolicy(start_timeout=0.5),
-            degrade=True,
-            degrade_workers=2,
-            on_degrade=lambda *step: steps.append(step),
-        ) as scheduler:
-            handles = [
-                scheduler.submit(echo_task, index, name=f"ladder-{index}")
-                for index in range(3)
-            ]
-            scheduler.drain()
-        assert [handle.state for handle in handles] == [TaskState.DONE] * 3
-        assert [handle.result for handle in handles] == [
-            ("echo", index) for index in range(3)
-        ]
-        assert scheduler.stats.degradations == 1
-        assert len(steps) == 1
-        assert steps[0][:2] == ("fleet", "pool")
-
-    def test_scheduler_default_still_raises(self):
-        """Without opt-in the dead fleet surfaces ExecutorUnavailable."""
+    def test_scheduler_raises_on_dead_fleet(self):
+        """The scheduler never degrades: a dead fleet surfaces
+        ExecutorUnavailable with the task back in PENDING."""
         with WorkScheduler(
             fleet=DEAD_FLEET, timeout=TimeoutPolicy(start_timeout=0.3)
         ) as scheduler:

@@ -20,12 +20,16 @@ from __future__ import annotations
 
 import base64
 import json
+import threading
 
 import pytest
 
+from remote_tasks import sleepy_task
+from repro.exec import RemoteFleet, TaskState, WorkScheduler, wire
 from repro.jobstore import (
     LEASE_RECORD_TYPES,
     SPEC_FORMAT_VERSION,
+    JobRecordWriter,
     JobStoreFormatError,
     SQLiteJobStore,
     StoredJob,
@@ -34,6 +38,7 @@ from repro.jobstore import (
     migrate_jsonl_to_sqlite,
     open_job_store,
 )
+from repro.worker import WorkerAgent
 
 
 @pytest.fixture
@@ -143,19 +148,48 @@ class TestLeaseJournalReplay:
         assert jobs["b"].resumable
 
     def test_fleet_journal_protocol_matches_store_api(self, recording_store):
-        """The RemoteFleet journals through append(record) duck-typing; the
-        record shapes it emits are exactly the store's lease vocabulary."""
-        store = recording_store
-        for kind in sorted(LEASE_RECORD_TYPES):
-            if kind == "released":
-                store.record_lease_released("j", "w", outcome="done")
-            elif kind == "leased":
-                store.record_leased("j", "w", expiry=1.0)
+        """A real fleet journals through the store's lease record methods:
+        every record it writes is exactly what the method makes of its
+        fields."""
+        fleet = RemoteFleet(
+            listen="127.0.0.1:0",
+            heartbeat_interval=0.05,
+            start_timeout=15.0,
+            lease_log=recording_store,
+        )
+        host, port = wire.parse_address(fleet.bound_address)
+        agent = WorkerAgent(worker_id="journal-w0")
+        thread = threading.Thread(target=agent.connect, args=(host, port), daemon=True)
+        thread.start()
+        try:
+            with WorkScheduler(fleet=fleet) as scheduler:
+                handle = scheduler.submit(sleepy_task, 0.3, name="j")
+                scheduler.drain()
+        finally:
+            fleet.close()
+            thread.join(timeout=5)
+        assert handle.state is TaskState.DONE
+        written = [r for r in recording_store.records if r["type"] in LEASE_RECORD_TYPES]
+        assert {r["type"] for r in written} == set(LEASE_RECORD_TYPES)
+
+        class Collected(JobRecordWriter):
+            def __init__(self):
+                self.records: list[dict] = []
+
+            def append(self, record: dict) -> None:
+                self.records.append(record)
+
+        rebuilt = Collected()
+        for record in written:
+            head = (record["job"], record["worker"])
+            if record["type"] == "released":
+                rebuilt.record_lease_released(*head, record["outcome"], task=record["task"])
+            elif record["type"] == "leased":
+                rebuilt.record_leased(*head, record["expiry"], task=record["task"])
             else:
-                store.record_lease_heartbeat("j", "w", expiry=2.0)
-        types = {r["type"] for r in store.records}
-        assert types == set(LEASE_RECORD_TYPES)
-        assert store.load_jobs()["j"].lease["type"] == "released"
+                rebuilt.record_lease_heartbeat(*head, record["expiry"], task=record["task"])
+        assert rebuilt.records == written
+        assert recording_store.load_jobs()["j"].lease["type"] == "released"
 
 
 # ------------------------------------------------------------- compaction

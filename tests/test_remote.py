@@ -40,6 +40,7 @@ from repro.core.synthesizer import migrate
 from repro.exec import ExecutorUnavailable, TaskState, WorkScheduler
 from repro.exec import wire
 from repro.exec.remote import FleetUnavailable, WorkerLost
+from repro.jobstore import JobRecordWriter
 from repro.lang.pretty import format_program
 from repro.worker import WorkerAgent
 from repro.workloads import benchmark_names, get_benchmark
@@ -417,7 +418,7 @@ class TestLeaseRecovery:
     def test_kill9_mid_task_releases_and_releases_exactly_once(self):
         """A kill -9'd worker's lease is re-granted; settlement stays single."""
 
-        class MemoryLog:
+        class MemoryLog(JobRecordWriter):
             def __init__(self):
                 self.records = []
 

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import MigrationService, SynthesisConfig
+from repro.api import MigrationJob, MigrationService, SynthesisConfig
 from repro.jobstore import SQLiteJobStore
 from repro.server import (
     EventHub,
@@ -140,6 +140,14 @@ class TestTokenBucket:
         bucket._updated -= 1.0  # simulate a second passing
         assert bucket.try_take() is None
 
+    def test_takes_at_one_instant_never_refill(self):
+        bucket = TokenBucket(10.0, 2)
+        now = bucket._updated + 1.0
+        assert [bucket.try_take(now) for _ in range(2)] == [None, None]
+        assert bucket.try_take(now) is not None
+        # An instant older than the last charge refills nothing.
+        assert bucket.try_take(now - 5.0) is not None
+
 
 class TestQuotaGate:
     def _tenant(self, **quota) -> Tenant:
@@ -152,9 +160,9 @@ class TestQuotaGate:
         gate.admit_submit(tenant)
         with pytest.raises(QuotaExceeded, match="max_queued=2"):
             gate.admit_submit(tenant)
-        gate.job_settled("t", was_dispatched=False)
+        gate.forget("t")
         gate.admit_submit(tenant)  # a settled job frees its slot
-        assert gate.counts("t") == (2, 0)
+        assert gate.queued("t") == 2
 
     def test_rate_refusal_carries_retry_after(self):
         gate = QuotaGate()
@@ -169,16 +177,7 @@ class TestQuotaGate:
         tenant = self._tenant(submit_rate=0.0)
         gate.admit_submit(tenant)
         gate.forget("t")
-        assert gate.counts("t") == (0, 0)
-
-    def test_may_dispatch_tracks_running(self):
-        gate = QuotaGate()
-        tenant = self._tenant(max_running=1, submit_rate=0.0)
-        assert gate.may_dispatch(tenant)
-        gate.job_dispatched("t")
-        assert not gate.may_dispatch(tenant)
-        gate.job_settled("t", was_dispatched=True)
-        assert gate.may_dispatch(tenant)
+        assert gate.queued("t") == 0
 
 
 class TestStridePacer:
@@ -317,7 +316,7 @@ class TestServiceFrontCore:
         front.submit(tenant, self._job("dup"))
         with pytest.raises(ValueError, match="already exists"):
             front.submit(tenant, self._job("dup"))
-        assert front.quotas.counts("acme") == (1, 0)  # refused submit refunded
+        assert front.quotas.queued("acme") == 1  # refused submit refunded
 
     def test_cancel_backlogged_job_settles_in_store(self, tmp_path):
         front, tenant = self._front(tmp_path, submit_rate=0.0)
@@ -325,8 +324,41 @@ class TestServiceFrontCore:
         assert front.cancel("doomed") is True
         stored = front.store.load_jobs()["doomed"]
         assert stored.status == "cancelled" and stored.settled
-        assert front.quotas.counts("acme") == (0, 0)
+        assert front.quotas.queued("acme") == 0
         assert front.cancel("doomed") is False  # nothing left to cancel
+
+    def test_max_running_caps_running_jobs(self, recording_store):
+        # max_running=1 over two worker processes: each runner cycle
+        # dispatches one job, so the store never has two jobs running at
+        # once.  The cycles run on this thread, as the runner thread runs
+        # them.
+        tenant = Tenant(
+            name="acme", api_key="k", quota=TenantQuota(max_running=1, submit_rate=0.0)
+        )
+        front = ServiceFront(
+            recording_store, tenants=TenantRegistry([tenant]), max_workers=2
+        )
+        names = [f"capped-{index}" for index in range(3)]
+        for name in names:
+            front.submit(tenant, self._job(name))
+        try:
+            for _ in names:
+                front._dispatch_cycle()
+                front._run_cycle()
+        finally:
+            front.stop()
+        running: set = set()
+        peak = 0
+        for record in recording_store.records:
+            if record["type"] == "running":
+                running.add(record["job"])
+                peak = max(peak, len(running))
+            elif record["type"] == "settled":
+                running.discard(record["job"])
+        assert peak == 1
+        stored = recording_store.load_jobs()
+        assert [stored[name].status for name in names] == ["done"] * 3
+        assert front.quotas.queued("acme") == 0
 
 
 # --------------------------------------------------------------- HTTP layer
@@ -516,6 +548,66 @@ class TestServerHTTP:
             jobs = _poll_settled(base, "k-alpha")
             assert sorted(j["job"] for j in jobs) == sorted(body["submitted"])
             assert all(j["status"] == "done" for j in jobs)
+
+    def test_oversized_post_is_charged_at_arrival(self, tmp_path, monkeypatch):
+        # A clock that moves one token's refill forward on every read: a
+        # request that read it again per job would never run dry.  Charged
+        # at its arrival instant, one oversized POST admits exactly `burst`.
+        import repro.server.quotas as quotas_module
+        import repro.server.routes as routes_module
+
+        class SteppingClock:
+            def __init__(self):
+                self.now = 100.0
+
+            def monotonic(self):
+                self.now += 1.0  # one token at 1/s
+                return self.now
+
+        clock = SteppingClock()
+        monkeypatch.setattr(quotas_module, "time", clock)
+        monkeypatch.setattr(routes_module, "time", clock, raising=False)
+        registry = TenantRegistry(
+            [
+                Tenant(
+                    name="alpha",
+                    api_key="k-alpha",
+                    quota=TenantQuota(submit_rate=1.0, burst=2),
+                )
+            ]
+        )
+        front = ServiceFront(str(tmp_path / "jobs.sqlite"), tenants=registry, fsync=False)
+        with ServerThread(front) as thread:
+            base = "http://%s:%d" % thread.address
+            status, body, _ = _http(
+                base,
+                "/jobs",
+                key="k-alpha",
+                payload={"benchmark": "Oracle-1", "variants": 3, "config": CONFIG},
+            )
+            assert status == 429
+            assert len(body["submitted"]) == 2
+            _poll_settled(base, "k-alpha")
+
+    def test_resume_adopts_past_a_bad_deferred_record(self, server):
+        thread, base = server
+        front = thread.front
+        front.store.append(
+            {"type": "submitted", "job": "bad", "status": "pending", "spec": "99:AAAA"}
+        )
+        bench = get_benchmark("Oracle-1")
+        front.service.submit_deferred(
+            MigrationJob("good", bench.source_program, bench.target_schema, _config())
+        )
+        status, body, _ = _http(base, "/resume", key="k-alpha", payload={})
+        assert status == 202 and body["resumed"] == ["good"]
+        assert front.store.load_jobs()["bad"].status == "incompatible"
+        deadline = time.time() + 120
+        while _http(base, "/jobs/good", key="k-alpha")[1]["status"] in ("pending", "running"):
+            assert time.time() < deadline, "the adopted job did not settle in time"
+            time.sleep(0.05)
+        assert _http(base, "/jobs/good", key="k-alpha")[1]["status"] == "done"
+        assert _http(base, "/jobs/bad", key="k-alpha")[1]["status"] == "incompatible"
 
     def test_stride_priorities_favor_weighted_tenant(self, server):
         _, base = server

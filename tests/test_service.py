@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -18,11 +19,14 @@ from repro.api import (
     RetryPolicy,
     SessionEvent,
     SQLiteJobStore,
+    TimeoutPolicy,
     VcSelected,
     migrate_batch,
     migrate_jsonl_to_sqlite,
 )
-from repro.testing_cache import SourceOutputCache
+from repro.equivalence.invocation import SequenceGenerator
+from repro.exec import build_work_context
+from repro.testing_cache import CounterexamplePool, SourceOutputCache
 from repro.workloads import SchemaSpec, benchmark_names, get_benchmark, rename_column
 
 
@@ -187,7 +191,29 @@ class TestSharedArtifacts:
         service = MigrationService()
         service.migrate_batch([_job("Oracle-1"), _job("Ambler-4")])
         # One pool per distinct source program fingerprint.
-        assert len(service._pools) == 2
+        assert len(service._artifacts.pools) == 2
+
+    def test_inline_jobs_screen_the_live_pool(self):
+        # Inline jobs share the service's live pool and merge no snapshot:
+        # an entry the first job evicts is gone when the second job starts.
+        # Merging the snapshot taken at submission would bring it back.
+        bench = get_benchmark("Ambler-3")
+        seed = next(iter(SequenceGenerator([bench.source_program]).sequences()))
+        pool = CounterexamplePool(max_size=1)
+        pool.add(seed)
+        held_seed: dict[str, bool] = {}
+        service = MigrationService(
+            on_event=lambda name, _event: held_seed.setdefault(name, seed in pool)
+        )
+        service._artifacts.pools[format_program(bench.source_program)] = pool
+        jobs = [
+            MigrationJob(name, bench.source_program, bench.target_schema, _config())
+            for name in ("first", "second")
+        ]
+        first, second = service.migrate_batch(jobs)
+        assert first.succeeded and second.succeeded
+        assert first.cache.pool_added > 0  # the first job evicted the seed
+        assert held_seed == {"first": True, "second": False}
 
 
 class TestPooledService:
@@ -225,17 +251,21 @@ class TestPooledService:
             assert any(event.kind == "solved" for event in stream)
 
     def test_single_job_pooled_batch_runs_in_worker(self):
-        # A 1-job batch must still execute on a worker process: running the
-        # pooled entry point inline would leak the worker-process globals
-        # (shared pools/caches) into the parent.
+        # A 1-job batch must still execute on a worker process (a pool is
+        # never narrower than two workers): neither this process's worker
+        # artifact set nor the service's inline set runs it.
         import repro.service as service_module
 
-        pools_before = dict(service_module._process_pools)
+        worker_artifacts = service_module._worker_artifacts
+        pools_before = dict(worker_artifacts.pools)
+        cached_before = len(worker_artifacts.source_cache)
         service = MigrationService(max_workers=2)
         (handle,) = service.submit_batch([_job("Oracle-1")])
         service.run()
         assert handle.status is JobStatus.DONE and handle.result.succeeded
-        assert service_module._process_pools == pools_before
+        assert worker_artifacts.pools == pools_before
+        assert len(worker_artifacts.source_cache) == cached_before
+        assert len(service._artifacts.source_cache) == 0
 
     def test_raising_on_event_does_not_fail_job(self):
         # Subscriber exceptions are isolated per event on BOTH transports
@@ -305,19 +335,36 @@ class TestPooledService:
 
 
 class TestWorkerCache:
-    def test_worker_source_cache_is_one_per_process(self):
+    def test_worker_source_cache_is_one_per_process(self, monkeypatch):
+        # Worker jobs run over their process's one artifact set: a later job
+        # reuses the pool, compiler and source cache an earlier job filled.
         import repro.service as service_module
-        from repro.service import _worker_cache
 
-        saved = service_module._worker_source_cache
-        service_module._worker_source_cache = None
-        try:
-            first = _worker_cache()
-            assert first.max_entries == SourceOutputCache().max_entries
-            # Every later job of the process reuses the cache and its entries.
-            assert _worker_cache() is first
-        finally:
-            service_module._worker_source_cache = saved
+        artifacts = service_module._ArtifactSet()
+        monkeypatch.setattr(service_module, "_worker_artifacts", artifacts)
+        assert artifacts.source_cache.max_entries == SourceOutputCache().max_entries
+        bench = get_benchmark("Ambler-3")
+        ctx = build_work_context(None, threading.Event(), False)
+        first, second = (
+            service_module._run_job_in_worker(
+                service_module._JobTask(
+                    name, bench.source_program, bench.target_schema, _config(),
+                    pool_snapshot=[],
+                ),
+                ctx,
+            ).result
+            for name in ("first", "second")
+        )
+        assert first.succeeded and second.succeeded
+        assert list(artifacts.pools) == [format_program(bench.source_program)]
+        assert second.cache.pool_hits > 0
+        assert second.cache.compiled_function_misses == 0
+        # The second job's source outputs were all cached already.
+        assert (
+            second.cache.source_cache_entries
+            == first.cache.source_cache_entries
+            == len(artifacts.source_cache)
+        )
 
 
 class TestCrossTransportEquivalence:
@@ -498,6 +545,24 @@ class TestJobStoreAndResume:
         live.run()
         assert adopted[0].status is JobStatus.DONE and adopted[0].result.succeeded
 
+    def test_adopt_settles_a_bad_deferred_record_incompatible(self, tmp_path):
+        # A record of an unsupported spec version must not stop the scan:
+        # it settles INCOMPATIBLE, as resume() settles it, and the good job
+        # stored after it is still adopted.
+        path = str(tmp_path / "jobs.sqlite")
+        live = MigrationService(job_store=path)
+        live._store.append(
+            {"type": "submitted", "job": "bad", "status": "pending", "spec": "99:AAAA"}
+        )
+        live.submit_deferred(_job("Oracle-1"))
+        adopted = live.adopt_unfinished()
+        assert [h.job.name for h in adopted] == ["Oracle-1"]
+        (bad,) = [h for h in live.handles if h.job.name == "bad"]
+        assert bad.status is JobStatus.INCOMPATIBLE and "v99" in bad.error
+        assert live._store.load_jobs()["bad"].status == "incompatible"
+        live.run()
+        assert adopted[0].status is JobStatus.DONE and adopted[0].result.succeeded
+
     def test_adopt_unfinished_on_fresh_store_is_empty(self, tmp_path):
         # Scanning a store nothing was submitted to must be a no-op, not an
         # error (the /resume route of a fresh HTTP front hits exactly this).
@@ -639,8 +704,9 @@ class TestResumeRePinning:
     def test_retired_parallel_fields_in_stored_config_are_inert(self, tmp_path):
         # A 3.x spec pickled SynthesisConfig with the three wave-parallel
         # fields, a 4.x spec with the VC engine choice, a 5.x spec's
-        # RetryPolicy carries the pool-break retry count, and a 6.x spec
-        # the pool and source-cache sizes; unpickling restores them as
+        # RetryPolicy carries the pool-break retry count, a 6.x spec the
+        # pool and source-cache sizes, and a 7.x spec's policies the seven
+        # retired ladder/timeout fields; unpickling restores them as
         # plain attributes that nothing reads, so the job resumes and runs
         # sequentially on the factored VC engine with the fixed sizes.
         config = _config()
@@ -653,7 +719,16 @@ class TestResumeRePinning:
         config.source_cache_max_entries = 1
         retry = RetryPolicy()
         object.__setattr__(retry, "max_retries", 5)  # frozen dataclass
-        config.resilience = ResilienceConfig(retry=retry)
+        # A 7.x spec's policies carry the ladder and timeout settings
+        # retired in 8.0.0.
+        object.__setattr__(retry, "retry_budget", 0)
+        timeout = TimeoutPolicy()
+        for name in ("deadline_grace", "nudge_delay", "connect_timeout", "handshake_timeout"):
+            object.__setattr__(timeout, name, 0.0)
+        resilience = ResilienceConfig(retry=retry, timeout=timeout)
+        object.__setattr__(resilience, "degrade_ladder", False)
+        object.__setattr__(resilience, "degrade_workers", 0)
+        config.resilience = resilience
         path = self._crashed_store(tmp_path, _job("Oracle-1", config, workload="Oracle-1"))
         resumed = MigrationService.resume(path)
         (handle,) = resumed.handles
@@ -661,6 +736,9 @@ class TestResumeRePinning:
         assert handle.job.config.parallel_workers == 2  # the pickle kept it
         assert handle.job.config.vc_engine == "maxsat"
         assert handle.job.config.resilience.retry.max_retries == 5
+        assert handle.job.config.resilience.retry.retry_budget == 0
+        assert handle.job.config.resilience.timeout.nudge_delay == 0.0
+        assert handle.job.config.resilience.degrade_ladder is False
         assert handle.job.config.source_cache_max_entries == 1
         resumed.run()
         assert handle.status is JobStatus.DONE

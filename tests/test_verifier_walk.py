@@ -415,7 +415,9 @@ def test_compiled_and_interpreter_jobs_share_one_service_cache():
         assert format_program(result.program) == format_program(alone.program)
     # Prefix states of both backends live side by side in the one cache.
     state_owners = {
-        key[0] for key in service._source_cache._entries if isinstance(key[0], tuple)
+        key[0]
+        for key in service._artifacts.source_cache._entries
+        if isinstance(key[0], tuple)
     }
     source_key = format_program(bench.source_program)
     assert state_owners == {(source_key, "compiled"), (source_key, "interpreter")}
