@@ -1,9 +1,10 @@
 """Driving the ``repro.server`` service front as a plain HTTP client.
 
 Since API v2.3.0 the HTTP front is part of the library
-(:mod:`repro.server`): an asyncio multi-tenant server with per-tenant
-quotas, weighted fair scheduling, SSE event streaming, and a durable job
-store (indexed SQLite).  This example is therefore a *client*: it
+(:mod:`repro.server`): a threaded multi-tenant HTTP server (the standard
+library's, one thread per connection) with per-tenant quotas, weighted
+fair scheduling, SSE event streaming, and a durable job store (indexed
+SQLite).  This example is therefore a *client*: it
 boots a server in-process (:class:`~repro.server.ServerThread` — exactly
 what ``python -m repro.server`` wraps) and then speaks nothing but HTTP
 and SSE to it, the way an external consumer would:

@@ -78,14 +78,14 @@ for wave-parallel runs (removed in 4.0.0).
 Additive in 2.3.0 — "the service front": the async multi-tenant HTTP
 server and the indexed store backend.  :mod:`repro.server` serves a
 :class:`MigrationService` over asyncio HTTP/1.1 (stdlib; the app is a
-minimal ASGI callable) — API-key tenants with per-tenant quotas
-(:class:`~repro.server.TenantQuota`: queue depth, concurrent running,
-token-bucket submit rate → ``429``), weighted fair scheduling (stride
-priorities over the existing scheduler plus the new anti-starvation
+minimal ASGI callable; a threaded server since 9.0.0) — API-key tenants
+with per-tenant quotas (:class:`~repro.server.TenantQuota`: queue depth,
+concurrent running, token-bucket submit rate → ``429``), weighted fair
+scheduling (stride priorities over the existing scheduler plus
 ``age_after``/``age_step`` aging knobs on :class:`MigrationService` and
-``WorkScheduler``), and ``GET /jobs/{id}/events`` SSE streaming of the
-typed session events with monotonic ids and gap-free ``Last-Event-ID``
-resume, bridged through bounded shed-and-count asyncio queues.  The job
+``WorkScheduler``, removed in 9.0.0), and ``GET /jobs/{id}/events`` SSE
+streaming of the typed session events with monotonic ids and gap-free
+``Last-Event-ID`` resume, bridged through bounded shed-and-count queues.  The job
 store gained the indexed :class:`SQLiteJobStore` (jobs/events/leases
 tables, WAL, tenant/status/fingerprint indexes) behind
 :func:`open_job_store`, next to the JSONL log, with
@@ -260,6 +260,35 @@ every task or raises ``ExecutorUnavailable``.  Trajectories are unchanged.
   request's arrival instant, and ``adopt_unfinished`` (and
   ``POST /resume``) settles a bad deferred record ``INCOMPATIBLE``
   instead of aborting the scan.
+
+Breaking in 9.0.0 — "one concurrency model in the service front": the
+HTTP front is the standard library's threaded server, one thread per
+connection, and its handlers call the front and the job store directly.
+The asyncio HTTP adapter and the ASGI app are gone.  Trajectories are
+unchanged.
+
+* :mod:`repro.server` loses ``ServerApp`` (also gone from this module),
+  ``serve`` and ``ClientDisconnected``.
+* ``ServiceFront.start()`` and ``EventHub(store)`` take no event loop,
+  and ``Subscription.queue`` is a bounded ``queue.Queue``, filled on the
+  publishing thread.
+* Scheduler priority aging is gone: ``WorkScheduler(age_after=…)`` and
+  ``age_step=…``, the same two keywords on ``MigrationService``,
+  ``MigrationService.resume`` and ``ServiceFront`` raise ``TypeError``,
+  ``python -m repro.server --age-after`` is refused, and
+  ``SchedulerStats.tasks_aged`` is gone.  Each runner cycle of the front
+  drains every job it promoted, so aging only reordered jobs inside one
+  cycle and never decided whether a job ran.
+* Observable differences: a malformed ``Content-Length`` (empty,
+  non-numeric or negative) answers ``400`` and closes the connection,
+  where the adapter dropped it without a response; responses carry
+  ``Server`` and ``Date`` headers; the server runs one thread per
+  connection.
+* Fixed: ``POST /jobs`` answers ``400`` to a ``deadline`` that is not
+  ``null`` or a finite number of seconds ≥ 0 (a string used to stop the
+  runner thread), and ``config`` may set ``time_limit``,
+  ``sketch_time_limit`` and ``null`` for ``Optional`` fields (each is
+  checked against the field's annotation).
 """
 
 from __future__ import annotations
@@ -290,7 +319,6 @@ from repro.jobstore import (
     open_job_store,
 )
 from repro.server import (
-    ServerApp,
     ServerThread,
     ServiceFront,
     Tenant,
@@ -306,7 +334,7 @@ from repro.service import (
 )
 
 #: Semantic version of this surface (not of the package implementation).
-API_VERSION = "8.0.0"
+API_VERSION = "9.0.0"
 
 __all__ = [
     "API_VERSION",
@@ -342,7 +370,6 @@ __all__ = [
     "migrate_batch",
     # the service front (repro.server)
     "ServiceFront",
-    "ServerApp",
     "ServerThread",
     "Tenant",
     "TenantQuota",

@@ -110,9 +110,6 @@ class SchedulerStats:
     #: Events shed by the transport.  Always 0: TCP flow control blocks a
     #: fast producer instead of dropping its events.
     events_dropped: int = 0
-    #: Priority boosts applied by the anti-starvation aging sweep
-    #: (``age_after``): one count per task per boost.
-    tasks_aged: int = 0
 
 
 class TaskState(enum.Enum):
@@ -175,8 +172,6 @@ class TaskHandle:
         self._cancel_requested = False
         self._nudged = False  # deadline passed: cancel signal already raised
         self._not_before = 0.0  # retry backoff: earliest re-dispatch instant
-        self._enqueued = time.time()  # aging reference instant
-        self._age_credits = 0  # aging boosts already applied
         self._port = None
 
     @property
@@ -226,19 +221,10 @@ class WorkScheduler:
         fleet: Union[RemoteFleet, Sequence[str], None] = None,
         retry: Optional[RetryPolicy] = None,
         timeout: Optional[TimeoutPolicy] = None,
-        age_after: Optional[float] = None,
-        age_step: int = 1,
     ):
         self.retry = retry if retry is not None else RetryPolicy()
         self.timeout = timeout if timeout is not None else TimeoutPolicy()
         self.max_workers = max_workers
-        #: Anti-starvation aging: every ``age_after`` seconds a still-pending
-        #: task waits, its priority improves by ``age_step`` (lower sorts
-        #: first), so low-weight tenants behind a firehose of high-priority
-        #: work eventually reach the front.  ``None`` disables the sweep.
-        self.age_after = age_after
-        self.age_step = max(1, age_step)
-        self._last_age_sweep = 0.0
         self.stats = SchedulerStats()
         self._retry_rng = self.retry.rng()
         self._next_ready: Optional[float] = None
@@ -340,8 +326,6 @@ class WorkScheduler:
         instead of spinning.  Inline drains pass ``respect_backoff=False``
         (no workers to protect, and an inline drain must always terminate).
         """
-        if self.age_after is not None:
-            self._age_pending()
         deferred: list[TaskHandle] = []
         found: Optional[TaskHandle] = None
         with self._lock:
@@ -369,34 +353,6 @@ class WorkScheduler:
                 min(task._not_before for task in deferred) if deferred else None
             )
         return found
-
-    def _age_pending(self) -> None:
-        """Boost the priority of tasks that have waited ≥ ``age_after``.
-
-        One ``age_step`` boost per full ``age_after`` interval waited
-        (tracked per task, so repeated sweeps never double-credit).  The
-        sweep itself is throttled to half an interval, and the heap is
-        rebuilt only when some priority actually moved — the common case
-        (nothing aged) is one timestamp comparison.
-        """
-        now = time.time()
-        if now - self._last_age_sweep < self.age_after / 2.0:
-            return
-        with self._lock:
-            self._last_age_sweep = now
-            moved = False
-            for _key, task in self._heap:
-                if task.state is not TaskState.PENDING:
-                    continue
-                earned = int((now - task._enqueued) / self.age_after)
-                if earned > task._age_credits:
-                    task.priority -= (earned - task._age_credits) * self.age_step
-                    self.stats.tasks_aged += earned - task._age_credits
-                    task._age_credits = earned
-                    moved = True
-            if moved:
-                self._heap = [(task._sort_key(), task) for _key, task in self._heap]
-                heapq.heapify(self._heap)
 
     def _drain_inline(self) -> None:
         channel = DirectChannel()

@@ -1,17 +1,15 @@
-"""``repro.server`` — the async multi-tenant service front.
+"""``repro.server`` — the multi-tenant service front.
 
-An asyncio HTTP/1.1 service (stdlib only; the app itself is a minimal ASGI
-callable, runnable under any ASGI server) over one
-:class:`~repro.service.MigrationService`:
+A threaded HTTP/1.1 service (stdlib ``http.server``: one thread per
+connection) over one :class:`~repro.service.MigrationService`:
 
 * **tenants & quotas** — API-key resolution, per-tenant admission limits
   (queue depth, concurrent running, token-bucket submit rate) and weighted
   fair scheduling via stride priorities over the existing
-  priority/deadline :class:`~repro.exec.scheduler.WorkScheduler`, with
-  scheduler-level aging as the anti-starvation backstop;
+  priority/deadline :class:`~repro.exec.scheduler.WorkScheduler`;
 * **SSE streaming** — ``GET /jobs/{id}/events`` replays the typed session
-  event stream with monotonic ids and ``Last-Event-ID`` resume, bridged
-  from the sync callbacks through bounded asyncio queues with
+  event stream with monotonic ids and ``Last-Event-ID`` resume, fanned out
+  from the sync callbacks into bounded thread-safe queues with
   shed-and-count backpressure;
 * **durable state** — the indexed SQLite job store; a killed server
   restarts on the same store with settled jobs served verbatim and
@@ -21,23 +19,15 @@ Run one with ``python -m repro.server --listen 127.0.0.1:8750
 --store sqlite:jobs.db`` or embed via :class:`ServerThread`.
 """
 
-from repro.server.app import (
-    ClientDisconnected,
-    ServerApp,
-    ServerThread,
-    ServiceFront,
-    serve,
-)
+from repro.server.app import ServerThread, ServiceFront
 from repro.server.quotas import QuotaExceeded, QuotaGate, StridePacer, TokenBucket
 from repro.server.sse import EventHub, Subscription, event_payload, format_frame
 from repro.server.tenants import Tenant, TenantQuota, TenantRegistry
 
 __all__ = [
-    "ClientDisconnected",
     "EventHub",
     "QuotaExceeded",
     "QuotaGate",
-    "ServerApp",
     "ServerThread",
     "ServiceFront",
     "StridePacer",
@@ -48,5 +38,4 @@ __all__ = [
     "TokenBucket",
     "event_payload",
     "format_frame",
-    "serve",
 ]

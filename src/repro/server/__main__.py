@@ -1,7 +1,8 @@
 """Server CLI: ``python -m repro.server --listen HOST:PORT --store PATH``.
 
 Boots one :class:`~repro.server.ServiceFront` (resuming any history the
-store already holds) behind the stdlib asyncio HTTP adapter.  The bound
+store already holds) behind the stdlib threaded HTTP server, one thread
+per connection, serving on the main thread until interrupted.  The bound
 address is printed as ``listening on HOST:PORT`` for harnesses to parse
 (port 0 picks a free port — the same contract as ``python -m
 repro.worker --listen``).
@@ -15,18 +16,11 @@ server runs open (one implicit unlimited tenant).
 from __future__ import annotations
 
 import argparse
-import asyncio
 import sys
 
-from repro.server.app import ServerApp, ServiceFront, serve
+from repro.exec.wire import parse_address
+from repro.server.app import ServiceFront, make_server
 from repro.server.tenants import TenantRegistry
-
-
-def _parse_listen(value: str) -> tuple[str, int]:
-    host, sep, port = value.rpartition(":")
-    if not sep:
-        host, port = "127.0.0.1", value
-    return host or "127.0.0.1", int(port)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -62,20 +56,13 @@ def main(argv: list[str] | None = None) -> int:
         help="service worker processes (0 = inline execution; default 0)",
     )
     parser.add_argument(
-        "--age-after",
-        type=float,
-        default=30.0,
-        help="seconds a queued job waits before each anti-starvation "
-        "priority boost (default %(default)s)",
-    )
-    parser.add_argument(
         "--no-fsync",
         action="store_true",
         help="trade store durability for append latency",
     )
     args = parser.parse_args(argv)
 
-    host, port = _parse_listen(args.listen)
+    host, port = parse_address(args.listen)
     if args.tenants_file:
         registry = TenantRegistry.from_file(args.tenants_file)
     elif args.tenant:
@@ -87,27 +74,19 @@ def main(argv: list[str] | None = None) -> int:
         args.store,
         tenants=registry,
         max_workers=args.max_workers,
-        age_after=args.age_after,
         fsync=not args.no_fsync,
     )
-    app = ServerApp(front)
-
-    async def run() -> None:
-        server = await serve(app, host, port)
-        bound = server.sockets[0].getsockname()
-        print(f"listening on {bound[0]}:{bound[1]}", flush=True)
-        front.start(asyncio.get_running_loop())
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:  # pragma: no cover - signal teardown
-            pass
-        finally:
-            front.stop()
-
+    server = make_server(front, host, port)
+    bound = server.server_address
+    print(f"listening on {bound[0]}:{bound[1]}", flush=True)
+    front.start()
     try:
-        asyncio.run(run())
+        server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown
         pass
+    finally:
+        front.stop()
+        server.server_close()
     return 0
 
 

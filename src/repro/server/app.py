@@ -13,34 +13,28 @@ Three layers, bottom up:
   in stride order, and publishes a synthetic ``job_settled`` event as each
   job reaches a terminal status.
 
-* :class:`ServerApp` — a minimal ASGI application over the front (the
-  routing table lives in :mod:`repro.server.routes`).  Runnable under any
-  ASGI server; no dependency beyond the interface itself.
+* :func:`make_server` — a stdlib :class:`~http.server.ThreadingHTTPServer`
+  over the front: one thread per connection, each running
+  :class:`~repro.server.routes.FrontHandler`, which calls the front and the
+  job store directly.  Keep-alive for buffered responses,
+  ``Connection: close`` streaming for SSE.
 
-* :func:`serve` / :class:`ServerThread` — a stdlib asyncio HTTP/1.1
-  adapter for the app, so the front needs no ASGI server installed:
-  keep-alive for buffered responses, ``Connection: close`` streaming for
-  SSE, client-disconnect detection surfaced as both an ``http.disconnect``
-  receive message and :class:`ClientDisconnected` from ``send``.
+* :class:`ServerThread` — that server's accept loop on a background thread
+  (``python -m repro.server`` runs it on the main thread).
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
-import time
-from typing import Any, Callable, Optional
-from urllib.parse import unquote
+from http.server import ThreadingHTTPServer
+from typing import Any, Optional
 
 from repro.jobstore import open_job_store
-from repro.server.quotas import QuotaExceeded, QuotaGate, StridePacer
+from repro.server.quotas import QuotaGate, StridePacer
+from repro.server.routes import FrontHandler
 from repro.server.sse import EventHub, JOB_SETTLED_KIND
 from repro.server.tenants import Tenant, TenantRegistry
 from repro.service import JobHandle, JobStatus, MigrationJob, MigrationService
-
-
-class ClientDisconnected(ConnectionError):
-    """The HTTP client went away mid-response (streaming send failed)."""
 
 
 # ---------------------------------------------------------------- the front
@@ -54,8 +48,6 @@ class ServiceFront:
         tenants: Optional[TenantRegistry] = None,
         max_workers: int = 0,
         default_config: Any = None,
-        age_after: Optional[float] = 30.0,
-        age_step: int = 1000,
         fsync: bool = True,
     ):
         self.store = open_job_store(store, fsync=fsync)
@@ -90,8 +82,6 @@ class ServiceFront:
                 max_workers=max_workers,
                 default_config=default_config,
                 on_event=self._on_event,
-                age_after=age_after,
-                age_step=age_step,
             )
             for stored in existing.values():
                 if stored.settled:
@@ -102,8 +92,6 @@ class ServiceFront:
                 default_config=default_config,
                 on_event=self._on_event,
                 job_store=self.store,
-                age_after=age_after,
-                age_step=age_step,
             )
 
     # --------------------------------------------------------------- events
@@ -281,15 +269,20 @@ class ServiceFront:
                         break
 
     # ------------------------------------------------------------- lifecycle
-    def start(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Attach the asyncio loop (creates the hub) and start the runner."""
-        self.hub = EventHub(self.store, loop)
+    def start(self) -> None:
+        """Create the event hub and start the runner."""
+        self.hub = EventHub(self.store)
         if self._runner is None:
             self._runner = threading.Thread(
                 target=self._runner_loop, name="repro-server-runner", daemon=True
             )
             self._runner.start()
         self._wake.set()  # drain anything resume() brought back
+
+    @property
+    def stopped(self) -> bool:
+        """Whether :meth:`stop` was called (open SSE streams end on it)."""
+        return self._stop.is_set()
 
     def stop(self) -> None:
         self._stop.set()
@@ -300,203 +293,23 @@ class ServiceFront:
         self.service.close()
 
 
-# ----------------------------------------------------------------- ASGI app
-class ServerApp:
-    """Minimal ASGI application over one :class:`ServiceFront`."""
-
-    def __init__(self, front: ServiceFront):
-        self.front = front
-
-    async def __call__(self, scope: dict, receive: Callable, send: Callable) -> None:
-        if scope["type"] == "lifespan":
-            while True:
-                message = await receive()
-                if message["type"] == "lifespan.startup":
-                    self.front.start(asyncio.get_running_loop())
-                    await send({"type": "lifespan.startup.complete"})
-                elif message["type"] == "lifespan.shutdown":
-                    self.front.stop()
-                    await send({"type": "lifespan.shutdown.complete"})
-                    return
-        elif scope["type"] == "http":
-            from repro.server.routes import dispatch
-
-            await dispatch(self.front, scope, receive, send)
-        else:  # pragma: no cover - other ASGI scope types
-            raise RuntimeError(f"unsupported ASGI scope type {scope['type']!r}")
+# ------------------------------------------------------------ HTTP server
+#: How often ``ServerThread``'s accept loop checks for shutdown (seconds):
+#: ``stop()`` waits up to this long.
+_SHUTDOWN_POLL = 0.05
 
 
-# ------------------------------------------------- stdlib HTTP/1.1 adapter
-_REASONS = {
-    200: "OK", 202: "Accepted", 204: "No Content", 400: "Bad Request",
-    401: "Unauthorized", 404: "Not Found", 405: "Method Not Allowed",
-    409: "Conflict", 429: "Too Many Requests", 500: "Internal Server Error",
-}
+def make_server(
+    front: ServiceFront, host: str = "127.0.0.1", port: int = 0
+) -> ThreadingHTTPServer:
+    """A threaded HTTP server over *front*: one thread per connection.
 
-
-async def _handle_connection(
-    app: Callable, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-) -> None:
-    try:
-        while True:
-            try:
-                head = await reader.readuntil(b"\r\n\r\n")
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            request_line, _, header_block = head.partition(b"\r\n")
-            try:
-                method, target, _version = request_line.decode("latin-1").split(" ", 2)
-            except ValueError:
-                return
-            headers: list[tuple[bytes, bytes]] = []
-            for line in header_block.split(b"\r\n"):
-                name, sep, value = line.partition(b":")
-                if sep:
-                    headers.append((name.strip().lower(), value.strip()))
-            length = 0
-            for name, value in headers:
-                if name == b"content-length":
-                    try:
-                        length = int(value)
-                    except ValueError:
-                        return
-            body = await reader.readexactly(length) if length else b""
-            path, _, query = target.partition("?")
-            scope = {
-                "type": "http",
-                "asgi": {"version": "3.0"},
-                "http_version": "1.1",
-                "method": method.upper(),
-                "path": unquote(path),
-                "raw_path": path.encode("latin-1"),
-                "query_string": query.encode("latin-1"),
-                "headers": headers,
-            }
-            keep_alive = await _run_asgi_once(app, scope, body, reader, writer)
-            if not keep_alive:
-                return
-    finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass
-
-
-async def _run_asgi_once(
-    app: Callable,
-    scope: dict,
-    body: bytes,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> bool:
-    """Drive the app for one request; returns whether to keep the connection.
-
-    Buffered responses (single ``more_body=False`` body message) get a
-    ``Content-Length`` and keep-alive.  Streaming responses (SSE) are sent
-    with ``Connection: close`` and no length — the HTTP/1.0-style
-    read-until-close framing every SSE client accepts — and a failed write
-    mid-stream surfaces to the app as :class:`ClientDisconnected`.
+    Port 0 picks a free port (``server_address`` has the bound one).  The
+    caller starts the front and runs ``serve_forever``.
     """
-    state = {"started": False, "streaming": False, "status": 200, "headers": []}
-    request_delivered = False
-    disconnected = False
-
-    async def receive() -> dict:
-        nonlocal request_delivered, disconnected
-        if not request_delivered:
-            request_delivered = True
-            return {"type": "http.request", "body": body, "more_body": False}
-        if disconnected:
-            await asyncio.sleep(3600)  # spec: receive never returns twice
-        # EOF on the socket is the only disconnect signal HTTP/1.1 gives us.
-        # A reset counts too: a client that closes with unread data in its
-        # receive buffer RSTs instead of FINing, and read() raises.
-        try:
-            await reader.read(1)
-        except (ConnectionError, OSError):
-            pass
-        disconnected = True
-        return {"type": "http.disconnect"}
-
-    async def send(message: dict) -> None:
-        if message["type"] == "http.response.start":
-            state["status"] = message["status"]
-            state["headers"] = list(message.get("headers", []))
-            state["started"] = True
-            return
-        if message["type"] != "http.response.body":  # pragma: no cover
-            return
-        chunk = message.get("body", b"") or b""
-        more = bool(message.get("more_body", False))
-        try:
-            if not state["streaming"] and not state.get("head_sent"):
-                if more:
-                    state["streaming"] = True
-                _write_head(
-                    writer,
-                    state["status"],
-                    state["headers"],
-                    content_length=None if state["streaming"] else len(chunk),
-                    keep_alive=not state["streaming"],
-                )
-                state["head_sent"] = True
-            writer.write(chunk)
-            await writer.drain()
-        except (ConnectionError, OSError) as error:
-            raise ClientDisconnected(str(error)) from error
-
-    try:
-        await app(scope, receive, send)
-    except ClientDisconnected:
-        return False
-    except Exception:  # noqa: BLE001 - connection isolation
-        if not state.get("head_sent"):
-            try:
-                _write_head(writer, 500, [], content_length=0, keep_alive=False)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-        return False
-    if not state.get("head_sent"):
-        _write_head(writer, state["status"] if state["started"] else 500, [],
-                    content_length=0, keep_alive=True)
-        await writer.drain()
-        return not disconnected
-    return not state["streaming"] and not disconnected
-
-
-def _write_head(
-    writer: asyncio.StreamWriter,
-    status: int,
-    headers: list,
-    *,
-    content_length: Optional[int],
-    keep_alive: bool,
-) -> None:
-    reason = _REASONS.get(status, "OK")
-    lines = [f"HTTP/1.1 {status} {reason}".encode("latin-1")]
-    seen = set()
-    for name, value in headers:
-        name_b = name if isinstance(name, bytes) else name.encode("latin-1")
-        value_b = value if isinstance(value, bytes) else str(value).encode("latin-1")
-        seen.add(name_b.lower())
-        lines.append(name_b + b": " + value_b)
-    if content_length is not None and b"content-length" not in seen:
-        lines.append(b"content-length: " + str(content_length).encode())
-    lines.append(b"connection: " + (b"keep-alive" if keep_alive else b"close"))
-    writer.write(b"\r\n".join(lines) + b"\r\n\r\n")
-
-
-async def serve(
-    app: Callable, host: str = "127.0.0.1", port: int = 0
-) -> asyncio.AbstractServer:
-    """Serve an ASGI app over the stdlib asyncio HTTP/1.1 adapter."""
-    return await asyncio.start_server(
-        lambda reader, writer: _handle_connection(app, reader, writer),
-        host=host,
-        port=port,
-    )
+    server = ThreadingHTTPServer((host, port), FrontHandler)
+    server.front = front
+    return server
 
 
 class ServerThread:
@@ -511,62 +324,32 @@ class ServerThread:
 
     def __init__(self, front: ServiceFront, *, host: str = "127.0.0.1", port: int = 0):
         self.front = front
-        self.app = ServerApp(front)
         self._host = host
         self._port = port
         self.address: Optional[tuple[str, int]] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._server: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._ready = threading.Event()
 
     def start(self) -> "ServerThread":
+        self._server = make_server(self.front, self._host, self._port)
+        self.address = self._server.server_address[:2]
+        self.front.start()
         self._thread = threading.Thread(
-            target=self._run, name="repro-server", daemon=True
+            target=self._server.serve_forever,
+            args=(_SHUTDOWN_POLL,),
+            name="repro-server",
+            daemon=True,
         )
         self._thread.start()
-        if not self._ready.wait(timeout=10):
-            raise RuntimeError("server thread failed to start")
         return self
 
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-
-        async def boot():
-            self._server = await serve(self.app, self._host, self._port)
-            self.address = self._server.sockets[0].getsockname()[:2]
-            self.front.start(loop)
-            self._ready.set()
-
-        loop.run_until_complete(boot())
-        try:
-            loop.run_forever()
-        finally:
-            # Idle keep-alive connection handlers are parked in readuntil();
-            # cancel them so loop.close() is quiet.
-            pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
     def stop(self) -> None:
+        """Stop the front, then the accept loop; open SSE streams end too."""
         self.front.stop()
-        loop = self._loop
-        if loop is not None and loop.is_running():
-
-            def shutdown():
-                if self._server is not None:
-                    self._server.close()
-                loop.stop()
-
-            loop.call_soon_threadsafe(shutdown)
+        if self._server is not None:
+            self._server.shutdown()
+            self._server.server_close()
+            self._server = None
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None

@@ -17,9 +17,11 @@ Two mechanisms, deliberately separate:
   climb half as fast, so under contention it holds twice the share — while
   an idle tenant re-entering starts at the current virtual time
   (``max(own pass, global minimum)``) instead of its stale low pass, so
-  sleeping never banks credit.  The scheduler's ``age_after`` aging is the
-  backstop underneath: even a pass far in the future eventually improves,
-  so no tenant starves outright.
+  sleeping never banks credit.  The pass orders jobs; it never decides
+  whether one runs.  No tenant can starve: each runner cycle promotes at
+  most ``max_running`` jobs per tenant and drains every job it promoted
+  before the next cycle starts, so a job waits at most for the cycles
+  ahead of it in its own tenant's backlog.
 """
 
 from __future__ import annotations

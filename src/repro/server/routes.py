@@ -1,4 +1,4 @@
-"""HTTP routes of the service front (ASGI handlers).
+"""HTTP routes of the service front, served by one request handler.
 
 Endpoints (all JSON unless noted):
 
@@ -9,9 +9,12 @@ Endpoints (all JSON unless noted):
   planned target plus N rename variants), admits each through the tenant's
   quota gate, and assigns stride fair-share priorities.  ``202`` with the
   accepted names; ``429`` + ``Retry-After`` on quota refusal; ``409`` on a
-  name collision.  ``config`` may set any scalar
-  :class:`~repro.api.SynthesisConfig` field (type-checked whitelist;
-  engine and strategy names must be known ones, else ``400``).
+  name collision.  ``deadline`` is absent, ``null`` or a finite
+  number of seconds ≥ 0.  ``config`` may set any scalar
+  :class:`~repro.api.SynthesisConfig` field, checked against the field's
+  annotation (``Optional`` fields take ``null``); engine and strategy
+  names must be known ones.  Anything else is a ``400`` before a job is
+  stored.
 * ``GET  /jobs?status=…`` — this tenant's jobs (indexed store query +
   live-handle overlay; an open registry sees everything).
 * ``GET  /jobs/{name}`` — one job's response payload.
@@ -26,77 +29,68 @@ Endpoints (all JSON unless noted):
 Authentication: ``X-API-Key: <key>`` or ``Authorization: Bearer <key>``;
 ``401`` when the key resolves to no tenant.  A key-less tenant registry
 runs open (single implicit tenant, no limits).
+
+:class:`FrontHandler` serves one connection on its own thread
+(:func:`~repro.server.app.make_server`) and calls the front and the job
+store directly.  It reads each request's whole body by ``Content-Length``
+before routing, so any answer leaves a keep-alive connection at the next
+request; a malformed ``Content-Length`` answers ``400`` and closes.  A
+route that raises answers ``500`` (when no head was sent yet) and closes.
 """
 
 from __future__ import annotations
 
-import asyncio
+import functools
 import json
+import math
+import queue
+import select
+import socket
 import time
-from typing import Any, Callable, Optional
+from http.server import BaseHTTPRequestHandler
+from typing import TYPE_CHECKING, Any, Optional, Sequence, get_args, get_type_hints
+from urllib.parse import unquote
 
-from repro.server.app import ClientDisconnected, ServiceFront
 from repro.server.quotas import QuotaExceeded
 from repro.server.sse import JOB_SETTLED_KIND, format_frame
 from repro.server.tenants import Tenant
 
+if TYPE_CHECKING:
+    from repro.server.app import ServiceFront
+
 #: Idle SSE keep-alive comment interval (seconds).
 SSE_PING_INTERVAL = 15.0
 
+#: How long an SSE stream waits on its queue before it checks again that
+#: the client is still there and the front still running (seconds).
+SSE_WAIT = 0.25
 
-# ------------------------------------------------------------ ASGI plumbing
-async def _read_body(receive: Callable) -> bytes:
-    chunks = []
-    while True:
-        message = await receive()
-        if message["type"] == "http.disconnect":
-            return b""
-        chunks.append(message.get("body", b""))
-        if not message.get("more_body", False):
-            return b"".join(chunks)
+#: The JSON values each scalar annotation takes (``bool`` is an ``int``
+#: subclass: a bool passes only where the annotation is ``bool``).
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
-async def _send_json(send: Callable, status: int, payload: Any) -> None:
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    headers = [(b"content-type", b"application/json")]
-    if status == 429 and isinstance(payload, dict) and "retry_after" in payload:
-        headers.append(
-            (b"retry-after", str(max(1, round(payload["retry_after"]))).encode())
-        )
-    await send({"type": "http.response.start", "status": status, "headers": headers})
-    await send({"type": "http.response.body", "body": body, "more_body": False})
-
-
-def _header(scope: dict, name: bytes) -> str:
-    for key, value in scope.get("headers", []):
-        if key == name:
-            return value.decode("latin-1")
-    return ""
-
-
-def _query(scope: dict) -> dict[str, str]:
+def _query(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for pair in scope.get("query_string", b"").decode("latin-1").split("&"):
+    for pair in text.split("&"):
         key, sep, value = pair.partition("=")
         if key:
             out[key] = value if sep else ""
     return out
 
 
-def _api_key(scope: dict) -> str:
-    key = _header(scope, b"x-api-key")
-    if key:
-        return key
-    auth = _header(scope, b"authorization")
-    if auth.lower().startswith("bearer "):
-        return auth[7:].strip()
-    return ""
-
-
 # -------------------------------------------------------------- job helpers
+@functools.cache
+def _field_types(cls: type) -> dict:
+    """A dataclass's resolved field annotations (resolving costs ~0.4 ms)."""
+    return get_type_hints(cls)
+
+
 def _apply_config(config: Any, overrides: dict) -> None:
     """Apply type-checked scalar overrides to one SynthesisConfig.
 
+    Each value is checked against the field's annotation: ``Optional[T]``
+    takes a ``T`` or ``null``, and a ``float`` field takes any number.
     Fields that name an engine or strategy are checked against the known
     names here, so a typo is a ``400`` at submission rather than a job that
     is stored and then settles ``FAILED``.
@@ -108,27 +102,30 @@ def _apply_config(config: Any, overrides: dict) -> None:
         "execution_backend": EXECUTION_BACKENDS,
         "completion_strategy": COMPLETER_CLASSES,
     }
+    hints = _field_types(type(config))
     for key, value in overrides.items():
-        if not hasattr(config, key):
+        if key not in hints:
             raise ValueError(f"unknown config field {key!r}")
-        current = getattr(config, key)
-        if isinstance(current, bool):
-            ok = isinstance(value, bool)
-        elif isinstance(current, int):
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        elif isinstance(current, float):
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        elif isinstance(current, str):
-            ok = isinstance(value, str)
-        else:
+        members = get_args(hints[key]) or (hints[key],)
+        nullable = type(None) in members
+        (kind,) = [member for member in members if member is not type(None)]
+        if kind not in _ACCEPTS:
             raise ValueError(f"config field {key!r} is not a scalar")
+        if value is None:
+            ok = nullable
+        else:
+            ok = isinstance(value, _ACCEPTS[kind]) and (
+                kind is bool or not isinstance(value, bool)
+            )
         if not ok:
-            raise ValueError(f"config field {key!r} expects {type(current).__name__}")
+            raise ValueError(f"config field {key!r} expects {kind.__name__}")
         if key in choices and value not in choices[key]:
             raise ValueError(
                 f"unknown {key} {value!r}; known: {', '.join(choices[key])}"
             )
-        setattr(config, key, float(value) if isinstance(current, float) else value)
+        if kind is float and value is not None:
+            value = float(value)
+        setattr(config, key, value)
 
 
 def _build_jobs(front: ServiceFront, payload: dict) -> list:
@@ -142,6 +139,13 @@ def _build_jobs(front: ServiceFront, payload: dict) -> list:
     except KeyError as error:
         raise ValueError(str(error)) from error
     variants = int(payload.get("variants", 0))
+    deadline = payload.get("deadline")
+    if deadline is not None and (
+        isinstance(deadline, bool)
+        or not isinstance(deadline, (int, float))
+        or not (0 <= deadline < math.inf)
+    ):
+        raise ValueError("deadline must be null or a finite number of seconds >= 0")
     config = SynthesisConfig()
     _apply_config(config, payload.get("config", {}))
     targets = [benchmark.target_schema]
@@ -157,7 +161,7 @@ def _build_jobs(front: ServiceFront, payload: dict) -> list:
             source_program=benchmark.source_program,
             target_schema=target,
             config=config,
-            deadline=payload.get("deadline"),
+            deadline=deadline,
             # The planned (index-0) target is exactly the registry's: record
             # the workload so resume can re-pin against the live registry.
             workload=benchmark_name if target is benchmark.target_schema else None,
@@ -195,288 +199,307 @@ def _job_payload(front: ServiceFront, name: str, stored) -> dict:
     return payload
 
 
-# ------------------------------------------------------------------ routes
-async def dispatch(
-    front: ServiceFront, scope: dict, receive: Callable, send: Callable
-) -> None:
-    method = scope["method"]
-    parts = [part for part in scope["path"].split("/") if part]
+class FrontHandler(BaseHTTPRequestHandler):
+    """The front's routes, one request at a time on a connection's thread.
 
-    if parts == ["healthz"] and method == "GET":
-        await _send_json(send, 200, {"status": "ok"})
-        return
-
-    tenant = front.authenticate(_api_key(scope))
-    if tenant is None:
-        await _send_json(send, 401, {"error": "unknown or missing API key"})
-        return
-
-    try:
-        if parts == ["jobs"] and method == "POST":
-            await _post_jobs(front, tenant, receive, send)
-        elif parts == ["jobs"] and method == "GET":
-            await _get_jobs(front, tenant, scope, send)
-        elif len(parts) == 2 and parts[0] == "jobs" and method == "GET":
-            await _get_job(front, tenant, parts[1], send)
-        elif (
-            len(parts) == 3
-            and parts[0] == "jobs"
-            and parts[2] == "events"
-            and method == "GET"
-        ):
-            await _get_events(front, tenant, parts[1], scope, receive, send)
-        elif (
-            len(parts) == 3
-            and parts[0] == "jobs"
-            and parts[2] == "cancel"
-            and method == "POST"
-        ):
-            await _post_cancel(front, tenant, parts[1], send)
-        elif parts == ["resume"] and method == "POST":
-            names = await asyncio.to_thread(front.adopt_unfinished)
-            await _send_json(send, 202, {"resumed": names})
-        else:
-            await _send_json(send, 404, {"error": "unknown route"})
-    except ClientDisconnected:
-        raise
-    except QuotaExceeded as error:
-        await _send_json(
-            send,
-            429,
-            {"error": error.reason, "retry_after": error.retry_after},
-        )
-    except ValueError as error:
-        status = 409 if "already exists" in str(error) else 400
-        await _send_json(send, status, {"error": str(error)})
-
-
-async def _post_jobs(
-    front: ServiceFront, tenant: Tenant, receive: Callable, send: Callable
-) -> None:
-    # The rate limit charges every job of the request at its arrival.
-    arrived = time.monotonic()
-    body = await _read_body(receive)
-    try:
-        payload = json.loads(body or b"{}")
-    except json.JSONDecodeError as error:
-        raise ValueError(f"invalid JSON body: {error}") from error
-    jobs = _build_jobs(front, payload)
-    if payload.get("defer"):
-        # Record-only (the /resume pattern): durable deferred records,
-        # outside the quota gate — nothing runs until adoption.
-        for job in jobs:
-            job.tenant = tenant.name
-            await asyncio.to_thread(front.service.submit_deferred, job)
-        await _send_json(
-            send, 202, {"submitted": [job.name for job in jobs], "deferred": True}
-        )
-        return
-    accepted = []
-    for job in jobs:
-        try:
-            accepted.append(await asyncio.to_thread(front.submit, tenant, job, arrived))
-        except QuotaExceeded as error:
-            # Partial admission: everything accepted so far stays accepted
-            # and runs; the refusal reports both halves.
-            await _send_json(
-                send,
-                429,
-                {
-                    "error": error.reason,
-                    "retry_after": error.retry_after,
-                    "submitted": [entry["job"] for entry in accepted],
-                },
-            )
-            return
-    await _send_json(
-        send,
-        202,
-        {
-            "submitted": [entry["job"] for entry in accepted],
-            "priorities": {entry["job"]: entry["priority"] for entry in accepted},
-            "tenant": tenant.name,
-            "deferred": False,
-        },
-    )
-
-
-async def _get_jobs(
-    front: ServiceFront, tenant: Tenant, scope: dict, send: Callable
-) -> None:
-    params = _query(scope)
-    status = params.get("status") or None
-    query_tenant = None if front.tenants.open else tenant.name
-    if front.tenants.open and params.get("tenant"):
-        query_tenant = params["tenant"]
-    stored_jobs = await asyncio.to_thread(
-        front.store.query_jobs, tenant=query_tenant, status=status
-    )
-    payloads = [
-        _job_payload(front, stored.name, stored)
-        for stored in stored_jobs
-        if _visible(front, tenant, stored.tenant)
-    ]
-    await _send_json(send, 200, payloads)
-
-
-async def _get_job(
-    front: ServiceFront, tenant: Tenant, name: str, send: Callable
-) -> None:
-    stored = (await asyncio.to_thread(front.store.load_jobs)).get(name)
-    if stored is None or not _visible(front, tenant, stored.tenant):
-        await _send_json(send, 404, {"error": f"unknown job {name!r}"})
-        return
-    await _send_json(send, 200, _job_payload(front, name, stored))
-
-
-async def _post_cancel(
-    front: ServiceFront, tenant: Tenant, name: str, send: Callable
-) -> None:
-    stored = (await asyncio.to_thread(front.store.load_jobs)).get(name)
-    known = stored is not None or front.get_handle(name) is not None
-    if not known or (stored is not None and not _visible(front, tenant, stored.tenant)):
-        await _send_json(send, 404, {"error": f"unknown job {name!r}"})
-        return
-    cancelled = await asyncio.to_thread(front.cancel, name)
-    await _send_json(
-        send, 202, {"job": name, "cancel_requested": bool(cancelled)}
-    )
-
-
-# --------------------------------------------------------------------- SSE
-async def _get_events(
-    front: ServiceFront,
-    tenant: Tenant,
-    name: str,
-    scope: dict,
-    receive: Callable,
-    send: Callable,
-) -> None:
-    stored = (await asyncio.to_thread(front.store.load_jobs)).get(name)
-    if (stored is None and front.get_handle(name) is None) or (
-        stored is not None and not _visible(front, tenant, stored.tenant)
-    ):
-        await _send_json(send, 404, {"error": f"unknown job {name!r}"})
-        return
-    after = 0
-    raw_after = _header(scope, b"last-event-id") or _query(scope).get("after", "")
-    if raw_after:
-        try:
-            after = max(0, int(raw_after))
-        except ValueError:
-            await _send_json(send, 400, {"error": "last-event-id must be an integer"})
-            return
-
-    await send(
-        {
-            "type": "http.response.start",
-            "status": 200,
-            "headers": [
-                (b"content-type", b"text/event-stream"),
-                (b"cache-control", b"no-cache"),
-            ],
-        }
-    )
-
-    async def write(chunk: bytes, *, more: bool = True) -> None:
-        await send({"type": "http.response.body", "body": chunk, "more_body": more})
-
-    # Flush the response head right away (a quiet stream would otherwise
-    # defer it to the first keep-alive ping) so clients see the stream open.
-    await write(b": stream open\n\n")
-
-    hub = front.hub
-    # Subscribe BEFORE replaying history: events published during the
-    # replay land in the queue and are deduplicated by seq afterwards —
-    # the no-gap half of the resume contract.
-    subscription = hub.subscribe(name)
-    disconnected = asyncio.Event()
-
-    async def watch_disconnect() -> None:
-        while True:
-            message = await receive()
-            if message["type"] == "http.disconnect":
-                disconnected.set()
-                return
-
-    watcher = asyncio.create_task(watch_disconnect())
-    last_sent = after
-    try:
-        finished = await _replay(hub, name, after, write)
-        last_sent = max(last_sent, finished[0])
-        if finished[1]:  # history already ends with job_settled
-            await write(b"", more=False)
-            return
-        if finished[0] == after:
-            # Nothing to replay.  A client resuming at (or past) an already
-            # delivered terminal frame is fully caught up on a finished
-            # stream — close it instead of parking on a settled job.
-            history = await asyncio.to_thread(hub.history, name, after=0)
-            if (
-                history
-                and history[-1][1].get("kind") == JOB_SETTLED_KIND
-                and history[-1][0] <= after
-            ):
-                await write(b"", more=False)
-                return
-        while not disconnected.is_set():
-            getter = asyncio.ensure_future(subscription.queue.get())
-            waiter = asyncio.ensure_future(disconnected.wait())
-            done, pending = await asyncio.wait(
-                {getter, waiter},
-                timeout=SSE_PING_INTERVAL,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            for task in pending:
-                task.cancel()
-            if getter not in done:
-                if disconnected.is_set():
-                    return
-                await write(b": ping\n\n")  # idle keep-alive
-                continue
-            seq, payload = getter.result()
-            if seq <= last_sent:
-                continue  # duplicate of the replay
-            if seq > last_sent + 1:
-                # The bounded bridge queue shed events (or publish raced
-                # the replay): heal the gap from the store.
-                healed = await _replay(hub, name, last_sent, write, upto=seq - 1)
-                last_sent = max(last_sent, healed[0])
-                if healed[1]:
-                    await write(b"", more=False)
-                    return
-                if seq <= last_sent:
-                    continue
-            await write(format_frame(seq, payload))
-            last_sent = seq
-            if payload.get("kind") == JOB_SETTLED_KIND:
-                await write(b"", more=False)
-                return
-    finally:
-        watcher.cancel()
-        front.hub.unsubscribe(subscription)
-
-
-async def _replay(
-    hub,
-    name: str,
-    after: int,
-    write: Callable,
-    *,
-    upto: Optional[int] = None,
-) -> tuple[int, bool]:
-    """Stream persisted events with ``after < seq [<= upto]``.
-
-    Returns ``(last sequence written — or *after* when none —, whether the
-    replayed slice ended the stream with a job_settled frame)``.
+    ``self.server.front`` is the :class:`~repro.server.app.ServiceFront`.
     """
-    events = await asyncio.to_thread(hub.history, name, after=after)
-    last = after
-    for seq, payload in events:
-        if upto is not None and seq > upto:
-            break
-        await write(format_frame(seq, payload))
-        last = seq
-        if payload.get("kind") == JOB_SETTLED_KIND:
-            return last, True
-    return last, False
+
+    protocol_version = "HTTP/1.1"
+    # SSE frames are small: send each at once, not after the last one's ACK.
+    disable_nagle_algorithm = True
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """Write nothing per request."""
+
+    def __getattr__(self, name: str) -> Any:
+        # Every method reaches the router (do_GET, do_PUT, ...): one that no
+        # route takes answers 401 or the JSON 404, not the stdlib's HTML 501.
+        if name.startswith("do_"):
+            return self._handle
+        raise AttributeError(name)
+
+    # ----------------------------------------------------------- plumbing
+    def _handle(self) -> None:
+        self._head_sent = False
+        length = self.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()):
+            # The body's end is unknown, so the connection cannot go on.
+            self.close_connection = True
+            self._send_json(400, {"error": "invalid Content-Length"})
+            return
+        body = self.rfile.read(int(length))
+        path, _, query = self.path.partition("?")
+        parts = [part for part in unquote(path).split("/") if part]
+        try:
+            self._route(self.server.front, parts, _query(query), body)
+        except ConnectionError:
+            self.close_connection = True  # the client went away
+        except Exception:
+            self.close_connection = True
+            if not self._head_sent:
+                self._respond(500, b"")
+            raise  # the server records the traceback and closes
+
+    def _respond(self, status: int, body: bytes, headers: Sequence = ()) -> None:
+        self._head_sent = True
+        self.send_response(status)
+        for name, value in headers:
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _send_json(self, status: int, payload: Any) -> None:
+        headers = [("Content-Type", "application/json")]
+        if status == 429 and "retry_after" in payload:
+            retry = max(1, round(payload["retry_after"]))
+            headers.append(("Retry-After", str(retry)))
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._respond(status, body, headers)
+
+    def _header(self, name: str) -> str:
+        return self.headers.get(name, "").strip()
+
+    def _api_key(self) -> str:
+        key = self._header("X-API-Key")
+        if key:
+            return key
+        auth = self._header("Authorization")
+        if auth.lower().startswith("bearer "):
+            return auth[7:].strip()
+        return ""
+
+    # -------------------------------------------------------------- routes
+    def _route(
+        self, front: ServiceFront, parts: list[str], query: dict, body: bytes
+    ) -> None:
+        method = self.command
+        if parts == ["healthz"] and method == "GET":
+            self._send_json(200, {"status": "ok"})
+            return
+
+        tenant = front.authenticate(self._api_key())
+        if tenant is None:
+            self._send_json(401, {"error": "unknown or missing API key"})
+            return
+
+        try:
+            if parts == ["jobs"] and method == "POST":
+                self._post_jobs(front, tenant, body)
+            elif parts == ["jobs"] and method == "GET":
+                self._get_jobs(front, tenant, query)
+            elif len(parts) == 2 and parts[0] == "jobs" and method == "GET":
+                self._get_job(front, tenant, parts[1])
+            elif (
+                len(parts) == 3
+                and parts[0] == "jobs"
+                and parts[2] == "events"
+                and method == "GET"
+            ):
+                self._get_events(front, tenant, parts[1], query)
+            elif (
+                len(parts) == 3
+                and parts[0] == "jobs"
+                and parts[2] == "cancel"
+                and method == "POST"
+            ):
+                self._post_cancel(front, tenant, parts[1])
+            elif parts == ["resume"] and method == "POST":
+                self._send_json(202, {"resumed": front.adopt_unfinished()})
+            else:
+                self._send_json(404, {"error": "unknown route"})
+        except QuotaExceeded as error:
+            self._send_json(
+                429, {"error": error.reason, "retry_after": error.retry_after}
+            )
+        except ValueError as error:
+            status = 409 if "already exists" in str(error) else 400
+            self._send_json(status, {"error": str(error)})
+
+    def _post_jobs(self, front: ServiceFront, tenant: Tenant, body: bytes) -> None:
+        # The rate limit charges every job of the request at its arrival.
+        arrived = time.monotonic()
+        try:
+            payload = json.loads(body or b"{}")
+        except json.JSONDecodeError as error:
+            raise ValueError(f"invalid JSON body: {error}") from error
+        jobs = _build_jobs(front, payload)
+        if payload.get("defer"):
+            # Record-only (the /resume pattern): durable deferred records,
+            # outside the quota gate — nothing runs until adoption.
+            for job in jobs:
+                job.tenant = tenant.name
+                front.service.submit_deferred(job)
+            self._send_json(
+                202, {"submitted": [job.name for job in jobs], "deferred": True}
+            )
+            return
+        accepted = []
+        for job in jobs:
+            try:
+                accepted.append(front.submit(tenant, job, arrived))
+            except QuotaExceeded as error:
+                # Partial admission: everything accepted so far stays
+                # accepted and runs; the refusal reports both halves.
+                self._send_json(
+                    429,
+                    {
+                        "error": error.reason,
+                        "retry_after": error.retry_after,
+                        "submitted": [entry["job"] for entry in accepted],
+                    },
+                )
+                return
+        self._send_json(
+            202,
+            {
+                "submitted": [entry["job"] for entry in accepted],
+                "priorities": {entry["job"]: entry["priority"] for entry in accepted},
+                "tenant": tenant.name,
+                "deferred": False,
+            },
+        )
+
+    def _get_jobs(self, front: ServiceFront, tenant: Tenant, query: dict) -> None:
+        status = query.get("status") or None
+        query_tenant = None if front.tenants.open else tenant.name
+        if front.tenants.open and query.get("tenant"):
+            query_tenant = query["tenant"]
+        stored_jobs = front.store.query_jobs(tenant=query_tenant, status=status)
+        payloads = [
+            _job_payload(front, stored.name, stored)
+            for stored in stored_jobs
+            if _visible(front, tenant, stored.tenant)
+        ]
+        self._send_json(200, payloads)
+
+    def _get_job(self, front: ServiceFront, tenant: Tenant, name: str) -> None:
+        stored = front.store.load_jobs().get(name)
+        if stored is None or not _visible(front, tenant, stored.tenant):
+            self._send_json(404, {"error": f"unknown job {name!r}"})
+            return
+        self._send_json(200, _job_payload(front, name, stored))
+
+    def _post_cancel(self, front: ServiceFront, tenant: Tenant, name: str) -> None:
+        stored = front.store.load_jobs().get(name)
+        known = stored is not None or front.get_handle(name) is not None
+        if not known or (
+            stored is not None and not _visible(front, tenant, stored.tenant)
+        ):
+            self._send_json(404, {"error": f"unknown job {name!r}"})
+            return
+        cancelled = front.cancel(name)
+        self._send_json(202, {"job": name, "cancel_requested": bool(cancelled)})
+
+    # ----------------------------------------------------------------- SSE
+    def _get_events(
+        self, front: ServiceFront, tenant: Tenant, name: str, query: dict
+    ) -> None:
+        stored = front.store.load_jobs().get(name)
+        if (stored is None and front.get_handle(name) is None) or (
+            stored is not None and not _visible(front, tenant, stored.tenant)
+        ):
+            self._send_json(404, {"error": f"unknown job {name!r}"})
+            return
+        after = 0
+        raw_after = self._header("Last-Event-ID") or query.get("after", "")
+        if raw_after:
+            try:
+                after = max(0, int(raw_after))
+            except ValueError:
+                self._send_json(400, {"error": "last-event-id must be an integer"})
+                return
+
+        # No length: the stream is framed by closing the connection.
+        self._head_sent = True
+        self.send_response(200)
+        self.send_header("Content-Type", "text/event-stream")
+        self.send_header("Cache-Control", "no-cache")
+        self.send_header("Connection", "close")
+        self.end_headers()
+        # A first comment: the client sees the stream live before any event.
+        self.wfile.write(b": stream open\n\n")
+
+        hub = front.hub
+        # Subscribe BEFORE replaying history: events published during the
+        # replay land in the queue and are deduplicated by seq afterwards —
+        # the no-gap half of the resume contract.
+        subscription = hub.subscribe(name)
+        try:
+            last_sent, settled = self._replay(hub, name, after)
+            if settled:  # history already ends with job_settled
+                return
+            if last_sent == after:
+                # Nothing to replay.  A client resuming at (or past) an
+                # already delivered terminal frame is fully caught up on a
+                # finished stream — close it instead of parking on a
+                # settled job.
+                history = hub.history(name, after=0)
+                if (
+                    history
+                    and history[-1][1].get("kind") == JOB_SETTLED_KIND
+                    and history[-1][0] <= after
+                ):
+                    return
+            idle = 0.0
+            while not front.stopped and not self._client_gone():
+                try:
+                    seq, payload = subscription.queue.get(timeout=SSE_WAIT)
+                except queue.Empty:
+                    idle += SSE_WAIT
+                    if idle >= SSE_PING_INTERVAL:
+                        self.wfile.write(b": ping\n\n")  # idle keep-alive
+                        idle = 0.0
+                    continue
+                idle = 0.0
+                if seq <= last_sent:
+                    continue  # duplicate of the replay
+                if seq > last_sent + 1:
+                    # The bounded bridge queue shed events (or publish
+                    # raced the replay): heal the gap from the store.
+                    healed, settled = self._replay(hub, name, last_sent, upto=seq - 1)
+                    last_sent = max(last_sent, healed)
+                    if settled:
+                        return
+                    if seq <= last_sent:
+                        continue
+                self.wfile.write(format_frame(seq, payload))
+                last_sent = seq
+                if payload.get("kind") == JOB_SETTLED_KIND:
+                    return
+        finally:
+            hub.unsubscribe(subscription)
+
+    def _replay(
+        self, hub, name: str, after: int, *, upto: Optional[int] = None
+    ) -> tuple[int, bool]:
+        """Stream persisted events with ``after < seq [<= upto]``.
+
+        Returns ``(last sequence written — or *after* when none —, whether
+        the replayed slice ended the stream with a job_settled frame)``.
+        """
+        last = after
+        for seq, payload in hub.history(name, after=after):
+            if upto is not None and seq > upto:
+                break
+            self.wfile.write(format_frame(seq, payload))
+            last = seq
+            if payload.get("kind") == JOB_SETTLED_KIND:
+                return last, True
+        return last, False
+
+    def _client_gone(self) -> bool:
+        """EOF or a reset on the socket: HTTP/1.1's only disconnect signal."""
+        readable, _, _ = select.select([self.connection], [], [], 0)
+        if not readable:
+            return False
+        try:
+            peeked = self.connection.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return False
+        except OSError:
+            return True
+        return not peeked

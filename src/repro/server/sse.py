@@ -1,4 +1,4 @@
-"""Server-sent-events bridge: sync session events → asyncio SSE streams.
+"""Server-sent-events bridge: sync session events → SSE streams.
 
 The synthesis stack delivers typed session events via *synchronous*
 ``on_event`` callbacks on whatever thread runs the job.  The server turns
@@ -11,13 +11,13 @@ through :class:`EventHub`:
   gap-free from the store, across client reconnects and even across server
   restarts when the store survives (the hub re-seeds its counters from
   ``last_event_seq``);
-* live fan-out crosses into asyncio via ``loop.call_soon_threadsafe`` into
-  per-subscriber **bounded** ``asyncio.Queue``\\ s with a shed-and-count
-  backpressure discipline: a consumer that stops reading sheds its *own*
-  oldest events (counted on the subscription) instead of stalling the
-  publishing thread or other subscribers — and because every event is in
-  the store first, a shed subscriber heals the gap by re-reading from its
-  last seen id.
+* live fan-out runs on the publishing thread (the runner, or a fleet
+  receiver) into per-subscriber **bounded** ``queue.Queue``\\ s with a
+  shed-and-count backpressure discipline: a consumer that stops reading
+  sheds its *own* oldest events (counted on the subscription) instead of
+  blocking the publishing thread or other subscribers — and because every
+  event is in the store first, a shed subscriber heals the gap by
+  re-reading from its last seen id.
 
 Frame shape (one event)::
 
@@ -31,9 +31,9 @@ when a job reaches a terminal status.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import json
+import queue
 import threading
 from typing import Any, Optional
 
@@ -83,15 +83,16 @@ def format_frame(seq: int, payload: dict) -> bytes:
 class Subscription:
     """One SSE client's bounded bridge queue.
 
-    Items are ``(seq, payload)`` tuples.  ``push`` (loop thread only) sheds
-    the oldest queued event when full — counting the shed on ``dropped`` —
+    Items are ``(seq, payload)`` tuples.  ``push`` (the hub's publishing
+    thread, under the hub's lock) never blocks: when the queue is full it
+    sheds the oldest queued event — counting the shed on ``dropped`` —
     because a live stream must prefer fresh events; the consumer detects
     the resulting seq gap and heals it from the store.
     """
 
     def __init__(self, job_name: str, *, maxsize: int = DEFAULT_SUBSCRIBER_QUEUE):
         self.job_name = job_name
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=maxsize)
+        self.queue: queue.Queue = queue.Queue(maxsize=maxsize)
         self.dropped = 0
 
     def push(self, seq: int, payload: dict) -> None:
@@ -99,20 +100,19 @@ class Subscription:
             try:
                 self.queue.put_nowait((seq, payload))
                 return
-            except asyncio.QueueFull:
+            except queue.Full:
                 try:
                     self.queue.get_nowait()
                     self.dropped += 1
-                except asyncio.QueueEmpty:  # pragma: no cover - single-threaded loop
+                except queue.Empty:  # the consumer emptied it meanwhile
                     pass
 
 
 class EventHub:
-    """Per-job event sequencing, persistence, and asyncio fan-out."""
+    """Per-job event sequencing, persistence, and fan-out to subscribers."""
 
-    def __init__(self, store: Any, loop: asyncio.AbstractEventLoop):
+    def __init__(self, store: Any):
         self._store = store
-        self._loop = loop
         self._lock = threading.Lock()
         self._seqs: dict[str, int] = {}
         self._subscribers: dict[str, list[Subscription]] = {}
@@ -140,36 +140,37 @@ class EventHub:
         payload = event_payload(event)
         seq = self.next_seq(job_name)
         self._store.record_event(job_name, seq, payload)
-        self._loop.call_soon_threadsafe(self._fanout, job_name, seq, payload)
+        with self._lock:
+            for subscription in self._subscribers.get(job_name, ()):
+                subscription.push(seq, payload)
         return seq
-
-    def _fanout(self, job_name: str, seq: int, payload: dict) -> None:
-        for subscription in self._subscribers.get(job_name, ()):  # loop thread
-            subscription.push(seq, payload)
 
     # ------------------------------------------------------------ subscribing
     def subscribe(
         self, job_name: str, *, maxsize: int = DEFAULT_SUBSCRIBER_QUEUE
     ) -> Subscription:
-        """Register a live subscriber (call from the loop thread)."""
+        """Register a live subscriber."""
         subscription = Subscription(job_name, maxsize=maxsize)
-        self._subscribers.setdefault(job_name, []).append(subscription)
+        with self._lock:
+            self._subscribers.setdefault(job_name, []).append(subscription)
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
-        """Release one subscriber's bridge queue (loop thread)."""
-        bucket = self._subscribers.get(subscription.job_name)
-        if bucket is None:
-            return
-        try:
-            bucket.remove(subscription)
-        except ValueError:
-            pass
-        if not bucket:
-            del self._subscribers[subscription.job_name]
+        """Release one subscriber's bridge queue (idempotent)."""
+        with self._lock:
+            bucket = self._subscribers.get(subscription.job_name)
+            if bucket is None:
+                return
+            try:
+                bucket.remove(subscription)
+            except ValueError:
+                pass
+            if not bucket:
+                del self._subscribers[subscription.job_name]
 
     def subscriber_count(self, job_name: str) -> int:
-        return len(self._subscribers.get(job_name, ()))
+        with self._lock:
+            return len(self._subscribers.get(job_name, ()))
 
     # ---------------------------------------------------------------- history
     def history(self, job_name: str, *, after: int = 0) -> list[tuple[int, dict]]:

@@ -413,8 +413,6 @@ class MigrationService:
         on_event: Optional[Callable[[str, SessionEvent], None]] = None,
         job_store: SQLiteJobStore | str | None = None,
         workers: Union[Sequence[str], RemoteFleet, None] = None,
-        age_after: Optional[float] = None,
-        age_step: int = 1,
     ):
         self.max_workers = max_workers
         self.default_config = default_config or SynthesisConfig()
@@ -423,13 +421,6 @@ class MigrationService:
             # Paths and URLs open a SQLite store; store objects pass through.
             job_store = open_job_store(job_store)
         self._store = job_store
-        #: Anti-starvation aging forwarded to every scheduler this service
-        #: builds (see :class:`~repro.exec.scheduler.WorkScheduler`): a
-        #: pending job's priority improves by ``age_step`` per ``age_after``
-        #: seconds waited, so weighted fair-share fronts cannot starve
-        #: low-weight tenants.
-        self.age_after = age_after
-        self.age_step = age_step
         if workers is not None and not isinstance(workers, RemoteFleet):
             workers = RemoteFleet(workers=tuple(workers))
             self._owns_fleet = True
@@ -479,8 +470,6 @@ class MigrationService:
         max_workers: int = 0,
         default_config: Optional[SynthesisConfig] = None,
         on_event: Optional[Callable[[str, SessionEvent], None]] = None,
-        age_after: Optional[float] = None,
-        age_step: int = 1,
     ) -> "MigrationService":
         """Reconstruct an interrupted batch from its job store.
 
@@ -509,8 +498,6 @@ class MigrationService:
             default_config=default_config,
             on_event=on_event,
             job_store=path,
-            age_after=age_after,
-            age_step=age_step,
         )
         for stored in service._store.load_jobs().values():
             if stored.settled:
@@ -750,8 +737,6 @@ class MigrationService:
         options = {
             "retry": resilience.retry,
             "timeout": resilience.timeout,
-            "age_after": self.age_after,
-            "age_step": self.age_step,
         }
         if rung == "fleet":
             # Fleet width is the workers' live capacity (max_workers, when

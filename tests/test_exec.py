@@ -150,55 +150,6 @@ class TestInlineScheduler:
         assert alive.state is TaskState.DONE and alive.result == 6
 
 
-# ---------------------------------------------------------- priority aging
-class TestPriorityAging:
-    """The anti-starvation backstop under the server's stride priorities: a
-    task stuck behind a stream of better priorities gains ``age_step`` of
-    priority per ``age_after`` seconds waited, so it eventually dispatches."""
-
-    def test_starved_task_overtakes_after_aging(self):
-        order: list = []
-
-        def record(payload, ctx):
-            order.append(payload)
-
-        with WorkScheduler(max_workers=0, age_after=0.05, age_step=100) as scheduler:
-            starved = scheduler.submit(record, "starved", priority=50)
-            # Backdate the enqueue instant instead of sleeping: 10 aging
-            # periods of waiting are owed, worth 1000 priority points.
-            starved._enqueued -= 0.5
-            for index in range(3):
-                scheduler.submit(record, f"fresh-{index}", priority=0)
-            scheduler.drain()
-        assert order[0] == "starved"
-        assert scheduler.stats.tasks_aged >= 1
-
-    def test_aging_off_by_default(self):
-        order: list = []
-
-        def record(payload, ctx):
-            order.append(payload)
-
-        with WorkScheduler(max_workers=0) as scheduler:
-            handle = scheduler.submit(record, "low", priority=50)
-            handle._enqueued -= 500.0
-            scheduler.submit(record, "high", priority=0)
-            scheduler.drain()
-        assert order == ["high", "low"]
-        assert scheduler.stats.tasks_aged == 0
-
-    def test_aging_preserves_results_and_states(self):
-        with WorkScheduler(max_workers=0, age_after=0.01, age_step=5) as scheduler:
-            handles = [
-                scheduler.submit(_double, index, priority=index) for index in range(6)
-            ]
-            for handle in handles:
-                handle._enqueued -= 1.0
-            scheduler.drain()
-        assert [h.state for h in handles] == [TaskState.DONE] * 6
-        assert [h.result for h in handles] == [index * 2 for index in range(6)]
-
-
 # --------------------------------------------------------- pooled scheduler
 class TestPooledScheduler:
     def test_results_and_failures_cross_the_boundary(self):

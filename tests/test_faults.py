@@ -42,6 +42,7 @@ from repro.api import (
     RemoteFleet,
     ResilienceConfig,
     RetryPolicy,
+    ServiceFront,
     SynthesisConfig,
     TimeoutPolicy,
 )
@@ -153,7 +154,7 @@ class TestRetiredSettings:
     @pytest.mark.parametrize(
         "build, keyword",
         [
-            pytest.param(build, keyword, id=f"{build.__name__}-{keyword}")
+            pytest.param(build, keyword, id=f"{build.__qualname__}-{keyword}")
             for build, keyword in [
                 (WorkScheduler, "degrade"),
                 (WorkScheduler, "degrade_workers"),
@@ -166,14 +167,27 @@ class TestRetiredSettings:
                 (TimeoutPolicy, "connect_timeout"),
                 (TimeoutPolicy, "handshake_timeout"),
                 (RetryPolicy, "retry_budget"),
+                (WorkScheduler, "age_after"),
+                (WorkScheduler, "age_step"),
+                (MigrationService, "age_after"),
+                (MigrationService, "age_step"),
+                (MigrationService.resume, "age_after"),
+                (MigrationService.resume, "age_step"),
+                (ServiceFront, "age_after"),
+                (ServiceFront, "age_step"),
             ]
         ],
     )
-    def test_retired_keywords_raise_type_error(self, build, keyword):
-        # API 8.0.0 retired these settings: the service owns the ladder,
-        # and the timeouts nothing read or set are fixed constants.
+    def test_retired_keywords_raise_type_error(self, build, keyword, tmp_path):
+        # API 8.0.0 retired the ladder and timeout settings: the service
+        # owns the ladder, and the timeouts nothing read or set are fixed
+        # constants.  API 9.0.0 retired priority aging: each front cycle
+        # drains what it promoted, so no job waits on aging to run.
+        args = ()
+        if build in (MigrationService.resume, ServiceFront):
+            args = (str(tmp_path / "jobs.sqlite"),)
         with pytest.raises(TypeError, match=keyword):
-            build(**{keyword: 1})
+            build(*args, **{keyword: 1})
 
 
 # ------------------------------------------------------------ fleet chaos

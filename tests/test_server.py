@@ -1,16 +1,17 @@
-"""The async multi-tenant service front (repro.server).
+"""The multi-tenant service front (repro.server).
 
 Layers under test, bottom up:
 
 * tenants / quotas / stride pacing — pure-Python admission mechanics;
 * the SSE bridge — sequencing, persist-before-fanout, bounded-queue
-  shedding, subscription release;
+  shedding, subscription release, subscriptions churning on threads;
 * the synchronous :class:`ServiceFront` core — durable-deferred admission,
   duplicate rejection, backlog cancellation;
 * the HTTP surface over a real listening :class:`ServerThread` — auth,
-  submission, quota 429s, tenant visibility, SSE streaming with
-  ``Last-Event-ID`` resume (including across a server restart over the
-  SQLite store), disconnect cleanup;
+  submission and its validation, quota 429s, tenant visibility,
+  keep-alive after early answers, malformed ``Content-Length``, route
+  failures, SSE streaming with ``Last-Event-ID`` resume (including across
+  a server restart over the SQLite store), disconnect and stop cleanup;
 * equivalence — server-submitted jobs settle with the same trajectories as
   direct :class:`MigrationService` runs (full registry sweep behind
   ``REPRO_FULL_EQUIV=1``);
@@ -22,13 +23,14 @@ Layers under test, bottom up:
 
 from __future__ import annotations
 
-import asyncio
+import http.client
 import json
 import os
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -236,55 +238,67 @@ class TestSSEPayloads:
 
 
 class TestEventHub:
-    def _run(self, coro):
-        return asyncio.run(coro)
-
     def test_publish_persists_before_fanout_and_seeds_from_store(self, tmp_path):
         store = SQLiteJobStore(tmp_path / "events.sqlite", fsync=False)
         store.record_event("job", 5, {"kind": "old"})  # a previous life
-
-        async def scenario():
-            hub = EventHub(store, asyncio.get_running_loop())
-            subscription = hub.subscribe("job")
-            seq = hub.publish("job", {"kind": "fresh"})
-            assert seq == 6  # monotonic across restarts
-            # Persisted already, delivered after the loop tick.
-            assert store.last_event_seq("job") == 6
-            await asyncio.sleep(0)
-            assert subscription.queue.get_nowait() == (6, {"kind": "fresh"})
-            assert hub.history("job", after=5) == [(6, {"kind": "fresh"})]
-
-        self._run(scenario())
+        hub = EventHub(store)
+        subscription = hub.subscribe("job")
+        seq = hub.publish("job", {"kind": "fresh"})
+        assert seq == 6  # monotonic across restarts
+        # Persisted, and delivered on the publishing thread.
+        assert store.last_event_seq("job") == 6
+        assert subscription.queue.get_nowait() == (6, {"kind": "fresh"})
+        assert hub.history("job", after=5) == [(6, {"kind": "fresh"})]
 
     def test_bounded_queue_sheds_oldest_and_counts(self, tmp_path):
         store = SQLiteJobStore(tmp_path / "events.sqlite", fsync=False)
-
-        async def scenario():
-            hub = EventHub(store, asyncio.get_running_loop())
-            subscription = hub.subscribe("job", maxsize=3)
-            for index in range(6):
-                hub.publish("job", {"kind": "tick", "n": index})
-            await asyncio.sleep(0)
-            assert subscription.dropped == 3
-            kept = [subscription.queue.get_nowait()[0] for _ in range(3)]
-            assert kept == [4, 5, 6]  # freshest survive
-            # Everything shed is still replayable from the store.
-            assert [seq for seq, _ in hub.history("job", after=0)] == [1, 2, 3, 4, 5, 6]
-
-        self._run(scenario())
+        hub = EventHub(store)
+        subscription = hub.subscribe("job", maxsize=3)
+        for index in range(6):
+            hub.publish("job", {"kind": "tick", "n": index})
+        assert subscription.dropped == 3
+        kept = [subscription.queue.get_nowait()[0] for _ in range(3)]
+        assert kept == [4, 5, 6]  # freshest survive
+        # Everything shed is still replayable from the store.
+        assert [seq for seq, _ in hub.history("job", after=0)] == [1, 2, 3, 4, 5, 6]
 
     def test_unsubscribe_releases_the_bridge(self, tmp_path):
         store = SQLiteJobStore(tmp_path / "events.sqlite", fsync=False)
+        hub = EventHub(store)
+        subscription = hub.subscribe("job")
+        assert hub.subscriber_count("job") == 1
+        hub.unsubscribe(subscription)
+        assert hub.subscriber_count("job") == 0
+        hub.unsubscribe(subscription)  # idempotent
 
-        async def scenario():
-            hub = EventHub(store, asyncio.get_running_loop())
-            subscription = hub.subscribe("job")
-            assert hub.subscriber_count("job") == 1
-            hub.unsubscribe(subscription)
-            assert hub.subscriber_count("job") == 0
-            hub.unsubscribe(subscription)  # idempotent
+    def test_subscribers_churning_on_threads_are_never_lost(self, tmp_path):
+        # SSE clients come and go on their own threads.  Each ends holding
+        # one subscription, which must be registered and get the next
+        # event; no subscribe or unsubscribe may fail or drop another's.
+        # Two clients empty the job's subscriber list often, and that is
+        # where an unguarded unsubscribe and subscribe collide.
+        hub = EventHub(SQLiteJobStore(tmp_path / "events.sqlite", fsync=False))
+        kept: list = []
 
-        self._run(scenario())
+        def client():
+            for _ in range(5000):
+                hub.unsubscribe(hub.subscribe("job", maxsize=1))
+            kept.append(hub.subscribe("job", maxsize=1))
+
+        clients = [threading.Thread(target=client, daemon=True) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert hub.subscriber_count("job") == len(kept) == 2
+        seq = hub.publish("job", {"kind": "tick"})
+        assert [subscription.queue.get_nowait()[0] for subscription in kept] == [seq, seq]
 
 
 # ------------------------------------------------------- the front (no HTTP)
@@ -652,6 +666,128 @@ class TestServerHTTP:
         _, base = server
         assert _http(base, "/jobs/ghost/cancel", key="k-alpha", payload={})[0] == 404
 
+    @pytest.mark.parametrize("deadline", ["soon", True, -1, [5]], ids=repr)
+    def test_bad_deadline_is_400_and_the_runner_keeps_going(self, server, deadline):
+        thread, base = server
+        for defer in (False, True):
+            status, body, _ = _http(
+                base,
+                "/jobs",
+                key="k-alpha",
+                payload={"benchmark": "Oracle-1", "deadline": deadline, "defer": defer},
+            )
+            assert status == 400 and "deadline" in body["error"]
+        assert thread.front.store.query_jobs() == []
+        # A bad deadline used to reach the runner and end its thread.
+        payload = {"benchmark": "Oracle-1", "deadline": 120, "config": CONFIG}
+        assert _http(base, "/jobs", key="k-alpha", payload=payload)[0] == 202
+        assert [job["status"] for job in _poll_settled(base, "k-alpha")] == ["done"]
+
+    def test_config_checks_each_field_against_its_annotation(self, server):
+        thread, base = server
+        (job,) = _build_jobs(
+            thread.front,
+            {"benchmark": "Oracle-1", "config": {"time_limit": 5, "sketch_time_limit": 2.5}},
+        )
+        assert job.config.time_limit == 5.0 and isinstance(job.config.time_limit, float)
+        assert job.config.sketch_time_limit == 2.5
+        (job,) = _build_jobs(
+            thread.front,
+            {"benchmark": "Oracle-1", "config": {"max_iterations_per_sketch": None}},
+        )
+        assert job.config.max_iterations_per_sketch is None
+        for field, value, expected in [
+            ("time_limit", "soon", "expects float"),
+            ("time_limit", True, "expects float"),
+            ("max_iterations_per_sketch", 1.5, "expects int"),
+            ("verifier_random_sequences", None, "expects int"),
+            ("sketch", {}, "is not a scalar"),
+        ]:
+            status, body, _ = _http(
+                base, "/jobs", key="k-alpha", payload={"config": {field: value}}
+            )
+            assert status == 400 and f"config field {field!r} {expected}" == body["error"]
+        assert thread.front.store.query_jobs() == []
+
+    @pytest.mark.parametrize("length", ["-5", "abc", ""])
+    def test_malformed_content_length_is_400_and_closes(self, server, length):
+        thread, _ = server
+        with socket.create_connection(thread.address, timeout=10) as raw:
+            raw.sendall(
+                (
+                    "POST /jobs HTTP/1.1\r\nHost: x\r\nX-API-Key: k-alpha\r\n"
+                    f"Content-Length: {length}\r\n\r\n"
+                ).encode()
+            )
+            reply = b""
+            while chunk := raw.recv(4096):  # the server closes the connection
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"connection: close" in head.lower()
+        assert json.loads(body) == {"error": "invalid Content-Length"}
+
+    def test_early_answers_keep_the_connection_at_the_next_request(self, server):
+        thread, _ = server
+        connection = http.client.HTTPConnection(*thread.address, timeout=10)
+        try:
+            # The body is read before routing, so a 404 or a 401 leaves the
+            # connection at the next request.
+            for headers, status in [({"X-API-Key": "k-alpha"}, 404), ({}, 401)]:
+                connection.request("POST", "/nowhere", body=b'{"x": 1}', headers=headers)
+                response = connection.getresponse()
+                assert response.status == status and "error" in json.loads(response.read())
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read()) == {"status": "ok"}
+        finally:
+            connection.close()
+
+    def test_other_methods_answer_401_or_the_json_404(self, server):
+        thread, _ = server
+        connection = http.client.HTTPConnection(*thread.address, timeout=10)
+        try:
+            for method in ("PUT", "DELETE", "PATCH"):
+                connection.request(method, "/jobs")
+                response = connection.getresponse()
+                assert response.status == 401
+                assert "API key" in json.loads(response.read())["error"]
+                connection.request(method, "/jobs", headers={"X-API-Key": "k-alpha"})
+                response = connection.getresponse()
+                assert response.status == 404
+                assert response.getheader("Content-Type") == "application/json"
+                assert json.loads(response.read()) == {"error": "unknown route"}
+        finally:
+            connection.close()
+
+    def test_route_failure_is_500_and_the_server_keeps_serving(self, server, monkeypatch):
+        thread, base = server
+
+        def broken(**_query):
+            raise RuntimeError("store is down")
+
+        monkeypatch.setattr(thread.front.store, "query_jobs", broken)
+        request = urllib.request.Request(base + "/jobs", headers={"X-API-Key": "k-alpha"})
+        with pytest.raises(urllib.error.HTTPError) as failure:
+            urllib.request.urlopen(request, timeout=10)
+        assert failure.value.code == 500
+        assert _http(base, "/healthz")[0] == 200
+        monkeypatch.undo()
+        assert _http(base, "/jobs", key="k-alpha")[:2] == (200, [])
+
+    def test_retired_age_after_flag_is_refused(self, tmp_path, capsys):
+        from repro.server.__main__ import main
+
+        store = str(tmp_path / "jobs.sqlite")
+        # The unusable port stops a server that took the flag from serving.
+        argv = ["--store", store, "--listen", "127.0.0.1:none", "--age-after", "30"]
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        assert "--age-after" in capsys.readouterr().err
+        assert not (tmp_path / "jobs.sqlite").exists()
+
 
 class TestServerSSE:
     def test_stream_ends_with_job_settled_and_monotonic_ids(self, server):
@@ -742,6 +878,34 @@ class TestServerSSE:
             base, f"/jobs/{name}/events", key="k-alpha", headers={"Last-Event-ID": "seven"}
         )
         assert status == 400
+
+    def test_stop_ends_open_streams(self, tmp_path):
+        front = ServiceFront(
+            str(tmp_path / "jobs.sqlite"), tenants=_two_tenant_registry(), fsync=False
+        )
+        thread = ServerThread(front).start()
+        try:
+            base = "http://%s:%d" % thread.address
+            # A deferred job never settles: only the stop can end its stream.
+            _, body, _ = _http(
+                base,
+                "/jobs",
+                key="k-alpha",
+                payload={"benchmark": "Oracle-1", "defer": True, "config": CONFIG},
+            )
+            (name,) = body["submitted"]
+            request = urllib.request.Request(
+                f"{base}/jobs/{name}/events", headers={"X-API-Key": "k-alpha"}
+            )
+            response = urllib.request.urlopen(request, timeout=30)
+            assert response.readline() == b": stream open\n"
+        finally:
+            thread.stop()
+        stopped = time.time()
+        with response:
+            assert response.read() == b"\n"  # the rest of the open comment
+        assert time.time() - stopped < 5.0
+        assert front.hub.subscriber_count(name) == 0
 
 
 # ------------------------------------------------------------- equivalence
