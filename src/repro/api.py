@@ -289,6 +289,29 @@ unchanged.
   runner thread), and ``config`` may set ``time_limit``,
   ``sketch_time_limit`` and ``null`` for ``Optional`` fields (each is
   checked against the field's annotation).
+
+Changed in 9.0.1 — "distinct state pairs": bounded testing and the
+verifier's exhaustive phase walk the distinct (source state, candidate
+state) pairs breadth-first, and count the sequences they skip by
+arithmetic.  Verdicts, failing sequences, counts, raised errors and
+trajectories are unchanged.
+
+* The ``source_cache`` shared by a run's tester and verifier (and by a
+  service's same-source jobs) holds one source state graph per source
+  fingerprint and execution backend, charged one entry per state, next to
+  the single-sequence outputs of pool screening and the randomized
+  phase.  So ``SynthesisResult.cache.source_cache_entries`` counts states
+  plus sequence entries, and ``source_cache_hits`` counts walks that found
+  the graph built plus sequence outputs served.
+* Interrupt hooks are polled once per state pair and update name the
+  walk extends and once per state pair it checks for a query.
+* Fixed: a job with a non-finite ``deadline`` (``float("inf")``) runs as a
+  job without one on every rung (two such jobs under ``max_workers=2``
+  made ``run()`` raise ``OverflowError``), and ``POST /jobs`` answers
+  ``400`` naming the field to a body that is not an object, a
+  ``benchmark`` that is not a string, a ``variants`` that is not an
+  integer ≥ 0 and a ``config`` that is not an object (they answered
+  ``500``).
 """
 
 from __future__ import annotations
@@ -334,7 +357,7 @@ from repro.service import (
 )
 
 #: Semantic version of this surface (not of the package implementation).
-API_VERSION = "9.0.0"
+API_VERSION = "9.0.1"
 
 __all__ = [
     "API_VERSION",

@@ -4,9 +4,11 @@ An invocation sequence (Section 3.2) is a list of update-function calls
 followed by a single query-function call.  The bounded tester enumerates
 sequences in increasing length over small per-type constant seed sets; the
 first failing sequence found is therefore a *minimum failing input* (MFI).
-The enumeration is also available as blocks — one update prefix plus one
-query with all of its argument tuples — which the verifier walks to run
-each prefix once (:meth:`SequenceGenerator.blocks`).
+:meth:`SequenceGenerator.queries` describes that order once, per query: the
+update calls that may precede it and its argument tuples.
+:meth:`SequenceGenerator.sequences` flattens the description, and the
+bounded tester's walk over state pairs counts by it without building the
+sequences it skips.
 """
 
 from __future__ import annotations
@@ -204,17 +206,27 @@ def tables_touched(func: Function) -> frozenset[str]:
     return frozenset(tables)
 
 
-class SequenceBlock(NamedTuple):
-    """One update prefix plus one query with all of its argument tuples."""
+class QuerySequences(NamedTuple):
+    """How the sequences that end in one query are enumerated.
 
-    prefix: InvocationSequence
-    query: str
+    ``updates`` is the query's relevance class: the update functions that may
+    precede it, each with its argument tuples, in enumeration order.  The
+    prefixes of one length run over update names first and arguments second
+    (:meth:`prefixes`), and the query's argument tuples vary fastest.  So
+    with ``R`` update calls in the class (an update name with one of its
+    argument tuples) and ``A`` query argument tuples, ``R ** n * A``
+    sequences of length ``n + 1`` end in this query.
+    """
+
+    name: str
     arguments: tuple[tuple, ...]
+    updates: tuple[tuple[str, tuple[tuple, ...]], ...]
 
-    def sequences(self) -> Iterator[InvocationSequence]:
-        prefix, query = self.prefix, self.query
-        for args in self.arguments:
-            yield prefix + ((query, args),)
+    def prefixes(self, length: int) -> Iterator[InvocationSequence]:
+        """The update prefixes of *length*: names vary slowest, then arguments."""
+        pools = {name: [(name, args) for args in arguments] for name, arguments in self.updates}
+        for names in itertools.product(pools, repeat=length):
+            yield from itertools.product(*(pools[name] for name in names))
 
 
 @dataclass
@@ -246,46 +258,50 @@ class SequenceGenerator:
         query_names = [f.name for f in reference.query_functions()]
         return update_names, query_names
 
-    def blocks(self) -> Iterator[SequenceBlock]:
-        """Yield the enumeration as blocks, in :meth:`sequences` order.
+    def queries(self) -> list[QuerySequences]:
+        """The enumeration, described once: one entry per query, in order.
 
-        Query arguments vary fastest, so every argument tuple of one query
-        after one update prefix is contiguous in the enumeration: one block.
+        For every length from 0 to ``max_updates``, :meth:`sequences` runs
+        through these queries in this order, and the exhaustive walk of
+        :class:`~repro.equivalence.tester.BoundedTester` counts by them.
         """
         reference = self.programs[0]
         touch = self._touch_map()
         update_names, query_names = self._function_lists()
         key_attrs = filtered_attributes(reference)
 
-        def arguments(name: str) -> list[tuple]:
+        def arguments(name: str) -> tuple[tuple, ...]:
             func = reference.function(name)
-            return argument_combinations(func, self.seeds, predicate_parameters(func, key_attrs))
+            return tuple(
+                argument_combinations(func, self.seeds, predicate_parameters(func, key_attrs))
+            )
 
-        query_args = {name: tuple(arguments(name)) for name in query_names}
-        update_calls = {
-            name: [(name, args) for args in arguments(name)] for name in update_names
-        }
-
-        for num_updates in range(0, self.max_updates + 1):
-            for query_name in query_names:
-                relevant_updates = update_names
-                if self.relevance_filter:
-                    query_tables = touch.get(query_name, frozenset())
-                    relevant_updates = [
-                        name
-                        for name in update_names
-                        if touch.get(name, frozenset()) & query_tables
-                    ]
-                arguments_of_query = query_args[query_name]
-                for update_combo in itertools.product(relevant_updates, repeat=num_updates):
-                    pools = [update_calls[name] for name in update_combo]
-                    for prefix in itertools.product(*pools):
-                        yield SequenceBlock(prefix, query_name, arguments_of_query)
+        update_arguments = {name: arguments(name) for name in update_names}
+        queries = []
+        for query_name in query_names:
+            relevant_updates = update_names
+            if self.relevance_filter:
+                query_tables = touch.get(query_name, frozenset())
+                relevant_updates = [
+                    name for name in update_names if touch.get(name, frozenset()) & query_tables
+                ]
+            queries.append(
+                QuerySequences(
+                    query_name,
+                    arguments(query_name),
+                    tuple((name, update_arguments[name]) for name in relevant_updates),
+                )
+            )
+        return queries
 
     def sequences(self) -> Iterator[InvocationSequence]:
         """Yield sequences in increasing length (then deterministic order)."""
-        for block in self.blocks():
-            yield from block.sequences()
+        queries = self.queries()
+        for num_updates in range(self.max_updates + 1):
+            for query in queries:
+                for prefix in query.prefixes(num_updates):
+                    for args in query.arguments:
+                        yield prefix + ((query.name, args),)
 
     def random_sequences(
         self, count: int, max_length: int, rng: random.Random | None = None

@@ -10,30 +10,35 @@ length, that sequence is a minimum failing input (MFI).
 pass (:class:`~repro.equivalence.verifier.BoundedVerifier`) runs the same
 check through a tester built with its own bound, seeds and sequence cap.
 
-The exhaustive search (:meth:`BoundedTester.first_failing`) is one walk
-over the generator's blocks (one update prefix plus one query with all of
-its argument tuples — see
-:meth:`~repro.equivalence.invocation.SequenceGenerator.blocks`), the same on
-every execution backend.  Each distinct prefix gets one state per program,
-forked from the parent prefix's state and advanced by one update, and each
-state carries an exact key (row values in storage order plus the UID
-counter, see ``CompiledState.key``); a step from a state whose key an
-earlier state had is taken once.  A block whose (query, source key,
-candidate key) triple an earlier block of the same call already checked is
-skipped and counted as checked: every engine's behaviour is a function of
-that triple, so it would repeat a check that passed.  Prefixes that raised,
-and states whose key cannot be hashed, are never skipped.  The verdict,
-failing sequence, count and raised errors are exactly those of checking
-every sequence in order; EXPERIMENTS.md ("State-deduplicated testing and
+The exhaustive search (:meth:`BoundedTester.first_failing`) is a
+breadth-first walk over distinct (source state, candidate state) pairs, the
+same on every execution backend.  Each program's states live in a
+:class:`StateGraph`: a state is interned by its exact key (row values in
+storage order plus the UID counter, see ``CompiledState.key``), and each
+node memoizes the node every invocation leads to, so a step from a state is
+taken once and pairs compare by node identity.  For each relevance class
+(the update calls relevant to a query, see
+:meth:`~repro.equivalence.invocation.SequenceGenerator.queries`), level
+``n`` keeps only the pairs that no shorter prefix reached, each tagged with
+the lowest enumeration index of a prefix that reaches it; each query runs
+its argument tuples only on its level's new pairs, in index order, and
+every other sequence is counted by arithmetic (a level holds ``R ** n * A``
+sequences for ``R`` relevant calls and ``A`` argument tuples).  Every
+engine's behaviour is a function of the pair, so a skipped sequence would
+repeat a check that passed.  Nodes that raised, that produced output, or
+whose key cannot be hashed are never merged.  The verdict, failing
+sequence, count and raised errors are exactly those of checking every
+sequence in order; EXPERIMENTS.md ("State-deduplicated testing and
 verification") gives the soundness argument.
 
 Two layers of reuse keep repeated testing cheap:
 
-* Source prefix states and source outputs live in a size-bounded LRU
+* The source state graph (with each node's query outputs) and the source
+  outputs of single sequences live in a size-bounded LRU
   :class:`~repro.testing_cache.SourceOutputCache` that can be shared across
   testers and verifiers within one process (the synthesizer shares one per
   run; service workers share one per process), so later calls and
-  same-source jobs reuse them; the candidate side lives for one call.
+  same-source jobs reuse them; the candidate graph lives for one call.
 * When a :class:`~repro.testing_cache.CounterexamplePool` is attached, every
   candidate is first screened against previously discovered failing inputs
   (cheapest first, at most :data:`SCREENING_BUDGET` of them) and only falls
@@ -58,12 +63,15 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.engine.compiler import ProgramCompiler, make_loader
 from repro.engine.joins import ExecutionError
 from repro.equivalence.invocation import (
     InvocationSequence,
+    QuerySequences,
     SeedSet,
     SequenceGenerator,
     format_sequence,
@@ -134,7 +142,8 @@ class TesterStatistics:
     #: Sequences run one at a time through ``differs_on`` (pool screening,
     #: the verifier's randomized phase); the walk's are not counted here.
     sequences_executed: int = 0
-    #: Source outputs and source prefix states served from the source cache.
+    #: Walks that found the source state graph already in the source cache,
+    #: plus single-sequence source outputs served from it.
     source_cache_hits: int = 0
     candidates_tested: int = 0
     #: Candidates that went through the exhaustive walk (i.e. were not
@@ -146,95 +155,226 @@ class TesterStatistics:
     full_enumeration_sequences: int = 0
 
 
-class _Prefix:
-    """One update prefix executed on one program: its state, or its error.
+class _Node:
+    """One node of a state graph: a state a run reached, or the error that ended it.
 
     ``outputs`` holds results of prefix invocations that returned some (a
-    candidate implementing a source update as a query).  ``key`` is the
-    state's exact key, or ``None`` when the prefix must never be skipped:
-    it raised, it produced outputs, or its key cannot be hashed.
+    candidate implementing a source update as a query).  ``successors``
+    memoizes the index of the node each invocation leads to, and
+    ``results`` (source graph only) each query's ``(canonical, raw)``
+    outputs.
     """
 
-    __slots__ = ("state", "key", "error", "outputs")
+    __slots__ = ("state", "error", "origin", "outputs", "successors", "results")
 
     def __init__(self, state, error: Optional[Exception] = None, outputs: tuple = ()):
         self.state = state
         self.error = error
+        #: Where *error* was raised.  Every raise of it starts from here, so
+        #: an exception cached in a shared graph does not collect the frames
+        #: of every walk that raises it.
+        self.origin = None if error is None else error.__traceback__
         self.outputs = outputs
-        self.key = None
-        if error is None and not outputs:
-            key = state.key()
+        self.successors: dict = {}
+        self.results: dict = {}
+
+
+class StateGraph:
+    """The states one program reaches from the empty database, as a graph.
+
+    A state is interned by its exact key (row values in storage order plus
+    the UID counter, see ``CompiledState.key``), so every run that reaches
+    equal states reaches one node, and nodes are named by their index in
+    ``nodes`` (the root is 0).  Edges hold indices, not nodes, so the
+    graph's edges form no reference cycles (a delete can lead back to an
+    earlier state) and a dropped graph is freed at once.  A node
+    that raised, that produced output, or whose key cannot be hashed keeps
+    its own index: it is never merged with another.  A node that raised
+    has no successors (the walk's first check through it ends the walk).
+    """
+
+    __slots__ = ("executable", "nodes", "_interned")
+
+    def __init__(self, executable):
+        self.executable = executable
+        self.nodes: list[_Node] = []
+        self._interned: dict = {}
+        self._intern(executable.new_state(), ())
+
+    @property
+    def root(self) -> _Node:
+        return self.nodes[0]
+
+    def _intern(self, state, outputs: tuple) -> int:
+        index = len(self.nodes)
+        if not outputs:
             try:
-                hash(key)
+                interned = self._interned.setdefault(state.key(), index)
             except TypeError:  # an unhashable cell value
-                return
-            self.key = key
+                pass
+            else:
+                if interned != index:
+                    return interned
+        self.nodes.append(_Node(state, None, outputs))
+        return index
 
-    def step(self, executable, invocation) -> "_Prefix":
-        """This prefix extended by one invocation, on a fork of its state."""
-        state = self.state.fork()
+    def successor(self, node: _Node, invocation) -> int:
+        """The index of the node that *invocation* leads to from *node*, stepped once."""
+        index = node.successors.get(invocation)
+        if index is None:
+            index = node.successors[invocation] = self._step(node, invocation)
+        return index
+
+    def _step(self, node: _Node, invocation) -> int:
+        state = node.state.fork()
         try:
-            result = executable.call(state, invocation[0], invocation[1])
+            result = self.executable.call(state, invocation[0], invocation[1])
         except Exception as error:
-            # Recorded, not handled: a run of any sequence through this
-            # prefix raises it here, and the walk raises it (or fails the
-            # candidate) on the first sequence of the first block through it.
-            return _Prefix(None, error, self.outputs)
-        return _Prefix(state, None, self.outputs if result is None else self.outputs + (result,))
+            # Recorded, not raised: the walk raises it (or fails the
+            # candidate) when the first sequence through this node is checked.
+            self.nodes.append(_Node(None, error, node.outputs))
+            return len(self.nodes) - 1
+        if result is not None:
+            return self._intern(state, node.outputs + (result,))
+        return self._intern(state, node.outputs)
 
-    def run(self, executable, query: str, args) -> list:
-        """Outputs of this prefix followed by one query; errors raise.
+    def outputs(self, node: _Node, query: str, args) -> tuple:
+        """``(canonical, raw)`` outputs of :meth:`run`, memoized on *node*."""
+        entry = node.results.get((query, args))
+        if entry is None:
+            raw = self.run(node, query, args)
+            entry = node.results[(query, args)] = (canonicalize_outputs(raw), raw)
+        return entry
 
-        Queries run on the shared prefix state: they mutate nothing.  A
-        candidate that implements a source query as an update returns no
-        output for it, so it diverges on that query's first, prefix-free
-        block before a mutated state is read.
+    def run(self, node: _Node, query: str, args) -> list:
+        """Outputs of *node*'s run followed by one query; errors raise.
+
+        Queries run on the node's state: they mutate nothing.  A candidate
+        that implements a source query as an update returns no output for
+        it, so it fails that query's first, prefix-free check before a
+        mutated state is read.
         """
-        if self.error is not None:
-            raise self.error
-        result = executable.call(self.state, query, args)
-        outputs = list(self.outputs)
+        if node.error is not None:
+            raise node.error.with_traceback(node.origin)
+        result = self.executable.call(node.state, query, args)
+        outputs = list(node.outputs)
         if result is not None:
             outputs.append(result)
         return outputs
 
 
-class _Prefixes:
-    """The prefix states of one program, memoized by prefix.
+#: The sequence slot under which a source state graph is cached.
+_STATE_GRAPH = "state graph"
 
-    *get*/*put* hold the prefix memo (a dict, or the shared source cache).
-    Steps are memoized per call by ``(key, invocation)``: a state whose key
-    an earlier state had behaves identically, so each step is taken once.
+
+class _Pair:
+    """A (source node, candidate node) pair that no shorter prefix reached.
+
+    It is tagged with the lowest enumeration index among the prefixes of
+    its level that reach it: ``earlier`` prefixes have update names that
+    come before the tagged prefix's names, ``offset`` is its rank among the
+    ``width`` prefixes with the same names (its argument indices in mixed
+    radix), and ``index = earlier + offset``.  ``parent`` and ``call`` give
+    the prefix back.
     """
 
-    __slots__ = ("executable", "get", "put", "steps")
+    __slots__ = ("source", "candidate", "earlier", "offset", "width", "index", "parent", "call")
 
-    def __init__(self, executable, get, put):
-        self.executable = executable
-        self.get = get
-        self.put = put
-        self.steps: dict = {}
+    def __init__(self, source, candidate, earlier: int, offset: int, width: int, parent, call):
+        self.source = source
+        self.candidate = candidate
+        self.earlier = earlier
+        self.offset = offset
+        self.width = width
+        self.index = earlier + offset
+        self.parent = parent
+        self.call = call
 
-    def __getitem__(self, prefix) -> _Prefix:
-        node = self.get(prefix)
-        if node is None:
-            if prefix:
-                node = self._extend(self[prefix[:-1]], prefix[-1])
-            else:
-                node = _Prefix(self.executable.new_state())
-            self.put(prefix, node)
-        return node
+    def prefix(self) -> InvocationSequence:
+        if self.parent is None:
+            return ()
+        return self.parent.prefix() + (self.call,)
 
-    def _extend(self, parent: _Prefix, invocation) -> _Prefix:
-        if parent.error is not None:
-            return parent  # a run stops at its first error
-        if parent.key is None:
-            return parent.step(self.executable, invocation)
-        step = (parent.key, invocation)
-        node = self.steps.get(step)
-        if node is None:
-            node = self.steps[step] = parent.step(self.executable, invocation)
-        return node
+
+class _RelevanceClass:
+    """The levels of new pairs for the queries that share one relevance class.
+
+    Level ``n`` holds, in index order, the pairs reached by a prefix of
+    ``n`` relevant update calls and by no shorter one.  A successor of a
+    pair already seen has been seen too, and appending one call keeps the
+    enumeration order (update names first, then arguments), so a new pair's
+    lowest-index prefix extends the lowest-index prefix of a new pair one
+    level up.  So level ``n + 1`` is built from level ``n`` alone by
+    visiting those extensions in index order, where the first one that
+    reaches a pair is its lowest-index prefix; it is built lazily, as far
+    as its first query's checks read it.
+    """
+
+    __slots__ = ("updates", "radix", "levels", "seen")
+
+    def __init__(self, query: QuerySequences, root: _Pair):
+        #: Per update name: the calls of earlier names, its number of
+        #: argument tuples, and its calls with their argument indices.
+        self.updates = []
+        earlier = 0
+        for name, arguments in query.updates:
+            calls = [((name, args), index) for index, args in enumerate(arguments)]
+            self.updates.append((earlier, len(arguments), calls))
+            earlier += len(arguments)
+        self.radix = earlier
+        self.levels = [[root]]
+        self.seen = {(0, 0)}  # node indices of the root pair
+
+    def pairs(self, length: int, source: StateGraph, candidate: StateGraph, interrupt):
+        """The new pairs of level *length*, in index order.
+
+        The class's first query at a length reads the level while it is
+        built.  The walk goes on only after a query has read its whole
+        level, so the next query, and the next level, find it finished.
+        """
+        if length == len(self.levels):
+            self.levels.append([])
+            return self._extend(self.levels[-2], self.levels[-1], source, candidate, interrupt)
+        return self.levels[length]
+
+    def _extend(self, parents: list, level: list, source, candidate, interrupt):
+        """Build *level* from *parents*, yielding each new pair as it is added.
+
+        The extensions are visited in index order: the parents with the same
+        update names together (their tags share ``earlier``), then the
+        appended name, then the parent's arguments, then the appended
+        arguments.
+        """
+        seen = self.seen
+        radix = self.radix
+        for _names, same_names in groupby(parents, attrgetter("earlier")):
+            same_names = list(same_names)
+            for earlier_calls, count, calls in self.updates:
+                for parent in same_names:
+                    if interrupt is not None and interrupt():
+                        raise TestingInterrupted()
+                    source_node, candidate_node = parent.source, parent.candidate
+                    earlier = parent.earlier * radix + parent.width * earlier_calls
+                    width = parent.width * count
+                    for call, argument in calls:
+                        nodes = (
+                            source.successor(source_node, call),
+                            candidate.successor(candidate_node, call),
+                        )
+                        if nodes not in seen:
+                            seen.add(nodes)
+                            level.append(
+                                _Pair(
+                                    source.nodes[nodes[0]],
+                                    candidate.nodes[nodes[1]],
+                                    earlier,
+                                    parent.offset * count + argument,
+                                    width,
+                                    parent,
+                                    call,
+                                )
+                            )
+                            yield level[-1]
 
 
 class BoundedTester:
@@ -269,14 +409,15 @@ class BoundedTester:
         # identical, memory just stays bounded.  (``is None``, not ``or`` — an
         # empty shared cache is falsy but must still be adopted.)  Keys
         # include the source fingerprint, so sharing across testers, the
-        # verifier and same-source service jobs is sound; prefix states go
+        # verifier and same-source service jobs is sound; the state graph goes
         # under a key that also names the execution backend, because one
         # cache serves jobs with different configs.
         self._source_cache = source_cache if source_cache is not None else SourceOutputCache()
         self._source_key = format_program(source)
-        #: Optional cooperative-interruption hook: when set, it is polled once
-        #: per block of the exhaustive walk and once per sequence run through
-        #: ``differs_on``, and a ``True`` return aborts the search with
+        #: Optional cooperative-interruption hook: when set, it is polled by
+        #: the exhaustive walk once per pair and update name it extends and
+        #: once per pair it checks for a query, and once per sequence run
+        #: through ``differs_on``; a ``True`` return aborts the search with
         #: :class:`TestingInterrupted`.  The completer installs (and
         #: restores) it around each ``complete`` call.
         self.interrupt: Optional[Callable[[], bool]] = None
@@ -345,72 +486,70 @@ class BoundedTester:
             self.pool.add(failing)
         return failing
 
-    def _source_prefixes(self, executable) -> _Prefixes:
-        """Source prefix states, in the source cache."""
-        cache = self._source_cache
-        states = (self._source_key, self.execution_backend)
-        stats = self.stats
-
-        def get(prefix):
-            node = cache.get(states, prefix)
-            if node is not None:
-                stats.source_cache_hits += 1
-            return node
-
-        def put(prefix, node):
-            if node.error is None:  # errors are never cached
-                cache.put(states, prefix, node)
-
-        return _Prefixes(executable, get, put)
+    def _source_graph(self) -> tuple[StateGraph, tuple]:
+        """The source state graph of this backend, from the source cache, and its key."""
+        key = (self._source_key, self.execution_backend)
+        graph = self._source_cache.get(key, _STATE_GRAPH)
+        if graph is None:
+            graph = StateGraph(self._load(self.source))
+            self._source_cache.put(key, _STATE_GRAPH, graph, len(graph.nodes))
+        else:
+            self.stats.source_cache_hits += 1
+        return graph, key
 
     def first_failing(self, candidate: Program) -> tuple[Optional[InvocationSequence], int]:
         """The exhaustive walk: the first failing sequence (or ``None``) and the count.
 
-        The count reproduces a sequence-by-sequence loop exactly, including
-        the sequence that trips ``max_sequences``, which is counted but
-        never checked.
+        Level by level and query by query, in enumeration order, the query's
+        argument tuples run only on the new pairs of its relevance class, in
+        index order; every other sequence passes as the earlier check of its
+        pair did, and is counted by arithmetic.  The count reproduces a
+        sequence-by-sequence loop exactly, including the sequence that trips
+        ``max_sequences``, which is counted but never checked.
         """
-        source_program = self._load(self.source)
-        candidate_program = self._load(candidate)
-        source_prefixes = self._source_prefixes(source_program)
-        candidate_memo: dict = {}
-        candidate_prefixes = _Prefixes(
-            candidate_program, candidate_memo.get, candidate_memo.__setitem__
-        )
-        checked_triples: set = set()
-        checked = 0
+        source_graph, graph_key = self._source_graph()
+        candidate_graph = StateGraph(self._load(candidate))
+        root = _Pair(source_graph.root, candidate_graph.root, 0, 0, 1, None, None)
+        queries = self.generator(candidate).queries()
+        classes: dict = {}
+        interrupt = self.interrupt
         limit = self.max_sequences
-        for prefix, query, arguments in self.generator(candidate).blocks():
-            if self.interrupt is not None and self.interrupt():
-                raise TestingInterrupted()
-            expected_node = source_prefixes[prefix]
-            actual_node = candidate_prefixes[prefix]
-            triple = None
-            if expected_node.key is not None and actual_node.key is not None:
-                triple = (query, expected_node.key, actual_node.key)
-                if triple in checked_triples:
-                    if checked + len(arguments) > limit:
-                        return None, limit + 1
-                    checked += len(arguments)
+        checked = 0
+        for length in range(self.max_updates + 1):
+            for query in queries:
+                relevance = classes.get(query.updates)
+                if relevance is None:
+                    relevance = classes[query.updates] = _RelevanceClass(query, root)
+                arguments = query.arguments
+                sequences = relevance.radix**length * len(arguments)
+                if not sequences:
                     continue
-            for args in arguments:
-                checked += 1
-                if checked > limit:
-                    return None, checked
-                sequence = prefix + ((query, args),)
-                # Source first (exactly like differs_on): its errors
-                # propagate before the candidate is consulted.
-                expected, raw_expected = self._expected(
-                    sequence, lambda: expected_node.run(source_program, query, args)
-                )
+                if checked >= limit:
+                    return None, limit + 1
+                name = query.name
                 try:
-                    actual = actual_node.run(candidate_program, query, args)
-                except ExecutionError:
-                    return sequence, checked
-                if actual != raw_expected and canonicalize_outputs(actual) != expected:
-                    return sequence, checked
-            if triple is not None:
-                checked_triples.add(triple)
+                    for pair in relevance.pairs(length, source_graph, candidate_graph, interrupt):
+                        if interrupt is not None and interrupt():
+                            raise TestingInterrupted()
+                        position = checked + pair.index * len(arguments)
+                        for args in arguments:
+                            position += 1
+                            if position > limit:
+                                return None, limit + 1
+                            # Source first (exactly like differs_on): its errors
+                            # propagate before the candidate is consulted.
+                            expected, raw_expected = source_graph.outputs(pair.source, name, args)
+                            try:
+                                actual = candidate_graph.run(pair.candidate, name, args)
+                            except ExecutionError:
+                                return pair.prefix() + ((name, args),), position
+                            if actual != raw_expected and canonicalize_outputs(actual) != expected:
+                                return pair.prefix() + ((name, args),), position
+                finally:
+                    self._source_cache.resize(graph_key, _STATE_GRAPH, len(source_graph.nodes))
+                if checked + sequences > limit:
+                    return None, limit + 1
+                checked += sequences
         return None, checked
 
     def check_equivalent(self, candidate: Program) -> bool:

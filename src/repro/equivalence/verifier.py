@@ -16,9 +16,12 @@ limitation in EXPERIMENTS.md.
 
 Both phases run through one :class:`~repro.equivalence.tester.BoundedTester`
 per source program, built with the verifier's bound, seeds and sequence
-cap: the exhaustive phase is the tester's state-deduplicated walk
+cap: the exhaustive phase is the tester's breadth-first walk over distinct
+(source state, candidate state) pairs
 (:meth:`~repro.equivalence.tester.BoundedTester.first_failing`), and the
-randomized phase runs sequence by sequence through its ``differs_on``.  So
+randomized phase runs sequence by sequence through its ``differs_on``.  The
+source state graph is keyed by fingerprint and backend, not by seeds or
+bound, so the verifier extends the graph the run's tester built.  So
 source caching and ``ExecutionError`` semantics are the tester's by
 construction: a candidate that raises is failing (never "equivalently
 broken"), and a source that raises propagates the error to the caller.  See
@@ -76,7 +79,7 @@ class BoundedVerifier:
         self.execution_backend = execution_backend
         self._compiler = compiler
         # Shared with the run's tester (the synthesizer passes its cache), or
-        # private; either way source states and outputs outlive one call.
+        # private; either way the source state graph outlives one call.
         self._source_cache = source_cache if source_cache is not None else SourceOutputCache()
         #: Counters of every tester this verifier builds (surfaced alongside
         #: the run tester's on ``SynthesisResult.cache``).
@@ -84,7 +87,7 @@ class BoundedVerifier:
         self._tester: Optional[BoundedTester] = None
         #: Optional cooperative-interruption hook, mirroring
         #: ``BoundedTester.interrupt`` and handed to the tester on every
-        #: call: polled once per block of the exhaustive phase and once per
+        #: call: polled as the tester's walk polls it and once per
         #: randomized sequence; a ``True`` return aborts the pass with
         #: :class:`~repro.equivalence.tester.TestingInterrupted`.  The
         #: completer installs (and restores) it around each completion call,

@@ -64,6 +64,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import math
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED
@@ -154,7 +155,9 @@ class TaskHandle:
         self.payload = payload
         self.name = name or f"task-{task_id}"
         self.priority = priority
-        self.deadline = deadline
+        # A non-finite deadline is no deadline: ``inf`` would become an
+        # infinite wait() timeout, and NaN compares false with every instant.
+        self.deadline = deadline if deadline is not None and math.isfinite(deadline) else None
         self.on_event = on_event
         self.on_start = on_start
         #: Crash retries charged to this task (one per lost worker).

@@ -10,7 +10,8 @@ Endpoints (all JSON unless noted):
   quota gate, and assigns stride fair-share priorities.  ``202`` with the
   accepted names; ``429`` + ``Retry-After`` on quota refusal; ``409`` on a
   name collision.  ``deadline`` is absent, ``null`` or a finite
-  number of seconds ≥ 0.  ``config`` may set any scalar
+  number of seconds ≥ 0, and ``variants`` an integer ≥ 0.  ``config`` is
+  an object that may set any scalar
   :class:`~repro.api.SynthesisConfig` field, checked against the field's
   annotation (``Optional`` fields take ``null``); engine and strategy
   names must be known ones.  Anything else is a ``400`` before a job is
@@ -102,6 +103,8 @@ def _apply_config(config: Any, overrides: dict) -> None:
         "execution_backend": EXECUTION_BACKENDS,
         "completion_strategy": COMPLETER_CLASSES,
     }
+    if not isinstance(overrides, dict):
+        raise ValueError("config must be a JSON object")
     hints = _field_types(type(config))
     for key, value in overrides.items():
         if key not in hints:
@@ -134,11 +137,15 @@ def _build_jobs(front: ServiceFront, payload: dict) -> list:
     from repro.workloads import get_benchmark, rename_variants
 
     benchmark_name = payload.get("benchmark", "coachup")
+    if not isinstance(benchmark_name, str):
+        raise ValueError("benchmark must be a benchmark name")
     try:
         benchmark = get_benchmark(benchmark_name)
     except KeyError as error:
         raise ValueError(str(error)) from error
-    variants = int(payload.get("variants", 0))
+    variants = payload.get("variants", 0)
+    if isinstance(variants, bool) or not isinstance(variants, int) or variants < 0:
+        raise ValueError("variants must be an integer >= 0")
     deadline = payload.get("deadline")
     if deadline is not None and (
         isinstance(deadline, bool)
@@ -326,6 +333,8 @@ class FrontHandler(BaseHTTPRequestHandler):
             payload = json.loads(body or b"{}")
         except json.JSONDecodeError as error:
             raise ValueError(f"invalid JSON body: {error}") from error
+        if not isinstance(payload, dict):
+            raise ValueError("the request body must be a JSON object")
         jobs = _build_jobs(front, payload)
         if payload.get("defer"):
             # Record-only (the /resume pattern): durable deferred records,

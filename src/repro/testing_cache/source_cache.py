@@ -1,19 +1,26 @@
-"""Shared, size-bounded cache of canonicalized source-program outputs.
+"""Shared, size-bounded cache of source-program results.
 
-The bounded tester repeatedly executes the *same* source program on the
-*same* invocation sequences while it tests hundreds of candidate
-completions.  The seed implementation kept one unbounded ``dict`` per
-:class:`~repro.equivalence.tester.BoundedTester`, which was rebuilt for
-every synthesizer run and grew without bound on the larger benchmarks.
-This module replaces it with an LRU cache that
+The bounded tester repeatedly executes the *same* source program while it
+tests hundreds of candidate completions.  The seed implementation kept one
+unbounded ``dict`` per :class:`~repro.equivalence.tester.BoundedTester`,
+which was rebuilt for every synthesizer run and grew without bound on the
+larger benchmarks.  This module replaces it with an LRU cache that
 
-* is keyed by ``(program fingerprint, sequence)`` so one instance can be
-  shared by every tester living in the same process (the synthesizer's main
-  tester, the BMC baseline's tester; each service worker *process* keeps
-  one instance shared across its jobs, so budget ``workers × max_entries``
-  when sizing a pooled batch), and
-* evicts least-recently-used entries once ``max_entries`` is reached, so
-  memory stays bounded on exhaustive Table 2/3 sweeps.
+* is keyed by ``(program key, sequence)`` so one instance can be shared by
+  every tester and verifier living in the same process (the synthesizer
+  shares one per run; each service worker *process* keeps one instance
+  shared across its jobs, so budget ``workers × max_entries`` when sizing a
+  pooled batch).  It holds two kinds of entries: canonicalized outputs of
+  single sequences, under the source fingerprint (pool screening and the
+  verifier's randomized phase), and one source state graph per
+  ``(fingerprint, execution backend)``, which the exhaustive walk grows
+  and reuses (see :class:`~repro.equivalence.tester.StateGraph`); and
+* evicts least-recently-used entries once their total size passes
+  ``max_entries``, so memory stays bounded on exhaustive Table 2/3 sweeps.
+  A sequence entry has size one; a state graph is charged one per state
+  (:meth:`SourceOutputCache.resize`), so ``len(cache)`` counts states plus
+  sequence entries.  A graph that outgrows the budget is evicted like any
+  other entry; the walk that holds it finishes on its own copy.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ class SourceCacheStatistics:
 
 
 class SourceOutputCache:
-    """Bounded LRU cache of canonicalized execution outputs."""
+    """Bounded LRU cache of source outputs and source state graphs."""
 
     def __init__(self, max_entries: int = 100_000):
         if max_entries <= 0:
@@ -41,9 +48,12 @@ class SourceOutputCache:
         self.max_entries = max_entries
         self.stats = SourceCacheStatistics()
         self._entries: OrderedDict[tuple, Any] = OrderedDict()
+        #: Sizes of the entries whose size is not one (state graphs).
+        self._sizes: dict[tuple, int] = {}
+        self._size = 0
 
     def get(self, program_key: Hashable, sequence: Hashable) -> Optional[Any]:
-        """Cached outputs for (program, sequence), or ``None`` on a miss."""
+        """Cached value for (program, sequence), or ``None`` on a miss."""
         key = (program_key, sequence)
         entry = self._entries.get(key, _MISSING)
         if entry is _MISSING:
@@ -53,16 +63,35 @@ class SourceOutputCache:
         self.stats.hits += 1
         return entry
 
-    def put(self, program_key: Hashable, sequence: Hashable, outputs: Any) -> None:
+    def put(self, program_key: Hashable, sequence: Hashable, value: Any, size: int = 1) -> None:
         key = (program_key, sequence)
-        self._entries[key] = outputs
+        if key in self._entries:
+            self._size -= self._sizes.pop(key, 1)
+        self._entries[key] = value
         self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        self._charge(key, size)
+
+    def resize(self, program_key: Hashable, sequence: Hashable, size: int) -> None:
+        """Charge the entry under (program, sequence) *size* slots; a no-op once evicted."""
+        key = (program_key, sequence)
+        if key in self._entries:
+            self._size -= self._sizes.pop(key, 1)
+            self._charge(key, size)
+
+    def _charge(self, key: tuple, size: int) -> None:
+        if size != 1:
+            self._sizes[key] = size
+        self._size += size
+        while self._size > self.max_entries:
+            evicted, _ = self._entries.popitem(last=False)
+            self._size -= self._sizes.pop(evicted, 1)
             self.stats.evictions += 1
 
     def clear(self) -> None:
         self._entries.clear()
+        self._sizes.clear()
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Sequence entries plus the states of every cached state graph."""
+        return self._size

@@ -683,6 +683,30 @@ class TestServerHTTP:
         assert _http(base, "/jobs", key="k-alpha", payload=payload)[0] == 202
         assert [job["status"] for job in _poll_settled(base, "k-alpha")] == ["done"]
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"benchmark": "Oracle-1", "variants": None}, "variants"),
+            ({"benchmark": ["x"]}, "benchmark"),
+            ({"benchmark": "Oracle-1", "config": [1]}, "config"),
+        ],
+        ids=["null-variants", "list-benchmark", "list-config"],
+    )
+    def test_malformed_field_is_400_before_anything_is_stored(self, server, payload, field):
+        thread, base = server
+        for defer in (False, True):
+            status, body, _ = _http(
+                base, "/jobs", key="k-alpha", payload=dict(payload, defer=defer)
+            )
+            assert status == 400 and body["error"].startswith(field)
+        assert thread.front.store.query_jobs() == []
+
+    def test_body_that_is_not_an_object_is_400(self, server):
+        thread, base = server
+        status, body, _ = _http(base, "/jobs", key="k-alpha", payload=[])
+        assert status == 400 and "JSON object" in body["error"]
+        assert thread.front.store.query_jobs() == []
+
     def test_config_checks_each_field_against_its_annotation(self, server):
         thread, base = server
         (job,) = _build_jobs(

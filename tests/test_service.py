@@ -436,6 +436,18 @@ class TestPriorityAndDeadline:
         assert expired.done
         assert expired.to_dict()["status"] == "expired"
 
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_infinite_deadline_is_no_deadline(self, max_workers):
+        # An infinite deadline once became an infinite wait() timeout on the
+        # pooled path, and run() raised OverflowError.
+        service = MigrationService(max_workers=max_workers)
+        handles = service.submit_batch(
+            [_job("Oracle-1", deadline=float("inf")) for _ in range(2)]
+        )
+        service.run()
+        assert [handle.status for handle in handles] == [JobStatus.DONE] * 2
+        assert all(handle.result.succeeded for handle in handles)
+
     def test_deadline_clips_running_job(self):
         # The long enumerative sketch would churn for a long time; a 0.5 s
         # job deadline must fold into its time_limit and stop it.

@@ -1,17 +1,19 @@
-"""Pins for the state-deduplicated exhaustive walk of bounded testing and verification.
+"""Pins for the breadth-first pair walk of bounded testing and verification.
 
-``BoundedTester.first_failing`` executes each update prefix once per
-program and skips a block (one prefix, one query, all of its argument
-tuples) when an earlier block of the same call already checked the same
-(query, source state key, candidate state key) triple.  It is the
-exhaustive search of both ``BoundedTester.find_failing_input`` and
+``BoundedTester.first_failing`` walks, level by level, the distinct
+(source state, candidate state) pairs that the update prefixes of each
+relevance class reach, runs each query's argument tuples only on the pairs
+that no shorter prefix reached, in the order of their lowest-index prefix,
+and counts every other sequence by arithmetic.  It is the exhaustive
+search of both ``BoundedTester.find_failing_input`` and
 ``BoundedVerifier.verify``.  These tests compare both with naive references
 that run every generator sequence from the empty database through
 ``run_invocation_sequence``, source first: the tester's failing sequence
 and ``full_enumeration_sequences``, the verifier's verdict,
 counterexample, ``sequences_checked`` and method, and the raised error's
-class and message must match on every backend, with private caches and
-with one shared source-output cache that either checker fills first.
+class and message must match on every backend, with private caches, with
+one shared source-output cache that either checker fills first, and with a
+cache small enough to evict the source state graph mid-walk.
 ``REPRO_FULL_EQUIV=1`` sweeps more corpus seeds.
 """
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
+import traceback
 
 import pytest
 
@@ -164,11 +167,15 @@ def assert_pinned(source, candidate, *, max_updates, random_sequences, max_seque
 
 
 # ----------------------------------------------------------------- programs
-def _people(schema, name="people_variant", *, wrong_delete=False, broken_delete=False):
+def _people(
+    schema, name="people_variant", *, wrong_delete=False, broken_delete=False, evicts_one=False
+):
     pb = ProgramBuilder(name, schema)
-    pb.update("addPerson", [("id", "int"), ("name", "str"), ("age", "int")],
-              insert("Person", {"Person.PersonId": "$id", "Person.Name": "$name",
-                                "Person.Age": "$age"}))
+    add = [insert("Person", {"Person.PersonId": "$id", "Person.Name": "$name",
+                             "Person.Age": "$age"})]
+    if evicts_one:  # every insert first deletes person 1
+        add.insert(0, delete("Person", "Person", eq("Person.PersonId", 1)))
+    pb.update("addPerson", [("id", "int"), ("name", "str"), ("age", "int")], *add)
     if broken_delete:  # the delete target is outside its chain: ExecutionError
         pb.update("deletePerson", [("id", "int")],
                   delete("Ghost", "Person", eq("Person.PersonId", "$id")))
@@ -313,7 +320,7 @@ class TestWalkMatchesReference:
 def test_checkers_never_enumerate_sequence_by_sequence(
     monkeypatch, people_program, people_schema
 ):
-    # The exhaustive search exists once, as the walk over blocks.
+    # The exhaustive search exists once, as the walk over state pairs.
     def sequences(self):
         raise AssertionError("a checker iterated SequenceGenerator.sequences()")
 
@@ -323,6 +330,179 @@ def test_checkers_never_enumerate_sequence_by_sequence(
     verifier = BoundedVerifier(max_updates=2, random_sequences=5)
     assert not verifier.verify(people_program, wrong).equivalent
     assert verifier.verify(people_program, _people(people_schema)).equivalent
+
+
+# ------------------------------------------------- order and count arithmetic
+def _order_case(schema):
+    """A candidate whose first failing pair is found late by its first parent.
+
+    Inserting evicts person 1 and deleting deletes everyone, so several
+    length-2 prefixes reach one pair, and the pair that fails first in the
+    enumeration is not the first one a parent-by-parent expansion meets.
+    """
+    return _people(schema, "people_order", wrong_delete=True, evicts_one=True)
+
+
+def test_new_pairs_are_checked_in_enumeration_order(people_program, people_schema):
+    # Taking new pairs in discovery order (parent by parent, then call by
+    # call) reports addPerson(0, ...); deletePerson(1); getPerson(0) at 26.
+    candidate = _order_case(people_schema)
+    expected = (
+        (("addPerson", (1, "A", 102)), ("addPerson", (0, "A", 102)), ("getPerson", (1,))),
+        21,
+    )
+    assert reference_test(people_program, candidate, max_updates=2) == expected
+    verdict = assert_pinned(people_program, candidate, max_updates=2, random_sequences=0)
+    assert verdict == (False, expected[0], 46, "bounded-testing")
+    for backend in BACKENDS:
+        tester = BoundedTester(people_program, max_updates=2, execution_backend=backend)
+        assert tester.first_failing(candidate) == expected
+
+
+_ADD = [("addPerson", (id_, "A", 102)) for id_ in (0, 1)]
+_DELETE = [("deletePerson", (id_,)) for id_ in (0, 1)]
+
+
+class _CallLog:
+    """A stub state: the calls that built it, unless a merge renamed it."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, calls: tuple):
+        self.calls = calls
+
+    def fork(self) -> "_CallLog":
+        return _CallLog(self.calls)
+
+    def key(self) -> tuple:
+        return self.calls
+
+
+class _CallLogProgram:
+    """A stub executable over the people program's function names.
+
+    Updates append their call to the state, except that both
+    ``addPerson(0); deletePerson(0)`` (prefix index 4 of length 2) and
+    ``addPerson(1); addPerson(0)`` (index 2) lead to one state, ``merged``.
+    The first parent meets the merged pair through the higher index.
+    Queries answer the state, and the candidate answers ``merged`` wrongly.
+    """
+
+    MERGES = {((_ADD[0],), _DELETE[0]): ("merged",), ((_ADD[1],), _ADD[0]): ("merged",)}
+
+    def __init__(self, wrong_at_merge: bool):
+        self.wrong_at_merge = wrong_at_merge
+
+    def new_state(self) -> _CallLog:
+        return _CallLog(())
+
+    def call(self, state: _CallLog, name: str, args: tuple):
+        if name in ("getPerson", "findByName"):
+            wrong = self.wrong_at_merge and state.calls == ("merged",)
+            return [("wrong" if wrong else repr(state.calls), args)]
+        call = (name, args)
+        state.calls = self.MERGES.get((state.calls, call), state.calls + (call,))
+        return None
+
+
+class _StubCompiler:
+    def __init__(self, programs: dict):
+        self.programs = programs
+
+    def compile_program(self, program):
+        return self.programs[program.name]
+
+
+def test_a_pair_is_tagged_with_its_lowest_index_prefix(people_program, people_schema):
+    # A walk that meets the merged pair first through index 4 (its first
+    # parent) and keeps that tag reports addPerson(0, ...); deletePerson(0);
+    # getPerson(0) at 24.
+    candidate = _people(people_schema, "people_merged")
+    programs = {people_program.name: _CallLogProgram(False), candidate.name: _CallLogProgram(True)}
+    compiler = _StubCompiler(programs)
+    generator = SequenceGenerator([people_program, candidate], max_updates=2)
+    for position, sequence in enumerate(generator.sequences(), 1):
+        outputs = []
+        for program in (people_program, candidate):
+            executable = programs[program.name]
+            state = executable.new_state()
+            outputs.append([executable.call(state, name, args) for name, args in sequence][-1])
+        if outputs[0] != outputs[1]:
+            break
+    expected = (sequence, position)
+    assert expected == ((_ADD[1], _ADD[0], ("getPerson", (0,))), 20)
+    tester = BoundedTester(people_program, max_updates=2, compiler=compiler)
+    assert tester.first_failing(candidate) == expected
+    verifier = BoundedVerifier(
+        max_updates=2, seeds=SeedSet.default(), random_sequences=0, compiler=compiler
+    )
+    result = verifier.verify(people_program, candidate)
+    assert (result.counterexample, result.sequences_checked) == expected
+
+
+@pytest.mark.parametrize("equivalent", [False, True], ids=["order-case", "equivalent"])
+def test_every_sequence_cap(people_program, people_schema, equivalent):
+    # Every cap from one sequence to the whole enumeration (63 sequences for
+    # the tester's bound, 172 for the verifier's seeds), with a short
+    # randomized phase after the exhaustive one.
+    candidate = _people(people_schema) if equivalent else _order_case(people_schema)
+    for cap in range(1, 64):
+        expected = reference_test(people_program, candidate, max_updates=2, max_sequences=cap)
+        for backend in BACKENDS:
+            tester = BoundedTester(
+                people_program, max_updates=2, max_sequences=cap, execution_backend=backend
+            )
+            assert tester.first_failing(candidate) == expected, (backend, cap)
+    for cap in range(1, 173):
+        bounds = dict(max_updates=2, random_sequences=3, max_sequences=cap)
+        expected = reference_verify(people_program, candidate, **bounds)
+        for backend in BACKENDS:
+            verifier = BoundedVerifier(execution_backend=backend, **bounds)
+            assert _outcome(verifier, people_program, candidate) == expected, (backend, cap)
+
+
+def test_a_cached_source_error_does_not_collect_tracebacks(people_schema):
+    # The source graph keeps the node that raised across walks; each raise
+    # starts from the failing step, not from the previous walk's frames.
+    broken = _people(people_schema, "people_broken", broken_delete=True)
+    cache = SourceOutputCache()
+    depths = []
+    for _ in range(3):
+        tester = BoundedTester(broken, source_cache=cache)
+        with pytest.raises(ExecutionError) as raised:
+            tester.first_failing(_people(people_schema))
+        depths.append(len(traceback.extract_tb(raised.value.__traceback__)))
+    assert depths[0] == depths[1] == depths[2]
+
+
+class _WatchedCache(SourceOutputCache):
+    """A source cache that records the most it ever held."""
+
+    peak = 0
+
+    def put(self, *args, **kwargs) -> None:
+        super().put(*args, **kwargs)
+        self.peak = max(self.peak, len(self))
+
+    def resize(self, *args, **kwargs) -> None:
+        super().resize(*args, **kwargs)
+        self.peak = max(self.peak, len(self))
+
+
+@pytest.mark.parametrize("wrong_delete", [False, True], ids=["equivalent", "wrong-delete"])
+def test_a_small_cache_evicts_mid_walk_and_changes_no_outcome(
+    people_program, people_schema, wrong_delete
+):
+    candidate = _people(people_schema, wrong_delete=wrong_delete)
+    bounds = dict(max_updates=3, random_sequences=20)
+    for backend in BACKENDS:
+        unbounded = _verified(people_program, candidate, backend, None, bounds)
+        small = _WatchedCache(max_entries=12)
+        assert _verified(people_program, candidate, backend, small, bounds) == unbounded
+        tested = _tested(people_program, candidate, backend, None, dict(max_updates=3))
+        assert _tested(people_program, candidate, backend, small, dict(max_updates=3)) == tested
+        assert small.stats.evictions > 0
+        assert small.peak <= 12
 
 
 # --------------------------------------------------------------- state keys
@@ -413,7 +593,8 @@ def test_compiled_and_interpreter_jobs_share_one_service_cache():
         assert result.succeeded and alone.succeeded
         assert result.attempts == alone.attempts
         assert format_program(result.program) == format_program(alone.program)
-    # Prefix states of both backends live side by side in the one cache.
+    # The source state graphs of both backends live side by side in the one
+    # cache.
     state_owners = {
         key[0]
         for key in service._artifacts.source_cache._entries
