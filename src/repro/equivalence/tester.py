@@ -33,12 +33,14 @@ verification") gives the soundness argument.
 
 Two layers of reuse keep repeated testing cheap:
 
-* The source state graph (with each node's query outputs) and the source
-  outputs of single sequences live in a size-bounded LRU
-  :class:`~repro.testing_cache.SourceOutputCache` that can be shared across
-  testers and verifiers within one process (the synthesizer shares one per
-  run; service workers share one per process), so later calls and
-  same-source jobs reuse them; the candidate graph lives for one call.
+* The source state graph, with each node's query outputs, lives in a
+  size-bounded LRU :class:`~repro.testing_cache.SourceOutputCache` that can
+  be shared across testers and verifiers within one process (the
+  synthesizer shares one per run; service workers share one per process,
+  across the jobs their threads run), so later calls and same-source jobs
+  reuse it.  Sequences checked one at a time (:meth:`BoundedTester.differs_on`:
+  pool screening, the verifier's randomized phase) read their source
+  outputs from the same graph; the candidate graph lives for one call.
 * When a :class:`~repro.testing_cache.CounterexamplePool` is attached, every
   candidate is first screened against previously discovered failing inputs
   (cheapest first, at most :data:`SCREENING_BUDGET` of them) and only falls
@@ -60,6 +62,7 @@ propagates to the caller, and on each sequence the source runs first.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -77,7 +80,7 @@ from repro.equivalence.invocation import (
     format_sequence,
 )
 from repro.equivalence.result_compare import canonicalize_outputs
-from repro.lang.ast import Program
+from repro.lang.ast import Program, QueryFunction
 from repro.lang.pretty import format_program
 from repro.testing_cache import CounterexamplePool, SourceOutputCache
 
@@ -142,8 +145,8 @@ class TesterStatistics:
     #: Sequences run one at a time through ``differs_on`` (pool screening,
     #: the verifier's randomized phase); the walk's are not counted here.
     sequences_executed: int = 0
-    #: Walks that found the source state graph already in the source cache,
-    #: plus single-sequence source outputs served from it.
+    #: Source query outputs served from the source state graph's memo
+    #: rather than executed (in the walk and in ``differs_on``).
     source_cache_hits: int = 0
     candidates_tested: int = 0
     #: Candidates that went through the exhaustive walk (i.e. were not
@@ -191,38 +194,34 @@ class StateGraph:
     that raised, that produced output, or whose key cannot be hashed keeps
     its own index: it is never merged with another.  A node that raised
     has no successors (the walk's first check through it ends the walk).
+
+    A source graph is shared by every walk over one source cache, and a
+    service worker runs several jobs on threads over one cache, so nodes
+    are created and memo entries written under the graph's lock; memo
+    reads take none.  ``size`` counts the nodes and the memoized query
+    outputs: what the source cache charges for the graph.
     """
 
-    __slots__ = ("executable", "nodes", "_interned")
+    __slots__ = ("executable", "nodes", "size", "_interned", "_lock")
 
     def __init__(self, executable):
         self.executable = executable
         self.nodes: list[_Node] = []
+        self.size = 0
         self._interned: dict = {}
-        self._intern(executable.new_state(), ())
+        self._lock = threading.Lock()
+        state = executable.new_state()
+        self._add(state, None, (), state.key())
 
     @property
     def root(self) -> _Node:
         return self.nodes[0]
 
-    def _intern(self, state, outputs: tuple) -> int:
-        index = len(self.nodes)
-        if not outputs:
-            try:
-                interned = self._interned.setdefault(state.key(), index)
-            except TypeError:  # an unhashable cell value
-                pass
-            else:
-                if interned != index:
-                    return interned
-        self.nodes.append(_Node(state, None, outputs))
-        return index
-
     def successor(self, node: _Node, invocation) -> int:
         """The index of the node that *invocation* leads to from *node*, stepped once."""
         index = node.successors.get(invocation)
         if index is None:
-            index = node.successors[invocation] = self._step(node, invocation)
+            index = self._step(node, invocation)
         return index
 
     def _step(self, node: _Node, invocation) -> int:
@@ -232,18 +231,45 @@ class StateGraph:
         except Exception as error:
             # Recorded, not raised: the walk raises it (or fails the
             # candidate) when the first sequence through this node is checked.
-            self.nodes.append(_Node(None, error, node.outputs))
-            return len(self.nodes) - 1
+            return self._link(node, invocation, None, error, node.outputs, None)
         if result is not None:
-            return self._intern(state, node.outputs + (result,))
-        return self._intern(state, node.outputs)
+            return self._link(node, invocation, state, None, node.outputs + (result,), None)
+        return self._link(node, invocation, state, None, node.outputs, state.key())
+
+    def _link(self, node: _Node, invocation, state, error, outputs: tuple, key) -> int:
+        with self._lock:
+            # Another thread may have taken this step meanwhile: keep its node.
+            index = node.successors.get(invocation)
+            if index is None:
+                index = node.successors[invocation] = self._add(state, error, outputs, key)
+            return index
+
+    def _add(self, state, error, outputs: tuple, key) -> int:
+        """The index of the node for a step's result, interned by *key* unless it is ``None``."""
+        index = len(self.nodes)
+        if key is not None:
+            try:
+                interned = self._interned.setdefault(key, index)
+            except TypeError:  # an unhashable cell value
+                pass
+            else:
+                if interned != index:
+                    return interned
+        self.nodes.append(_Node(state, error, outputs))
+        self.size += 1
+        return index
 
     def outputs(self, node: _Node, query: str, args) -> tuple:
         """``(canonical, raw)`` outputs of :meth:`run`, memoized on *node*."""
-        entry = node.results.get((query, args))
+        key = (query, args)
+        entry = node.results.get(key)
         if entry is None:
             raw = self.run(node, query, args)
-            entry = node.results[(query, args)] = (canonicalize_outputs(raw), raw)
+            entry = (canonicalize_outputs(raw), raw)
+            with self._lock:
+                if key not in node.results:
+                    node.results[key] = entry
+                    self.size += 1
         return entry
 
     def run(self, node: _Node, query: str, args) -> list:
@@ -432,33 +458,43 @@ class BoundedTester:
         )
 
     # ---------------------------------------------------------------- running
-    def _expected(self, sequence: InvocationSequence, run: Callable[[], list]) -> tuple:
-        """``(canonical, raw)`` source outputs of one sequence; errors propagate.
-
-        Memoized under ``(fingerprint, sequence)``; *run* computes the raw
-        outputs on a miss.  A source program that cannot execute is a
-        caller bug, never cached.
-        """
-        cached = self._source_cache.get(self._source_key, sequence)
-        if cached is not None:
-            self.stats.source_cache_hits += 1
-            return cached
-        raw = run()
-        entry = (canonicalize_outputs(raw), raw)
-        self._source_cache.put(self._source_key, sequence, entry)
-        return entry
-
     def _outputs(self, program: Program, sequence: InvocationSequence) -> tuple:
         return canonicalize_outputs(self._load(program).run_sequence(sequence))
 
+    def _source_outputs(self, graph: StateGraph, node: _Node, query: str, args) -> tuple:
+        """``(canonical, raw)`` source outputs of *node*'s run and one query; errors raise."""
+        entry = node.results.get((query, args))
+        if entry is None:
+            return graph.outputs(node, query, args)
+        self.stats.source_cache_hits += 1
+        return entry
+
     def differs_on(self, candidate: Program, sequence: InvocationSequence) -> bool:
-        """Whether source and candidate disagree on one invocation sequence."""
+        """Whether source and candidate disagree on one invocation sequence.
+
+        *sequence* is update calls followed by one query of the source, the
+        shape of every generated sequence and pool entry.  The source side
+        steps the cached source state graph along the updates and reads the
+        query's outputs memoized on the node it reaches; the candidate runs
+        from the empty database.
+        """
         if self.interrupt is not None and self.interrupt():
             raise TestingInterrupted()
         self.stats.sequences_executed += 1
-        expected = self._expected(
-            sequence, lambda: self._load(self.source).run_sequence(sequence)
-        )[0]
+        *updates, (query, args) = sequence
+        if not isinstance(self.source.function(query), QueryFunction):
+            # Running an update on a node would change the shared graph.
+            raise ValueError(f"sequence must end in a query of the source, not {query!r}")
+        graph, graph_key = self._source_graph()
+        try:
+            node = graph.root
+            for invocation in updates:
+                if node.error is not None:
+                    break  # a run stops at its first error
+                node = graph.nodes[graph.successor(node, invocation)]
+            expected = self._source_outputs(graph, node, query, args)[0]
+        finally:
+            self._source_cache.resize(graph_key, _STATE_GRAPH, graph.size)
         try:
             return self._outputs(candidate, sequence) != expected
         except ExecutionError:
@@ -492,9 +528,7 @@ class BoundedTester:
         graph = self._source_cache.get(key, _STATE_GRAPH)
         if graph is None:
             graph = StateGraph(self._load(self.source))
-            self._source_cache.put(key, _STATE_GRAPH, graph, len(graph.nodes))
-        else:
-            self.stats.source_cache_hits += 1
+            self._source_cache.put(key, _STATE_GRAPH, graph, graph.size)
         return graph, key
 
     def first_failing(self, candidate: Program) -> tuple[Optional[InvocationSequence], int]:
@@ -538,7 +572,9 @@ class BoundedTester:
                                 return None, limit + 1
                             # Source first (exactly like differs_on): its errors
                             # propagate before the candidate is consulted.
-                            expected, raw_expected = source_graph.outputs(pair.source, name, args)
+                            expected, raw_expected = self._source_outputs(
+                                source_graph, pair.source, name, args
+                            )
                             try:
                                 actual = candidate_graph.run(pair.candidate, name, args)
                             except ExecutionError:
@@ -546,7 +582,7 @@ class BoundedTester:
                             if actual != raw_expected and canonicalize_outputs(actual) != expected:
                                 return pair.prefix() + ((name, args),), position
                 finally:
-                    self._source_cache.resize(graph_key, _STATE_GRAPH, len(source_graph.nodes))
+                    self._source_cache.resize(graph_key, _STATE_GRAPH, source_graph.size)
                 if checked + sequences > limit:
                     return None, limit + 1
                 checked += sequences

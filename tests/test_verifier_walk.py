@@ -22,6 +22,9 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
+import sys
+import threading
+import time
 import traceback
 
 import pytest
@@ -503,6 +506,115 @@ def test_a_small_cache_evicts_mid_walk_and_changes_no_outcome(
         assert _tested(people_program, candidate, backend, small, dict(max_updates=3)) == tested
         assert small.stats.evictions > 0
         assert small.peak <= 12
+
+
+def _assert_graph_is_consistent(graph):
+    """Each interned key names its own node, and each memo holds what a fresh run gives."""
+    for key, index in graph._interned.items():
+        assert graph.nodes[index].state.key() == key
+    for node in graph.nodes:
+        for (name, args), index in node.successors.items():
+            state = node.state.fork()
+            graph.executable.call(state, name, args)
+            assert graph.nodes[index].state.key() == state.key()
+        for (query, args), (_canonical, raw) in node.results.items():
+            assert graph.run(node, query, args) == raw
+    memoized = sum(len(node.results) for node in graph.nodes)
+    assert graph.size == len(graph.nodes) + memoized
+
+
+def test_differs_on_refuses_a_sequence_that_ends_in_an_update(people_program):
+    # The source side reads the last call's outputs on a shared graph node;
+    # an update run there would change the node's state.
+    tester = BoundedTester(people_program)
+    with pytest.raises(ValueError, match="addPerson"):
+        tester.differs_on(people_program, (("addPerson", (1, "A", 1)),))
+    assert not tester.differs_on(people_program, (("getPerson", (1,)),))
+
+
+class _YieldingKey:
+    """A state key whose hashing lets other threads run, as hashing a long key may."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: tuple):
+        self.key = key
+
+    def __hash__(self) -> int:
+        time.sleep(0)
+        return hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+
+class _YieldingState:
+    __slots__ = ("state",)
+
+    def __init__(self, state):
+        self.state = state
+
+    def fork(self) -> "_YieldingState":
+        return _YieldingState(self.state.fork())
+
+    def key(self) -> _YieldingKey:
+        return _YieldingKey(self.state.key())
+
+
+class _YieldingProgram:
+    """A compiled program whose state keys yield while the graph interns them."""
+
+    def __init__(self, executable):
+        self.executable = executable
+
+    def new_state(self) -> _YieldingState:
+        return _YieldingState(self.executable.new_state())
+
+    def call(self, state: _YieldingState, name: str, args: tuple):
+        return self.executable.call(state.state, name, args)
+
+
+def test_threads_growing_one_source_graph_reach_their_outcomes_alone(
+    people_program, people_schema
+):
+    # A service worker runs jobs on threads over one source cache, so
+    # several walks grow one source graph at once.  Each must reach the
+    # outcome it reaches alone, and the graph must stay consistent.
+    candidates = [_people(people_schema, f"people_{slot}") for slot in range(2)]
+    candidates.append(_people(people_schema, "people_wrong", wrong_delete=True))
+    load = make_loader("compiled")
+    compiler = _StubCompiler({program.name: load(program) for program in candidates})
+    compiler.programs[people_program.name] = _YieldingProgram(load(people_program))
+    bounds = dict(max_updates=3, random_sequences=20, compiler=compiler)
+    alone = [_verified(people_program, candidate, "compiled", None, bounds)
+             for candidate in candidates]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            cache = SourceOutputCache()
+            start = threading.Barrier(len(candidates))
+            outcomes = [None] * len(candidates)
+
+            def verify(slot):
+                start.wait()
+                outcomes[slot] = _verified(
+                    people_program, candidates[slot], "compiled", cache, bounds
+                )
+
+            threads = [threading.Thread(target=verify, args=(slot,), daemon=True)
+                       for slot in range(len(candidates))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert outcomes == alone
+            (graph,) = cache._entries.values()
+            _assert_graph_is_consistent(graph)
+            assert len(cache) == graph.size
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # --------------------------------------------------------------- state keys
