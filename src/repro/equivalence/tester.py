@@ -33,14 +33,14 @@ verification") gives the soundness argument.
 
 Two layers of reuse keep repeated testing cheap:
 
-* The source state graph, with each node's query outputs, lives in a
-  size-bounded LRU :class:`~repro.testing_cache.SourceOutputCache` that can
-  be shared across testers and verifiers within one process (the
-  synthesizer shares one per run; service workers share one per process,
-  across the jobs their threads run), so later calls and same-source jobs
-  reuse it.  Sequences checked one at a time (:meth:`BoundedTester.differs_on`:
-  pool screening, the verifier's randomized phase) read their source
-  outputs from the same graph; the candidate graph lives for one call.
+* The source state graph (with each node's query outputs) and the source
+  outputs of single sequences (:meth:`BoundedTester.differs_on`: pool
+  screening, the verifier's randomized phase) live in a size-bounded LRU
+  :class:`~repro.testing_cache.SourceOutputCache` that can be shared across
+  testers and verifiers within one process (the synthesizer shares one per
+  run; service workers share one per process, across the jobs their
+  threads run), so later calls and same-source jobs reuse them; the
+  candidate graph lives for one call.
 * When a :class:`~repro.testing_cache.CounterexamplePool` is attached, every
   candidate is first screened against previously discovered failing inputs
   (cheapest first, at most :data:`SCREENING_BUDGET` of them) and only falls
@@ -80,7 +80,7 @@ from repro.equivalence.invocation import (
     format_sequence,
 )
 from repro.equivalence.result_compare import canonicalize_outputs
-from repro.lang.ast import Program, QueryFunction
+from repro.lang.ast import Program
 from repro.lang.pretty import format_program
 from repro.testing_cache import CounterexamplePool, SourceOutputCache
 
@@ -145,8 +145,9 @@ class TesterStatistics:
     #: Sequences run one at a time through ``differs_on`` (pool screening,
     #: the verifier's randomized phase); the walk's are not counted here.
     sequences_executed: int = 0
-    #: Source query outputs served from the source state graph's memo
-    #: rather than executed (in the walk and in ``differs_on``).
+    #: Source outputs served from memo rather than executed: a query's
+    #: outputs on a source graph node (the walk) or a single sequence's
+    #: outputs (``differs_on``).
     source_cache_hits: int = 0
     candidates_tested: int = 0
     #: Candidates that went through the exhaustive walk (i.e. were not
@@ -469,32 +470,32 @@ class BoundedTester:
         self.stats.source_cache_hits += 1
         return entry
 
-    def differs_on(self, candidate: Program, sequence: InvocationSequence) -> bool:
-        """Whether source and candidate disagree on one invocation sequence.
+    def _expected(self, sequence: InvocationSequence) -> tuple:
+        """``(canonical, raw)`` source outputs of one sequence; errors propagate.
 
-        *sequence* is update calls followed by one query of the source, the
-        shape of every generated sequence and pool entry.  The source side
-        steps the cached source state graph along the updates and reads the
-        query's outputs memoized on the node it reaches; the candidate runs
-        from the empty database.
+        Memoized under ``(fingerprint, sequence)``, next to the source state
+        graph: screening and the randomized phase check one sequence against
+        many candidates (the BMC baseline against thousands), and a sequence
+        entry answers that repeat with one lookup, where the graph would
+        take a lookup per call and a new node for every state first met
+        (measured in EXPERIMENTS.md).  A source program that cannot execute
+        is a caller bug, never cached.
         """
+        cached = self._source_cache.get(self._source_key, sequence)
+        if cached is not None:
+            self.stats.source_cache_hits += 1
+            return cached
+        raw = self._load(self.source).run_sequence(sequence)
+        entry = (canonicalize_outputs(raw), raw)
+        self._source_cache.put(self._source_key, sequence, entry)
+        return entry
+
+    def differs_on(self, candidate: Program, sequence: InvocationSequence) -> bool:
+        """Whether source and candidate disagree on one invocation sequence."""
         if self.interrupt is not None and self.interrupt():
             raise TestingInterrupted()
         self.stats.sequences_executed += 1
-        *updates, (query, args) = sequence
-        if not isinstance(self.source.function(query), QueryFunction):
-            # Running an update on a node would change the shared graph.
-            raise ValueError(f"sequence must end in a query of the source, not {query!r}")
-        graph, graph_key = self._source_graph()
-        try:
-            node = graph.root
-            for invocation in updates:
-                if node.error is not None:
-                    break  # a run stops at its first error
-                node = graph.nodes[graph.successor(node, invocation)]
-            expected = self._source_outputs(graph, node, query, args)[0]
-        finally:
-            self._source_cache.resize(graph_key, _STATE_GRAPH, graph.size)
+        expected = self._expected(sequence)[0]
         try:
             return self._outputs(candidate, sequence) != expected
         except ExecutionError:
