@@ -299,11 +299,11 @@ trajectories are unchanged.
 * The ``source_cache`` shared by a run's tester and verifier (and by a
   service's same-source jobs) holds one source state graph per source
   fingerprint and execution backend, charged one entry per state and per
-  memoized query output; pool screening and the randomized phase read
-  their source outputs from it too.  So
-  ``SynthesisResult.cache.source_cache_entries`` counts states plus
-  memoized outputs, and ``source_cache_hits`` counts source outputs served
-  from the graph rather than executed.
+  memoized query output, next to the single-sequence outputs of pool
+  screening and the randomized phase.  So
+  ``SynthesisResult.cache.source_cache_entries`` counts states, memoized
+  outputs and sequence entries, and ``source_cache_hits`` counts source
+  outputs served from either rather than executed.
 * Interrupt hooks are polled once per state pair and update name the
   walk extends and once per state pair it checks for a query.
 * Fixed: a job with a non-finite ``deadline`` (``float("inf")``) runs as a

@@ -19,14 +19,13 @@ per source program, built with the verifier's bound, seeds and sequence
 cap: the exhaustive phase is the tester's breadth-first walk over distinct
 (source state, candidate state) pairs
 (:meth:`~repro.equivalence.tester.BoundedTester.first_failing`), and the
-randomized phase runs sequence by sequence through its ``differs_on``,
-which reads the source side from the same source state graph.  The graph
-is keyed by fingerprint and backend, not by seeds or bound, so the
-verifier extends the graph the run's tester built.  So source caching and
-``ExecutionError`` semantics are the tester's by construction: a
-candidate that raises is failing (never "equivalently broken"), and a
-source that raises propagates the error to the caller.  See the "Error
-semantics" section of EXPERIMENTS.md.
+randomized phase runs sequence by sequence through its ``differs_on``.  The
+source state graph is keyed by fingerprint and backend, not by seeds or
+bound, so the verifier extends the graph the run's tester built.  So
+source caching and ``ExecutionError`` semantics are the tester's by
+construction: a candidate that raises is failing (never "equivalently
+broken"), and a source that raises propagates the error to the caller.  See
+the "Error semantics" section of EXPERIMENTS.md.
 """
 
 from __future__ import annotations
