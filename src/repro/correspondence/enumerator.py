@@ -16,9 +16,11 @@ This module provides one engine and its reference:
     Exploits the fact that the objective and all hard constraints decompose
     per source attribute (only blocking clauses couple attributes), so the
     MaxSAT optimum can be enumerated exactly with a best-first search over the
-    product of per-attribute candidate streams.  It scales to the real-world
-    benchmark schemas, and :class:`ValueCorrespondenceEnumerator` always runs
-    it.
+    product of per-attribute candidate streams.  Each stream scores its
+    target attributes only as far as the search reads it: an edit distance
+    is computed only for a target whose length bound can still reach the
+    stream's frontier.  It scales to the real-world benchmark schemas, and
+    :class:`ValueCorrespondenceEnumerator` always runs it.
 
 ``MaxSatVcEnumerator``
     Builds the full encoding and solves it with :mod:`repro.maxsat`.  Faithful
@@ -38,12 +40,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
-from repro.correspondence.similarity import DEFAULT_ALPHA, name_similarity
+from repro.correspondence.similarity import DEFAULT_ALPHA, name_similarity, similarity_bound
 from repro.correspondence.value_corr import ValueCorrespondence
 from repro.datamodel.schema import Attribute, Schema
-from repro.datamodel.types import compatible
+from repro.datamodel.types import DataType, compatible
 from repro.lang.ast import Program
 from repro.lang.visitors import queried_attributes
 from repro.maxsat.wpmaxsat import WPMaxSatSolver
@@ -70,24 +72,15 @@ def compatible_targets(
     """Type-compatible target attributes with their similarity weight, best first.
 
     The MaxSAT objective only depends on attribute-name similarity (as in the
-    paper); ties are broken deterministically by table-name similarity and
-    then lexicographically, so that e.g. ``Instructor.InstId`` is preferred
-    over ``Class.InstId`` as the image of ``Instructor.InstId``.
+    paper); ties are broken deterministically by table-name similarity, then
+    by ``str(target)``, then by declaration position, so that e.g.
+    ``Instructor.InstId`` is preferred over ``Class.InstId`` as the image of
+    ``Instructor.InstId``.  The list is a fully drained row of the factored
+    engine (:class:`_RowCandidates`), so the order has one implementation.
     """
-    source_type = source.type_of(attr)
-    scored: list[tuple[Attribute, int]] = []
-    for table in target.tables.values():
-        for column, dtype in table.columns.items():
-            if compatible(source_type, dtype):
-                scored.append(
-                    (Attribute(table.name, column), name_similarity(attr.name, column, alpha))
-                )
-    table_score = {
-        name: name_similarity(attr.table, name, alpha)
-        for name in {candidate.table for candidate, _weight in scored}
-    }
-    scored.sort(key=lambda pair: (-pair[1], -table_score[pair[0].table], str(pair[0])))
-    return scored
+    return _RowCandidates(
+        attr, source.type_of(attr), _index_targets(target), required=False, alpha=alpha
+    ).drained()
 
 
 def all_compatible_targets(
@@ -95,6 +88,22 @@ def all_compatible_targets(
 ) -> dict[Attribute, list[tuple[Attribute, int]]]:
     """:func:`compatible_targets` of every source attribute, in declaration order."""
     return {attr: compatible_targets(source, target, attr, alpha) for attr in source.attributes()}
+
+
+#: Target columns by type: ``(declaration position, attribute, lower-cased name)``.
+_TargetIndex = dict[DataType, list[tuple[int, Attribute, str]]]
+
+
+def _index_targets(target: Schema) -> _TargetIndex:
+    """The target schema's columns by type, in declaration order (tables, then columns)."""
+    index: _TargetIndex = {}
+    position = 0
+    for table in target.tables.values():
+        for column, dtype in table.columns.items():
+            entry = (position, Attribute(table.name, column), column.lower())
+            index.setdefault(dtype, []).append(entry)
+            position += 1
+    return index
 
 
 # --------------------------------------------------------------------------------------
@@ -106,34 +115,95 @@ class _RowCandidates:
     The per-attribute objective of a subset ``S`` of target attributes is
     ``Σ_{j∈S} sim_j − α·C(|S|, 2)`` (similarity reward minus the one-to-one
     penalty for every violated preference clause).  Subsets are produced
-    lazily, in non-increasing objective order.
+    lazily, in non-increasing objective order, as index tuples into
+    ``targets``: the type-compatible target attributes with their
+    similarity, in :func:`compatible_targets` order.
+
+    ``targets`` grows lazily too, as far as the pushed subsets reach (the
+    threshold algorithm of Fagin, Lotem and Naor, applied to one row).
+    Every compatible target starts out with :func:`similarity_bound`: its
+    exact score when the lower-cased names are equal or contain one
+    another, otherwise an upper bound.  Before the best scored target is
+    placed, every unscored target whose bound reaches its score is scored
+    (an edit distance, for a bound).  A bound *equal* to that score is
+    scored too: ties go to table-name similarity, then ``str(target)``,
+    then declaration position, and the unscored target may win them.
+
+    Every subset has one parent.  ``(0,)`` starts the stream (with ``()``
+    for a row that may stay unmapped), and the successors of a subset with
+    last index ``l`` replace ``l`` by ``l + 1`` or append ``l + 1``; both
+    weigh no more than their parent and sort after it on ties.  They are
+    pushed at the next pop, so every subset is still pushed before any
+    larger key is popped, and the heap pops in sorted ``(-weight, indices)``
+    order.
     """
 
     def __init__(
         self,
         attribute: Attribute,
-        targets: Sequence[tuple[Attribute, int]],
+        source_type: DataType,
+        index: _TargetIndex,
         *,
         required: bool,
         alpha: int,
         max_fanout: Optional[int] = None,
     ):
         self.attribute = attribute
-        self.targets = list(targets)
         self.required = required
         self.alpha = alpha
         self.max_fanout = max_fanout
+        #: The targets placed so far, best first: ``(attribute, similarity)``.
+        self.targets: list[tuple[Attribute, int]] = []
+        name = attribute.name.lower()
+        #: Targets not yet scored, by bound: ``(-bound, position, attribute)``.
+        self._unscored = [
+            (-similarity_bound(name, lowered, alpha)[0], position, column)
+            for dtype, columns in index.items()
+            if compatible(source_type, dtype)
+            for position, column, lowered in columns
+        ]
+        heapq.heapify(self._unscored)
+        #: Targets scored but not yet placed, by their full sort key.
+        self._scored: list[tuple[int, int, str, int, Attribute]] = []
         self._produced: list[tuple[int, frozenset[Attribute]]] = []
-        self._heap: list[tuple[int, tuple[int, ...]]] = []
-        self._seen: set[tuple[int, ...]] = set()
-        if not required:
-            self._push(())
-        for index in range(len(self.targets)):
-            self._push((index,))
+        self._heap: list[tuple[int, tuple[int, ...]]] = [] if required else [(0, ())]
+        #: The last popped subset, whose successors the next pop pushes
+        #: first (``None`` before the first pop).
+        self._last: Optional[tuple[int, ...]] = None
 
     @property
     def feasible(self) -> bool:
-        return bool(self._heap) or bool(self._produced)
+        """Whether the row has a subset at all (a required row needs a target)."""
+        return self.get(0) is not None
+
+    def _target(self, index: int) -> Optional[tuple[Attribute, int]]:
+        """``targets[index]``, placing the targets before it first; ``None`` past the last."""
+        targets, unscored, scored = self.targets, self._unscored, self._scored
+        while len(targets) <= index:
+            # Bound >= best score, not >: an unscored target may win the tie.
+            while unscored and (not scored or unscored[0][0] <= scored[0][0]):
+                _bound, position, column = heapq.heappop(unscored)
+                heapq.heappush(
+                    scored,
+                    (
+                        -name_similarity(self.attribute.name, column.name, self.alpha),
+                        -name_similarity(self.attribute.table, column.table, self.alpha),
+                        str(column),
+                        position,
+                        column,
+                    ),
+                )
+            if not scored:
+                return None
+            neg_score, _table, _name, _position, column = heapq.heappop(scored)
+            targets.append((column, -neg_score))
+        return targets[index]
+
+    def drained(self) -> list[tuple[Attribute, int]]:
+        """``targets`` with every compatible target placed."""
+        while self._target(len(self.targets)) is not None:
+            pass
+        return self.targets
 
     def _weight(self, indices: tuple[int, ...]) -> int:
         reward = sum(self.targets[i][1] for i in indices)
@@ -141,31 +211,34 @@ class _RowCandidates:
         return reward - self.alpha * (size * (size - 1) // 2)
 
     def _push(self, indices: tuple[int, ...]) -> None:
-        if indices in self._seen:
-            return
         if self.max_fanout is not None and len(indices) > self.max_fanout:
             return
-        self._seen.add(indices)
-        heapq.heappush(self._heap, (-self._weight(indices), indices))
+        if self._target(indices[-1]) is not None:
+            heapq.heappush(self._heap, (-self._weight(indices), indices))
+
+    def _push_successors(self) -> None:
+        """Push the successors of the last popped subset, or ``(0,)`` before the first pop."""
+        last, self._last = self._last, ()
+        if last is None:
+            self._push((0,))
+        elif last:
+            # Replace the last element with the next-most-similar target, or
+            # extend the subset with it.
+            following = last[-1] + 1
+            self._push(last[:-1] + (following,))
+            self._push(last + (following,))
 
     def get(self, rank: int) -> Optional[tuple[int, frozenset[Attribute]]]:
         """The *rank*-th best subset (0-based) or ``None`` if exhausted."""
-        while len(self._produced) <= rank and self._heap:
-            neg_weight, indices = heapq.heappop(self._heap)
-            subset = frozenset(self.targets[i][0] for i in indices)
-            self._produced.append((-neg_weight, subset))
-            if indices:
-                last = indices[-1]
-                if last + 1 < len(self.targets):
-                    # Replace the last element with the next-most-similar target,
-                    # or extend the subset with it; both successors have weight
-                    # no larger than the current subset, so best-first order is
-                    # preserved.
-                    self._push(indices[:-1] + (last + 1,))
-                    self._push(indices + (last + 1,))
-        if rank < len(self._produced):
-            return self._produced[rank]
-        return None
+        produced, heap = self._produced, self._heap
+        while len(produced) <= rank:
+            self._push_successors()
+            if not heap:
+                return None
+            neg_weight, indices = heapq.heappop(heap)
+            produced.append((-neg_weight, frozenset(self.targets[i][0] for i in indices)))
+            self._last = indices
+        return produced[rank]
 
 
 #: A blocked partial correspondence: ``(row index, image)`` pairs.
@@ -200,12 +273,17 @@ class FactoredVcEnumerator:
         self.target = target_schema
         self.alpha = alpha
         self.queried = queried_attributes(source_program)
-        targets = all_compatible_targets(self.source, self.target, alpha)
+        index = _index_targets(self.target)
         self.rows: list[_RowCandidates] = []
-        for attr, attr_targets in targets.items():
+        for attr in self.source.attributes():
             required = attr in self.queried
             row = _RowCandidates(
-                attr, attr_targets, required=required, alpha=alpha, max_fanout=max_fanout
+                attr,
+                self.source.type_of(attr),
+                index,
+                required=required,
+                alpha=alpha,
+                max_fanout=max_fanout,
             )
             if required and not row.feasible:
                 raise VcEnumerationError(

@@ -3,6 +3,12 @@
 The paper instantiates ``sim(a, a')`` as ``α − Levenshtein(a, a')`` for a
 fixed constant ``α``.  We implement the standard Levenshtein edit distance
 plus the derived similarity scores used by the MaxSAT encoding.
+
+:func:`similarity_bound` is the cheap half of :func:`name_similarity`: the
+exact score of names that are equal or contain one another, and otherwise
+an upper bound from their lengths.  The value-correspondence enumerator
+ranks targets by it and computes an edit distance only for a target whose
+bound can still reach the best score found so far.
 """
 
 from __future__ import annotations
@@ -61,6 +67,25 @@ def _cached_levenshtein(left: str, right: str) -> int:
     return levenshtein(left, right)
 
 
+def similarity_bound(a: str, b: str, alpha: int = DEFAULT_ALPHA) -> tuple[int, bool]:
+    """``(score, exact)`` for two *lower-cased* names, computing no edit distance.
+
+    Equal names and names that contain one another get their exact
+    :func:`name_similarity` score.  Otherwise the names differ, so they are
+    at least one edit apart, and at least as many edits as their lengths
+    differ: ``α − 2·max(1, |len(a) − len(b)|)`` bounds the score from above.
+    The lengths are those of the lower-cased names, which are the names the
+    distance is measured on (``"İ".lower()`` has two code points).
+    """
+    if a == b:
+        return alpha, True
+    left, right = len(a), len(b)
+    if left >= 3 and right >= 3 and (a in b or b in a):
+        return alpha - 1, True
+    gap = left - right if left > right else right - left
+    return alpha - 2 * (gap or 1), False
+
+
 def name_similarity(left: str, right: str, alpha: int = DEFAULT_ALPHA) -> int:
     """Similarity score used by the value-correspondence encoding.
 
@@ -74,19 +99,18 @@ def name_similarity(left: str, right: str, alpha: int = DEFAULT_ALPHA) -> int:
       prefix or suffix, e.g. ``email`` → ``email_address``), the score is
       ``α − 1`` regardless of the edit distance.
 
-    The weight of the one-to-one preference clauses stays α, as in the paper.
+    Names compare lower-cased.  The weight of the one-to-one preference
+    clauses stays α, as in the paper.
     """
     a, b = left.lower(), right.lower()
-    if a == b:
-        return alpha
-    if len(a) >= 3 and len(b) >= 3 and (a in b or b in a):
-        return alpha - 1
-    return alpha - 2 * _cached_levenshtein(a, b)
+    score, exact = similarity_bound(a, b, alpha)
+    return score if exact else alpha - 2 * _cached_levenshtein(a, b)
 
 
 def normalized_similarity(left: str, right: str) -> float:
-    """Edit similarity scaled to [0, 1]; useful for reporting and tests."""
-    longest = max(len(left), len(right))
+    """Edit similarity of the lower-cased names, scaled to [0, 1]; for reporting and tests."""
+    a, b = left.lower(), right.lower()
+    longest = max(len(a), len(b))
     if longest == 0:
         return 1.0
-    return 1.0 - _cached_levenshtein(left.lower(), right.lower()) / longest
+    return 1.0 - _cached_levenshtein(a, b) / longest

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.datamodel.types import DataType, default_seed_values
@@ -229,6 +230,27 @@ class QuerySequences(NamedTuple):
             yield from itertools.product(*(pools[name] for name in names))
 
 
+class _Plan(NamedTuple):
+    """The parts of :meth:`SequenceGenerator.queries` fixed by its programs and seeds."""
+
+    update_names: list[str]
+    query_names: list[str]
+    #: Argument tuples per function name, from the reference program.
+    arguments: dict[str, tuple[tuple, ...]]
+    #: Tables each function name touches in the generator's programs.
+    touched: dict[str, frozenset[str]]
+
+
+def _add_touched(
+    touched: dict[str, frozenset[str]], programs: Iterable[Program]
+) -> dict[str, frozenset[str]]:
+    """*touched* with the tables each function of *programs* touches added, in place."""
+    for program in programs:
+        for func in program:
+            touched[func.name] = touched.get(func.name, frozenset()) | tables_touched(func)
+    return touched
+
+
 @dataclass
 class SequenceGenerator:
     """Enumerates invocation sequences in increasing length.
@@ -236,7 +258,8 @@ class SequenceGenerator:
     ``programs`` lists all programs whose behaviour the sequence will be run
     against (the source and the candidate); relevance filtering keeps an
     update function only if it touches a table that the final query touches
-    in at least one of the programs.
+    in at least one of the programs.  The first program is the reference:
+    the function lists and argument tuples come from it.
     """
 
     programs: Sequence[Program]
@@ -244,52 +267,51 @@ class SequenceGenerator:
     max_updates: int = 2
     relevance_filter: bool = True
 
-    def _touch_map(self) -> dict[str, frozenset[str]]:
-        touched: dict[str, set[str]] = {}
-        for program in self.programs:
-            for func in program:
-                touched.setdefault(func.name, set()).update(tables_touched(func))
-        return {name: frozenset(tables) for name, tables in touched.items()}
-
-    def _function_lists(self) -> tuple[list[str], list[str]]:
-        """Names of update and query functions common to all programs."""
+    @cached_property
+    def _plan(self) -> _Plan:
+        """Computed once per generator, however many candidates :meth:`queries` is given."""
         reference = self.programs[0]
         update_names = [f.name for f in reference.update_functions()]
         query_names = [f.name for f in reference.query_functions()]
-        return update_names, query_names
+        key_attrs = filtered_attributes(reference)
+        arguments = {}
+        for name in update_names + query_names:
+            func = reference.function(name)
+            arguments[name] = tuple(
+                argument_combinations(func, self.seeds, predicate_parameters(func, key_attrs))
+            )
+        return _Plan(update_names, query_names, arguments, _add_touched({}, self.programs))
 
-    def queries(self) -> list[QuerySequences]:
+    def queries(self, *candidates: Program) -> list[QuerySequences]:
         """The enumeration, described once: one entry per query, in order.
 
         For every length from 0 to ``max_updates``, :meth:`sequences` runs
         through these queries in this order, and the exhaustive walk of
         :class:`~repro.equivalence.tester.BoundedTester` counts by them.
+        *candidates* count for relevance filtering as if they were listed
+        in ``programs``: a tester keeps one generator over its source and
+        passes each candidate here, so a call computes only the candidate's
+        touched tables.
         """
-        reference = self.programs[0]
-        touch = self._touch_map()
-        update_names, query_names = self._function_lists()
-        key_attrs = filtered_attributes(reference)
-
-        def arguments(name: str) -> tuple[tuple, ...]:
-            func = reference.function(name)
-            return tuple(
-                argument_combinations(func, self.seeds, predicate_parameters(func, key_attrs))
-            )
-
-        update_arguments = {name: arguments(name) for name in update_names}
+        plan = self._plan
+        touch = plan.touched
+        if candidates:
+            touch = _add_touched(dict(touch), candidates)
         queries = []
-        for query_name in query_names:
-            relevant_updates = update_names
+        for query_name in plan.query_names:
+            relevant_updates = plan.update_names
             if self.relevance_filter:
                 query_tables = touch.get(query_name, frozenset())
                 relevant_updates = [
-                    name for name in update_names if touch.get(name, frozenset()) & query_tables
+                    name
+                    for name in plan.update_names
+                    if touch.get(name, frozenset()) & query_tables
                 ]
             queries.append(
                 QuerySequences(
                     query_name,
-                    arguments(query_name),
-                    tuple((name, update_arguments[name]) for name in relevant_updates),
+                    plan.arguments[query_name],
+                    tuple((name, plan.arguments[name]) for name in relevant_updates),
                 )
             )
         return queries
@@ -309,7 +331,7 @@ class SequenceGenerator:
         """Random sequences (updates followed by a query) for deeper verification."""
         rng = rng or random.Random(0)
         reference = self.programs[0]
-        update_names, query_names = self._function_lists()
+        update_names, query_names = self._plan.update_names, self._plan.query_names
         if not query_names:
             return
         for _ in range(count):

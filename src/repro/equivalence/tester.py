@@ -424,6 +424,15 @@ class BoundedTester:
         self.seeds = seeds or SeedSet.default()
         self.max_updates = max_updates
         self.relevance_filter = relevance_filter
+        #: The invocation sequences of this tester's bound, over the source:
+        #: ``generator.queries(candidate)`` describes a walk's order, and
+        #: the parts that depend on the source alone are computed once.
+        self.generator = SequenceGenerator(
+            programs=[source],
+            seeds=self.seeds,
+            max_updates=max_updates,
+            relevance_filter=relevance_filter,
+        )
         self.max_sequences = max_sequences
         self.stats = TesterStatistics()
         self.pool = pool
@@ -448,15 +457,6 @@ class BoundedTester:
         #: :class:`TestingInterrupted`.  The completer installs (and
         #: restores) it around each ``complete`` call.
         self.interrupt: Optional[Callable[[], bool]] = None
-
-    def generator(self, candidate: Program) -> SequenceGenerator:
-        """The invocation sequences of this tester's bound for *candidate*."""
-        return SequenceGenerator(
-            programs=[self.source, candidate],
-            seeds=self.seeds,
-            max_updates=self.max_updates,
-            relevance_filter=self.relevance_filter,
-        )
 
     # ---------------------------------------------------------------- running
     def _outputs(self, program: Program, sequence: InvocationSequence) -> tuple:
@@ -545,7 +545,7 @@ class BoundedTester:
         source_graph, graph_key = self._source_graph()
         candidate_graph = StateGraph(self._load(candidate))
         root = _Pair(source_graph.root, candidate_graph.root, 0, 0, 1, None, None)
-        queries = self.generator(candidate).queries()
+        queries = self.generator.queries(candidate)
         classes: dict = {}
         interrupt = self.interrupt
         limit = self.max_sequences

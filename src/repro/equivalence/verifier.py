@@ -120,7 +120,7 @@ class BoundedVerifier:
         if failing is not None:
             return VerificationResult(False, failing, checked)
         rng = random.Random(self.seed)
-        for sequence in tester.generator(candidate).random_sequences(
+        for sequence in tester.generator.random_sequences(
             self.random_sequences, self.random_max_length, rng
         ):
             checked += 1

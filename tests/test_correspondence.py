@@ -1,11 +1,12 @@
 """Tests for similarity, value correspondences, and their lazy enumeration."""
 
+import heapq
 import itertools
 import os
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.correspondence import (
     DEFAULT_ALPHA,
@@ -20,12 +21,30 @@ from repro.correspondence import (
     name_similarity,
     normalized_similarity,
 )
+from repro.correspondence.enumerator import _index_targets, _RowCandidates
+from repro.correspondence.similarity import _cached_levenshtein, similarity_bound
 from repro.core import BudgetExhausted, SynthesisConfig, SynthesisSession, migrate
 from repro.datamodel import Attribute, DataType as T, make_schema
+from repro.datamodel.types import compatible
 from repro.lang.builder import ProgramBuilder, eq, insert, select
 from repro.workloads import benchmark_names, get_benchmark, rename_variants
 
 FULL_EQUIV = os.environ.get("REPRO_FULL_EQUIV") == "1"
+
+
+#: Attribute and table names: mixed case, shared prefixes and suffixes, a
+#: character whose lower case is longer (``"İ"``), and names of 0–2
+#: characters.  The alphabet is small, so one name often recurs in several
+#: tables, and a dot lets two targets share ``str(target)`` (``a.b`` + ``c``
+#: and ``a`` + ``b.c``), leaving the tie to declaration position.
+_NAMES = st.one_of(
+    st.text(alphabet="aAbİ_.", max_size=2),
+    st.lists(
+        st.sampled_from(["id", "Id", "ID", "user", "User", "name", "_", "x", "İ", "ab"]),
+        min_size=1,
+        max_size=4,
+    ).map("".join),
+)
 
 
 # ----------------------------------------------------------------------------- similarity
@@ -100,6 +119,21 @@ class TestSimilarity:
     def test_normalized_similarity_bounds(self):
         assert normalized_similarity("abc", "abc") == 1.0
         assert 0.0 <= normalized_similarity("abc", "xyz") <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="aAİı_", max_size=4), st.text(alphabet="aAİı_", max_size=4))
+    @example("İ", "x")
+    def test_normalized_similarity_stays_in_the_unit_interval(self, left, right):
+        # "İ".lower() has two code points: the distance is measured on the
+        # lower-cased names, so their lengths scale it.
+        assert 0.0 <= normalized_similarity(left, right) <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_NAMES, _NAMES)
+    def test_similarity_bound_is_exact_or_bounds_the_score(self, left, right):
+        bound, exact = similarity_bound(left.lower(), right.lower())
+        score = name_similarity(left, right)
+        assert bound == score if exact else bound >= score
 
 
 # ---------------------------------------------------------------------- value correspondence
@@ -239,6 +273,172 @@ class TestEnumeration:
         for candidate, _ in zip(enumerator.candidates(), range(20)):
             for _, image in candidate.correspondence.items():
                 assert len(image) <= 1
+
+
+# ------------------------------------------------------------------------------ lazy rows
+class _EagerRow:
+    """A row that scores and sorts every target up front: the lazy rows' reference.
+
+    *targets* are given in order.  Every singleton is pushed at once, and a
+    popped subset's successors as it is popped, so ``_seen`` deduplicates
+    the singletons that are also replace-successors.
+    """
+
+    def __init__(self, attribute, targets, *, required, alpha, max_fanout=None):
+        self.attribute = attribute
+        self.targets = list(targets)
+        self.required = required
+        self.alpha = alpha
+        self.max_fanout = max_fanout
+        self._produced = []
+        self._heap = []
+        self._seen = set()
+        if not required:
+            self._push(())
+        for index in range(len(self.targets)):
+            self._push((index,))
+
+    @property
+    def feasible(self):
+        return bool(self._heap) or bool(self._produced)
+
+    def _push(self, indices):
+        if indices in self._seen:
+            return
+        if self.max_fanout is not None and len(indices) > self.max_fanout:
+            return
+        self._seen.add(indices)
+        size = len(indices)
+        weight = sum(self.targets[i][1] for i in indices) - self.alpha * (size * (size - 1) // 2)
+        heapq.heappush(self._heap, (-weight, indices))
+
+    def get(self, rank):
+        while len(self._produced) <= rank and self._heap:
+            neg_weight, indices = heapq.heappop(self._heap)
+            self._produced.append((-neg_weight, frozenset(self.targets[i][0] for i in indices)))
+            if indices and indices[-1] + 1 < len(self.targets):
+                last = indices[-1]
+                self._push(indices[:-1] + (last + 1,))
+                self._push(indices + (last + 1,))
+        return self._produced[rank] if rank < len(self._produced) else None
+
+
+def _spec_order(source, target, attr, alpha=DEFAULT_ALPHA):
+    """The compatible targets of *attr* with their similarity, sorted by the spec's key.
+
+    ``(−sim(name), −sim(table), str(target), declaration position)``, from
+    ``name_similarity`` and one sort over every target.
+    """
+    keyed = [
+        (
+            (
+                -name_similarity(attr.name, candidate.name, alpha),
+                -name_similarity(attr.table, candidate.table, alpha),
+                str(candidate),
+                position,
+            ),
+            candidate,
+        )
+        for position, candidate in enumerate(target.attributes())
+        if compatible(source.type_of(attr), target.type_of(candidate))
+    ]
+    keyed.sort()
+    return [(candidate, -key[0]) for key, candidate in keyed]
+
+
+_TYPES = st.sampled_from([T.INT, T.STRING, T.BOOL])
+
+
+def _schemas(name):
+    return st.dictionaries(
+        _NAMES, st.dictionaries(_NAMES, _TYPES, min_size=1, max_size=5), min_size=1, max_size=4
+    ).map(lambda tables: make_schema(name, tables))
+
+
+#: (registry name, rename variant or None).  ``REPRO_FULL_EQUIV=1`` checks
+#: the 20 targets and their r0–r2 rename variants.
+LAZY_TARGETS = (
+    [(name, variant) for name in benchmark_names() for variant in (None, 0, 1, 2)]
+    if FULL_EQUIV
+    else [("Ambler-5", None), ("Oracle-2", 0), ("gallery", 1), ("cdx", 2)]
+)
+
+
+class TestLazyRows:
+    """Rows score their targets on demand and keep the eager rows' stream exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        source=_schemas("s"),
+        target=_schemas("t"),
+        required=st.booleans(),
+        max_fanout=st.sampled_from([None, 1, 2]),
+        ranks=st.lists(st.integers(0, 30), max_size=6),
+    )
+    @example(
+        # Both targets read "a.b.c" and tie on both similarities (4 and 6):
+        # declaration position decides.
+        source=make_schema("s", {"ab": {"xyc": T.INT}}),
+        target=make_schema("t", {"a.b": {"c": T.INT}, "a": {"b.c": T.INT}}),
+        required=True,
+        max_fanout=2,
+        ranks=[],
+    )
+    def test_rows_follow_the_spec_order_and_the_eager_stream(
+        self, source, target, required, max_fanout, ranks
+    ):
+        index = _index_targets(target)
+        for attr in source.attributes():
+            expected = _spec_order(source, target, attr)
+            row = _RowCandidates(attr, source.type_of(attr), index, required=required, alpha=8)
+            assert row.drained() == expected
+            assert compatible_targets(source, target, attr) == expected
+
+            lazy = _RowCandidates(
+                attr, source.type_of(attr), index,
+                required=required, alpha=8, max_fanout=max_fanout,
+            )
+            eager = _EagerRow(attr, expected, required=required, alpha=8, max_fanout=max_fanout)
+            assert lazy.feasible == eager.feasible
+            # Random reads first (a rank far ahead, then back), then every rank.
+            for rank in ranks + list(range(31)):
+                assert lazy.get(rank) == eager.get(rank)
+
+    @pytest.mark.parametrize("name, variant", LAZY_TARGETS)
+    def test_enumerator_yields_the_stream_of_eager_rows(self, name, variant):
+        benchmark = get_benchmark(name)
+        source, target = benchmark.source_program, benchmark.target_schema
+        if variant is not None:
+            target = rename_variants(target, variant + 1)[variant]
+        lazy = FactoredVcEnumerator(source, target)
+        eager = FactoredVcEnumerator(source, target)
+        eager.rows = [
+            _EagerRow(
+                row.attribute,
+                _spec_order(source.schema, target, row.attribute),
+                required=row.required,
+                alpha=row.alpha,
+                max_fanout=row.max_fanout,
+            )
+            for row in eager.rows
+        ]
+        expected = [
+            (c.correspondence, c.weight) for c in itertools.islice(eager.candidates(), 64)
+        ]
+        assert [
+            (c.correspondence, c.weight) for c in itertools.islice(lazy.candidates(), 64)
+        ] == expected
+
+    def test_first_correspondences_compute_few_distances(self):
+        """Scoring every compatible target up front took 32,523 distances here."""
+        benchmarks = [get_benchmark(name) for name in benchmark_names()]
+        _cached_levenshtein.cache_clear()
+        for benchmark in benchmarks:
+            enumerator = ValueCorrespondenceEnumerator(
+                benchmark.source_program, benchmark.target_schema
+            )
+            assert enumerator.next_value_corr() is not None
+        assert _cached_levenshtein.cache_info().misses <= 1000
 
 
 # --------------------------------------------------------------------------------- nogoods

@@ -1,9 +1,12 @@
 """Tests for invocation sequences, result comparison, the bounded tester and verifier."""
 
+import dataclasses
+import itertools
 import random
 
 import pytest
 
+from repro.core import SynthesisConfig, migrate
 from repro.datamodel import Attribute, DataType as T, make_schema
 from repro.engine.uid import UniqueValue
 from repro.equivalence import (
@@ -17,8 +20,10 @@ from repro.equivalence import (
     results_equal,
     tables_touched,
 )
+from repro.equivalence import invocation
 from repro.equivalence.invocation import filtered_attributes, predicate_parameters
 from repro.lang.builder import ProgramBuilder, delete, eq, insert, join, select, update
+from repro.workloads import benchmark_names, get_benchmark
 
 
 # ------------------------------------------------------------------------ result compare
@@ -231,6 +236,45 @@ class TestSequenceGeneration:
     def test_format_sequence(self):
         text = format_sequence((("add", (1, "x")), ("get", (1,))))
         assert text == "add(1, 'x'); get(1)"
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_a_tester_computes_its_source_half_once(name, monkeypatch):
+    """One tester serves candidates that touch different tables.
+
+    Each gets exactly the queries of a fresh generator over the source and
+    that candidate, and only the first call computes argument tuples: the
+    synthesized program, a candidate that touches another workload's tables
+    (that workload's function bodies under this source's names), the
+    source itself, and the synthesized program again.
+    """
+    names = benchmark_names()
+    benchmark = get_benchmark(name)
+    source = benchmark.source_program
+    synthesized = migrate(
+        source, benchmark.target_schema, SynthesisConfig(verifier_random_sequences=10)
+    ).program
+    functions = list(source)
+    bodies = itertools.cycle(get_benchmark(names[names.index(name) - 1]).source_program)
+    foreign = source.with_functions(
+        [dataclasses.replace(next(bodies), name=func.name) for func in functions]
+    )
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return argument_combinations(*args, **kwargs)
+
+    monkeypatch.setattr(invocation, "argument_combinations", counting)
+    tester = BoundedTester(source)
+    touched = set()
+    for turn, candidate in enumerate([synthesized, foreign, source, synthesized]):
+        fresh = SequenceGenerator([source, candidate]).queries()
+        before = len(calls)
+        assert tester.generator.queries(candidate) == fresh
+        assert len(calls) - before == (len(functions) if turn == 0 else 0)
+        touched.add(frozenset((func.name, tables_touched(func)) for func in candidate))
+    assert len(touched) >= 2
 
 
 # --------------------------------------------------------------------------------- tester
