@@ -1,12 +1,16 @@
 """Execution-engine benchmark: interpreter vs compiled.
 
-Two measurements per selected Table 1 workload:
+Three measurements per selected Table 1 workload:
 
 * **candidate-execution throughput** — the source program executed on a
   fixed batch of bounded-tester invocation sequences under each backend
   (this is the inner loop the search-and-check algorithm pays thousands of
   times per benchmark; closure translation plus hash joins is the whole
   win);
+* **state-graph step throughput** — the update prefixes of the same batch
+  replayed the way the tester's state graph steps on a memo miss: fork the
+  parent state, call one update on the fork, key the fork (no gate; a
+  diagnostic of what each bounded-check step costs);
 * **end-to-end synthesis** — one full synthesis run per backend on a small
   multi-sketch workload, demonstrating that the gains survive the complete
   pipeline (pool screening, source caching, verification) without changing
@@ -37,7 +41,7 @@ import pytest
 
 from measure import BenchReport, measure, measure_streaming
 from repro.core import Synthesizer, SynthesisConfig
-from repro.engine.compiler import ProgramCompiler
+from repro.engine.compiler import ProgramCompiler, make_loader
 from repro.engine.interpreter import run_invocation_sequence
 from repro.equivalence.invocation import SequenceGenerator
 from repro.eval.reporting import engine_summary_row, render_engine_report
@@ -55,6 +59,8 @@ THROUGHPUT_WORKLOADS = ["Oracle-1"] if SMOKE else [
 ]
 SEQUENCES = 100 if SMOKE else 400
 REPEATS = 3
+#: A graph-step pass over the batch takes milliseconds: best of more runs.
+STEP_REPEATS = 10
 #: Acceptance threshold for compiled-vs-interpreter throughput.  Local/full
 #: runs hold the original criterion (3x); the CI smoke job uses a lower
 #: tripwire so a noisy shared runner cannot flake an unrelated PR —
@@ -137,6 +143,51 @@ def test_engine_throughput(name):
     for sequence in sample:
         expected = run_invocation_sequence(program, sequence)
         assert expected == compiled.run_sequence(sequence)
+
+
+# ------------------------------------------------------------ graph steps
+@pytest.mark.parametrize("name", THROUGHPUT_WORKLOADS)
+def test_graph_step_throughput(name):
+    """Fork + call + key per update along the batch's prefixes, per backend.
+
+    Each step starts from a parent whose key is already computed, as a state
+    graph node's is, and the fork is keyed after the call, as a new node is.
+    """
+    program = get_benchmark(name).source_program
+    prefixes = [
+        sequence[:-1]
+        for sequence in itertools.islice(
+            SequenceGenerator(programs=[program]).sequences(), SEQUENCES
+        )
+    ]
+    steps = sum(len(prefix) for prefix in prefixes)
+    assert steps, f"workload {name} produced no update prefixes"
+
+    def stepper(executable):
+        def run():
+            for prefix in prefixes:
+                state = executable.new_state()
+                state.key()
+                for function, args in prefix:
+                    child = state.fork()
+                    executable.call(child, function, args)
+                    child.key()
+                    state = child
+
+        return run
+
+    rates = {
+        backend: _best_rate(stepper(make_loader(backend)(program)), STEP_REPEATS, steps)
+        for backend in ("interpreter", "compiled")
+    }
+    print(f"  {name}: {steps} graph steps, interpreter {rates['interpreter']:,.0f}/s, "
+          f"compiled {rates['compiled']:,.0f}/s")
+    _REPORT.record("graph_steps", name, {
+        "steps": steps,
+        "interpreter_steps_per_s": round(rates["interpreter"], 1),
+        "compiled_steps_per_s": round(rates["compiled"], 1),
+        "compiled_speedup": round(rates["compiled"] / rates["interpreter"], 3),
+    })
 
 
 # ------------------------------------------------------------- end-to-end
