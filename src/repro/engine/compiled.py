@@ -4,16 +4,22 @@ The compiler (:mod:`repro.engine.compiler`) translates a program AST once
 into Python closures; this module holds the lean data layer those closures
 run against:
 
-* :class:`CRow` — a slotted row whose values live in a list indexed by the
-  column *offset* resolved at compile time (no per-access ``dict[Attribute]``
-  lookup, no per-row column-name dict);
+* :class:`CRow` — a slotted, immutable row whose values live in a tuple
+  indexed by the column *offset* resolved at compile time (no per-access
+  ``dict[Attribute]`` lookup, no per-row column-name dict);
 * :class:`CompiledState` — table storage as a list of row lists indexed by a
-  compile-time table index, plus the per-execution UID generator and rowid
-  counter;
+  compile-time table index, one cached key tuple per table, plus the
+  per-execution UID generator and rowid counter;
 * :class:`CompiledFunction` / :class:`CompiledProgram` — the executable
   artefacts, with :meth:`CompiledProgram.run_sequence` mirroring
   :func:`repro.engine.interpreter.run_invocation_sequence` (same outputs,
   same error behaviour, fresh empty database per call).
+
+No write path assigns into a row: an insert appends a new row, an update
+replaces each matched row with a new :class:`CRow` that keeps its rowid,
+and a delete builds a new row list.  So a fork shares every row with its
+parent and copies only the per-table row lists, and a state's key reuses
+the key tuple of every table not written since the fork.
 
 Joined rows in this backend are plain tuples of :class:`CRow` objects
 aligned to the join chain's table order; provenance (the rowid of each
@@ -30,11 +36,16 @@ from repro.engine.uid import UidGenerator
 
 
 class CRow:
-    """A slotted table row: stable identity plus offset-indexed values."""
+    """A slotted table row: stable identity plus offset-indexed values.
+
+    Rows are immutable once stored: ``vals`` is a tuple, and no write path
+    assigns into a row (an update stores a new row under the same rowid), so
+    forked states share rows.
+    """
 
     __slots__ = ("rowid", "vals")
 
-    def __init__(self, rowid: int, vals: list):
+    def __init__(self, rowid: int, vals: tuple):
         self.rowid = rowid
         self.vals = vals
 
@@ -43,29 +54,41 @@ class CRow:
 
 
 class CompiledState:
-    """Mutable database state for one execution of a compiled program."""
+    """Database state for one execution of a compiled program.
 
-    __slots__ = ("tables", "uids", "next_rowid")
+    ``tables`` holds one row list per table; ``keys`` holds each table's
+    row values in storage order as a tuple of row tuples (its part of
+    :meth:`key`), or ``None`` once the table is written.  Every write path
+    goes through :meth:`append_row` or :meth:`set_rows`, which reset the
+    table's entry, so :meth:`key` rebuilds only the tables written since it
+    last ran.  Rows are immutable, so :meth:`fork` copies the row lists and
+    the cached keys, never a row.
+    """
+
+    __slots__ = ("tables", "keys", "uids", "next_rowid")
 
     def __init__(self, num_tables: int):
         self.tables: list[list[CRow]] = [[] for _ in range(num_tables)]
+        self.keys: list[tuple | None] = [()] * num_tables
         self.uids = UidGenerator()
         self.next_rowid = 1
 
-    def append_row(self, table_index: int, vals: list) -> None:
-        self.tables[table_index].append(CRow(self.next_rowid, vals))
+    def append_row(self, table_index: int, vals: Sequence[Any]) -> None:
+        """Append a row with a fresh rowid; *vals* is stored as a tuple, whatever it is."""
+        self.tables[table_index].append(CRow(self.next_rowid, tuple(vals)))
+        self.keys[table_index] = None
         self.next_rowid += 1
 
-    def clear(self) -> None:
-        for rows in self.tables:
-            rows.clear()
-        self.uids.reset()
-        self.next_rowid = 1
+    def set_rows(self, table_index: int, rows: list[CRow]) -> None:
+        """Replace a table's row list (deletes and updates build a new one)."""
+        self.tables[table_index] = rows
+        self.keys[table_index] = None
 
     def fork(self) -> "CompiledState":
-        """An independent copy: updates mutate rows in place, so rows are copied."""
+        """An independent copy that shares every (immutable) row with this state."""
         clone = CompiledState.__new__(CompiledState)
-        clone.tables = [[CRow(r.rowid, r.vals[:]) for r in rows] for rows in self.tables]
+        clone.tables = [rows[:] for rows in self.tables]
+        clone.keys = self.keys[:]
         clone.uids = self.uids.fork()
         clone.next_rowid = self.next_rowid
         return clone
@@ -75,12 +98,14 @@ class CompiledState:
 
         Rowids are left out: the engine compares them only for identity
         within one state, so states that differ only in rowid numbering
-        behave identically on every invocation.
+        behave identically on every invocation.  Only the tables written
+        since the last call are re-read.
         """
-        return (
-            tuple([tuple([tuple(r.vals) for r in rows]) for rows in self.tables]),
-            self.uids.count,
-        )
+        keys = self.keys
+        for index, key in enumerate(keys):
+            if key is None:
+                keys[index] = tuple([row.vals for row in self.tables[index]])
+        return tuple(keys), self.uids.count
 
 
 class CompiledFunction:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from repro.datamodel.instance import InstanceError
@@ -500,6 +501,18 @@ class _FunctionCompiler:
                     slot = root_slots.setdefault(root, len(root_slots))
                     cells.append((False, slot))
 
+            picked = [arg for is_value, arg in cells if is_value]
+            if len(picked) > 1 and len(picked) == len(cells):
+                # No fresh UID: the row is the values at these positions, taken
+                # as one tuple (rows store tuples) instead of cell by cell.
+                def insert_values(
+                    state, vals, _fresh, _ti=self.table_index[table], _pick=itemgetter(*picked)
+                ):
+                    state.append_row(_ti, _pick(vals))
+
+                table_ops.append(insert_values)
+                continue
+
             def insert_row(state, vals, fresh, _ti=self.table_index[table], _cells=tuple(cells)):
                 row = []
                 for is_value, arg in _cells:
@@ -544,9 +557,9 @@ class _FunctionCompiler:
             def delete_rows(state, matches, _ti=ti, _pi=pi):
                 rowids = {j[_pi].rowid for j in matches}
                 if rowids:
-                    state.tables[_ti] = [
-                        r for r in state.tables[_ti] if r.rowid not in rowids
-                    ]
+                    state.set_rows(
+                        _ti, [r for r in state.tables[_ti] if r.rowid not in rowids]
+                    )
 
             target_ops.append(delete_rows)
 
@@ -591,14 +604,23 @@ class _FunctionCompiler:
 
             return run_bad_column
 
-        def run(state, bindings, _matcher=matcher, _value=value_fn, _ti=ti, _pi=pi, _ci=ci):
+        def run(
+            state, bindings, _matcher=matcher, _value=value_fn, _ti=ti, _pi=pi, _ci=ci, _next=ci + 1
+        ):
             matches = _matcher(state, bindings)
-            value = _value(bindings)
+            value = (_value(bindings),)
             rowids = {j[_pi].rowid for j in matches}
             if rowids:
-                for r in state.tables[_ti]:
-                    if r.rowid in rowids:
-                        r.vals[_ci] = value
+                # Rows are shared with forks: a matched row is replaced, never written.
+                state.set_rows(
+                    _ti,
+                    [
+                        CRow(r.rowid, r.vals[:_ci] + value + r.vals[_next:])
+                        if r.rowid in rowids
+                        else r
+                        for r in state.tables[_ti]
+                    ],
+                )
 
         return run
 

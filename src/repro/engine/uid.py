@@ -43,11 +43,10 @@ class UidGenerator:
     def fork(self) -> "UidGenerator":
         """An independent generator continuing from the same counter.
 
-        Used by ``CompiledState.fork`` and ``ProgramInterpreter.fork``: the
-        verifier's block walk forks a prefix state once per extending
-        update, and each fork must allocate exactly the UIDs a run of its
-        whole sequence from the empty database would allocate from that
-        point on.
+        Used by ``CompiledState.fork`` and ``ProgramInterpreter.fork``: a
+        bounded checker's state graph forks a state once per step it takes,
+        and each fork must allocate exactly the UIDs a run of its whole
+        sequence from the empty database would allocate from that point on.
         """
         clone = UidGenerator()
         clone._next = self._next

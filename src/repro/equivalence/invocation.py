@@ -241,14 +241,9 @@ class _Plan(NamedTuple):
     touched: dict[str, frozenset[str]]
 
 
-def _add_touched(
-    touched: dict[str, frozenset[str]], programs: Iterable[Program]
-) -> dict[str, frozenset[str]]:
-    """*touched* with the tables each function of *programs* touches added, in place."""
-    for program in programs:
-        for func in program:
-            touched[func.name] = touched.get(func.name, frozenset()) | tables_touched(func)
-    return touched
+#: Function objects whose touched tables one generator remembers at most;
+#: the memo is cleared wholesale at the cap, as the compiler's caches are.
+_TOUCHED_MEMO_ENTRIES = 4096
 
 
 @dataclass
@@ -266,6 +261,9 @@ class SequenceGenerator:
     seeds: SeedSet = field(default_factory=SeedSet.default)
     max_updates: int = 2
     relevance_filter: bool = True
+    #: id(function) -> (function, its touched tables).  Holding the function
+    #: keeps its id from being reused by another object while the entry lives.
+    _touched: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def _plan(self) -> _Plan:
@@ -280,7 +278,27 @@ class SequenceGenerator:
             arguments[name] = tuple(
                 argument_combinations(func, self.seeds, predicate_parameters(func, key_attrs))
             )
-        return _Plan(update_names, query_names, arguments, _add_touched({}, self.programs))
+        return _Plan(update_names, query_names, arguments, self._add_touched({}, self.programs))
+
+    def _add_touched(
+        self, touched: dict[str, frozenset[str]], programs: Iterable[Program]
+    ) -> dict[str, frozenset[str]]:
+        """*touched* with the tables each function of *programs* touches added, in place.
+
+        Tables are computed once per function object: the candidates of one
+        run share the function objects of the holes they agree on (see
+        :class:`~repro.completion.instantiate.MemoizedInstantiator`).
+        """
+        memo = self._touched
+        for program in programs:
+            for func in program:
+                entry = memo.get(id(func))
+                if entry is None or entry[0] is not func:
+                    if len(memo) >= _TOUCHED_MEMO_ENTRIES:
+                        memo.clear()
+                    entry = memo[id(func)] = (func, tables_touched(func))
+                touched[func.name] = touched.get(func.name, frozenset()) | entry[1]
+        return touched
 
     def queries(self, *candidates: Program) -> list[QuerySequences]:
         """The enumeration, described once: one entry per query, in order.
@@ -290,13 +308,13 @@ class SequenceGenerator:
         :class:`~repro.equivalence.tester.BoundedTester` counts by them.
         *candidates* count for relevance filtering as if they were listed
         in ``programs``: a tester keeps one generator over its source and
-        passes each candidate here, so a call computes only the candidate's
-        touched tables.
+        passes each candidate here, so a call computes only the touched
+        tables of candidate functions it has not met before.
         """
         plan = self._plan
         touch = plan.touched
         if candidates:
-            touch = _add_touched(dict(touch), candidates)
+            touch = self._add_touched(dict(touch), candidates)
         queries = []
         for query_name in plan.query_names:
             relevant_updates = plan.update_names

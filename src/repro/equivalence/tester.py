@@ -16,8 +16,11 @@ same on every execution backend.  Each program's states live in a
 :class:`StateGraph`: a state is interned by its exact key (row values in
 storage order plus the UID counter, see ``CompiledState.key``), and each
 node memoizes the node every invocation leads to, so a step from a state is
-taken once and pairs compare by node identity.  For each relevance class
-(the update calls relevant to a query, see
+taken once and pairs compare by node identity.  A source node memoizes each
+query's raw outputs; a check compares the candidate's raw outputs with
+them first and computes canonical forms (UID renaming, row order) only when
+they differ, as ``differs_on`` does.  For each relevance class (the update
+calls relevant to a query, see
 :meth:`~repro.equivalence.invocation.SequenceGenerator.queries`), level
 ``n`` keeps only the pairs that no shorter prefix reached, each tagged with
 the lowest enumeration index of a prefix that reaches it; each query runs
@@ -33,8 +36,8 @@ verification") gives the soundness argument.
 
 Two layers of reuse keep repeated testing cheap:
 
-* The source state graph (with each node's query outputs) and the source
-  outputs of single sequences (:meth:`BoundedTester.differs_on`: pool
+* The source state graph (with each node's raw query outputs) and the
+  source outputs of single sequences (:meth:`BoundedTester.differs_on`: pool
   screening, the verifier's randomized phase) live in a size-bounded LRU
   :class:`~repro.testing_cache.SourceOutputCache` that can be shared across
   testers and verifiers within one process (the synthesizer shares one per
@@ -159,14 +162,41 @@ class TesterStatistics:
     full_enumeration_sequences: int = 0
 
 
+class _Expected:
+    """A source run's raw outputs, and their canonical form once it is needed.
+
+    A candidate whose raw outputs equal the source's matches without
+    canonicalizing either side: equal raw outputs canonicalize alike, up to
+    values that are equal but sort apart (``True == 1``), and those match
+    as well.  The canonical form is computed the first time a candidate's
+    raw outputs differ (UID numbering or row order, or a real difference),
+    and kept; two threads may both compute it, to equal values.
+    """
+
+    __slots__ = ("raw", "_canonical")
+
+    def __init__(self, raw: list):
+        self.raw = raw
+        self._canonical: Optional[tuple] = None
+
+    def matches(self, actual: list) -> bool:
+        """Whether *actual* equals these outputs, raw or up to UID renaming and row order."""
+        if actual == self.raw:
+            return True
+        canonical = self._canonical
+        if canonical is None:
+            canonical = self._canonical = canonicalize_outputs(self.raw)
+        return canonicalize_outputs(actual) == canonical
+
+
 class _Node:
     """One node of a state graph: a state a run reached, or the error that ended it.
 
     ``outputs`` holds results of prefix invocations that returned some (a
     candidate implementing a source update as a query).  ``successors``
     memoizes the index of the node each invocation leads to, and
-    ``results`` (source graph only) each query's ``(canonical, raw)``
-    outputs.
+    ``results`` (source graph only) each query's outputs as an
+    :class:`_Expected`.
     """
 
     __slots__ = ("state", "error", "origin", "outputs", "successors", "results")
@@ -218,14 +248,8 @@ class StateGraph:
     def root(self) -> _Node:
         return self.nodes[0]
 
-    def successor(self, node: _Node, invocation) -> int:
-        """The index of the node that *invocation* leads to from *node*, stepped once."""
-        index = node.successors.get(invocation)
-        if index is None:
-            index = self._step(node, invocation)
-        return index
-
     def _step(self, node: _Node, invocation) -> int:
+        """The index of the node that *invocation* leads to from *node*, on a memo miss."""
         state = node.state.fork()
         try:
             result = self.executable.call(state, invocation[0], invocation[1])
@@ -260,16 +284,15 @@ class StateGraph:
         self.size += 1
         return index
 
-    def outputs(self, node: _Node, query: str, args) -> tuple:
-        """``(canonical, raw)`` outputs of :meth:`run`, memoized on *node*."""
+    def outputs(self, node: _Node, query: str, args) -> _Expected:
+        """The outputs of :meth:`run`, memoized on *node*."""
         key = (query, args)
         entry = node.results.get(key)
         if entry is None:
-            raw = self.run(node, query, args)
-            entry = (canonicalize_outputs(raw), raw)
+            fresh = _Expected(self.run(node, query, args))
             with self._lock:
-                if key not in node.results:
-                    node.results[key] = entry
+                entry = node.results.setdefault(key, fresh)
+                if entry is fresh:
                     self.size += 1
         return entry
 
@@ -383,17 +406,23 @@ class _RelevanceClass:
                     source_node, candidate_node = parent.source, parent.candidate
                     earlier = parent.earlier * radix + parent.width * earlier_calls
                     width = parent.width * count
+                    source_edges = source_node.successors
+                    candidate_edges = candidate_node.successors
                     for call, argument in calls:
-                        nodes = (
-                            source.successor(source_node, call),
-                            candidate.successor(candidate_node, call),
-                        )
+                        # The graphs' memos, read inline: most steps are taken.
+                        source_index = source_edges.get(call)
+                        if source_index is None:
+                            source_index = source._step(source_node, call)
+                        candidate_index = candidate_edges.get(call)
+                        if candidate_index is None:
+                            candidate_index = candidate._step(candidate_node, call)
+                        nodes = (source_index, candidate_index)
                         if nodes not in seen:
                             seen.add(nodes)
                             level.append(
                                 _Pair(
-                                    source.nodes[nodes[0]],
-                                    candidate.nodes[nodes[1]],
+                                    source.nodes[source_index],
+                                    candidate.nodes[candidate_index],
                                     earlier,
                                     parent.offset * count + argument,
                                     width,
@@ -462,16 +491,8 @@ class BoundedTester:
     def _outputs(self, program: Program, sequence: InvocationSequence) -> tuple:
         return canonicalize_outputs(self._load(program).run_sequence(sequence))
 
-    def _source_outputs(self, graph: StateGraph, node: _Node, query: str, args) -> tuple:
-        """``(canonical, raw)`` source outputs of *node*'s run and one query; errors raise."""
-        entry = node.results.get((query, args))
-        if entry is None:
-            return graph.outputs(node, query, args)
-        self.stats.source_cache_hits += 1
-        return entry
-
-    def _expected(self, sequence: InvocationSequence) -> tuple:
-        """``(canonical, raw)`` source outputs of one sequence; errors propagate.
+    def _expected(self, sequence: InvocationSequence) -> _Expected:
+        """The source outputs of one sequence; errors propagate.
 
         Memoized under ``(fingerprint, sequence)``, next to the source state
         graph: screening and the randomized phase check one sequence against
@@ -485,23 +506,27 @@ class BoundedTester:
         if cached is not None:
             self.stats.source_cache_hits += 1
             return cached
-        raw = self._load(self.source).run_sequence(sequence)
-        entry = (canonicalize_outputs(raw), raw)
+        entry = _Expected(self._load(self.source).run_sequence(sequence))
         self._source_cache.put(self._source_key, sequence, entry)
         return entry
 
     def differs_on(self, candidate: Program, sequence: InvocationSequence) -> bool:
-        """Whether source and candidate disagree on one invocation sequence."""
+        """Whether source and candidate disagree on one invocation sequence.
+
+        The check the walk makes on each sequence it runs: raw outputs first,
+        canonical forms only when they differ.
+        """
         if self.interrupt is not None and self.interrupt():
             raise TestingInterrupted()
         self.stats.sequences_executed += 1
-        expected = self._expected(sequence)[0]
+        expected = self._expected(sequence)
         try:
-            return self._outputs(candidate, sequence) != expected
+            actual = self._load(candidate).run_sequence(sequence)
         except ExecutionError:
             # An ill-formed candidate (e.g. a delete table-list incompatible
             # with the chosen join chain) is treated as failing the sequence.
             return True
+        return not expected.matches(actual)
 
     # --------------------------------------------------------------- MFI search
     def find_failing_input(self, candidate: Program) -> Optional[InvocationSequence]:
@@ -573,14 +598,16 @@ class BoundedTester:
                                 return None, limit + 1
                             # Source first (exactly like differs_on): its errors
                             # propagate before the candidate is consulted.
-                            expected, raw_expected = self._source_outputs(
-                                source_graph, pair.source, name, args
-                            )
+                            expected = pair.source.results.get((name, args))
+                            if expected is None:
+                                expected = source_graph.outputs(pair.source, name, args)
+                            else:
+                                self.stats.source_cache_hits += 1
                             try:
                                 actual = candidate_graph.run(pair.candidate, name, args)
                             except ExecutionError:
                                 return pair.prefix() + ((name, args),), position
-                            if actual != raw_expected and canonicalize_outputs(actual) != expected:
+                            if not expected.matches(actual):
                                 return pair.prefix() + ((name, args),), position
                 finally:
                     self._source_cache.resize(graph_key, _STATE_GRAPH, source_graph.size)

@@ -13,7 +13,7 @@ larger benchmarks.  This module replaces it with an LRU cache that
   pooled batch).  It holds two kinds of entries: one source state graph
   per ``(fingerprint, execution backend)``, which the exhaustive walk grows
   and reuses (see :class:`~repro.equivalence.tester.StateGraph`), and the
-  canonicalized outputs of single sequences under the source fingerprint
+  raw outputs of single sequences under the source fingerprint
   (pool screening, the verifier's randomized phase); and
 * evicts least-recently-used entries once their total size passes
   ``max_entries``, so memory stays bounded on exhaustive Table 2/3 sweeps.

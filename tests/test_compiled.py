@@ -44,7 +44,7 @@ from repro.engine import (
 )
 from repro.engine.joins import ExecutionError
 from repro.engine.interpreter import InvocationError
-from repro.equivalence.invocation import SequenceGenerator
+from repro.equivalence.invocation import SeedSet, SequenceGenerator
 from repro.equivalence.tester import BoundedTester
 from repro.lang.ast import UpdateFunction
 from repro.lang.builder import (
@@ -119,6 +119,45 @@ def test_differential_random_sequences(name, seed):
     rng = random.Random(seed)
     for sequence in generator.random_sequences(3, 5, rng):
         assert_equivalent(program, sequence)
+
+
+#: Sources whose writes cover appends, updates, deletes and insert-into-join.
+KEY_WORKLOADS = WORKLOADS if FULL_EQUIV else ["Ambler-3", "Oracle-2", "coachup", "2030Club"]
+
+
+def _key_from_rows(state) -> tuple:
+    """``CompiledState.key`` rebuilt from the rows, without the per-table cache."""
+    return tuple(tuple(row.vals for row in rows) for rows in state.tables), state.uids.count
+
+
+@pytest.mark.parametrize("name", KEY_WORKLOADS)
+def test_forked_keys_match_keys_built_from_rows(name):
+    """Fork, then call, along tester sequences, as the tester's state graph steps.
+
+    At every prefix the child's cached key equals one built from its rows,
+    and the parent's key never moves: forks share rows and cached table
+    keys, so a write that leaked into the parent, or a table key left
+    stale, shows here.
+    """
+    import random
+
+    program = load_all().get(name).source_program
+    compiled = compile_program(program)
+    rng = random.Random(0)
+    generator = SequenceGenerator(programs=[program], seeds=SeedSet.exhaustive(), max_updates=3)
+    enumerated = list(itertools.islice(generator.sequences(), 2000))
+    sequences = rng.sample(enumerated, min(40, len(enumerated)))
+    sequences += generator.random_sequences(40, 6, rng)
+    for sequence in sequences:
+        state = compiled.new_state()
+        for function, args in sequence:
+            key = state.key()
+            assert key == _key_from_rows(state)
+            child = state.fork()
+            compiled.call(child, function, args)
+            assert child.key() == _key_from_rows(child)
+            assert state.key() == key == _key_from_rows(state)
+            state = child
 
 
 # ------------------------------------------------------------ error semantics
@@ -302,27 +341,58 @@ class TestCompiledEngine:
         assert compiled.run_sequence([("a", (1,)), ("q", ())]) == [[]]
         assert compiled.run_sequence([("b", (1,)), ("q", ())]) == [[]]
 
-    def test_fork_isolation(self):
-        """Forked states never observe each other's writes or UIDs."""
+    def test_fork_isolation(self, course_target_schema):
+        """Forked states never observe each other's writes, rowids or UIDs.
+
+        Forks share rows, so the property is checked through the compiled
+        write paths (insert-into-join, update, delete) run on a fork, and
+        through ``append_row`` given a list that its caller keeps.
+        """
         from repro.engine.compiled import CompiledState
 
-        state = CompiledState(2)
-        state.append_row(0, [1, "a"])
-        state.append_row(0, [2, "b"])
+        pics = join(["Picture", "Instructor"], on=[("Picture.PicId", "Instructor.PicId")])
+        pb = ProgramBuilder("forks", course_target_schema)
+        pb.update("add", [("id", "int"), ("name", "str")],
+                  insert(pics, {"Instructor.InstId": "$id", "Instructor.IName": "$name"}))
+        pb.update("rename", [("id", "int"), ("name", "str")],
+                  update("Instructor", eq("Instructor.InstId", "$id"), "Instructor.IName", "$name"))
+        pb.update("remove", [("id", "int")],
+                  delete(["Instructor"], "Instructor", eq("Instructor.InstId", "$id")))
+        compiled = compile_program(pb.build(validate=False))
+        instructor = list(course_target_schema.table_names).index("Instructor")
+        state = compiled.new_state()
+        compiled.call(state, "add", (1, "a"))
+        compiled.call(state, "add", (2, "b"))
+        rows = [(r.rowid, r.vals) for r in state.tables[instructor]]
+        key = state.key()
+
         clone = state.fork()
-        clone.tables[0][0].vals[1] = "mutated"  # updates write rows in place
-        clone.append_row(0, [3, "c"])
-        assert [r.vals[1] for r in state.tables[0]] == ["a", "b"]
-        assert [r.vals[1] for r in clone.tables[0]] == ["mutated", "b", "c"]
-        del state.tables[0][0]
-        assert len(state.tables[0]) == 1 and len(clone.tables[0]) == 3
-        # Rowids and UIDs continue from the fork point, independently.
-        assert clone.tables[0][2].rowid == 3
-        state.append_row(1, [9, "x"])
-        assert state.tables[1][0].rowid == 3
-        assert state.uids.fresh() == clone.uids.fresh()
-        state.uids.fresh()
-        assert state.uids.count == clone.uids.count + 1
+        compiled.call(clone, "rename", (1, "mutated"))
+        compiled.call(clone, "remove", (2,))
+        compiled.call(clone, "add", (3, "c"))
+        assert [(r.rowid, r.vals) for r in state.tables[instructor]] == rows
+        assert state.key() == key
+        assert [r.vals[1] for r in clone.tables[instructor]] == ["mutated", "c"]
+        # The update kept the row's rowid; rowids and UIDs continue from the
+        # fork point, independently (each add takes a Picture and an
+        # Instructor rowid, and two fresh UIDs: PicId and Pic).
+        assert clone.tables[instructor][0].rowid == rows[0][0]
+        compiled.call(state, "add", (4, "d"))
+        assert clone.tables[instructor][1].rowid == state.tables[instructor][2].rowid == 6
+        assert clone.tables[instructor][1].vals[2] == state.tables[instructor][2].vals[2]
+        assert state.uids.count == clone.uids.count == 6
+        assert clone.key() != state.key()
+
+        # append_row stores a tuple, so its caller's list stays its own.
+        parent = CompiledState(1)
+        vals = [1, "a"]
+        parent.append_row(0, vals)
+        vals[1] = "changed"
+        child = parent.fork()
+        child.append_row(0, vals)
+        assert parent.tables[0][0].vals == (1, "a")
+        assert parent.key() == (((((1, "a"),)),), 0)
+        assert [r.vals for r in child.tables[0]] == [(1, "a"), (1, "changed")]
 
     def test_compiler_caches_shared_function_asts(self, people_program):
         compiler = ProgramCompiler()

@@ -277,6 +277,45 @@ def test_a_tester_computes_its_source_half_once(name, monkeypatch):
     assert len(touched) >= 2
 
 
+def test_touched_tables_are_computed_once_per_function_object(
+    people_program, people_schema, monkeypatch
+):
+    """Walks over candidates that share function objects compute only the new ones' tables.
+
+    The memo holds each function it keys by ``id``, so an entry left under
+    an id that another object now has is recomputed, never read.
+    """
+    calls = []
+
+    def counting(func):
+        calls.append(func)
+        return tables_touched(func)
+
+    tester = BoundedTester(people_program)
+    tester.generator.queries()  # the source half
+    monkeypatch.setattr(invocation, "tables_touched", counting)
+    first = _people_variant(people_schema, wrong_delete=True)
+    replacement = dataclasses.replace(
+        first.function("getPerson"),
+        query=select(["Person.Age"], "Person", eq("Person.PersonId", "$id")),
+    )
+    second = first.with_functions(
+        [replacement if func.name == "getPerson" else func for func in first]
+    )
+    for candidate, computed in [(first, list(first)), (second, [replacement]), (first, [])]:
+        fresh = SequenceGenerator([people_program, candidate]).queries()
+        del calls[:]
+        assert tester.generator.queries(candidate) == fresh
+        assert calls == computed
+    # An id whose entry names another object is recomputed.
+    stale = first.function("deletePerson")
+    tester.generator._touched[id(stale)] = (object(), frozenset({"Elsewhere"}))
+    fresh = SequenceGenerator([people_program, first]).queries()
+    del calls[:]
+    assert tester.generator.queries(first) == fresh
+    assert calls == [stale]
+
+
 # --------------------------------------------------------------------------------- tester
 def _people_variant(people_schema, *, swap_columns=False, wrong_delete=False):
     """A variant of the people program over the same schema, possibly buggy."""

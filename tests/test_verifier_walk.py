@@ -32,6 +32,7 @@ import pytest
 from repro import SynthesisConfig, format_program, migrate
 from repro.corpus import CorpusConfig, generate_workload
 from repro.engine import ExecutionError, make_loader, run_invocation_sequence
+from repro.engine.uid import UniqueValue
 from repro.equivalence import BoundedTester, BoundedVerifier, SeedSet, SequenceGenerator
 from repro.equivalence.result_compare import canonicalize_outputs
 from repro.lang.ast import QueryFunction, UpdateFunction
@@ -520,8 +521,8 @@ def _assert_graph_is_consistent(graph):
             state = node.state.fork()
             graph.executable.call(state, name, args)
             assert graph.nodes[index].state.key() == state.key()
-        for (query, args), (_canonical, raw) in node.results.items():
-            assert graph.run(node, query, args) == raw
+        for (query, args), expected in node.results.items():
+            assert graph.run(node, query, args) == expected.raw
     memoized = sum(len(node.results) for node in graph.nodes)
     assert graph.size == len(graph.nodes) + memoized
 
@@ -688,6 +689,125 @@ class TestStateKey:
         assert parent.key() == before
         assert child.key() != before
         assert executable.call(parent, "getPerson", (1,)) == [("A", 30)]
+
+
+# ------------------------------------------------------- raw-first comparison
+class _RewrittenOutputs:
+    """An executable whose query results pass through *rewrite*."""
+
+    def __init__(self, executable, rewrite):
+        self.executable = executable
+        self.rewrite = rewrite
+
+    def new_state(self):
+        return self.executable.new_state()
+
+    def call(self, state, name: str, args: tuple):
+        result = self.executable.call(state, name, args)
+        return None if result is None else self.rewrite(result)
+
+    def run_sequence(self, sequence) -> list:
+        state = self.new_state()
+        results = [self.call(state, name, args) for name, args in sequence]
+        return [result for result in results if result is not None]
+
+
+def _renamed(program, name: str):
+    return program.with_functions(list(program), name=name)
+
+
+def _raw_first_verdicts(source, candidate, compiler) -> tuple:
+    """The walk's and ``differs_on``'s verdicts, and what the walk counted against itself."""
+    tester = BoundedTester(source, compiler=compiler)
+    walk = tester.first_failing(candidate)
+    sequences = list(tester.generator.random_sequences(40, 5, random.Random(3)))
+    differs = [tester.differs_on(candidate, sequence) for sequence in sequences]
+    verifier = BoundedVerifier(max_updates=2, random_sequences=20, compiler=compiler)
+    return walk, differs, verifier.verify(source, candidate).equivalent
+
+
+def test_a_walk_of_a_source_against_itself_never_canonicalizes(
+    monkeypatch, people_program, uid_program
+):
+    # Raw outputs that are equal decide the check: the canonical forms are
+    # computed only once a candidate's raw outputs differ.
+    from repro.equivalence import tester as tester_module
+
+    calls = []
+
+    def counting(outputs):
+        calls.append(outputs)
+        return canonicalize_outputs(outputs)
+
+    monkeypatch.setattr(tester_module, "canonicalize_outputs", counting)
+    for source in (people_program, uid_program, get_benchmark("Ambler-3").source_program):
+        for backend in BACKENDS:
+            tester = BoundedTester(source, execution_backend=backend)
+            assert tester.first_failing(source)[0] is None
+            for sequence in tester.generator.random_sequences(20, 5, random.Random(0)):
+                assert not tester.differs_on(source, sequence)
+            verifier = BoundedVerifier(max_updates=2, random_sequences=20,
+                                       execution_backend=backend)
+            assert verifier.verify(source, source).equivalent
+    assert calls == []
+
+
+def test_outputs_equal_up_to_uids_and_row_order_pass_both_checks(course_target_schema):
+    # The candidate answers every query with the source's rows reversed and
+    # its UIDs renumbered: the raw outputs differ, the canonical ones do not.
+    pics = join(["Picture", "Instructor"], on=[("Picture.PicId", "Instructor.PicId")])
+    pb = ProgramBuilder("uid_rows", course_target_schema)
+    pb.update("addInstructor", [("id", "int"), ("pic", "binary")],
+              insert(pics, {"Instructor.InstId": "$id", "Picture.Pic": "$pic"}))
+    pb.update("deleteInstructor", [("id", "int")],
+              delete(["Instructor", "Picture"], pics, eq("Instructor.InstId", "$id")))
+    pb.query("listInstructors", [], select(["Instructor.InstId", "Picture.PicId"], pics))
+    source = pb.build()
+    candidate = _renamed(source, "uid_rows_rewritten")
+
+    def rewrite(rows):
+        return [
+            tuple(UniqueValue(v.index + 10) if isinstance(v, UniqueValue) else v for v in row)
+            for row in reversed(rows)
+        ]
+
+    executable = make_loader("compiled")(source)
+    compiler = _StubCompiler({
+        source.name: executable,
+        candidate.name: _RewrittenOutputs(executable, rewrite),
+    })
+    sequence = (("addInstructor", (1, "blob0")), ("addInstructor", (2, "blob0")),
+                ("listInstructors", ()))
+    raw = [compiler.programs[p.name].run_sequence(sequence) for p in (source, candidate)]
+    assert raw[0] != raw[1]
+    assert canonicalize_outputs(raw[0]) == canonicalize_outputs(raw[1])
+    tester = BoundedTester(source, compiler=compiler)
+    assert tester.differs_on(candidate, sequence) is False
+    walk, differs, equivalent = _raw_first_verdicts(source, candidate, compiler)
+    assert walk == BoundedTester(source).first_failing(source)
+    assert not any(differs)
+    assert equivalent
+
+
+def test_the_walk_and_differs_on_agree_on_values_equal_across_types(
+    people_program, people_schema
+):
+    # True == 1, but the canonical sort puts a bool before every int, so
+    # rows holding both canonicalize apart.  Both checks compare raw
+    # outputs first and so decide alike: equal raw outputs pass.
+    mixed = [(True,), (0,)]
+    assert canonicalize_outputs([mixed]) != canonicalize_outputs([[(1,), (0,)]])
+    executable = make_loader("compiled")(people_program)
+    source = _StubCompiler({people_program.name: _RewrittenOutputs(executable, lambda _: mixed)})
+    for answer, passes in (([(1,), (0,)], True), ([(2,), (0,)], False)):
+        candidate = _renamed(people_program, f"people_answers_{answer[0][0]}")
+        compiler = _StubCompiler(dict(source.programs))
+        compiler.programs[candidate.name] = _RewrittenOutputs(
+            executable, lambda _, answer=answer: list(answer)
+        )
+        walk, differs, equivalent = _raw_first_verdicts(people_program, candidate, compiler)
+        assert (walk[0] is None, equivalent) == (passes, passes)
+        assert differs == [not passes] * len(differs)
 
 
 # ------------------------------------------------------------ shared caches
