@@ -10,10 +10,15 @@ The public API mirrors the paper's pipeline:
 * :mod:`repro.completion` — sketch completion with MFI pruning (Section 4.4)
 * :mod:`repro.core` — the end-to-end synthesizer (Algorithm 1) and the
   streaming :class:`~repro.core.session.SynthesisSession`
-* :mod:`repro.service` — the multi-job :class:`~repro.service.MigrationService`
-* :mod:`repro.api` — the stable, versioned surface re-exporting all of the above
 * :mod:`repro.workloads` — the 20 reconstructed benchmarks
 * :mod:`repro.eval` — the evaluation harness regenerating Tables 1-3
+
+This package exports the synthesis core only, and importing it loads no
+part of the service shell built around the core.  Shell users import
+:mod:`repro.api`, the stable, versioned surface (``API_VERSION``) that
+re-exports the core next to the multi-job
+:class:`~repro.service.MigrationService`, the job store, remote fleets and
+the HTTP front.
 
 Quickstart::
 
@@ -35,18 +40,13 @@ service batch runs one session per job and parallelizes across jobs)::
     # after an interruption: MigrationService.resume("batch.sqlite").run()
 """
 
-from repro.api import (
-    API_VERSION,
+from repro.core import (
     AttemptRecord,
-    MigrationJob,
-    MigrationService,
-    RemoteFleet,
     SynthesisConfig,
     SynthesisResult,
     SynthesisSession,
     Synthesizer,
     migrate,
-    migrate_batch,
 )
 from repro.datamodel import Attribute, DataType, Schema, make_schema
 from repro.lang.ast import Program
@@ -55,14 +55,10 @@ from repro.lang.pretty import format_program
 __version__ = "0.4.0"
 
 __all__ = [
-    "API_VERSION",
     "Attribute",
     "AttemptRecord",
     "DataType",
-    "MigrationJob",
-    "MigrationService",
     "Program",
-    "RemoteFleet",
     "Schema",
     "SynthesisConfig",
     "SynthesisResult",
@@ -71,6 +67,5 @@ __all__ = [
     "format_program",
     "make_schema",
     "migrate",
-    "migrate_batch",
     "__version__",
 ]

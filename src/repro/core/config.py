@@ -7,7 +7,6 @@ from typing import Optional
 
 from repro.correspondence.similarity import DEFAULT_ALPHA
 from repro.equivalence.invocation import SeedSet
-from repro.exec.policy import ResilienceConfig
 from repro.sketchgen.generator import SketchGeneratorConfig
 from repro.sketchgen.steiner import SteinerLimits
 
@@ -78,13 +77,6 @@ class SynthesisConfig:
     #: Screen each candidate against previously discovered counterexamples before
     #: running the full bounded enumeration (A/B flag for bench_cache.py).
     counterexample_pool: bool = True
-
-    # ---- resilience (repro.exec.policy)
-    #: Retry/timeout policies and the graceful-degradation ladder of the
-    #: migration service (read from its ``default_config``): jittered-backoff
-    #: crash retries, poison-task quarantine, and fleet -> pool -> inline
-    #: degradation (each rung emitted as an ``ExecutionDegraded`` event).
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 
     @staticmethod
     def fast() -> "SynthesisConfig":

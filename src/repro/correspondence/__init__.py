@@ -1,8 +1,7 @@
-"""Value correspondences and their lazy MaxSAT-based enumeration."""
+"""Value correspondences and their lazy best-first enumeration (Section 4.2)."""
 
 from repro.correspondence.enumerator import (
     FactoredVcEnumerator,
-    MaxSatVcEnumerator,
     ValueCorrespondenceEnumerator,
     VcCandidate,
     VcEnumerationError,
@@ -14,7 +13,6 @@ from repro.correspondence.value_corr import ValueCorrespondence, identity_corres
 __all__ = [
     "DEFAULT_ALPHA",
     "FactoredVcEnumerator",
-    "MaxSatVcEnumerator",
     "ValueCorrespondence",
     "ValueCorrespondenceEnumerator",
     "VcCandidate",

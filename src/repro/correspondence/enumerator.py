@@ -10,27 +10,23 @@ weighted MaxSAT problem:
   one-to-one preference ``x_ij -> ¬x_ik`` with weight ``α``,
 * blocking clauses for previously rejected correspondences.
 
-This module provides one engine and its reference:
+This module provides one engine, ``FactoredVcEnumerator``.  It exploits
+the fact that the objective and all hard constraints decompose per source
+attribute (only blocking clauses couple attributes), so the MaxSAT optimum
+can be enumerated exactly with a best-first search over the product of
+per-attribute candidate streams.  Each stream scores its target attributes
+only as far as the search reads it: an edit distance is computed only for a
+target whose length bound can still reach the stream's frontier.  It scales
+to the real-world benchmark schemas, and
+:class:`ValueCorrespondenceEnumerator` always runs it.  The full MaxSAT
+encoding, faithful to the paper but only practical for small schemas, lives
+in the test suite (``tests/maxsat_reference.py``) as the reference this
+engine is checked against, as the interpreter is for the compiled execution
+engine.
 
-``FactoredVcEnumerator``
-    Exploits the fact that the objective and all hard constraints decompose
-    per source attribute (only blocking clauses couple attributes), so the
-    MaxSAT optimum can be enumerated exactly with a best-first search over the
-    product of per-attribute candidate streams.  Each stream scores its
-    target attributes only as far as the search reads it: an edit distance
-    is computed only for a target whose length bound can still reach the
-    stream's frontier.  It scales to the real-world benchmark schemas, and
-    :class:`ValueCorrespondenceEnumerator` always runs it.
-
-``MaxSatVcEnumerator``
-    Builds the full encoding and solves it with :mod:`repro.maxsat`.  Faithful
-    to the paper but only practical for small schemas; the test suite keeps
-    it as the reference the factored engine is checked against, as the
-    interpreter is for the compiled execution engine.
-
-Both engines yield :class:`ValueCorrespondence` objects in non-increasing
-order of objective value and never repeat a correspondence, which subsumes
-the paper's blocking-clause mechanism.  The factored engine also blocks
+The engine yields :class:`ValueCorrespondence` objects in non-increasing
+order of objective value and never repeats a correspondence, which subsumes
+the paper's blocking-clause mechanism.  It also blocks
 *nogoods* (:meth:`FactoredVcEnumerator.block`): partial correspondences that
 every agreeing correspondence fails under, learned by the session from a
 rejected attempt.
@@ -48,7 +44,6 @@ from repro.datamodel.schema import Attribute, Schema
 from repro.datamodel.types import DataType, compatible
 from repro.lang.ast import Program
 from repro.lang.visitors import queried_attributes
-from repro.maxsat.wpmaxsat import WPMaxSatSolver
 
 
 class VcEnumerationError(Exception):
@@ -81,13 +76,6 @@ def compatible_targets(
     return _RowCandidates(
         attr, source.type_of(attr), _index_targets(target), required=False, alpha=alpha
     ).drained()
-
-
-def all_compatible_targets(
-    source: Schema, target: Schema, alpha: int = DEFAULT_ALPHA
-) -> dict[Attribute, list[tuple[Attribute, int]]]:
-    """:func:`compatible_targets` of every source attribute, in declaration order."""
-    return {attr: compatible_targets(source, target, attr, alpha) for attr in source.attributes()}
 
 
 #: Target columns by type: ``(declaration position, attribute, lower-cased name)``.
@@ -358,75 +346,6 @@ class FactoredVcEnumerator:
             assert entry is not None
             mapping[row.attribute] = entry[1]
         return ValueCorrespondence(self.source, self.target, mapping)
-
-
-# --------------------------------------------------------------------------------------
-#  Full MaxSAT engine (faithful encoding, the test reference for small schemas)
-# --------------------------------------------------------------------------------------
-class MaxSatVcEnumerator:
-    """Value-correspondence enumeration via the full partial weighted MaxSAT encoding."""
-
-    def __init__(
-        self,
-        source_program: Program,
-        target_schema: Schema,
-        *,
-        alpha: int = DEFAULT_ALPHA,
-    ):
-        self.source = source_program.schema
-        self.target = target_schema
-        self.alpha = alpha
-        self.queried = queried_attributes(source_program)
-        self.solver = WPMaxSatSolver()
-        self.variables: dict[tuple[Attribute, Attribute], int] = {}
-        self._build_encoding(all_compatible_targets(self.source, self.target, alpha))
-
-    def _build_encoding(self, targets: dict[Attribute, list[tuple[Attribute, int]]]) -> None:
-        for attr, attr_targets in targets.items():
-            literals = []
-            for target_attr, weight in attr_targets:
-                var = self.solver.new_variable()
-                self.variables[(attr, target_attr)] = var
-                literals.append(var)
-                if weight > 0:
-                    self.solver.add_soft([var], weight)
-                elif weight < 0:
-                    # A negative-similarity mapping is penalized by rewarding
-                    # its absence (shifts the objective by a constant).
-                    self.solver.add_soft([-var], -weight)
-            if attr in self.queried:
-                if not literals:
-                    raise VcEnumerationError(
-                        f"queried attribute {attr} has no type-compatible target attribute"
-                    )
-                self.solver.add_hard(literals)
-            # One-to-one preference soft clauses x_ij -> ¬x_ik.
-            for j in range(len(literals)):
-                for k in range(j + 1, len(literals)):
-                    self.solver.add_soft([-literals[j], -literals[k]], self.alpha)
-
-    def _model_to_vc(self, model: dict[int, bool]) -> ValueCorrespondence:
-        mapping: dict[Attribute, set[Attribute]] = {}
-        for (src, dst), var in self.variables.items():
-            if model.get(var, False):
-                mapping.setdefault(src, set()).add(dst)
-        return ValueCorrespondence(self.source, self.target, mapping)
-
-    def candidates(self) -> Iterator[VcCandidate]:
-        while True:
-            result = self.solver.solve()
-            if not result.satisfiable or result.model is None:
-                return
-            vc = self._model_to_vc(result.model)
-            yield VcCandidate(vc, result.satisfied_weight)
-            # Block exactly this assignment of the x variables (the paper's ¬A).
-            blocking = []
-            for var in self.variables.values():
-                value = result.model.get(var, False)
-                blocking.append(-var if value else var)
-            if not blocking:
-                return
-            self.solver.add_hard(blocking)
 
 
 # --------------------------------------------------------------------------------------

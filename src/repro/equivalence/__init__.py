@@ -1,4 +1,8 @@
-"""Equivalence checking: bounded testing, MFIs, and the verification substitute."""
+"""Equivalence checking: bounded testing, MFIs, and the verification substitute.
+
+The sqlite3 differential oracle is imported from its own module,
+:mod:`repro.equivalence.sql_oracle`, so that synthesis loads no ``sqlite3``.
+"""
 
 from repro.equivalence.invocation import (
     Invocation,
@@ -10,12 +14,6 @@ from repro.equivalence.invocation import (
     tables_touched,
 )
 from repro.equivalence.result_compare import canonicalize_outputs, canonicalize_result, results_equal
-from repro.equivalence.sql_oracle import (
-    OracleUnsupported,
-    SqliteOracle,
-    normalize_bools,
-    oracle_agrees,
-)
 from repro.equivalence.tester import BoundedTester, TesterStatistics, TestingInterrupted
 from repro.equivalence.verifier import BoundedVerifier, VerificationResult
 
@@ -25,18 +23,14 @@ __all__ = [
     "TestingInterrupted",
     "Invocation",
     "InvocationSequence",
-    "OracleUnsupported",
     "SeedSet",
     "SequenceGenerator",
-    "SqliteOracle",
     "TesterStatistics",
     "VerificationResult",
     "argument_combinations",
     "canonicalize_outputs",
     "canonicalize_result",
     "format_sequence",
-    "normalize_bools",
-    "oracle_agrees",
     "results_equal",
     "tables_touched",
 ]

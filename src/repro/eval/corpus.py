@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from repro.core.config import SynthesisConfig
 from repro.core.result import SynthesisResult
 from repro.core.synthesizer import migrate
-from repro.corpus.generator import CorpusConfig, generate_corpus
 from repro.eval.reporting import render_table
 
 #: The width/depth ladder: (tables, columns per table, CRUD functions).
@@ -100,6 +99,10 @@ def run_corpus(
     verbose: bool = True,
 ) -> list[CorpusRow]:
     """Run *count* seeded workloads at every scale point; returns the rows."""
+    # Imported here: ``python -m repro.eval table1`` imports this module,
+    # and a table run must load no corpus module.
+    from repro.corpus.generator import CorpusConfig, generate_corpus
+
     config = config or SynthesisConfig.fast()
     master = random.Random(seed)
     rows: list[CorpusRow] = []

@@ -29,7 +29,7 @@ from repro.exec.faults import (
     FaultSpec,
     InjectedFault,
 )
-from repro.exec.policy import ResilienceConfig, RetryPolicy, TimeoutPolicy
+from repro.exec.policy import RetryPolicy, TimeoutPolicy
 from repro.exec.remote import (
     FleetUnavailable,
     RemoteFleet,
@@ -71,7 +71,6 @@ __all__ = [
     # resilience policies + fault injection
     "RetryPolicy",
     "TimeoutPolicy",
-    "ResilienceConfig",
     "FaultPlan",
     "FaultSpec",
     "FaultInjector",

@@ -19,8 +19,8 @@ The scheduler's deadline nudge and grace are fixed
 :data:`~repro.exec.scheduler.DEADLINE_GRACE`), as are the fleet's dial
 and handshake timeouts.
 
-This module is stdlib-only and imports nothing from ``repro`` so it can
-be pulled into ``core.config`` without cycles.
+The scheduler and the fleet take these policies as constructor
+arguments, and the service builds its schedulers with the defaults.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import dataclasses
 import random
 from typing import Optional
 
-__all__ = ["RetryPolicy", "TimeoutPolicy", "ResilienceConfig"]
+__all__ = ["RetryPolicy", "TimeoutPolicy"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,7 +74,11 @@ class TimeoutPolicy:
 
 @dataclasses.dataclass(frozen=True)
 class ResilienceConfig:
-    """Resilience knobs threaded through ``SynthesisConfig``."""
+    """The retired ``SynthesisConfig.resilience`` value (API 10.0.0).
+
+    Nothing reads it.  It stays so that job specs pickled by API 9.x and
+    earlier, whose configs carry one, still unpickle on resume.
+    """
 
     retry: RetryPolicy = dataclasses.field(default_factory=RetryPolicy)
     timeout: TimeoutPolicy = dataclasses.field(default_factory=TimeoutPolicy)

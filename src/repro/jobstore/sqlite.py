@@ -101,8 +101,7 @@ def _not_a_store(path: str) -> JobStoreFormatError:
     """The error for a path that names something other than a SQLite store."""
     return JobStoreFormatError(
         f"{path} is not a SQLite job store; a log of the JSONL store retired "
-        "in API 5.0.0 converts once with "
-        "repro.jobstore.migrate_jsonl_to_sqlite(log_path, sqlite_path)"
+        "in API 5.0.0 converts only with a release before API 10.0.0"
     )
 
 

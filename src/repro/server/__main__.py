@@ -36,8 +36,7 @@ def main(argv: list[str] | None = None) -> int:
         "--store",
         required=True,
         help="SQLite job store path (created if missing; a sqlite: prefix is "
-        "accepted). A log of the retired JSONL store is refused; convert it "
-        "once with repro.jobstore.migrate_jsonl_to_sqlite",
+        "accepted). A log of the retired JSONL store is refused",
     )
     parser.add_argument(
         "--tenants-file", default=None, help="JSON tenant registry file"

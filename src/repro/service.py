@@ -393,8 +393,7 @@ class MigrationService:
     :class:`~repro.jobstore.SQLiteJobStore`) enables the persistent batch
     log — see the module docstring and :meth:`MigrationService.resume`.  A
     log of the retired JSONL store raises
-    :exc:`~repro.jobstore.JobStoreFormatError`; import it first with
-    :func:`~repro.jobstore.migrate_jsonl_to_sqlite`.
+    :exc:`~repro.jobstore.JobStoreFormatError`.
 
     *workers* turns the service into the front of a **remote fleet**: a list
     of ``"host:port"`` addresses of listening ``repro.worker`` processes (or
@@ -733,11 +732,7 @@ class MigrationService:
                 runnable.append(handle)
         if not runnable:
             return
-        resilience = self.default_config.resilience
-        options = {
-            "retry": resilience.retry,
-            "timeout": resilience.timeout,
-        }
+        options: dict = {}
         if rung == "fleet":
             # Fleet width is the workers' live capacity (max_workers, when
             # set, clamps it); the fleet object is borrowed by the scheduler

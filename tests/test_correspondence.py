@@ -8,10 +8,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from maxsat_reference import MaxSatVcEnumerator
 from repro.correspondence import (
     DEFAULT_ALPHA,
     FactoredVcEnumerator,
-    MaxSatVcEnumerator,
     ValueCorrespondence,
     ValueCorrespondenceEnumerator,
     VcEnumerationError,

@@ -4,19 +4,17 @@ import pytest
 
 from repro.core import SynthesisConfig
 from repro.eval import (
-    format_corpus,
     format_table1,
     format_table2,
     format_table3,
-    parse_corpus_spec,
     render_markdown_table,
     render_table,
-    run_corpus,
     run_table1,
     run_table2,
     run_table3,
     speedup,
 )
+from repro.eval.corpus import format_corpus, parse_corpus_spec, run_corpus
 from repro.eval.table1 import TABLE1_ORDER, benchmark_selection
 
 

@@ -40,7 +40,6 @@ from repro.api import (
     MigrationJob,
     MigrationService,
     RemoteFleet,
-    ResilienceConfig,
     RetryPolicy,
     ServiceFront,
     SynthesisConfig,
@@ -48,6 +47,7 @@ from repro.api import (
 )
 from repro.core.session import SynthesisSession
 from repro.exec import ExecutorUnavailable, TaskState, WorkScheduler, faults, wire
+from repro.exec.policy import ResilienceConfig
 from repro.lang.pretty import format_program
 from repro.worker import WorkerAgent
 from repro.workloads import get_benchmark
@@ -175,6 +175,7 @@ class TestRetiredSettings:
                 (MigrationService.resume, "age_step"),
                 (ServiceFront, "age_after"),
                 (ServiceFront, "age_step"),
+                (SynthesisConfig, "resilience"),
             ]
         ],
     )
@@ -182,7 +183,9 @@ class TestRetiredSettings:
         # API 8.0.0 retired the ladder and timeout settings: the service
         # owns the ladder, and the timeouts nothing read or set are fixed
         # constants.  API 9.0.0 retired priority aging: each front cycle
-        # drains what it promoted, so no job waits on aging to run.
+        # drains what it promoted, so no job waits on aging to run.  API
+        # 10.0.0 retired SynthesisConfig.resilience: the service builds its
+        # schedulers with the default policies.
         args = ()
         if build in (MigrationService.resume, ServiceFront):
             args = (str(tmp_path / "jobs.sqlite"),)

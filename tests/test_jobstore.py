@@ -12,8 +12,7 @@ SQLite store as a standalone durability layer:
 * :meth:`~repro.jobstore.SQLiteJobStore.compact` — settled residue goes,
   standings and open leases on unsettled jobs stay;
 * replay order shared by every handle on one file;
-* legacy JSONL logs: refused loudly by every entry point, imported once by
-  :func:`~repro.jobstore.migrate_jsonl_to_sqlite` (torn tail skipped).
+* legacy JSONL logs: refused loudly by every entry point.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.jobstore import (
     StoredJob,
     decode_job,
     encode_job,
-    migrate_jsonl_to_sqlite,
     open_job_store,
 )
 from repro.worker import WorkerAgent
@@ -119,11 +117,11 @@ class TestLeaseJournalReplay:
         entry = store.load_jobs()["j1"]
         assert entry.settled and entry.status == "done"
 
-    def test_torn_tail_with_interleaved_leases(self, tmp_path):
-        """A mid-append crash tore only the final line of a legacy log; the
-        importer replays the intact lease and lifecycle records around it."""
-        path = tmp_path / "torn.jsonl"
-        records = [
+    def test_interleaved_leases_fold_per_job(self, any_store):
+        """Lease and lifecycle records of two jobs, interleaved as a fleet
+        writes them: each job keeps its own standing and latest lease."""
+        store = any_store
+        for record in [
             {"type": "submitted", "job": "a", "status": "pending", "spec": encode_job("a")},
             {"type": "submitted", "job": "b", "status": "pending", "spec": encode_job("b")},
             {"type": "leased", "job": "a", "worker": "w0", "expiry": 5.0},
@@ -132,17 +130,12 @@ class TestLeaseJournalReplay:
             {"type": "lease_heartbeat", "job": "a", "worker": "w0", "expiry": 9.0},
             {"type": "released", "job": "a", "worker": "w0", "outcome": "done"},
             {"type": "settled", "job": "a", "status": "done"},
-        ]
-        lines = [json.dumps(r) for r in records]
-        lines.append('{"type": "released", "job": "b", "worker": "w1", "outc')  # torn
-        _write_lines(path, lines)
-
-        store = migrate_jsonl_to_sqlite(path, tmp_path / "torn.sqlite", fsync=False)
+        ]:
+            store.append(record)
         jobs = store.load_jobs()
-        store.close()
         assert jobs["a"].settled
         assert jobs["a"].lease["outcome"] == "done"
-        # b: the torn release never happened — its lease is still the grant.
+        # b was never released: its lease is still the grant.
         assert jobs["b"].status == "pending"
         assert jobs["b"].lease == {"type": "leased", "job": "b", "worker": "w1", "expiry": 5.0}
         assert jobs["b"].resumable
@@ -364,6 +357,43 @@ class TestStoreReplay:
         assert names(store.query_jobs(fingerprint=fp_a)) == ["j1", "j3"]
         assert store.query_jobs(tenant="nobody") == []
 
+    def test_mixed_records_fold_to_standings_and_events(self, any_store):
+        # Lifecycle, lease, event and degraded records in one stream, each
+        # appended as a raw record: every job keeps its latest lifecycle
+        # record, sticky identity, latest lease and event log.
+        store = any_store
+        submitted = {
+            "type": "submitted",
+            "job": "j1",
+            "status": "pending",
+            "spec": encode_job("s1"),
+            "tenant": "acme",
+            "fingerprint": "a" * 16,
+        }
+        lease = {"type": "leased", "job": "j1", "worker": "w0", "expiry": 7.0}
+        for record in [
+            submitted,
+            {"type": "running", "job": "j1", "status": "running"},
+            lease,
+            {"type": "event", "job": "j1", "seq": 1, "event": {"kind": "vc_selected"}},
+            {"type": "event", "job": "j1", "seq": 2, "event": {"kind": "solved"}},
+            {"type": "submitted", "job": "j2", "status": "pending", "spec": encode_job("s2")},
+            {"type": "settled", "job": "j2", "status": "done"},
+            {"type": "degraded", "from": "fleet", "to": "inline", "reason": "test", "jobs": []},
+        ]:
+            store.append(record)
+        jobs = store.load_jobs()
+        assert list(jobs) == ["j1", "j2"]
+        assert jobs["j1"].last == {"type": "running", "job": "j1", "status": "running"}
+        assert jobs["j1"].spec == submitted["spec"] and jobs["j1"].resumable
+        assert jobs["j1"].tenant == "acme"
+        assert jobs["j1"].fingerprint == "a" * 16
+        assert jobs["j1"].lease == lease
+        assert jobs["j2"].last == {"type": "settled", "job": "j2", "status": "done"}
+        assert jobs["j2"].spec == encode_job("s2") and jobs["j2"].lease is None
+        assert store.load_events("j1") == [(1, {"kind": "vc_selected"}), (2, {"kind": "solved"})]
+        assert store.load_events("j2") == []
+
     def test_degraded_annotation_creates_no_job(self, any_store):
         store = any_store
         store.record_degraded("fleet", "pool", "all workers lost", jobs=["a", "b"])
@@ -426,7 +456,7 @@ class TestOpenJobStore:
 
 
 class TestLegacyJsonlInputs:
-    """A JSONL log fails loudly at every entry point, naming the importer."""
+    """A JSONL log fails loudly at every entry point."""
 
     @staticmethod
     def _refused_everywhere(target):
@@ -440,7 +470,7 @@ class TestLegacyJsonlInputs:
             "python -m repro.server --store": lambda t: server_main(["--store", str(t)]),
         }
         for name, entry in entry_points.items():
-            with pytest.raises(JobStoreFormatError, match="migrate_jsonl_to_sqlite"):
+            with pytest.raises(JobStoreFormatError, match="is not a SQLite job store"):
                 entry(target)
                 pytest.fail(f"{name} accepted {target}")
 
@@ -458,56 +488,6 @@ class TestLegacyJsonlInputs:
         _write_lines(log, [json.dumps({"type": "submitted", "job": "j1", "status": "pending"})])
         before = log.read_bytes()
         self._refused_everywhere(log)
-        with pytest.raises(JobStoreFormatError, match="migrate_jsonl_to_sqlite"):
+        with pytest.raises(JobStoreFormatError, match="is not a SQLite job store"):
             SQLiteJobStore(log)
         assert log.read_bytes() == before  # refused, not overwritten
-
-
-class TestJsonlToSqliteMigration:
-    def test_migration_reaches_identical_standings_and_events(self, tmp_path):
-        log = tmp_path / "legacy.jsonl"
-        submitted = {
-            "type": "submitted",
-            "job": "j1",
-            "status": "pending",
-            "spec": encode_job("s1"),
-            "tenant": "acme",
-            "fingerprint": "a" * 16,
-        }
-        lease = {"type": "leased", "job": "j1", "worker": "w0", "expiry": 7.0}
-        records = [
-            submitted,
-            {"type": "running", "job": "j1", "status": "running"},
-            lease,
-            {"type": "event", "job": "j1", "seq": 1, "event": {"kind": "vc_selected"}},
-            {"type": "event", "job": "j1", "seq": 2, "event": {"kind": "solved"}},
-            {"type": "submitted", "job": "j2", "status": "pending", "spec": encode_job("s2")},
-            {"type": "settled", "job": "j2", "status": "done"},
-            {"type": "degraded", "from": "fleet", "to": "inline", "reason": "test", "jobs": []},
-        ]
-        lines = [json.dumps(record) for record in records]
-        lines.append('{"type": "settled", "job": "j1", "stat')  # torn tail
-        _write_lines(log, lines)
-        before = log.read_bytes()
-
-        migrated = migrate_jsonl_to_sqlite(log, tmp_path / "new.sqlite", fsync=False)
-        try:
-            jobs = migrated.load_jobs()
-            assert list(jobs) == ["j1", "j2"]
-            # j1: the torn settle never happened — still running, resumable,
-            # with its sticky identity from the submission and its lease.
-            assert jobs["j1"].last == {"type": "running", "job": "j1", "status": "running"}
-            assert jobs["j1"].spec == submitted["spec"] and jobs["j1"].resumable
-            assert jobs["j1"].tenant == "acme"
-            assert jobs["j1"].fingerprint == "a" * 16
-            assert jobs["j1"].lease == lease
-            assert jobs["j2"].last == {"type": "settled", "job": "j2", "status": "done"}
-            assert jobs["j2"].spec == encode_job("s2") and jobs["j2"].lease is None
-            assert migrated.load_events("j1") == [
-                (1, {"kind": "vc_selected"}),
-                (2, {"kind": "solved"}),
-            ]
-            assert migrated.load_events("j2") == []
-            assert log.read_bytes() == before  # the source log is left untouched
-        finally:
-            migrated.close()

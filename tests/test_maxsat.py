@@ -1,12 +1,11 @@
-"""Tests for the partial weighted MaxSAT solver."""
+"""Tests for the partial weighted MaxSAT solver of the VC-enumeration reference."""
 
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.maxsat import MaxSatError, WPMaxSatSolver, solve_wpmaxsat
-from repro.sat.cnf import CNF
+from maxsat_reference import MaxSatError, WPMaxSatSolver, solve_wpmaxsat
 
 
 def brute_force_optimum(num_vars, hard, soft):

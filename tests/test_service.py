@@ -3,7 +3,6 @@ including the persistent job store and resumable batches."""
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 
@@ -15,17 +14,16 @@ from repro.api import (
     JobStatus,
     MigrationJob,
     MigrationService,
-    ResilienceConfig,
     RetryPolicy,
     SessionEvent,
     SQLiteJobStore,
     TimeoutPolicy,
     VcSelected,
     migrate_batch,
-    migrate_jsonl_to_sqlite,
 )
 from repro.equivalence.invocation import SequenceGenerator
 from repro.exec import build_work_context
+from repro.exec.policy import ResilienceConfig
 from repro.testing_cache import CounterexamplePool, SourceOutputCache
 from repro.workloads import SchemaSpec, benchmark_names, get_benchmark, rename_column
 
@@ -596,20 +594,17 @@ class TestJobStoreAndResume:
         assert all(h.restored for h in resumed.handles)
         assert len(recording_store.records) == written, "no-op resume must not write"
 
-    def test_load_ignores_torn_tail_record(self, recording_store, tmp_path):
-        # A legacy JSONL log as an earlier service wrote it, torn mid-append:
-        # the one-shot import keeps the intact history, so the settled job
-        # resumes restored instead of rerunning.
+    def test_replayed_records_resume_settled_job_restored(self, recording_store, tmp_path):
+        # The records a service appended, replayed in order into a fresh
+        # store, fold to the same standing: the settled job resumes
+        # restored instead of rerunning.
         service = MigrationService(job_store=recording_store)
         service.submit_batch([_job("Oracle-1")])
         service.run()
-        log = tmp_path / "legacy.jsonl"
-        with open(log, "w", encoding="utf-8") as fh:
-            for record in recording_store.records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.write('{"type": "settled", "job": "Oracle-1", "stat')  # torn write
-        store = migrate_jsonl_to_sqlite(log, tmp_path / "imported.sqlite", fsync=False)
-        assert store.load_jobs()["Oracle-1"].settled  # the intact history still wins
+        store = SQLiteJobStore(tmp_path / "replayed.sqlite", fsync=False)
+        for record in recording_store.records:
+            store.append(record)
+        assert store.load_jobs()["Oracle-1"].settled
         (restored,) = MigrationService.resume(store).handles
         assert restored.restored and restored.to_dict()["status"] == "done"
         store.close()

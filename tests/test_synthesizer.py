@@ -1,4 +1,11 @@
-"""End-to-end tests for the synthesizer (Algorithm 1) on the running example."""
+"""End-to-end tests for the synthesizer (Algorithm 1) on the running example,
+and a check that a synthesis run loads none of the service shell."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +76,50 @@ class TestSynthesizer:
         result = Synthesizer(config).synthesize(course_program, course_target_schema)
         assert not result.succeeded
         assert result.timed_out
+
+
+#: What the synthesis core and the Table 1-3 harness must never import: the
+#: service shell, the corpus, the MaxSAT reference's old home and sqlite3.
+SHELL_MODULES = (
+    "repro.api",
+    "repro.service",
+    "repro.server",
+    "repro.exec",
+    "repro.jobstore",
+    "repro.corpus",
+    "repro.worker",
+    "repro.maxsat",
+    "repro.eval.corpus",
+    "sqlite3",
+)
+
+_CORE_ONLY_RUN = f"""
+import json, sys
+import repro
+from repro.workloads import get_benchmark
+benchmark = get_benchmark("Oracle-1")
+result = repro.migrate(benchmark.source_program, benchmark.target_schema)
+import repro.eval.table1
+shell = sorted(
+    name for name in sys.modules
+    if any(name == prefix or name.startswith(prefix + ".") for prefix in {SHELL_MODULES!r})
+)
+print(json.dumps({{"succeeded": result.succeeded, "shell": shell}}))
+"""
+
+
+class TestCoreStandsAlone:
+    def test_synthesis_and_table_harness_load_no_shell(self):
+        # A fresh interpreter: the test process itself has the shell loaded.
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        completed = subprocess.run(
+            [sys.executable, "-c", _CORE_ONLY_RUN],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        report = json.loads(completed.stdout.splitlines()[-1])
+        assert report["succeeded"]
+        assert report["shell"] == []
